@@ -459,7 +459,18 @@ def _verify_selection(trials: int, rng) -> tuple[bool, str]:
             return False, f"size mismatch for w={w!r} alpha={alpha!r}"
         if len(kept) != verify_mod.feasible_prefix_size(np.sort(w), alpha):
             return False, f"prefix mismatch for w={w!r} alpha={alpha!r}"
-    return True, f"{trials} random instances"
+    # large tie-heavy instance: few posterior levels, shuffled stream ids, so
+    # the cutoff falls inside a block of ties broken by the smaller id
+    n = 2000
+    w = rng.integers(0, 16, size=n) / 32.0
+    ids = rng.permutation(4 * n)[:n]
+    alpha = float(np.sort(w)[:7 * n // 10].mean())
+    kept = one_step_rule(w, alpha, ids)
+    size = verify_mod.feasible_prefix_size(np.sort(w), alpha)
+    order = np.lexsort((ids, w))
+    if not np.array_equal(kept, np.sort(ids[order[:size]])):
+        return False, f"tie-heavy instance (n={n}, alpha={alpha!r}) breaks the tie rule"
+    return True, f"{trials} random instances + one {n}-stream tie-heavy instance"
 
 
 def _verify_ordering(trials: int, rng) -> tuple[bool, str]:

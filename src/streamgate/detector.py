@@ -5,16 +5,16 @@ stay active; deactivation is permanent.  The selection rules all control
 the local false non-discovery rate (LFNR): the posterior-expected fraction
 of already-changed streams among those kept active.
 
-* :func:`one_step_rule` -- the core selection: sort posteriors ascending
-  (ties broken toward the smaller stream index) and keep the longest
-  prefix whose running mean stays at or below ``alpha``.  The retained
-  set is always the largest feasible one.
+* :func:`one_step_rule` -- the core selection: the largest set whose mean
+  posterior is at most ``alpha``.  Sorted prefix means never decrease, so
+  it is a cutoff rule: keep posteriors below lambda_t, the N*-th smallest
+  one, and the smallest-index ties at lambda_t.
 * :class:`AdaptiveDetector` -- applies the one-step rule every period on
   the current posteriors (the procedure whose stream utilization is
   maximal among all LFNR-controlling procedures under the homogeneous
   model).
-* :class:`ThresholdDetector` -- the large-ensemble limit: keep streams
-  whose posterior is at most a precomputed per-time threshold.
+* :class:`ThresholdDetector` -- the large-ensemble limit: the same cutoff
+  rule with lambda_t read from a precomputed per-time table.
 * :class:`DependentDetector` -- all streams share one change time; the
   ensemble is deactivated jointly once the aggregated posterior exceeds
   ``alpha``.
@@ -52,53 +52,60 @@ class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
 
 
-def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float,
-                             max_refine: int = 1024) -> int:
-    """Largest n with sorted_w[0] + ... + sorted_w[n-1] <= alpha * n.
+def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float) -> int:
+    """Largest n with math.fsum(sorted_w[:n]) <= alpha * n (equality retains).
 
-    Prefix sums use a vectorized cumulative sum; any prefix whose sum lies
-    inside the accumulated-rounding window of its budget is re-evaluated
-    with exactly rounded summation, so boundary equality is decided exactly
-    (equality retains the stream).
+    A vectorized cumulative sum settles every n outside its rounding window.
+    The undecided n between the last certain fit and the first certain
+    failure are tested longest first on exact integer prefix sums, since
+    the rounded test is not monotone within an ulp of the budget.
     """
-    n = len(sorted_w)
-    if n == 0:
-        return 0
+    counts = np.arange(1.0, len(sorted_w) + 1)
     sums = np.cumsum(sorted_w)
-    counts = np.arange(1, n + 1, dtype=float)
     budget = alpha * counts
-    ok = sums <= budget
-    eps = np.finfo(float).eps
-    window = (counts + 2.0) * eps * np.maximum(np.abs(sums), budget)
-    near = np.flatnonzero(np.abs(sums - budget) <= window)
-    for i in near[:max_refine]:
-        ok[i] = math.fsum(sorted_w[: i + 1]) <= alpha * (i + 1.0)
-    hits = np.flatnonzero(ok)
-    return int(hits[-1]) + 1 if hits.size else 0
+    window = (counts + 2.0) * np.finfo(float).eps * np.maximum(sums, budget)
+    fits = np.flatnonzero(sums - budget < -window)
+    fails = np.flatnonzero(sums - budget > window)
+    lo = int(fits[-1]) + 1 if fits.size else 0
+    hi = int(fails[0]) if fails.size else len(sorted_w)
+    if hi <= lo:
+        return lo
+    # each w is an integer multiple of 2**-1074; int / int rounds correctly
+    units = [num << (1075 - den.bit_length())
+             for num, den in map(float.as_integer_ratio, sorted_w[:hi].tolist())]
+    exact = sum(units)
+    for n in range(hi, lo, -1):
+        if exact / (1 << 1074) <= alpha * n:
+            return n
+        exact -= units[n - 1]
+    return lo
 
 
 def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
     """Largest retained index set whose mean posterior is <= alpha.
 
-    Sorts ascending with ties broken by smaller stream index, scans all
-    prefix means (the running mean is not monotone, so every prefix is
-    considered) and keeps the longest feasible prefix; the empty set is
-    always feasible.  Returns the retained stream indices in index order.
+    A cutoff rule: with lambda the N*-th smallest posterior (N* the longest
+    feasible sorted prefix), keep every w < lambda plus the smallest-index
+    entries equal to lambda, N* in all.  Returns indices in index order.
     """
     w = np.asarray(w, dtype=float)
-    if indices is None:
-        indices = np.arange(len(w))
-    else:
+    if indices is not None:
         indices = np.asarray(indices, dtype=int)
-    if w.shape != indices.shape:
-        raise ValueError("w and indices must align")
-    if w.size and (np.any(~np.isfinite(w)) or np.any((w < 0.0) | (w > 1.0))):
+        if w.shape != indices.shape:
+            raise ValueError("w and indices must align")
+    sorted_w = np.sort(w)  # NaN sorts last, so the two ends check every entry
+    if w.size and not (sorted_w[0] >= 0.0 and sorted_w[-1] <= 1.0):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    if w.size == 0:
-        return indices.copy()
-    order = np.lexsort((indices, w))
-    n = _largest_feasible_prefix(w[order], alpha)
-    return np.sort(indices[order[:n]])
+    n = _largest_feasible_prefix(sorted_w, alpha)
+    keep = np.zeros(w.size, dtype=bool)
+    if n:
+        lam = sorted_w[n - 1]
+        keep = w < lam
+        tied = np.flatnonzero(w == lam)
+        if indices is not None:
+            tied = tied[np.argsort(indices[tied], kind="stable")]
+        keep[tied[:n - np.searchsorted(sorted_w, lam)]] = True
+    return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
 
 
 @dataclass(frozen=True)
@@ -193,7 +200,7 @@ class _DetectorBase:
     # -- subclass hooks -------------------------------------------------
     @property
     def t(self) -> int:
-        raise NotImplementedError
+        return self._state.t
 
     @property
     def w(self) -> np.ndarray:
@@ -206,7 +213,8 @@ class _DetectorBase:
     def _freeze(self, dropped: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _select(self) -> np.ndarray:
+    def _select(self, w_active: np.ndarray) -> np.ndarray:
+        """Boolean keep mask over ``active``, given its posteriors."""
         raise NotImplementedError
 
     # -- shared protocol ------------------------------------------------
@@ -223,27 +231,24 @@ class _DetectorBase:
             raise ValueError(
                 f"expected {self.n_active} observations for the active set, "
                 f"got shape {x.shape}")
-        if x.size and not np.all(np.isfinite(x)):
+        if not np.all(np.isfinite(x)):
             raise ValueError("missing or non-finite observation for an active stream")
-        if x.size:
-            self._advance(self.model.log_lr_rows(x, self.active))
-        else:
-            self._advance(np.empty(0))
+        self._advance(self.model.log_lr_rows(x, self.active) if x.size else np.empty(0))
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
         """Select the next active set from current posteriors; returns dropped indices."""
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
-        keep = self._select()
-        dropped = np.setdiff1d(self.active, keep)
+        w_active = self.w[self.active]
+        keep = self._select(w_active)
+        dropped = self.active[~keep]
+        self.active = self.active[keep]  # ``active`` stays in index order
         if dropped.size:
             self.t_stop[dropped] = self.t
             self._freeze(dropped)
-        self.active = keep
-        w = self.w
-        self._active_size.append(len(keep))
-        self._lfnr.append(float(w[keep].mean()) if len(keep) else 0.0)
+        self._active_size.append(self.n_active)
+        self._lfnr.append(float(w_active[keep].mean()) if self.n_active else 0.0)
         self._phase = "observe"
         return dropped
 
@@ -261,17 +266,15 @@ class _DetectorBase:
         self.observe(x_full[self.active])
 
     def trace(self) -> DecisionTrace:
-        return DecisionTrace(
-            n_streams=self.k,
-            t_final=self.t,
-            t_stop=self.t_stop.copy(),
-            active_size=np.asarray(self._active_size, dtype=int),
-            realized_lfnr=np.asarray(self._lfnr, dtype=float),
-        )
+        return DecisionTrace(n_streams=self.k, t_final=self.t, t_stop=self.t_stop.copy(),
+                             active_size=np.asarray(self._active_size, dtype=int),
+                             realized_lfnr=np.asarray(self._lfnr, dtype=float))
 
 
 class AdaptiveDetector(_DetectorBase):
-    """One-step rule applied every period on the current posteriors."""
+    """One-step rule applied every period on the current posteriors; ``w`` is
+    computed once per step and cached read-only until the next observation
+    (freezing pins posteriors at their current values, so the cache survives)."""
 
     kind = "adaptive"
 
@@ -290,16 +293,17 @@ class AdaptiveDetector(_DetectorBase):
             self._state = PartialDepPosterior(model.tau0.theta, model.eta, k)
         else:
             raise TypeError(f"unsupported model type {type(model).__name__}")
-
-    @property
-    def t(self) -> int:
-        return self._state.t
+        self._w = None
 
     @property
     def w(self) -> np.ndarray:
-        return np.asarray(self._state.w, dtype=float)
+        if self._w is None:
+            self._w = np.asarray(self._state.w, dtype=float)
+            self._w.flags.writeable = False
+        return self._w
 
     def _advance(self, log_lr_values: np.ndarray) -> None:
+        self._w = None
         if self._mode == "geometric":
             self._state = update_posterior(self._state, self.model.prior.theta,
                                            log_lr_values, self.active)
@@ -310,16 +314,19 @@ class AdaptiveDetector(_DetectorBase):
 
     def _freeze(self, dropped: np.ndarray) -> None:
         if self._mode == "partial":
-            self._state.freeze(dropped)
+            self._state.freeze(dropped, self.w[dropped])
         else:
             self._state = self._state.freeze(dropped)
 
-    def _select(self) -> np.ndarray:
-        return one_step_rule(self.w[self.active], self.alpha, self.active)
+    def _select(self, w_active: np.ndarray) -> np.ndarray:
+        # ``active`` is in index order, so positions break ties like indices
+        keep = np.zeros(len(w_active), dtype=bool)
+        keep[one_step_rule(w_active, self.alpha)] = True
+        return keep
 
 
 class ThresholdDetector(AdaptiveDetector):
-    """Non-adaptive rule: keep streams whose posterior is <= the per-time cutoff."""
+    """Non-adaptive rule: the same cutoff rule with lambda_t from a calibrated table."""
 
     kind = "threshold"
 
@@ -329,10 +336,8 @@ class ThresholdDetector(AdaptiveDetector):
         table.check_compatible(model, alpha)
         self.table = table
 
-    def _select(self) -> np.ndarray:
-        lam = self.table.threshold_at(self.t)
-        w = self.w[self.active]
-        return self.active[w <= lam]
+    def _select(self, w_active: np.ndarray) -> np.ndarray:
+        return w_active <= self.table.threshold_at(self.t)
 
 
 class DependentDetector(_DetectorBase):
@@ -352,18 +357,12 @@ class DependentDetector(_DetectorBase):
         self._frozen_w = 0.0
 
     @property
-    def t(self) -> int:
-        return self._state.t
-
-    @property
     def w(self) -> np.ndarray:
-        live = self._state.w if self.n_active else self._frozen_w
-        return np.full(self.k, live)
+        return np.full(self.k, self._state.w if self.n_active else self._frozen_w)
 
     def _advance(self, log_lr_values: np.ndarray) -> None:
         if self.n_active == 0:
-            self._state = DependentPosteriorState(self._state.t + 1,
-                                                  self._state.log_rho)
+            self._state = DependentPosteriorState(self._state.t + 1, self._state.log_rho)
             return
         if len(log_lr_values) != self.k:
             raise ValueError("dependent mode deactivates jointly: observations must "
@@ -374,10 +373,8 @@ class DependentDetector(_DetectorBase):
     def _freeze(self, dropped: np.ndarray) -> None:
         self._frozen_w = self._state.w
 
-    def _select(self) -> np.ndarray:
-        if self._state.w > self.alpha:
-            return self.active[:0]
-        return self.active
+    def _select(self, w_active: np.ndarray) -> np.ndarray:
+        return w_active <= self.alpha
 
 
 # -- checkpointing -------------------------------------------------------
@@ -484,6 +481,8 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
 
     det._phase = payload["phase"]
     det.active = np.asarray(payload["active"], dtype=int)
+    if np.any(np.diff(det.active) <= 0):  # selection breaks ties by position
+        raise CheckpointError("active stream indices must be strictly increasing")
     det.t_stop = np.asarray([s["t_stop"] for s in payload["streams"]], dtype=int)
     det._active_size = [int(v) for v in payload["active_size"]]
     det._lfnr = [_unhex(v) for v in payload["lfnr"]]

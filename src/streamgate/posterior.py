@@ -309,11 +309,12 @@ class PartialDepPosterior:
         self._cum.append(col)
         self.t += 1
 
-    def freeze(self, idx) -> None:
+    def freeze(self, idx, w_idx=None) -> None:
+        """Pin streams ``idx``; ``w_idx`` passes their current posteriors
+        when the caller already holds them."""
         idx = np.asarray(idx, dtype=int)
-        w = self.w
+        self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self._stopped_at[idx] = self.t
-        self._frozen_w[idx] = w[idx]
 
     @property
     def frozen(self) -> np.ndarray:
@@ -345,4 +346,5 @@ class PartialDepPosterior:
         log_tail = t * math.log1p(-self.theta)
         log_z = logsumexp(np.append(log_joint, log_tail))
         live = np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
-        return np.where(self.frozen, self._frozen_w, live)
+        # a probability can round to just above 1; in-range values keep their bits
+        return np.where(self.frozen, self._frozen_w, np.minimum(live, 1.0))

@@ -44,7 +44,8 @@ def test_one_step_rule_tie_break_prefers_smaller_index():
 
 
 def test_one_step_rule_non_monotone_prefix_mean():
-    # feasibility can come back after failing: largest n wins
+    # the input is unsorted, but sorted prefix means never decrease: the rule
+    # is a cutoff at the N*-th smallest posterior, here the largest one
     w = [0.0, 0.3, 0.0, 0.0]
     # sorted: 0,0,0,0.3 ; means 0, 0, 0, 0.075 <= 0.08
     kept = one_step_rule(w, 0.08)
@@ -63,6 +64,77 @@ def test_one_step_rule_matches_exhaustive_search():
         # retained set is the tie-broken ascending prefix: no gaps
         order = np.lexsort((np.arange(n), w))
         assert kept.tolist() == sorted(order[:len(kept)].tolist())
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+@pytest.mark.parametrize("n", [3000, 5000])
+def test_one_step_rule_keeps_every_copy_of_alpha(n, alpha):
+    # every prefix sits exactly on its budget: the boundary must be decided
+    # exactly however many prefixes fall inside the rounding window
+    w = np.full(n, alpha)
+    assert one_step_rule(w, alpha).tolist() == list(range(n))
+    if n == 5000:
+        assert feasible_prefix_size(w, alpha) == n
+
+
+def test_one_step_rule_exact_at_the_boundary():
+    # prefix sums within an ulp of alpha * n, where the rounded test is
+    # decided prefix by prefix (it is not monotone there)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        alpha = float(rng.random())
+        w = np.minimum(rng.random(n) * 2.0 * alpha, 1.0)
+        w[-1] = min(max(alpha * n - math.fsum(w[:-1]), 0.0), 1.0)
+        w[-1] = np.nextafter(w[-1], [0.0, 1.0][int(rng.integers(0, 2))])
+        assert len(one_step_rule(w, alpha)) == feasible_prefix_size(np.sort(w), alpha)
+    a = 0.05
+    for w in (np.full(4000, np.nextafter(a, 1.0)), np.full(4000, a + 4 * np.spacing(a))):
+        assert len(one_step_rule(w, a)) == feasible_prefix_size(w, a)
+
+
+def _lexsort_rule(w, indices, size):
+    """Reference tie-break: a full lexsort by (w, index) keeps its first
+    ``size`` entries, returned in index order."""
+    order = np.lexsort((indices, w))
+    return np.sort(indices[order[:size]])
+
+
+def test_one_step_rule_tie_break_matches_lexsort_reference():
+    rng = np.random.default_rng(21)
+    cut_inside_ties = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 60))
+        w = rng.integers(0, 6, size=n) / 8.0    # few levels: many exact ties
+        alpha = float(rng.random()) * 0.6
+        indices = rng.permutation(3 * n)[:n]    # unsorted, non-contiguous ids
+        size = feasible_prefix_size(np.sort(w), alpha)
+        kept = one_step_rule(w, alpha, indices)
+        assert np.array_equal(kept, _lexsort_rule(w, indices, size))
+        assert np.array_equal(one_step_rule(w, alpha),
+                              _lexsort_rule(w, np.arange(n), size))
+        if size:
+            cut_inside_ties += size < np.count_nonzero(w <= np.sort(w)[size - 1])
+    assert cut_inside_ties >= 50
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_one_step_rule_tie_break_at_large_k(shuffled):
+    from fractions import Fraction
+
+    rng = np.random.default_rng(22)
+    k = 20_000
+    w = rng.integers(0, 50, size=k) / 64.0      # ~400 exact ties per level
+    s = np.sort(w)
+    alpha = float(s[:12_345].mean())
+    indices = rng.permutation(k) if shuffled else np.arange(k)
+    kept = one_step_rule(w, alpha, indices)
+    size = len(kept)
+    # sums of multiples of 1/64 are exact; feasibility is monotone in n
+    assert Fraction(float(s[:size].sum())) <= Fraction(alpha) * size
+    assert Fraction(float(s[:size + 1].sum())) > Fraction(alpha) * (size + 1)
+    assert size < np.count_nonzero(w <= s[size - 1])   # the cut splits a tie block
+    assert np.array_equal(kept, _lexsort_rule(w, indices, size))
 
 
 def test_one_step_rule_rejects_bad_probabilities():
@@ -312,6 +384,75 @@ def test_dependent_partial_observations_rejected():
 
 
 # ---------------------------------------------------------------------------
+# posterior cache: one evaluation per step
+# ---------------------------------------------------------------------------
+
+def _cached_detector(kind):
+    iid = IIDModel(GeometricPrior(0.1), GaussianShift(2.0))
+    if kind == "threshold":
+        return iid, ThresholdDetector(iid, 0.3, 12, _table(iid, np.full(20, 0.5), alpha=0.3))
+    if kind == "tabular":
+        model = conflicting_priors_model()
+        return model, AdaptiveDetector(model, 0.34, 4)
+    if kind == "partial":
+        model = PartialDepModel(GeometricPrior(0.3), 0.5, GaussianShift(2.0))
+        return model, AdaptiveDetector(model, 0.3, 12)
+    return iid, AdaptiveDetector(iid, 0.3, 12)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "threshold", "tabular", "partial"])
+def test_w_cache_is_read_only_and_survives_deactivate(kind):
+    model, det = _cached_detector(kind)
+    rng = np.random.default_rng(31)
+    tau = model.sample_change_points(det.k, rng)
+    dropped_any = False
+    for t in range(1, 11):
+        if not det.n_active:
+            break
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        w = det.w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+        assert w.tobytes() == np.asarray(det._state.w, dtype=float).tobytes()
+        before = w.copy()
+        dropped = det.deactivate()
+        dropped_any |= dropped.size > 0
+        # kept and dropped streams alike: the cache equals a fresh evaluation
+        assert det.w is w and w.tobytes() == before.tobytes()
+        assert w.tobytes() == np.asarray(det._state.w, dtype=float).tobytes()
+    assert dropped_any
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "threshold", "partial"])
+def test_w_evaluated_once_per_step(kind, monkeypatch):
+    from streamgate.posterior import PartialDepPosterior, PosteriorState
+
+    owner = PartialDepPosterior if kind == "partial" else PosteriorState
+    fget = owner.w.fget
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return fget(self)
+
+    monkeypatch.setattr(owner, "w", property(counted))
+    model, det = _cached_detector(kind)
+    rng = np.random.default_rng(32)
+    tau = model.sample_change_points(det.k, rng)
+    steps = 0
+    for t in range(1, 11):
+        if not det.n_active:
+            break
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.w[det.active].mean()
+        det.deactivate()
+        det.w[det.active].mean()
+        steps += 1
+    assert 0 < len(calls) <= steps
+
+
+# ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
 
@@ -415,4 +556,21 @@ def test_checkpoint_rejects_version_mismatch():
     del payload["checksum"]
     payload["checksum"] = _payload_checksum(payload)
     with pytest.raises(CheckpointError, match="version"):
+        restore_state(json.dumps(payload), model, 4)
+
+
+def test_checkpoint_rejects_unordered_active_set():
+    # selection breaks ties by position in ``active``, which must be index order
+    import json
+
+    from streamgate.detector import _payload_checksum
+
+    model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
+    det = AdaptiveDetector(model, 0.3, 4)
+    det.observe([0.1, 0.2, 0.3, 0.4])
+    payload = json.loads(checkpoint_state(det))
+    payload["active"] = [1, 0, 2, 3]
+    del payload["checksum"]
+    payload["checksum"] = _payload_checksum(payload)
+    with pytest.raises(CheckpointError, match="increasing"):
         restore_state(json.dumps(payload), model, 4)

@@ -139,6 +139,15 @@ def test_doubling_replications_shrinks_se():
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
 
+def test_partial_dep_posteriors_stay_in_unit_interval():
+    # on this run a live posterior once rounded to 1 + 2.7e-15, and the
+    # selection rule refused it as not a probability
+    model = PartialDepModel(GeometricPrior(0.02), 0.2, GaussianShift(1.0))
+    frame = run_experiment(SimConfig(model=model, k=300, alpha=0.05, horizon=150,
+                                     replications=1, seed=3))
+    assert np.all(frame.mean_lfnr <= 0.05 + 1e-12)
+
+
 def test_dependent_procedure_runs_to_joint_stop():
     model = PartialDepModel(GeometricPrior(0.1), 1.0, GaussianShift(1.0))
     frame = run_experiment(SimConfig(model=model, k=50, alpha=0.05, horizon=60,
