@@ -25,8 +25,13 @@ optionally a per-step report (``--report``) with columns
 recoverable from the initial universe and the cumulative ``dropped``
 ids.
 
+``--checkpoint`` is replaced atomically (written to ``<path>.tmp``, then
+renamed), so a failed write leaves the previous checkpoint intact.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.  All randomness flows from ``--seed``; per-replication substreams
+failure.  A corrupt or truncated checkpoint is a data error; resuming
+with an alpha or mode other than the checkpoint's is a usage error.
+All randomness flows from ``--seed``; per-replication substreams
 are spawned from it.  ``--threads`` caps worker parallelism (the
 ``STREAMGATE_THREADS`` environment variable overrides the default of 1);
 outputs are byte-identical for every thread count.
@@ -36,6 +41,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -179,7 +186,7 @@ def _iter_rows(path: str):
             raise DataError("no observations")
         row_no = 1
         if first.lstrip().startswith("{"):
-            for line in [first] + fh.readlines():
+            for line in itertools.chain([first], fh):
                 line = line.strip()
                 if not line:
                     row_no += 1
@@ -254,6 +261,19 @@ def _group_by_time(rows):
         yield current_t, group, group_row
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` whole, or leave it untouched on failure."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -291,6 +311,10 @@ def _cmd_detect(args) -> int:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint file: {exc}") from exc
         det = restore_state(state, model, len(ids), table=table)
+        for key, given, saved in (("alpha", alpha, det.alpha), ("mode", mode, det.kind)):
+            if given != saved:
+                raise UsageError(f"checkpoint was written with {key}={saved!r}, "
+                                 f"refusing to resume with {key}={given!r}")
     if det is None:
         if first_t != 1:
             raise DataError(f"row {first_row}: input must start at t=1, got t={first_t}")
@@ -313,7 +337,7 @@ def _cmd_detect(args) -> int:
         expected = det.t + 1
         if t != expected:
             raise DataError(f"row {row_no}: time gap, expected t={expected}, got t={t}")
-        unknown = set(obs) - set(id_pos)
+        unknown = obs.keys() - id_pos.keys()
         if unknown:
             raise DataError(f"row {row_no}: unknown stream id(s) {sorted(unknown)}")
         active_ids = [ids[i] for i in det.active]
@@ -321,7 +345,8 @@ def _cmd_detect(args) -> int:
         if missing:
             raise DataError(f"row {row_no}: missing observation for active "
                             f"stream(s) {missing} at t={t}")
-        discarded += len([sid for sid in obs if sid not in active_ids])
+        # every active id is in ``obs`` and its ids are unique and known
+        discarded += len(obs) - len(active_ids)
         det.observe(np.asarray([obs[sid] for sid in active_ids]))
         w_active = det.w[det.active]
         dropped = det.deactivate()
@@ -360,8 +385,7 @@ def _cmd_detect(args) -> int:
                          f"{row[5]}\n")
     if args.checkpoint:
         payload = {"external_ids": ids, "state": checkpoint_state(det)}
-        with open(args.checkpoint, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        _write_atomic(args.checkpoint, json.dumps(payload))
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)
@@ -608,12 +632,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except (DataError, OSError, CheckpointError) as exc:  # before its ValueError base
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, CheckpointError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -420,7 +420,7 @@ def checkpoint_state(det: _DetectorBase) -> str:
         "extra": _backend_extra(det),
     }
     payload["checksum"] = _payload_checksum({k: v for k, v in payload.items()})
-    return json.dumps(payload, sort_keys=True, indent=1)
+    return json.dumps(payload, sort_keys=True)  # no indent: keeps the C encoder
 
 
 def _backend_extra(det: _DetectorBase) -> dict:

@@ -1,8 +1,14 @@
 import json
+import re
+import sys
 
 import numpy as np
+import pytest
 
+import streamgate.cli as cli
 from streamgate.cli import main
+from streamgate.detector import AdaptiveDetector, restore_state
+from streamgate.model import GaussianShift, GeometricPrior, IIDModel
 
 
 def _run(capsys, *argv):
@@ -125,6 +131,190 @@ def test_detect_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
                       "--out", str(resumed_out), "--checkpoint", str(ck), *base)
     assert code == 0
     assert resumed_out.read_bytes() == full_out.read_bytes()
+
+
+def _checkpointed_half(tmp_path, capsys, *flags):
+    """Run t=1..7 with --checkpoint; return (checkpoint path, rest of the rows)."""
+    rows = _jump_rows(horizon=14)
+    part1 = tmp_path / "part1.ndjson"
+    _write_ndjson(part1, [r for r in rows if r[0] <= 7])
+    ck = tmp_path / "ck.json"
+    code, _, _ = _run(capsys, "detect", "--input", str(part1),
+                      "--out", str(tmp_path / "p1.csv"), "--checkpoint", str(ck),
+                      *flags)
+    assert code == 0
+    part2 = tmp_path / "part2.ndjson"
+    _write_ndjson(part2, [r for r in rows if r[0] > 7])
+    return ck, part2
+
+
+_IID = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
+
+
+def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    blob = ck.read_text()
+    resume = ["detect", "--input", str(part2), "--out", str(tmp_path / "o.csv"),
+              "--checkpoint", str(ck), *_IID, "--alpha", "0.05"]
+    ck.write_text(blob[: len(blob) // 2])                      # truncated file
+    code, _, err = _run(capsys, *resume)
+    assert code == 2 and "data error" in err
+    meta = json.loads(blob)
+    meta["state"] = meta["state"].replace('"t": 7', '"t": 8')  # checksum breaks
+    ck.write_text(json.dumps(meta))
+    code, _, err = _run(capsys, *resume)
+    assert code == 2 and "data error" in err and "checksum" in err
+
+
+@pytest.mark.parametrize("flags, saved, given", [
+    (["--alpha", "0.5"], "alpha=0.05", "alpha=0.5"),
+    (["--alpha", "0.05", "--mode", "dependent"], "mode='adaptive'", "mode='dependent'"),
+], ids=["alpha", "mode"])
+def test_detect_resume_refuses_a_different_setting(tmp_path, capsys, flags, saved, given):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    blob = ck.read_bytes()
+    code, _, err = _run(capsys, "detect", "--input", str(part2),
+                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                        *_IID, *flags)
+    assert code == 1 and "usage error" in err
+    assert saved in err and given in err
+    assert ck.read_bytes() == blob
+
+
+def test_detect_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    blob = ck.read_bytes()
+
+    class HalfWriter:
+        # writes half of what it is given, then fails like a full disk
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, text):
+            self._fh.write(text[: len(text) // 2])
+            self._fh.flush()
+            raise OSError("no space left on device")
+
+    real_open = open
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return HalfWriter(fh) if str(path).startswith(str(ck)) and "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    code, _, err = _run(capsys, "detect", "--input", str(part2),
+                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                        *_IID, "--alpha", "0.05")
+    assert code == 2 and "no space left" in err
+    assert ck.read_bytes() == blob
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("ck")) == [
+        "ck.json"]
+
+
+class _LineStream:
+    """A stdin that can be read line by line but not all at once."""
+
+    def __init__(self, text):
+        self._lines = iter(text.splitlines(keepends=True))
+
+    def readline(self):
+        return next(self._lines, "")
+
+    def __iter__(self):
+        return self._lines
+
+
+def test_detect_reads_ndjson_stdin_line_by_line(tmp_path, capsys, monkeypatch):
+    good = [json.dumps({"t": t, "stream": s, "x": 0.1 * s})
+            for t in (1, 2) for s in (1, 2)]
+    argv = ["detect", "--input", "-", "--out", str(tmp_path / "o.csv"),
+            *_IID, "--alpha", "0.05"]
+    monkeypatch.setattr(sys, "stdin", _LineStream("\n".join(good) + "\n"))
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and "t=1..2" in out
+    # row numbers count blank lines, as they always did
+    monkeypatch.setattr(sys, "stdin", _LineStream(
+        "\n".join([good[0], "", good[1], '{"t": 2, "stream": 1}']) + "\n"))
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and "row 4: bad NDJSON record" in err
+
+
+def test_detect_wide_csv_then_ndjson_resume_matches_library(tmp_path, capsys):
+    # non-contiguous ids in shuffled column and line order; streams drop in
+    # both halves, and some dropped streams keep reporting (discarded rows)
+    # while others fall silent (blank cells, absent lines)
+    theta, mu, alpha, k, horizon, half = 0.1, 2.0, 0.1, 40, 12, 6
+    model = IIDModel(GeometricPrior(theta), GaussianShift(mu))
+    rng = np.random.default_rng(5)
+    tau = model.sample_change_points(k, rng)
+    x = np.stack([model.sample_step(t, tau, rng) for t in range(1, horizon + 1)])
+    ids = np.sort(rng.choice(10 * k, size=k, replace=False)) + 1
+    silent = rng.random(k) < 0.5
+
+    det = AdaptiveDetector(model, alpha, k)
+    present, discarded = [], 0
+    for t in range(1, horizon + 1):
+        rows = np.isin(np.arange(k), det.active) | ~silent
+        present.append(rows)
+        discarded += int(rows.sum()) - det.n_active
+        det.observe(x[t - 1, det.active])
+        det.deactivate()
+        if t == half:
+            w_half, trace_half = det.w.copy(), det.trace()
+    trace = det.trace()
+    assert 0 < np.sum((trace.t_stop > 0) & (trace.t_stop <= half))
+    assert 0 < np.sum(trace.t_stop > half) and discarded > 0
+
+    cols = rng.permutation(k)
+    wide = ["t," + ",".join(str(ids[c]) for c in cols)]
+    for t in range(1, half + 1):
+        wide.append(f"{t}," + ",".join(repr(float(x[t - 1, c])) if present[t - 1][c]
+                                       else "" for c in cols))
+    first = tmp_path / "first.csv"
+    first.write_text("\n".join(wide) + "\n")
+    rest = tmp_path / "rest.ndjson"
+    _write_ndjson(rest, [(t, int(ids[c]), float(x[t - 1, c]))
+                         for t in range(half + 1, horizon + 1)
+                         for c in rng.permutation(k) if present[t - 1][c]])
+
+    flags = ["--model", "iid", "--theta", repr(theta), "--mu", repr(mu),
+             "--alpha", repr(alpha)]
+    ck = tmp_path / "ck.json"
+    notes = []
+    for src, out in ((first, "first.out"), (rest, "rest.out")):
+        code, _, err = _run(capsys, "detect", "--input", str(src),
+                            "--out", str(tmp_path / out), "--checkpoint", str(ck),
+                            *flags)
+        assert code == 0
+        note = re.search(r"discarded (\d+) observation", err)
+        notes.append(int(note.group(1)) if note else 0)
+        if src is first:
+            saved = ck.read_text()
+
+    expected = [f"{sid},{trace.t_final if s < 0 else s},{int(s < 0)}"
+                for sid, s in zip(ids, trace.t_stop)]
+    table = (tmp_path / "rest.out").read_text().splitlines()
+    assert table[3:] == expected
+    assert sum(notes) == discarded
+
+    # a checkpoint laid out as older versions wrote it (indent=1) restores
+    meta = json.loads(saved)
+    old_state = json.dumps(json.loads(meta["state"]), sort_keys=True, indent=1)
+    restored = restore_state(old_state, model, k)
+    assert restored.w.tobytes() == w_half.tobytes()
+    assert restored.trace().equals(trace_half)
+    ck.write_text(json.dumps({"external_ids": meta["external_ids"],
+                              "state": old_state}, indent=1))
+    code, _, _ = _run(capsys, "detect", "--input", str(rest),
+                      "--out", str(tmp_path / "old.out"), "--checkpoint", str(ck), *flags)
+    assert code == 0
+    assert (tmp_path / "old.out").read_bytes() == (tmp_path / "rest.out").read_bytes()
 
 
 def test_simulate_writes_metrics_and_is_deterministic(tmp_path, capsys):
