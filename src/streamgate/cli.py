@@ -29,8 +29,10 @@ ids.
 renamed), so a failed write leaves the previous checkpoint intact.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.  A corrupt or truncated checkpoint is a data error; resuming
-with an alpha or mode other than the checkpoint's is a usage error.
+failure.  A corrupt or truncated checkpoint, a bad or non-finite cell,
+and input running past a threshold table's horizon are data errors;
+resuming with an alpha or mode other than the checkpoint's is a usage
+error.
 All randomness flows from ``--seed``; per-replication substreams
 are spawned from it.  ``--threads`` caps worker parallelism (the
 ``STREAMGATE_THREADS`` environment variable overrides the default of 1);
@@ -55,7 +57,8 @@ from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
 from . import verify as verify_mod
 from .detector import (AdaptiveDetector, CheckpointError, DependentDetector,
-                       ThresholdDetector, checkpoint_state, restore_state)
+                       TableExhaustedError, ThresholdDetector, checkpoint_state,
+                       restore_state)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
 
@@ -230,10 +233,14 @@ def _iter_rows(path: str):
             parts = line.split(",")
             if len(parts) != len(ids) + 1:
                 raise DataError(f"row {row_no}: expected {len(ids) + 1} columns")
-            t = int(parts[0])
-            for sid, cell in zip(ids, parts[1:]):
-                if cell != "":
-                    yield row_no, t, sid, float(cell)
+            try:
+                t = int(parts[0])
+                cells = [(sid, float(cell)) for sid, cell in zip(ids, parts[1:])
+                         if cell != ""]
+            except ValueError as exc:
+                raise DataError(f"row {row_no}: {exc}") from exc
+            for sid, x in cells:
+                yield row_no, t, sid, x
     finally:
         if fh is not sys.stdin:
             fh.close()
@@ -245,6 +252,9 @@ def _group_by_time(rows):
     group: dict[int, float] = {}
     group_row = 0
     for row_no, t, sid, x in rows:
+        if not math.isfinite(x):
+            raise DataError(f"row {row_no}: non-finite observation {x!r} for stream "
+                            f"{sid} at t={t}")
         if current_t is None:
             current_t, group_row = t, row_no
         if t < current_t:
@@ -352,7 +362,7 @@ def _cmd_detect(args) -> int:
         dropped = det.deactivate()
         report_rows.append((
             t, det.n_active,
-            float(det.trace().realized_lfnr[-1]),
+            det.last_lfnr,
             float(w_active.min()) if w_active.size else math.nan,
             float(w_active.max()) if w_active.size else math.nan,
             " ".join(str(ids[i]) for i in dropped),
@@ -455,7 +465,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _verify_posterior(trials: int, rng) -> tuple[bool, str]:
-    from .posterior import PosteriorState, update_posterior
+    from .posterior import (PartialDepPosterior, PosteriorState, posterior_partial_dep,
+                            update_posterior)
 
     worst = 0.0
     for _ in range(trials):
@@ -467,7 +478,28 @@ def _verify_posterior(trials: int, rng) -> tuple[bool, str]:
             state = update_posterior(state, theta, [value], [0])
         worst = max(worst, abs(state.w[0]
                                - verify_mod.brute_force_posterior(theta, llr)))
-    return worst <= 1e-10, f"max_abs_diff={worst:.3e}"
+    # the streaming partially dependent backend, with random freezes, against
+    # the batch formula on the observed log LRs (zero after a stream's stop)
+    worst_partial = 0.0
+    for _ in range(trials):
+        theta = float(rng.choice([0.01, 0.05, 0.3]))
+        eta = float(rng.choice([0.3, 0.5, 1.0]))
+        k, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 26))
+        post = PartialDepPosterior(theta, eta, k)
+        observed = np.zeros((k, horizon))
+        pinned = np.zeros(k)
+        live = np.arange(k)
+        for s in range(horizon):
+            observed[live, s] = rng.normal(0.0, 1.5, size=live.size)
+            post.advance(observed[live, s], live)
+            want = posterior_partial_dep(GeometricPrior(theta), eta, observed[:, :s + 1])
+            pinned[live] = want[live]
+            worst_partial = max(worst_partial, float(np.abs(post.w - pinned).max()))
+            drop = live[rng.random(live.size) < 0.2]
+            post.freeze(drop)
+            live = np.setdiff1d(live, drop)
+    return (worst <= 1e-10 and worst_partial <= 1e-10,
+            f"max_abs_diff={worst:.3e} partial_max_abs_diff={worst_partial:.3e}")
 
 
 def _verify_selection(trials: int, rng) -> tuple[bool, str]:
@@ -632,7 +664,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (DataError, OSError, CheckpointError) as exc:  # before its ValueError base
+    # before the ValueError base of CheckpointError
+    except (DataError, OSError, CheckpointError, TableExhaustedError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, TypeError) as exc:

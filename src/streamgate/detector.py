@@ -222,6 +222,11 @@ class _DetectorBase:
     def n_active(self) -> int:
         return len(self.active)
 
+    @property
+    def last_lfnr(self) -> float:
+        """Realized LFNR behind the latest selection (``trace().realized_lfnr[-1]``)."""
+        return self._lfnr[-1]
+
     def observe(self, x) -> None:
         """Ingest one observation per active stream (aligned with .active)."""
         if self._phase != "observe":
@@ -432,11 +437,12 @@ def _backend_extra(det: _DetectorBase) -> dict:
     if det._mode == "tabular":
         st: TabularPosteriorState = det._state
         return {"log_post": [[_hex(v) for v in row] for row in st.log_post]}
-    st: PartialDepPosterior = det._state
+    arrays = det._state.arrays()
     return {
-        "cum": [[_hex(v) for v in col] for col in st._cum],
-        "stopped_at": [int(v) for v in st._stopped_at],
-        "frozen_w": [_hex(v) for v in st._frozen_w],
+        "history": [[_hex(v) for v in row] for row in arrays["history"]],
+        "acc": [_hex(v) for v in arrays["acc"]],
+        "stopped_at": [int(v) for v in arrays["stopped_at"]],
+        "frozen_w": [_hex(v) for v in arrays["frozen_w"]],
     }
 
 
@@ -507,10 +513,27 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
             frozen=frozen,
         )
     else:
-        st = PartialDepPosterior(model.tau0.theta, model.eta, k)
-        st.t = t
-        st._cum = [np.asarray([_unhex(v) for v in col]) for col in extra["cum"]]
-        st._stopped_at = np.asarray(extra["stopped_at"], dtype=int)
-        st._frozen_w = np.asarray([_unhex(v) for v in extra["frozen_w"]])
-        det._state = st
+        det._state = _restore_partial(extra, model, t)
     return det
+
+
+def _restore_partial(extra: dict, model: PartialDepModel, t: int) -> PartialDepPosterior:
+    """Live-row history plus accumulator; the older every-stream ``cum``
+    columns are folded the way a live run folds them."""
+    theta, eta = model.tau0.theta, model.eta
+    stopped_at = extra["stopped_at"]
+    frozen_w = [_unhex(v) for v in extra["frozen_w"]]
+    try:
+        if "cum" in extra:
+            cum = np.asarray([[_unhex(v) for v in col] for col in extra["cum"]]).T
+            if cum.shape != (len(stopped_at), t + 1):
+                raise ValueError(f"cum has shape {cum.shape[::-1]}, expected "
+                                 f"{(t + 1, len(stopped_at))}")
+            return PartialDepPosterior.from_full_history(theta, eta, cum, stopped_at,
+                                                         frozen_w)
+        history = [[_unhex(v) for v in row] for row in extra["history"]]
+        return PartialDepPosterior.from_arrays(theta, eta, t, history,
+                                               [_unhex(v) for v in extra["acc"]],
+                                               stopped_at, frozen_w)
+    except ValueError as exc:
+        raise CheckpointError(f"bad partially dependent posterior state: {exc}") from exc

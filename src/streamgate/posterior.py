@@ -151,6 +151,40 @@ def update_dependent(state: DependentPosteriorState, theta: float,
     return DependentPosteriorState(state.t + 1, float(log_rho))
 
 
+def _log_lam(eta: float, l_km: np.ndarray) -> np.ndarray:
+    """log Lam_k(m) = log(eta * exp(l_k(m)) + 1 - eta), elementwise (eta > 0).
+
+    ``math.log(eta) + l_km - log_lam`` is then log P(stream k changed at m |
+    tau0 = m, its data); at eta = 1 that is exactly 0.
+    """
+    if eta == 1.0:
+        return l_km
+    return np.logaddexp(math.log(eta) + l_km, math.log1p(-eta))
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum exp along axis 1 of a finite 2-d array.
+
+    The operations of ``scipy.special.logsumexp`` (the row maxima are
+    summed apart and re-added with ``log1p``), so results are bit-identical
+    to it, without its array-API dispatch and copies.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    d = a - a_max
+    # exp is slow wherever its result is subnormal or zero, which is most of
+    # an array of long-run posteriors; below -746 the result is exactly 0
+    tiny = d < -708.0
+    e = np.exp(np.where(tiny, 0.0, d))
+    e[top | tiny] = 0.0
+    sub = tiny & (d >= -746.0)
+    e[sub] = np.exp(d[sub])
+    n_top = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
+    s = e.sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / n_top)
+    return (np.log1p(s) + np.log(n_top) + a_max)[:, 0]
+
+
 def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
                           log_lr_matrix) -> np.ndarray:
     """Exact per-stream posteriors under the partially dependent model.
@@ -178,12 +212,8 @@ def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
     cum = np.concatenate([np.zeros((k, 1)), np.cumsum(llr, axis=1)], axis=1)
     # l[k, m] = sum of stream-k log LRs over times m+1..t, for m = 0..t-1
     l_km = cum[:, t:t + 1] - cum[:, :t]
-    if eta == 1.0:
-        log_lam = l_km
-        log_pk = np.zeros_like(l_km)
-    else:
-        log_lam = np.logaddexp(math.log(eta) + l_km, math.log1p(-eta))
-        log_pk = math.log(eta) + l_km - log_lam
+    log_lam = _log_lam(eta, l_km)
+    log_pk = math.log(eta) + l_km - log_lam
     m = np.arange(t)
     log_joint = math.log(theta) + m * math.log1p(-theta) + log_lam.sum(axis=0)
     log_tail = t * math.log1p(-theta)
@@ -283,11 +313,16 @@ class PartialDepPosterior:
     """Streaming per-stream posteriors under the partially dependent model,
     tolerating deactivated streams.
 
-    Keeps each stream's cumulative log likelihood ratio path; a stream
-    deactivated at time T contributes its observed data (through T) to the
-    shared change-time posterior forever after, while its own reported
-    posterior is pinned at deactivation.  Active streams' values are the
-    exact conditional probabilities given all data observed so far.
+    Keeps the cumulative log likelihood ratio path of the live streams
+    only, in a column-growable (rows, capacity) buffer, plus a length-t
+    accumulator of sum_k log Lam_k(m) over the frozen streams.
+    A stream frozen at time u contributes the fixed log Lam_k(m) for m < u
+    and nothing for m >= u, so on the first ``advance`` after its freeze
+    its row is folded into the accumulator once and dropped; neither is
+    touched again.  Until then its row stays, so freezing never changes
+    ``w`` at the current time.  Each step costs O(live streams * t).  Its
+    own reported posterior is pinned at deactivation; live streams' values
+    are the exact conditional probabilities given all data observed so far.
     """
 
     def __init__(self, theta: float, eta: float, k: int):
@@ -295,24 +330,99 @@ class PartialDepPosterior:
         self.eta = eta
         self.k = k
         self.t = 0
-        self._cum = [np.zeros(k)]          # cumulative log LR per stream, per time
-        self._stopped_at = np.full(k, -1)  # observation time after which frozen
+        self._ids = np.arange(k)              # stream id per buffer row, increasing
+        self._row = np.arange(k)              # buffer row per stream id, -1 once folded
+        self._hist = np.zeros((k, 8))         # columns 0..t: cumulative log LR
+        self._acc = np.zeros(8)               # [m]: sum of frozen streams' log Lam(m)
+        self._stopped_at = np.full(k, -1)     # observation time after which frozen
         self._frozen_w = np.zeros(k)
+
+    @classmethod
+    def from_arrays(cls, theta: float, eta: float, t: int, history, acc,
+                    stopped_at, frozen_w) -> "PartialDepPosterior":
+        """Rebuild from :meth:`arrays`: ``history`` holds the rows of the
+        streams live or frozen at ``t`` (increasing id), columns 0..t."""
+        stopped_at = np.asarray(stopped_at, dtype=int)
+        frozen_w = np.asarray(frozen_w, dtype=float)
+        st = cls(theta, eta, len(stopped_at))
+        ids = np.flatnonzero((stopped_at < 0) | (stopped_at == t))
+        history = np.asarray(history, dtype=float).reshape(len(ids), t + 1)
+        acc = np.asarray(acc, dtype=float)
+        if (frozen_w.shape != stopped_at.shape or acc.shape != (t,)
+                or np.any(stopped_at > t)):
+            raise ValueError("inconsistent partially dependent posterior arrays")
+        st.t = t
+        st._stopped_at, st._frozen_w = stopped_at, frozen_w
+        st._set_rows(ids, history, max(8, 2 * (t + 1)))
+        st._acc[:t] = acc
+        return st
+
+    @classmethod
+    def from_full_history(cls, theta: float, eta: float, cum, stopped_at,
+                          frozen_w) -> "PartialDepPosterior":
+        """Rebuild from every stream's (K, t+1) cumulative log LR path,
+        folding frozen streams by stop time, in the order a live run does."""
+        cum = np.asarray(cum, dtype=float)
+        stopped_at = np.asarray(stopped_at, dtype=int)
+        t = cum.shape[1] - 1
+        st = cls.from_arrays(theta, eta, t, cum[(stopped_at < 0) | (stopped_at == t)],
+                             np.zeros(t), stopped_at, frozen_w)
+        for u in np.unique(stopped_at[(stopped_at >= 0) & (stopped_at < t)]):
+            st._fold(cum[stopped_at == u], u)
+        return st
+
+    def arrays(self) -> dict:
+        """State as arrays: ``history`` (buffer rows, columns 0..t), the
+        accumulator ``acc`` (length t), ``stopped_at`` and ``frozen_w``."""
+        return {"history": self._hist[:, :self.t + 1], "acc": self._acc[:self.t],
+                "stopped_at": self._stopped_at, "frozen_w": self._frozen_w}
+
+    def _set_rows(self, ids: np.ndarray, history: np.ndarray, capacity: int) -> None:
+        """Reallocate the buffer (and accumulator) with rows ``ids``."""
+        self._ids = ids
+        self._row = np.full(self.k, -1)
+        self._row[ids] = np.arange(len(ids))
+        self._hist = np.zeros((len(ids), capacity))
+        self._hist[:, :history.shape[1]] = history
+        acc = np.zeros(capacity)
+        acc[:len(self._acc)] = self._acc
+        self._acc = acc
+
+    def _fold(self, rows: np.ndarray, u: int) -> None:
+        """Add the fixed log Lam(m), m < u, of streams stopped at ``u``
+        (history ``rows``, columns 0..u) to the accumulator."""
+        if u and len(rows) and self.eta > 0.0:
+            self._acc[:u] += _log_lam(self.eta, rows[:, u:u + 1] - rows[:, :u]).sum(axis=0)
 
     def advance(self, log_lr_values, active) -> None:
         active = np.asarray(active, dtype=int)
         log_lr_values = np.asarray(log_lr_values, dtype=float)
         if log_lr_values.shape != active.shape:
             raise ValueError("log_lr_values must align with the active index set")
-        col = self._cum[-1].copy()
-        col[active] += log_lr_values
-        self._cum.append(col)
-        self.t += 1
+        if active.size and (active.min() < 0 or active.max() >= self.k
+                            or np.any(self._stopped_at[active] >= 0)):
+            raise ValueError("cannot advance a frozen or unknown stream")
+        t = self.t
+        gone = self._stopped_at[self._ids] >= 0
+        if gone.any():
+            self._fold(self._hist[gone, :t + 1], t)
+            keep = ~gone
+            self._set_rows(self._ids[keep], self._hist[keep, :t + 1], len(self._acc))
+        if t + 2 > self._hist.shape[1]:
+            self._set_rows(self._ids, self._hist[:, :t + 1], 2 * (t + 2))
+        col = self._hist[:, t + 1]
+        col[:] = self._hist[:, t]
+        col[self._row[active]] += log_lr_values
+        self.t = t + 1
 
     def freeze(self, idx, w_idx=None) -> None:
         """Pin streams ``idx``; ``w_idx`` passes their current posteriors
         when the caller already holds them."""
         idx = np.asarray(idx, dtype=int)
+        if not idx.size:
+            return
+        if idx.min() < 0 or idx.max() >= self.k or np.any(self._stopped_at[idx] >= 0):
+            raise ValueError("cannot freeze a frozen or unknown stream")
         self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self._stopped_at[idx] = self.t
 
@@ -323,28 +433,22 @@ class PartialDepPosterior:
     @property
     def w(self) -> np.ndarray:
         t = self.t
-        if t == 0:
-            return np.zeros(self.k)
-        cum = np.stack(self._cum, axis=1)  # (K, t+1)
-        # observed horizon per stream: its stop time if frozen, else now
-        u = np.where(self.frozen, self._stopped_at, t)
-        c_end = cum[np.arange(self.k), u]
+        out = self._frozen_w.copy()  # live streams hold 0 here
+        live = self._stopped_at[self._ids] < 0
+        if t == 0 or self.eta == 0.0 or not live.any():
+            return out
+        h = self._hist[:, :t + 1]
+        # every buffered row is observed through t: l[k, m] is stream k's
+        # log LR for the data after a change at m
+        l_km = h[:, t:t + 1] - h[:, :t]
+        log_lam = _log_lam(self.eta, l_km)
+        log_pk = math.log(self.eta) + l_km - log_lam
         m = np.arange(t)
-        # stream k's log LR for data after a change at m, truncated at u_k
-        l_km = c_end[:, None] - cum[np.arange(self.k)[:, None],
-                                    np.minimum(m[None, :], u[:, None])]
-        if self.eta == 0.0:
-            return np.where(self.frozen, self._frozen_w, 0.0)
-        if self.eta == 1.0:
-            log_lam = l_km
-            log_pk = np.zeros_like(l_km)
-        else:
-            log_lam = np.logaddexp(math.log(self.eta) + l_km, math.log1p(-self.eta))
-            log_pk = math.log(self.eta) + l_km - log_lam
         log_joint = (math.log(self.theta) + m * math.log1p(-self.theta)
-                     + log_lam.sum(axis=0))
+                     + (self._acc[:t] + log_lam.sum(axis=0)))
         log_tail = t * math.log1p(-self.theta)
-        log_z = logsumexp(np.append(log_joint, log_tail))
-        live = np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
+        log_z = _logsumexp_rows(np.append(log_joint, log_tail)[None, :])[0]
+        w_rows = np.exp(_logsumexp_rows(log_joint[None, :] - log_z + log_pk))
         # a probability can round to just above 1; in-range values keep their bits
-        return np.where(self.frozen, self._frozen_w, np.minimum(live, 1.0))
+        out[self._ids[live]] = np.minimum(w_rows[live], 1.0)
+        return out

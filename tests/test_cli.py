@@ -103,6 +103,79 @@ def test_detect_wide_csv(tmp_path, capsys):
     assert code == 0
 
 
+_IID_ALPHA = "--model iid --theta 0.05 --mu 1.0 --alpha 0.05".split()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("t,1,2\n1,0.1,0.2\n2,0.1,abc\n", "row 3"),   # a bad observation cell
+    ("t,1,2\n1,0.1,0.2\nx,0.1,0.2\n", "row 3"),   # a bad time cell
+], ids=["value", "time"])
+def test_detect_bad_wide_csv_cell_is_a_data_error(tmp_path, capsys, text, where):
+    data = tmp_path / "wide.csv"
+    data.write_text(text)
+    code, _, err = _run(capsys, "detect", "--input", str(data),
+                        "--out", str(tmp_path / "o.csv"), *_IID_ALPHA)
+    assert code == 2 and "data error" in err and where in err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("obs.ndjson", '{"t": 1, "stream": 1, "x": 0.1}\n{"t": 1, "stream": 7, "x": 0.2}\n'
+                   '{"t": 2, "stream": 1, "x": 0.1}\n{"t": 2, "stream": 7, "x": NaN}\n'),
+    ("long.csv", "t,stream,x\n1,1,0.1\n1,7,0.2\n2,7,nan\n2,1,0.1\n"),
+    ("wide.csv", "t,1,9,7\n1,0.1,0.3,0.2\n\n2,0.1,,inf\n"),
+], ids=["ndjson", "long-csv", "wide-csv"])
+def test_detect_non_finite_observation_is_a_data_error(tmp_path, capsys, name, text):
+    data = tmp_path / name
+    data.write_text(text)
+    code, _, err = _run(capsys, "detect", "--input", str(data),
+                        "--out", str(tmp_path / "o.csv"), *_IID_ALPHA)
+    assert code == 2 and "non-finite" in err
+    assert "row 4" in err and "stream 7" in err
+
+
+def test_detect_threshold_table_past_its_horizon_is_a_data_error(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    code, _, _ = _run(capsys, "calibrate", "--theta", "0.05", "--alpha", "0.05",
+                      "--mu", "1.0", "--n", "1000", "--horizon", "2", "--seed", "1",
+                      "--out", str(table))
+    assert code == 0
+    data = tmp_path / "obs.ndjson"
+    _write_ndjson(data, _jump_rows(horizon=3))
+    code, _, err = _run(capsys, "detect", "--input", str(data),
+                        "--out", str(tmp_path / "o.csv"), *_IID_ALPHA,
+                        "--mode", "threshold", "--table", str(table))
+    assert code == 2
+    assert "data error" in err and "t=1..2" in err and "t=3" in err
+
+
+def test_detect_report_reads_lfnr_without_copying_the_trace(tmp_path, capsys,
+                                                           monkeypatch):
+    from streamgate.detector import _DetectorBase
+
+    rows = _jump_rows(horizon=10, k=6)
+    data = tmp_path / "obs.ndjson"
+    _write_ndjson(data, rows)
+    report = tmp_path / "steps.csv"
+    trace = _DetectorBase.trace
+    calls = []
+    monkeypatch.setattr(_DetectorBase, "trace",
+                        lambda self: calls.append(1) or trace(self))
+    code, _, _ = _run(capsys, "detect", "--input", str(data), "--out",
+                      str(tmp_path / "o.csv"), "--report", str(report), "--model",
+                      "iid", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.15")
+    assert code == 0
+    assert len(calls) == 1  # the stop table at the end, not one per step
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    det = AdaptiveDetector(model, 0.15, 6)
+    x = np.asarray([r[2] for r in rows]).reshape(10, 6)
+    for row in x:
+        det.observe(row[det.active])
+        det.deactivate()
+    body = report.read_text().splitlines()[3:]
+    assert [ln.split(",")[2] for ln in body] == [
+        repr(v) for v in det.trace().realized_lfnr[1:].tolist()]
+
+
 def test_detect_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
     rows = _jump_rows(horizon=14)
     base = ["--model", "iid", "--theta", "0.05", "--mu", "1.0",
@@ -414,6 +487,19 @@ def test_verify_fast_suites(capsys):
     assert code == 0 and "PASS selection" in out
     code, out, _ = _run(capsys, "verify", "ordering", "--trials", "200")
     assert code == 0 and "PASS ordering" in out
+
+
+def test_verify_posterior_checks_the_partial_backend(capsys, monkeypatch):
+    from streamgate.posterior import PartialDepPosterior
+
+    code, out, _ = _run(capsys, "verify", "posterior", "--trials", "30")
+    assert code == 0 and "partial_max_abs_diff=" in out
+    fold = PartialDepPosterior._fold
+    # a fold that forgets the first change candidate of every frozen stream
+    monkeypatch.setattr(PartialDepPosterior, "_fold",
+                        lambda self, rows, u: fold(self, rows[:, 1:], u - 1))
+    code, out, _ = _run(capsys, "verify", "posterior", "--trials", "30")
+    assert code == 3 and out.startswith("FAIL posterior")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

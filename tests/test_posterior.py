@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from streamgate.model import GaussianShift, GeometricPrior
+from streamgate.detector import AdaptiveDetector, checkpoint_state, restore_state
+from streamgate.model import GaussianShift, GeometricPrior, PartialDepModel
 from streamgate.posterior import (DependentPosteriorState, PartialDepPosterior,
                                   PosteriorState, TabularPosteriorState,
                                   inclusive_change_prob, posterior_partial_dep,
@@ -210,6 +211,240 @@ def test_partial_dep_streaming_backend_with_deactivation():
     want = _partial_oracle(0.3, 0.5, observed)
     assert np.abs(live.w[[0, 2]] - want[[0, 2]]).max() <= 1e-10
     assert live.w[1] == pinned
+
+
+def _full_history_w(theta, eta, cum, stopped_at, frozen_w):
+    """The every-stream formula: re-stack each stream's (t+1)-long cumulative
+    log LR path, truncated at its stop time, on every call."""
+    k, width = cum.shape
+    t = width - 1
+    frozen = stopped_at >= 0
+    if t == 0 or eta == 0.0:
+        return np.where(frozen, frozen_w, 0.0)
+    u = np.where(frozen, stopped_at, t)
+    rows = np.arange(k)
+    m = np.arange(t)
+    l_km = cum[rows, u][:, None] - cum[rows[:, None], np.minimum(m[None, :], u[:, None])]
+    if eta == 1.0:
+        log_lam, log_pk = l_km, np.zeros_like(l_km)
+    else:
+        log_lam = np.logaddexp(math.log(eta) + l_km, math.log1p(-eta))
+        log_pk = math.log(eta) + l_km - log_lam
+    log_joint = math.log(theta) + m * math.log1p(-theta) + log_lam.sum(axis=0)
+    log_z = logsumexp(np.append(log_joint, t * math.log1p(-theta)))
+    live = np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
+    return np.where(frozen, frozen_w, np.minimum(live, 1.0))
+
+
+def test_logsumexp_rows_is_bit_identical_to_scipy():
+    from streamgate.posterior import _logsumexp_rows
+
+    rng = np.random.default_rng(17)
+    a = rng.normal(0.0, 30.0, size=(300, 40))
+    a[::7, 3] = a[::7, 5] = a[::7].max(axis=1) + 1.0   # tied row maxima
+    a[1] = -800.0                         # every term is a maximum
+    a[2] = np.linspace(-760.0, 0.0, 40)   # subnormal and zero terms
+    a[3:40] *= 40.0                       # most terms underflow
+    want = logsumexp(a, axis=1)
+    assert _logsumexp_rows(a).tobytes() == want.tobytes()
+
+
+def _drive_with_freezes(eta, k=200, steps=60, seed=14):
+    """Yield (posterior, cum, stopped_at, frozen_w) after every advance of a
+    run that freezes streams at several times, some of them in batches."""
+    rng = np.random.default_rng(seed)
+    post = PartialDepPosterior(0.05, eta, k)
+    cum = np.zeros((k, 1))
+    stopped_at = np.full(k, -1)
+    frozen_w = np.zeros(k)
+    live = np.arange(k)
+    for s in range(1, steps + 1):
+        llr = rng.normal(0.4, 1.2, size=live.size)
+        post.advance(llr, live)
+        col = cum[:, -1].copy()
+        col[live] += llr
+        cum = np.column_stack([cum, col])
+        yield post, cum, stopped_at, frozen_w
+        if s in (3, 10, 11, 25, 40, 59):
+            drop = live[rng.random(live.size) < 0.25]
+            frozen_w[drop] = post.w[drop]
+            post.freeze(drop)
+            stopped_at[drop] = s
+            live = np.setdiff1d(live, drop)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5, 1.0])
+def test_partial_dep_live_rows_match_full_history_formula(eta):
+    # K=200 over 60 steps, frozen in six batches: the live rows plus the
+    # frozen-stream accumulator give the every-stream formula's values
+    worst = 0.0
+    for post, cum, stopped_at, frozen_w in _drive_with_freezes(eta):
+        want = _full_history_w(0.05, eta, cum, stopped_at, frozen_w)
+        got = post.w
+        assert np.array_equal(got[stopped_at >= 0], frozen_w[stopped_at >= 0])
+        worst = max(worst, float(np.abs(got - want).max()))
+    assert (stopped_at >= 0).sum() > 100
+    assert worst <= 1e-12
+
+
+def test_partial_dep_buffer_holds_only_live_rows():
+    for post, cum, stopped_at, _ in _drive_with_freezes(0.5, k=40, steps=30):
+        live = np.flatnonzero(stopped_at < 0)
+        history = post.arrays()["history"]
+        assert np.array_equal(post._ids, live)
+        assert history.shape == (live.size, post.t + 1)
+        assert np.array_equal(history, cum[live])
+        assert post.arrays()["acc"].shape == (post.t,)
+    assert live.size < 40
+
+
+def test_partial_dep_freeze_keeps_w_until_the_next_advance():
+    # a stream frozen at t is still observed through t, so its row is
+    # folded only on the next advance and ``w`` keeps its bits until then
+    rng = np.random.default_rng(15)
+    post = PartialDepPosterior(0.1, 0.5, 8)
+    for _ in range(4):
+        post.advance(rng.normal(size=8), np.arange(8))
+    before = post.w
+    post.freeze([1, 5])
+    assert post.w.tobytes() == before.tobytes()
+    assert post.arrays()["history"].shape == (8, 5)
+    post.advance(rng.normal(size=6), [0, 2, 3, 4, 6, 7])
+    assert post.arrays()["history"].shape == (6, 6)
+
+
+def test_partial_dep_advance_rejects_frozen_or_unknown_streams():
+    post = PartialDepPosterior(0.1, 0.5, 4)
+    post.advance([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3])
+    post.freeze([2])
+    for bad in ([0, 2], [0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match="frozen or unknown"):
+            post.advance([0.1, 0.1], bad)
+    with pytest.raises(ValueError, match="frozen or unknown"):
+        post.freeze([2])
+    assert post.t == 1
+    post.advance([0.1, 0.1, 0.1], [0, 1, 3])
+    assert post.t == 2
+
+
+def _partial_run(k=30, steps=24, seed=17):
+    model = PartialDepModel(GeometricPrior(0.15), 0.5, GaussianShift(1.0))
+    rng = np.random.default_rng(seed)
+    tau = model.sample_change_points(k, rng)
+    return model, [model.sample_step(t, tau, rng) for t in range(1, steps + 1)]
+
+
+@pytest.mark.parametrize("phase", ["observe", "select"])
+def test_partial_dep_checkpoint_mid_run_round_trips(phase):
+    # checkpoints at every step of a run with drops at several times, taken
+    # right after a selection (this step's drops still buffered) or right
+    # after an observation; each restores bit-exactly and resumes identically
+    model, data = _partial_run()
+    full = AdaptiveDetector(model, 0.2, 30)
+    for x in data:
+        if full.t:
+            full.deactivate()
+        full.observe(x[full.active])
+    assert len(set(full.t_stop[full.t_stop >= 0])) >= 3
+
+    det = AdaptiveDetector(model, 0.2, 30)
+    for i, x in enumerate(data):
+        if det.t:
+            det.deactivate()
+        if phase == "observe" and det.t:
+            _check_round_trip(det, model, data[i:], full)
+        det.observe(x[det.active])
+        if phase == "select":
+            _check_round_trip(det, model, data[i + 1:], full)
+
+
+def _check_round_trip(det, model, rest, full):
+    blob = checkpoint_state(det)
+    back = restore_state(blob, model, det.k)
+    assert back.w.tobytes() == det.w.tobytes()
+    assert back.trace().equals(det.trace())
+    assert checkpoint_state(back) == blob
+    for x in rest:
+        if back._phase == "select":
+            back.deactivate()
+        back.observe(x[back.active])
+    assert back.trace().equals(full.trace())
+    assert back.w.tobytes() == full.w.tobytes()
+
+
+def test_partial_dep_checkpoint_keeps_only_live_rows():
+    import json
+
+    model, data = _partial_run()
+    det = AdaptiveDetector(model, 0.2, 30)
+    for x in data:
+        if det.t:
+            det.deactivate()
+        det.observe(x[det.active])
+    extra = json.loads(checkpoint_state(det))["extra"]
+    assert "cum" not in extra
+    assert len(extra["history"]) == det.n_active < 30
+    assert {len(row) for row in extra["history"]} == {det.t + 1}
+    assert len(extra["acc"]) == det.t
+
+
+@pytest.mark.parametrize("field", ["history", "acc"])
+def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
+    import json
+
+    from streamgate.detector import CheckpointError, _payload_checksum
+
+    model, data = _partial_run()
+    det = AdaptiveDetector(model, 0.2, 30)
+    for x in data[:14]:
+        if det.t:
+            det.deactivate()
+        det.observe(x[det.active])
+    payload = json.loads(checkpoint_state(det))
+    payload["extra"][field].pop()
+    del payload["checksum"]
+    payload["checksum"] = _payload_checksum(payload)
+    with pytest.raises(CheckpointError, match="partially dependent"):
+        restore_state(json.dumps(payload), model, 30)
+
+
+def test_partial_dep_legacy_cum_checkpoint_resumes():
+    # ``checkpoint_state`` of the earlier every-stream form, taken after the
+    # selection at t=12 of an observe/deactivate run over the stored rows
+    # ``x``; streams stopped at t=8, 9 and 12 (and 17 later)
+    import json
+    from pathlib import Path
+
+    fx = json.loads((Path(__file__).parent / "data" / "partial_cum_checkpoint.json")
+                    .read_text())
+    assert "cum" in json.loads(fx["checkpoint"])["extra"]
+    cfg = fx["model"]
+    model = PartialDepModel(GeometricPrior(cfg["theta"]), cfg["eta"],
+                            GaussianShift(cfg["mu"]))
+    x = np.asarray(fx["x"])
+    det = restore_state(fx["checkpoint"], model, fx["k"])
+    assert det.t == fx["t_checkpoint"]
+    want_w = np.asarray([float.fromhex(v) for v in fx["w_at_checkpoint"]])
+    assert np.abs(det.w - want_w).max() <= 1e-12
+    assert len(det._state.arrays()["history"]) == np.count_nonzero(
+        (det.t_stop < 0) | (det.t_stop == det.t))
+    again = restore_state(checkpoint_state(det), model, fx["k"])
+    assert again.w.tobytes() == det.w.tobytes()
+    for row in x[det.t:]:
+        det.observe(row[det.active])
+        det.deactivate()
+    assert det.t_stop.tolist() == fx["t_stop"]
+    assert det.trace().active_size.tolist() == fx["active_size"]
+
+    # an uninterrupted run makes the same decisions; its realized LFNR may
+    # differ in the last bits, since the checkpoint carries the earlier form's
+    fresh = AdaptiveDetector(model, fx["alpha"], fx["k"])
+    for row in x:
+        fresh.observe(row[fresh.active])
+        fresh.deactivate()
+    assert np.array_equal(fresh.t_stop, det.t_stop)
+    assert np.array_equal(fresh.trace().active_size, det.trace().active_size)
+    assert np.abs(fresh.trace().realized_lfnr - det.trace().realized_lfnr).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
