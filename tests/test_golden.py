@@ -1,0 +1,88 @@
+"""Golden bits: posteriors, checkpoints and decision traces of small fixed runs.
+
+Five small seeded runs -- IID adaptive, IID threshold, tabular
+(``conflicting_priors_model``), partially dependent (eta=0.5) and jointly
+dependent (eta=1) -- are reduced, at every step, to the sha256 of
+``det.w.tobytes()`` and of ``checkpoint_state(det)``, once after the
+observation and once after the selection.  The final decision trace is
+stored whole.  The fixture pins exact bits: a change to the posterior
+arithmetic, the selection rule or the checkpoint encoding shows here.
+
+Regenerate the fixture only when a change of bits is intended:
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from streamgate.calibrate import calibrate_thresholds
+from streamgate.detector import (AdaptiveDetector, DependentDetector,
+                                 ThresholdDetector, checkpoint_state)
+from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
+                              PartialDepModel, conflicting_priors_model)
+
+FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_bits.json"
+
+
+def _case(name):
+    iid = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    if name == "iid_adaptive":
+        return iid, AdaptiveDetector(iid, 0.1, 40), 20, 1
+    if name == "iid_threshold":
+        table = calibrate_thresholds(0.05, GaussianShift(1.0), 0.1, 1000, 20, seed=7)
+        return iid, ThresholdDetector(iid, 0.1, 40, table), 20, 2
+    if name == "tabular":
+        model = conflicting_priors_model()
+        return model, AdaptiveDetector(model, 0.34, 4), 12, 3
+    if name == "partial":
+        model = PartialDepModel(GeometricPrior(0.15), 0.5, GaussianShift(1.5))
+        return model, AdaptiveDetector(model, 0.2, 30), 20, 6
+    model = PartialDepModel(GeometricPrior(0.1), 1.0, GaussianShift(1.0))
+    return model, DependentDetector(model, 0.3, 10), 20, 5
+
+
+CASES = ["iid_adaptive", "iid_threshold", "tabular", "partial", "dependent"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _record(name) -> dict:
+    model, det, horizon, seed = _case(name)
+    rng = np.random.default_rng(seed)
+    tau = model.sample_change_points(det.k, rng)
+    steps = []
+    for t in range(1, horizon + 1):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        observed = [_sha(det.w.tobytes()), _sha(checkpoint_state(det).encode())]
+        det.deactivate()
+        steps.append(observed + [_sha(det.w.tobytes()),
+                                 _sha(checkpoint_state(det).encode())])
+    trace = det.trace()
+    return {
+        "steps": steps,
+        "t_stop": trace.t_stop.tolist(),
+        "active_size": trace.active_size.tolist(),
+        "realized_lfnr": [float(v).hex() for v in trace.realized_lfnr],
+    }
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_bits(name):
+    want = json.loads(FIXTURE.read_text())[name]
+    got = _record(name)
+    # the runs must exercise deactivation, or the selection bits go unchecked
+    assert min(want["active_size"]) < want["active_size"][0]
+    for t, (g, w) in enumerate(zip(got["steps"], want["steps"]), start=1):
+        assert g == w, f"{name}: bits differ at t={t} (w, checkpoint; observe, select)"
+    assert got == want
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({name: _record(name) for name in CASES},
+                                  indent=1, sort_keys=True) + "\n")
