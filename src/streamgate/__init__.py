@@ -9,30 +9,27 @@ possible.
 
 from .calibrate import (calibrate_thresholds, critical_time, lfnr_limit,
                         read_threshold_table, write_threshold_table)
-from .detector import (AdaptiveDetector, CheckpointError, DecisionTrace,
-                       DependentDetector, TableExhaustedError,
+from .detector import (DETECTOR_KINDS, AdaptiveDetector, CheckpointError,
+                       DecisionTrace, DependentDetector, TableExhaustedError,
                        ThresholdDetector, ThresholdTable, checkpoint_state,
-                       one_step_rule, restore_state)
+                       make_detector, one_step_rule, restore_state)
 from .model import (INF, BernoulliPair, GaussianShift, GeometricPrior,
                     IIDModel, PartialDepModel, TabularModel,
-                    conflicting_priors_model, sample_change_points,
-                    sample_observation)
-from .posterior import (DependentPosteriorState, PartialDepPosterior,
-                        PosteriorState, TabularPosteriorState,
-                        inclusive_change_prob, log_odds_from_prob,
-                        posterior_partial_dep, prob_from_log_odds,
-                        reference_posterior_path, reference_posterior_paths,
-                        update_dependent, update_posterior, update_tabular)
-from .simulate import (MetricsFrame, SimConfig, fdp_lfdr, fnp, lfnr_realized,
-                       run_experiment, run_length_and_cd, write_metrics_csv)
-from .verify import (ConflictingPriorsReport, OptimalityRow,
-                     brute_force_max_subset, brute_force_posterior,
-                     conflicting_priors_enumeration,
-                     conflicting_priors_w_ranges, dp_optimality_report,
-                     feasible_prefix, feasible_prefix_size,
-                     monotone_selection_check, ordered_leq,
-                     partial_order_axioms_check, random_ordered_pair)
+                    conflicting_priors_model)
+from .simulate import MetricsFrame, SimConfig, run_experiment, write_metrics_csv
+from .verify import conflicting_priors_enumeration, dp_optimality_report
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public surface; posterior backends, metric helpers and the oracles
+# stay in their modules
+__all__ = [
+    "calibrate_thresholds", "critical_time", "lfnr_limit", "read_threshold_table",
+    "write_threshold_table", "DETECTOR_KINDS", "AdaptiveDetector", "CheckpointError",
+    "DecisionTrace", "DependentDetector", "TableExhaustedError", "ThresholdDetector",
+    "ThresholdTable", "checkpoint_state", "make_detector", "one_step_rule",
+    "restore_state", "INF", "BernoulliPair", "GaussianShift", "GeometricPrior",
+    "IIDModel", "PartialDepModel", "TabularModel", "conflicting_priors_model",
+    "MetricsFrame", "SimConfig", "run_experiment", "write_metrics_csv",
+    "conflicting_priors_enumeration", "dp_optimality_report",
+]

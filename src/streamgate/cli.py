@@ -56,9 +56,8 @@ import numpy as np
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
 from . import verify as verify_mod
-from .detector import (AdaptiveDetector, CheckpointError, DependentDetector,
-                       TableExhaustedError, ThresholdDetector, checkpoint_state,
-                       restore_state)
+from .detector import (CheckpointError, TableExhaustedError, checkpoint_state,
+                       make_detector, restore_state)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
 
@@ -329,15 +328,7 @@ def _cmd_detect(args) -> int:
         if first_t != 1:
             raise DataError(f"row {first_row}: input must start at t=1, got t={first_t}")
         ids = sorted(first_obs)
-        k = len(ids)
-        if mode == "adaptive":
-            det = AdaptiveDetector(model, alpha, k)
-        elif mode == "threshold":
-            det = ThresholdDetector(model, alpha, k, table)
-        elif mode == "dependent":
-            det = DependentDetector(model, alpha, k)
-        else:
-            raise UsageError(f"unknown mode {mode!r}")
+        det = make_detector(mode, model, alpha, len(ids), table)
 
     id_pos = {sid: i for i, sid in enumerate(ids)}
     report_rows = []
@@ -465,17 +456,16 @@ def _cmd_calibrate(args) -> int:
 
 
 def _verify_posterior(trials: int, rng) -> tuple[bool, str]:
-    from .posterior import (PartialDepPosterior, PosteriorState, posterior_partial_dep,
-                            update_posterior)
+    from .posterior import PartialDepPosterior, PosteriorState
 
     worst = 0.0
     for _ in range(trials):
         theta = rng.choice([0.01, 0.05, 0.3])
         t = int(rng.integers(1, 26))
         llr = rng.normal(0.0, 1.5, size=t)
-        state = PosteriorState.initial(1)
+        state = PosteriorState(theta, 1)
         for value in llr:
-            state = update_posterior(state, theta, [value], [0])
+            state.advance([value], [0])
         worst = max(worst, abs(state.w[0]
                                - verify_mod.brute_force_posterior(theta, llr)))
     # the streaming partially dependent backend, with random freezes, against
@@ -492,7 +482,8 @@ def _verify_posterior(trials: int, rng) -> tuple[bool, str]:
         for s in range(horizon):
             observed[live, s] = rng.normal(0.0, 1.5, size=live.size)
             post.advance(observed[live, s], live)
-            want = posterior_partial_dep(GeometricPrior(theta), eta, observed[:, :s + 1])
+            want = verify_mod.posterior_partial_dep(GeometricPrior(theta), eta,
+                                                    observed[:, :s + 1])
             pinned[live] = want[live]
             worst_partial = max(worst_partial, float(np.abs(post.w - pinned).max()))
             drop = live[rng.random(live.size) < 0.2]

@@ -23,8 +23,13 @@ Detectors alternate ``observe(x)`` (ingest one observation per active
 stream, advancing the posteriors) and ``deactivate()`` (the
 F_t-measurable selection of the next active set).  ``step(x)`` wraps the
 pair for full-row feeds, discarding columns of streams that were just
-dropped.  A detector can be checkpointed to a text blob and restored
-bit-exactly; resuming mid-run reproduces the uninterrupted decision trace.
+dropped.  The detectors differ only in their selection: the posterior
+belongs to a backend from :mod:`streamgate.posterior`, picked once by
+model (:meth:`_DetectorBase._backend`), which the detector drives through
+the backend protocol without knowing the model.  :func:`make_detector`
+builds a detector by kind name.  A detector can be checkpointed to a text
+blob and restored bit-exactly, the backend's ``to_arrays()`` encoded
+generically; resuming mid-run reproduces the uninterrupted decision trace.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (EnsembleModel, IIDModel, PartialDepModel, TabularModel)
+from .model import EnsembleModel, IIDModel, PartialDepModel, TabularModel
 from .posterior import (DependentPosteriorState, PartialDepPosterior,
-                        PosteriorState, TabularPosteriorState,
-                        update_dependent, update_posterior, update_tabular)
+                        PosteriorState, TabularPosteriorState)
 
 CHECKPOINT_VERSION = 1
+DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
 
 
 class CheckpointError(ValueError):
@@ -181,6 +186,15 @@ class DecisionTrace:
 
 
 class _DetectorBase:
+    """Shared observe/deactivate protocol; subclasses supply ``_select``,
+    the boolean keep mask over ``active`` given its posteriors.
+
+    The posterior lives in a backend chosen by :meth:`_backend`.  ``w`` is
+    evaluated once per step and cached read-only until the next
+    observation; freezing pins posteriors at their current values, so the
+    cache survives a selection.
+    """
+
     kind = "base"
 
     def __init__(self, model: EnsembleModel, alpha: float, k: int):
@@ -191,13 +205,36 @@ class _DetectorBase:
         self.model = model
         self.alpha = float(alpha)
         self.k = int(k)
+        self._state = self._backend()
+        self._w = None
         self.active = np.arange(k)
         self.t_stop = np.full(k, -1, dtype=int)
         self._phase = "observe"
         self._active_size = [k]
         self._lfnr = [0.0]
 
-    # -- subclass hooks -------------------------------------------------
+    def _backend(self, t: int = 0, frozen=None, arrays: dict | None = None):
+        """The posterior backend for the model: fresh, or rebuilt at time
+        ``t`` from the frozen-stream mask and its ``to_arrays()``."""
+        model, k = self.model, self.k
+        if self.kind == "dependent":
+            if not isinstance(model, PartialDepModel) or model.eta != 1.0:
+                raise ValueError("dependent mode requires the fully dependent model (eta=1)")
+            cls, params = DependentPosteriorState, (model.tau0.theta, k)
+        elif isinstance(model, IIDModel):
+            cls, params = PosteriorState, (model.prior.theta, k)
+        elif isinstance(model, TabularModel):
+            if k != model.n_streams:
+                raise ValueError("k must match the tabular model's stream count")
+            cls, params = TabularPosteriorState, (model.supports, model.masses)
+        elif isinstance(model, PartialDepModel):
+            cls, params = PartialDepPosterior, (model.tau0.theta, model.eta, k)
+        else:
+            raise TypeError(f"unsupported model type {type(model).__name__}")
+        if arrays is None:
+            return cls(*params)
+        return cls.from_arrays(*params, t, frozen, **arrays)
+
     @property
     def t(self) -> int:
         return self._state.t
@@ -205,19 +242,11 @@ class _DetectorBase:
     @property
     def w(self) -> np.ndarray:
         """Posterior change probability per stream (frozen streams pinned)."""
-        raise NotImplementedError
+        if self._w is None:
+            self._w = np.asarray(self._state.w, dtype=float)
+            self._w.flags.writeable = False
+        return self._w
 
-    def _advance(self, log_lr_values: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _freeze(self, dropped: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def _select(self, w_active: np.ndarray) -> np.ndarray:
-        """Boolean keep mask over ``active``, given its posteriors."""
-        raise NotImplementedError
-
-    # -- shared protocol ------------------------------------------------
     @property
     def n_active(self) -> int:
         return len(self.active)
@@ -238,7 +267,9 @@ class _DetectorBase:
                 f"got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("missing or non-finite observation for an active stream")
-        self._advance(self.model.log_lr_rows(x, self.active) if x.size else np.empty(0))
+        self._w = None
+        self._state.advance(self.model.log_lr_rows(x, self.active) if x.size
+                            else np.empty(0), self.active)
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
@@ -251,7 +282,7 @@ class _DetectorBase:
         self.active = self.active[keep]  # ``active`` stays in index order
         if dropped.size:
             self.t_stop[dropped] = self.t
-            self._freeze(dropped)
+            self._state.freeze(dropped, w_active[~keep])
         self._active_size.append(self.n_active)
         self._lfnr.append(float(w_active[keep].mean()) if self.n_active else 0.0)
         self._phase = "observe"
@@ -277,51 +308,9 @@ class _DetectorBase:
 
 
 class AdaptiveDetector(_DetectorBase):
-    """One-step rule applied every period on the current posteriors; ``w`` is
-    computed once per step and cached read-only until the next observation
-    (freezing pins posteriors at their current values, so the cache survives)."""
+    """One-step rule applied every period on the current posteriors."""
 
     kind = "adaptive"
-
-    def __init__(self, model: EnsembleModel, alpha: float, k: int):
-        super().__init__(model, alpha, k)
-        if isinstance(model, IIDModel):
-            self._mode = "geometric"
-            self._state = PosteriorState.initial(k)
-        elif isinstance(model, TabularModel):
-            if k != model.n_streams:
-                raise ValueError("k must match the tabular model's stream count")
-            self._mode = "tabular"
-            self._state = TabularPosteriorState.initial(model.supports, model.masses)
-        elif isinstance(model, PartialDepModel):
-            self._mode = "partial"
-            self._state = PartialDepPosterior(model.tau0.theta, model.eta, k)
-        else:
-            raise TypeError(f"unsupported model type {type(model).__name__}")
-        self._w = None
-
-    @property
-    def w(self) -> np.ndarray:
-        if self._w is None:
-            self._w = np.asarray(self._state.w, dtype=float)
-            self._w.flags.writeable = False
-        return self._w
-
-    def _advance(self, log_lr_values: np.ndarray) -> None:
-        self._w = None
-        if self._mode == "geometric":
-            self._state = update_posterior(self._state, self.model.prior.theta,
-                                           log_lr_values, self.active)
-        elif self._mode == "tabular":
-            self._state = update_tabular(self._state, log_lr_values, self.active)
-        else:
-            self._state.advance(log_lr_values, self.active)
-
-    def _freeze(self, dropped: np.ndarray) -> None:
-        if self._mode == "partial":
-            self._state.freeze(dropped, self.w[dropped])
-        else:
-            self._state = self._state.freeze(dropped)
 
     def _select(self, w_active: np.ndarray) -> np.ndarray:
         # ``active`` is in index order, so positions break ties like indices
@@ -354,42 +343,49 @@ class DependentDetector(_DetectorBase):
 
     kind = "dependent"
 
-    def __init__(self, model: PartialDepModel, alpha: float, k: int):
-        if not isinstance(model, PartialDepModel) or model.eta != 1.0:
-            raise ValueError("dependent mode requires the fully dependent model (eta=1)")
-        super().__init__(model, alpha, k)
-        self._state = DependentPosteriorState.initial()
-        self._frozen_w = 0.0
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.full(self.k, self._state.w if self.n_active else self._frozen_w)
-
-    def _advance(self, log_lr_values: np.ndarray) -> None:
-        if self.n_active == 0:
-            self._state = DependentPosteriorState(self._state.t + 1, self._state.log_rho)
-            return
-        if len(log_lr_values) != self.k:
-            raise ValueError("dependent mode deactivates jointly: observations must "
-                             "cover every stream while any is active")
-        self._state = update_dependent(self._state, self.model.tau0.theta,
-                                       float(np.sum(log_lr_values)))
-
-    def _freeze(self, dropped: np.ndarray) -> None:
-        self._frozen_w = self._state.w
-
     def _select(self, w_active: np.ndarray) -> np.ndarray:
         return w_active <= self.alpha
 
 
+def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
+                  table: ThresholdTable | None = None) -> _DetectorBase:
+    """The detector of ``kind`` (one of :data:`DETECTOR_KINDS`); threshold
+    detectors need their calibrated ``table``."""
+    if kind == "adaptive":
+        return AdaptiveDetector(model, alpha, k)
+    if kind == "threshold":
+        if table is None:
+            raise ValueError("threshold mode needs a calibrated threshold table")
+        return ThresholdDetector(model, alpha, k, table)
+    if kind == "dependent":
+        return DependentDetector(model, alpha, k)
+    raise ValueError(f"unknown mode {kind!r}")
+
+
 # -- checkpointing -------------------------------------------------------
 
-def _hex(x: float) -> str:
-    return float(x).hex()
+def _encode(value):
+    """Backend arrays for JSON: floats as hex strings (bit-exact), int
+    arrays as ints, one list level per axis."""
+    a = np.asarray(value)
+    if a.dtype.kind in "iu":
+        return a.tolist()
+    if a.ndim == 0:
+        return float(a).hex()
+    if a.ndim == 1:
+        return list(map(float.hex, a))
+    return [_encode(row) for row in a]
 
 
-def _unhex(s: str) -> float:
-    return float.fromhex(s)
+def _decode(value):
+    """Inverse of :func:`_encode`."""
+    if isinstance(value, str):
+        return float.fromhex(value)
+    if value and isinstance(value[0], list):
+        return np.array([_decode(row) for row in value])
+    if value and isinstance(value[0], int):
+        return np.array(value, dtype=int)
+    return np.array(list(map(float.fromhex, value)), dtype=float)
 
 
 def _payload_checksum(payload: dict) -> str:
@@ -404,14 +400,14 @@ def checkpoint_state(det: _DetectorBase) -> str:
         "format_version": CHECKPOINT_VERSION,
         "mode": det.kind,
         "t": det.t,
-        "alpha": _hex(det.alpha),
+        "alpha": float.hex(det.alpha),
         "phase": det._phase,
         "model_fingerprint": det.model.fingerprint(),
         "n_streams": det.k,
         "streams": [
             {
                 "index": int(i),
-                "log_odds": _hex(math.inf if w[i] >= 1.0 else
+                "log_odds": float.hex(math.inf if w[i] >= 1.0 else
                                  (-math.inf if w[i] <= 0.0 else
                                   math.log(w[i]) - math.log1p(-w[i]))),
                 "frozen": int(det.t_stop[i] >= 0),
@@ -421,37 +417,25 @@ def checkpoint_state(det: _DetectorBase) -> str:
         ],
         "active": [int(i) for i in det.active],
         "active_size": [int(v) for v in det._active_size],
-        "lfnr": [_hex(v) for v in det._lfnr],
-        "extra": _backend_extra(det),
+        "lfnr": [float.hex(v) for v in det._lfnr],
+        "extra": {name: _encode(v) for name, v in det._state.to_arrays().items()},
     }
     payload["checksum"] = _payload_checksum({k: v for k, v in payload.items()})
     return json.dumps(payload, sort_keys=True)  # no indent: keeps the C encoder
 
 
-def _backend_extra(det: _DetectorBase) -> dict:
-    if isinstance(det, DependentDetector):
-        return {"log_rho": _hex(det._state.log_rho), "frozen_w": _hex(det._frozen_w)}
-    if det._mode == "geometric":
-        st: PosteriorState = det._state
-        return {"log_odds": [_hex(v) for v in st.log_odds]}
-    if det._mode == "tabular":
-        st: TabularPosteriorState = det._state
-        return {"log_post": [[_hex(v) for v in row] for row in st.log_post]}
-    arrays = det._state.arrays()
-    return {
-        "history": [[_hex(v) for v in row] for row in arrays["history"]],
-        "acc": [_hex(v) for v in arrays["acc"]],
-        "stopped_at": [int(v) for v in arrays["stopped_at"]],
-        "frozen_w": [_hex(v) for v in arrays["frozen_w"]],
-    }
+# top-level checkpoint fields and their JSON types
+_FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
+           "model_fingerprint": str, "n_streams": int, "streams": list,
+           "active": list, "active_size": list, "lfnr": list, "extra": dict}
 
 
 def restore_state(blob: str, model: EnsembleModel, k: int,
                   table: ThresholdTable | None = None) -> _DetectorBase:
     """Rebuild a detector from a checkpoint blob.
 
-    Verifies format version, checksum, and that the supplied model matches
-    the fingerprint recorded at checkpoint time.
+    Verifies format version, checksum, field types, and that the supplied
+    model matches the fingerprint recorded at checkpoint time.
     """
     try:
         payload = json.loads(blob)
@@ -466,74 +450,40 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {payload.get('format_version')!r}")
+    bad = [key for key, typ in _FIELDS.items() if type(payload.get(key)) is not typ]
+    if bad:
+        raise CheckpointError(f"checkpoint field(s) missing or mistyped: {', '.join(bad)}")
     if payload["model_fingerprint"] != model.fingerprint():
         raise CheckpointError(
             "checkpoint was produced under a different model: "
             f"{payload['model_fingerprint']} vs {model.fingerprint()}")
-    kind = payload["mode"]
-    alpha = _unhex(payload["alpha"])
-    if payload["n_streams"] != k:
+    kind, t, phase = payload["mode"], payload["t"], payload["phase"]
+    if payload["n_streams"] != k or len(payload["streams"]) != k:
         raise CheckpointError("stream count mismatch")
-    if kind == "adaptive":
-        det: _DetectorBase = AdaptiveDetector(model, alpha, k)
-    elif kind == "threshold":
-        if table is None:
-            raise CheckpointError("threshold checkpoints need their threshold table")
-        det = ThresholdDetector(model, alpha, k, table)
-    elif kind == "dependent":
-        det = DependentDetector(model, alpha, k)
-    else:
+    if kind not in DETECTOR_KINDS:
         raise CheckpointError(f"unknown detector kind {kind!r}")
-
-    det._phase = payload["phase"]
-    det.active = np.asarray(payload["active"], dtype=int)
-    if np.any(np.diff(det.active) <= 0):  # selection breaks ties by position
-        raise CheckpointError("active stream indices must be strictly increasing")
-    det.t_stop = np.asarray([s["t_stop"] for s in payload["streams"]], dtype=int)
-    det._active_size = [int(v) for v in payload["active_size"]]
-    det._lfnr = [_unhex(v) for v in payload["lfnr"]]
-    extra = payload["extra"]
-    t = int(payload["t"])
-    frozen = det.t_stop >= 0
-    if kind == "dependent":
-        det._state = DependentPosteriorState(t=t, log_rho=_unhex(extra["log_rho"]))
-        det._frozen_w = _unhex(extra["frozen_w"])
-        return det
-    if det._mode == "geometric":
-        det._state = PosteriorState(
-            t=t,
-            log_odds=np.asarray([_unhex(v) for v in extra["log_odds"]]),
-            frozen=frozen,
-        )
-    elif det._mode == "tabular":
-        det._state = TabularPosteriorState(
-            t=t,
-            support=det._state.support,
-            log_post=np.asarray([[_unhex(v) for v in row] for row in extra["log_post"]]),
-            frozen=frozen,
-        )
-    else:
-        det._state = _restore_partial(extra, model, t)
-    return det
-
-
-def _restore_partial(extra: dict, model: PartialDepModel, t: int) -> PartialDepPosterior:
-    """Live-row history plus accumulator; the older every-stream ``cum``
-    columns are folded the way a live run folds them."""
-    theta, eta = model.tau0.theta, model.eta
-    stopped_at = extra["stopped_at"]
-    frozen_w = [_unhex(v) for v in extra["frozen_w"]]
+    if kind == "threshold" and table is None:
+        raise CheckpointError("threshold checkpoints need their threshold table")
+    if phase not in ("observe", "select") or t < 0:
+        raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
-        if "cum" in extra:
-            cum = np.asarray([[_unhex(v) for v in col] for col in extra["cum"]]).T
-            if cum.shape != (len(stopped_at), t + 1):
-                raise ValueError(f"cum has shape {cum.shape[::-1]}, expected "
-                                 f"{(t + 1, len(stopped_at))}")
-            return PartialDepPosterior.from_full_history(theta, eta, cum, stopped_at,
-                                                         frozen_w)
-        history = [[_unhex(v) for v in row] for row in extra["history"]]
-        return PartialDepPosterior.from_arrays(theta, eta, t, history,
-                                               [_unhex(v) for v in extra["acc"]],
-                                               stopped_at, frozen_w)
-    except ValueError as exc:
-        raise CheckpointError(f"bad partially dependent posterior state: {exc}") from exc
+        alpha = float.fromhex(payload["alpha"])
+        t_stop = np.array([s["t_stop"] for s in payload["streams"]], dtype=int)
+        active = np.array(payload["active"], dtype=int)
+        active_size = [int(v) for v in payload["active_size"]]
+        lfnr = list(map(float.fromhex, payload["lfnr"]))
+        arrays = {name: _decode(v) for name, v in payload["extra"].items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
+    # selection breaks ties by position in ``active``
+    if np.any(np.diff(active) <= 0) or (active.size and (active[0] < 0 or active[-1] >= k)):
+        raise CheckpointError(f"active stream indices must be strictly increasing "
+                              f"and lie in [0, {k})")
+    det = make_detector(kind, model, alpha, k, table)
+    try:
+        det._state = det._backend(t, t_stop >= 0, arrays)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad {det._state.label} posterior state: {exc}") from exc
+    det._phase, det.active, det.t_stop = phase, active, t_stop
+    det._active_size, det._lfnr = active_size, lfnr
+    return det

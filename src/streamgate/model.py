@@ -148,9 +148,6 @@ class IIDModel:
             raise ValueError("need at least one stream")
         return self.prior.sample(k, rng)
 
-    def log_lr(self, x, stream: int | None = None):
-        return self.obs.log_lr(x)
-
     def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
         return self.obs.log_lr(x)
 
@@ -179,9 +176,6 @@ class PartialDepModel:
         tau0 = self.tau0.sample(1, rng)[0]
         follows = rng.random(k) < self.eta
         return np.where(follows, tau0, INF)
-
-    def log_lr(self, x, stream: int | None = None):
-        return self.obs.log_lr(x)
 
     def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
         return self.obs.log_lr(x)
@@ -236,11 +230,6 @@ class TabularModel:
                     break
         return tau
 
-    def log_lr(self, x, stream: int | None = None):
-        if stream is None:
-            raise ValueError("tabular models need the stream index for log_lr")
-        return self.obs[stream].log_lr(x)
-
     def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
         out = np.empty(len(streams))
         for j, k in enumerate(streams):
@@ -269,20 +258,6 @@ class TabularModel:
 
 
 EnsembleModel = IIDModel | PartialDepModel | TabularModel
-
-
-def sample_change_points(model: EnsembleModel, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw one change point per stream (entries in {0,1,...} or inf)."""
-    return model.sample_change_points(k, rng)
-
-
-def sample_observation(model: EnsembleModel, stream: int, t: int, tau: float,
-                       rng: np.random.Generator) -> float:
-    """Draw a single observation for one stream at time t given its change point."""
-    if t < 1:
-        raise ValueError("time index starts at 1")
-    obs = model.obs[stream] if isinstance(model, TabularModel) else model.obs
-    return float(obs.sample(np.asarray([tau < t]), rng)[0])
 
 
 def conflicting_priors_model() -> TabularModel:

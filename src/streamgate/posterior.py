@@ -18,137 +18,61 @@ odds the update is a single stable expression::
 ``w = 0`` and ``w = 1`` map to log-odds -inf/+inf and are exact absorbing
 states, matching the algebraic fixed points of the recursion.
 
-Besides the homogeneous recursion this module provides:
+One posterior backend per model, all with the same protocol:
 
-* the completely dependent ensemble posterior (all streams share one
-  change time), carried as a single aggregated log-odds scalar;
-* the exact partially dependent posterior (streams change with the shared
-  time only with probability eta), obtained by finite summation over the
-  shared change time with the future tail collapsed analytically;
-* finite-support (tabular) per-stream posteriors;
-* the reference path of a single never-deactivated stream, whose
-  distribution defines the large-ensemble deactivation thresholds.
+* :class:`PosteriorState` -- independent streams, geometric prior;
+* :class:`TabularPosteriorState` -- finite-support per-stream priors;
+* :class:`PartialDepPosterior` -- the exact partially dependent posterior
+  (streams change with a shared time with probability eta), by finite
+  summation over the shared change time with the future tail collapsed
+  analytically;
+* :class:`DependentPosteriorState` -- every stream shares one change
+  time, carried as one log-odds scalar of the summed log likelihood
+  ratios.
 
-States are small immutable-by-convention containers; update functions
-return new states and never mutate their inputs, so snapshots are safe to
-share across threads.
+A backend is a mutable object with a time ``t``; ``advance(log_lr,
+active)`` ingests one log likelihood ratio per active stream in place,
+``freeze(idx, w_idx)`` pins deactivated streams at their current
+posterior (``w_idx``, when the caller holds it), the ``w`` property
+returns a fresh array of every stream's posterior, and ``to_arrays()`` /
+the ``from_arrays(..., t, frozen, **arrays)`` classmethod give and take
+its state as named arrays and scalars, for checkpoints.
+
+The module also gives reference paths of never-deactivated streams, whose
+distribution defines the large-ensemble deactivation thresholds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .model import GeometricPrior
 
 NEG_INF = -math.inf
 
 
-def log_odds_from_prob(w) -> np.ndarray | float:
-    """Map probabilities in [0, 1] to log-odds in [-inf, inf]."""
-    w = np.asarray(w, dtype=float)
-    if np.any((w < 0.0) | (w > 1.0)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        out = np.log(w) - np.log1p(-w)
-    return out if out.ndim else float(out)
+def _shaped(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
+    """``value`` as a new ``dtype`` array, refused unless it has ``shape``."""
+    a = np.array(value, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
-def prob_from_log_odds(log_odds) -> np.ndarray | float:
-    out = expit(np.asarray(log_odds, dtype=float))
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class PosteriorState:
-    """Per-stream posterior state for independently changing streams.
-
-    ``log_odds[k]`` carries w_k as log odds; ``frozen[k]`` marks streams
-    whose posterior is pinned (deactivated streams keep their last value).
-    """
-
-    t: int
-    log_odds: np.ndarray
-    frozen: np.ndarray
-
-    @classmethod
-    def initial(cls, k: int) -> "PosteriorState":
-        return cls(t=0, log_odds=np.full(k, NEG_INF),
-                   frozen=np.zeros(k, dtype=bool))
-
-    @property
-    def w(self) -> np.ndarray:
-        return expit(self.log_odds)
-
-    def freeze(self, idx) -> "PosteriorState":
-        frozen = self.frozen.copy()
-        frozen[idx] = True
-        return PosteriorState(self.t, self.log_odds.copy(), frozen)
-
-
-def update_posterior(state: PosteriorState, theta: float, log_lr_values,
-                     active) -> PosteriorState:
-    """Advance the geometric-prior recursion one step for the active streams.
-
-    ``log_lr_values`` must align with ``active``; frozen and inactive
-    streams keep their values and only ``t`` advances for them.
-    """
+def _advance_args(log_lr_values, active, frozen: np.ndarray):
+    """Aligned float log LRs and int stream ids; frozen or out-of-range
+    streams are refused."""
     active = np.asarray(active, dtype=int)
     log_lr_values = np.asarray(log_lr_values, dtype=float)
     if log_lr_values.shape != active.shape:
         raise ValueError("log_lr_values must align with the active index set")
-    if np.any(state.frozen[active]):
-        raise ValueError("cannot update a frozen stream")
-    log_odds = state.log_odds.copy()
-    log_odds[active] = (log_lr_values
-                        + np.logaddexp(math.log(theta), log_odds[active])
-                        - math.log1p(-theta))
-    return PosteriorState(state.t + 1, log_odds, state.frozen.copy())
-
-
-def inclusive_change_prob(theta: float, v) -> np.ndarray | float:
-    """P(change by now, inclusive) from P(change strictly before now).
-
-    Identity: delta = theta + (1-theta) v.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any((v < 0.0) | (v > 1.0)):
-        raise ValueError("v must lie in [0, 1]")
-    out = theta + (1.0 - theta) * v
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class DependentPosteriorState:
-    """Aggregated posterior when every stream shares one change time.
-
-    ``log_rho`` is the log posterior odds of the shared change having
-    happened strictly before the current time; w = rho / (1 + rho).
-    """
-
-    t: int
-    log_rho: float
-
-    @classmethod
-    def initial(cls) -> "DependentPosteriorState":
-        return cls(t=0, log_rho=NEG_INF)
-
-    @property
-    def w(self) -> float:
-        return float(expit(self.log_rho))
-
-
-def update_dependent(state: DependentPosteriorState, theta: float,
-                     sum_log_lr: float) -> DependentPosteriorState:
-    """Advance the shared-change posterior with the summed log likelihood
-    ratio of all K streams at the new time."""
-    log_rho = (sum_log_lr
-               + np.logaddexp(math.log(theta), state.log_rho)
-               - math.log1p(-theta))
-    return DependentPosteriorState(state.t + 1, float(log_rho))
+    if active.size and (active.min() < 0 or active.max() >= len(frozen)
+                        or np.any(frozen[active])):
+        raise ValueError("cannot advance a frozen or unknown stream")
+    return log_lr_values, active
 
 
 def _log_lam(eta: float, l_km: np.ndarray) -> np.ndarray:
@@ -163,150 +87,178 @@ def _log_lam(eta: float, l_km: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum exp along axis 1 of a finite 2-d array.
+    """log sum exp along axis 1 of a 2-d array of finite or -inf entries.
 
     The operations of ``scipy.special.logsumexp`` (the row maxima are
     summed apart and re-added with ``log1p``), so results are bit-identical
-    to it, without its array-API dispatch and copies.
+    to it, without its array-API dispatch and copies.  A row of -inf gives
+    -inf.
     """
-    a_max = a.max(axis=1, keepdims=True)
-    top = a == a_max
-    d = a - a_max
-    # exp is slow wherever its result is subnormal or zero, which is most of
-    # an array of long-run posteriors; below -746 the result is exactly 0
-    tiny = d < -708.0
-    e = np.exp(np.where(tiny, 0.0, d))
-    e[top | tiny] = 0.0
-    sub = tiny & (d >= -746.0)
-    e[sub] = np.exp(d[sub])
+    with np.errstate(invalid="ignore"):  # -inf - -inf in rows of -inf
+        a_max = a.max(axis=1, keepdims=True)
+        top = a == a_max
+        d = a - a_max
+        # exp is slow wherever its result is subnormal or zero, which is most
+        # of an array of long-run posteriors; below -746 the result is exactly 0
+        tiny = d < -708.0
+        e = np.exp(np.where(tiny, 0.0, d))
+        e[top | tiny] = 0.0
+        sub = tiny & (d >= -746.0)
+        e[sub] = np.exp(d[sub])
     n_top = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
     s = e.sum(axis=1, keepdims=True)
     s = np.where(s == 0, s, s / n_top)
     return (np.log1p(s) + np.log(n_top) + a_max)[:, 0]
 
 
-def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
-                          log_lr_matrix) -> np.ndarray:
-    """Exact per-stream posteriors under the partially dependent model.
+class PosteriorState:
+    """Per-stream posteriors of independently changing streams.
 
-    ``log_lr_matrix`` has shape (K, t): the log likelihood ratio of every
-    observation of every stream through time t (no deactivation).  Stream
-    k changes at the shared time tau0 with probability eta, else never.
-
-    Conditioning on tau0 = m < t and collapsing the m >= t tail (where the
-    data carry no signal and the likelihood contribution is 1):
-
-        P(tau0 = m | data) propto theta (1-theta)^m * prod_k Lam_k(m)
-        Lam_k(m) = eta * exp(l_k(m)) + (1 - eta)
-        w_k = sum_m P(tau0 = m | data) * eta exp(l_k(m)) / Lam_k(m)
-
-    with l_k(m) the log likelihood ratio of stream k's data after time m.
+    ``log_odds[k]`` carries w_k as log odds; ``frozen[k]`` marks streams
+    whose posterior is pinned (deactivated streams keep their last value).
     """
-    llr = np.atleast_2d(np.asarray(log_lr_matrix, dtype=float))
-    k, t = llr.shape
-    if t < 1:
-        raise ValueError("need at least one observation time")
-    if eta == 0.0:
-        return np.zeros(k)
-    theta = tau0_prior.theta
-    cum = np.concatenate([np.zeros((k, 1)), np.cumsum(llr, axis=1)], axis=1)
-    # l[k, m] = sum of stream-k log LRs over times m+1..t, for m = 0..t-1
-    l_km = cum[:, t:t + 1] - cum[:, :t]
-    log_lam = _log_lam(eta, l_km)
-    log_pk = math.log(eta) + l_km - log_lam
-    m = np.arange(t)
-    log_joint = math.log(theta) + m * math.log1p(-theta) + log_lam.sum(axis=0)
-    log_tail = t * math.log1p(-theta)
-    log_z = logsumexp(np.append(log_joint, log_tail))
-    return np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
+
+    label = "i.i.d."
+
+    def __init__(self, theta: float, k: int):
+        self.theta = theta
+        self.t = 0
+        self.log_odds = np.full(k, NEG_INF)
+        self.frozen = np.zeros(k, dtype=bool)
+
+    @classmethod
+    def from_arrays(cls, theta: float, k: int, t: int, frozen,
+                    log_odds) -> "PosteriorState":
+        st = cls(theta, k)
+        st.t = t
+        st.frozen = _shaped("frozen", frozen, (k,), bool)
+        st.log_odds = _shaped("log_odds", log_odds, (k,))
+        return st
+
+    def to_arrays(self) -> dict:
+        return {"log_odds": self.log_odds}
+
+    def advance(self, log_lr_values, active) -> None:
+        log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
+        self.log_odds[active] = (log_lr_values
+                                 + np.logaddexp(math.log(self.theta), self.log_odds[active])
+                                 - math.log1p(-self.theta))
+        self.t += 1
+
+    def freeze(self, idx, w_idx=None) -> None:
+        self.frozen[idx] = True
+
+    @property
+    def w(self) -> np.ndarray:
+        return expit(self.log_odds)
 
 
-def reference_posterior_paths(theta: float, obs_model, horizon: int, n_paths: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Posterior paths of never-deactivated streams under the i.i.d. model.
+class DependentPosteriorState(PosteriorState):
+    """Aggregated posterior when every stream shares one change time.
 
-    Returns an (n_paths, horizon+1) array; column 0 is the prior value 0.
-    The marginal mean at time t is 1 - (1-theta)^t.
+    The i.i.d. recursion on one pooled stream whose log likelihood ratio is
+    the sum over all K streams: ``log_rho`` is the log posterior odds of
+    the shared change having happened strictly before the current time,
+    and every stream reports w = rho / (1 + rho).  The streams are
+    deactivated jointly, after which ``w`` stays at ``frozen_w``.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    prior = GeometricPrior(theta)
-    tau = prior.sample(n_paths, rng)
-    out = np.empty((n_paths, horizon + 1))
-    out[:, 0] = 0.0
-    log_odds = np.full(n_paths, NEG_INF)
-    lt, l1t = math.log(theta), math.log1p(-theta)
-    for t in range(1, horizon + 1):
-        x = obs_model.sample(tau < t, rng)
-        log_odds = obs_model.log_lr(x) + np.logaddexp(lt, log_odds) - l1t
-        out[:, t] = expit(log_odds)
-    return out
+
+    label = "jointly dependent"
+
+    def __init__(self, theta: float, k: int):
+        super().__init__(theta, 1)
+        self.k = k
+        self.frozen_w = 0.0
+
+    @classmethod
+    def from_arrays(cls, theta: float, k: int, t: int, frozen, log_rho,
+                    frozen_w) -> "DependentPosteriorState":
+        frozen = _shaped("frozen", frozen, (k,), bool)
+        if frozen.any() != frozen.all():
+            raise ValueError("dependent streams are deactivated jointly")
+        st = cls(theta, k)
+        st.t, st.frozen[0] = t, frozen.all()
+        st.log_odds[0] = float(_shaped("log_rho", log_rho, ()))
+        st.frozen_w = float(_shaped("frozen_w", frozen_w, ()))
+        return st
+
+    @property
+    def log_rho(self) -> float:
+        return float(self.log_odds[0])
+
+    def to_arrays(self) -> dict:
+        return {"log_rho": self.log_rho, "frozen_w": self.frozen_w}
+
+    def advance(self, log_lr_values, active) -> None:
+        if not self.frozen[0] and (len(active) != self.k or len(log_lr_values) != self.k):
+            raise ValueError("dependent mode deactivates jointly: observations must "
+                             "cover every stream while any is active")
+        if len(active):
+            log_lr_values, active = [float(np.sum(log_lr_values))], [0]
+        super().advance(log_lr_values, active)
+
+    def freeze(self, idx, w_idx=None) -> None:
+        if len(idx) != self.k:
+            raise ValueError("dependent streams are deactivated jointly")
+        self.frozen_w = float(expit(self.log_odds[0]))
+        super().freeze([0])
+
+    @property
+    def w(self) -> np.ndarray:
+        pooled = self.frozen_w if self.frozen[0] else float(expit(self.log_odds[0]))
+        return np.full(self.k, pooled)
 
 
-def reference_posterior_path(theta: float, obs_model, horizon: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Single reference path; see :func:`reference_posterior_paths`."""
-    return reference_posterior_paths(theta, obs_model, horizon, 1, rng)[0]
-
-
-@dataclass(frozen=True)
 class TabularPosteriorState:
     """Per-stream posteriors over finite-support change-time tables.
 
     ``log_post[k, j]`` is the log posterior mass of support point j of
     stream k (padded entries carry -inf).  w_k sums the mass of support
-    points < t.
+    points < t.  An observation at time t+1 is post-change for support
+    point m exactly when m <= t, so those entries pick up its log
+    likelihood ratio.
     """
 
-    t: int
-    support: np.ndarray    # (K, S) float, padded with +inf
-    log_post: np.ndarray   # (K, S)
-    frozen: np.ndarray
+    label = "tabular"
 
-    @classmethod
-    def initial(cls, supports, masses) -> "TabularPosteriorState":
+    def __init__(self, supports, masses):
         k = len(supports)
         width = max(len(s) for s in supports)
-        support = np.full((k, width), math.inf)
-        log_post = np.full((k, width), NEG_INF)
+        self.t = 0
+        self.support = np.full((k, width), math.inf)
+        self.log_post = np.full((k, width), NEG_INF)
         for i, (sup, mas) in enumerate(zip(supports, masses)):
-            support[i, :len(sup)] = sup
+            self.support[i, :len(sup)] = sup
             with np.errstate(divide="ignore"):
-                log_post[i, :len(mas)] = np.log(mas)
-        return cls(t=0, support=support, log_post=log_post,
-                   frozen=np.zeros(k, dtype=bool))
+                self.log_post[i, :len(mas)] = np.log(mas)
+        self.frozen = np.zeros(k, dtype=bool)
+
+    @classmethod
+    def from_arrays(cls, supports, masses, t: int, frozen,
+                    log_post) -> "TabularPosteriorState":
+        st = cls(supports, masses)
+        st.t = t
+        st.frozen = _shaped("frozen", frozen, st.frozen.shape, bool)
+        st.log_post = _shaped("log_post", log_post, st.log_post.shape)
+        return st
+
+    def to_arrays(self) -> dict:
+        return {"log_post": self.log_post}
+
+    def advance(self, log_lr_values, active) -> None:
+        log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
+        self.t += 1
+        rows = self.log_post[active]
+        rows = rows + np.where(self.support[active] < self.t, log_lr_values[:, None], 0.0)
+        self.log_post[active] = rows - _logsumexp_rows(rows)[:, None]
+
+    def freeze(self, idx, w_idx=None) -> None:
+        self.frozen[idx] = True
 
     @property
     def w(self) -> np.ndarray:
         changed = self.support < self.t
-        return np.exp(logsumexp(np.where(changed, self.log_post, NEG_INF), axis=1))
-
-    def freeze(self, idx) -> "TabularPosteriorState":
-        frozen = self.frozen.copy()
-        frozen[idx] = True
-        return TabularPosteriorState(self.t, self.support, self.log_post.copy(), frozen)
-
-
-def update_tabular(state: TabularPosteriorState, log_lr_values,
-                   active) -> TabularPosteriorState:
-    """Advance finite-support posteriors one step for the active streams.
-
-    An observation at the new time t+1 is post-change for support point m
-    exactly when m <= t, so those entries pick up the log likelihood ratio.
-    """
-    active = np.asarray(active, dtype=int)
-    log_lr_values = np.asarray(log_lr_values, dtype=float)
-    if log_lr_values.shape != active.shape:
-        raise ValueError("log_lr_values must align with the active index set")
-    if np.any(state.frozen[active]):
-        raise ValueError("cannot update a frozen stream")
-    t_new = state.t + 1
-    log_post = state.log_post.copy()
-    rows = log_post[active]
-    rows = rows + np.where(state.support[active] < t_new, log_lr_values[:, None], 0.0)
-    rows = rows - logsumexp(rows, axis=1, keepdims=True)
-    log_post[active] = rows
-    return TabularPosteriorState(t_new, state.support, log_post, state.frozen.copy())
+        return np.exp(_logsumexp_rows(np.where(changed, self.log_post, NEG_INF)))
 
 
 class PartialDepPosterior:
@@ -325,6 +277,8 @@ class PartialDepPosterior:
     are the exact conditional probabilities given all data observed so far.
     """
 
+    label = "partially dependent"
+
     def __init__(self, theta: float, eta: float, k: int):
         self.theta = theta
         self.eta = eta
@@ -338,40 +292,39 @@ class PartialDepPosterior:
         self._frozen_w = np.zeros(k)
 
     @classmethod
-    def from_arrays(cls, theta: float, eta: float, t: int, history, acc,
-                    stopped_at, frozen_w) -> "PartialDepPosterior":
-        """Rebuild from :meth:`arrays`: ``history`` holds the rows of the
-        streams live or frozen at ``t`` (increasing id), columns 0..t."""
-        stopped_at = np.asarray(stopped_at, dtype=int)
-        frozen_w = np.asarray(frozen_w, dtype=float)
-        st = cls(theta, eta, len(stopped_at))
-        ids = np.flatnonzero((stopped_at < 0) | (stopped_at == t))
-        history = np.asarray(history, dtype=float).reshape(len(ids), t + 1)
-        acc = np.asarray(acc, dtype=float)
-        if (frozen_w.shape != stopped_at.shape or acc.shape != (t,)
-                or np.any(stopped_at > t)):
-            raise ValueError("inconsistent partially dependent posterior arrays")
+    def from_arrays(cls, theta: float, eta: float, k: int, t: int, frozen,
+                    stopped_at, frozen_w, history=None, acc=None,
+                    cum=None) -> "PartialDepPosterior":
+        """Rebuild from :meth:`to_arrays`: ``history`` holds the rows of the
+        streams live or frozen at ``t`` (increasing id), columns 0..t.
+
+        Earlier checkpoints give ``cum`` instead of ``history`` and ``acc``:
+        every stream's cumulative log LR path as (t+1, K) columns.  Frozen
+        streams are then folded by stop time, in the order a live run does.
+        """
+        stopped_at = _shaped("stopped_at", stopped_at, (k,), int)
+        frozen_w = _shaped("frozen_w", frozen_w, (k,))
+        if not np.array_equal(frozen, stopped_at >= 0) or np.any(stopped_at > t):
+            raise ValueError("stop times disagree with the frozen streams")
+        live = (stopped_at < 0) | (stopped_at == t)
+        if cum is not None:
+            cum = _shaped("cum", np.transpose(cum), (k, t + 1))
+            history, acc = cum[live], np.zeros(t)
+        elif history is None or acc is None:
+            raise ValueError("needs history and acc, or cum")
+        history = _shaped("history", np.reshape(history, (-1, t + 1)),
+                          (np.count_nonzero(live), t + 1))
+        st = cls(theta, eta, k)
         st.t = t
         st._stopped_at, st._frozen_w = stopped_at, frozen_w
-        st._set_rows(ids, history, max(8, 2 * (t + 1)))
-        st._acc[:t] = acc
+        st._set_rows(np.flatnonzero(live), history, max(8, 2 * (t + 1)))
+        st._acc[:t] = _shaped("acc", acc, (t,))
+        if cum is not None:
+            for u in np.unique(stopped_at[(stopped_at >= 0) & (stopped_at < t)]):
+                st._fold(cum[stopped_at == u], u)
         return st
 
-    @classmethod
-    def from_full_history(cls, theta: float, eta: float, cum, stopped_at,
-                          frozen_w) -> "PartialDepPosterior":
-        """Rebuild from every stream's (K, t+1) cumulative log LR path,
-        folding frozen streams by stop time, in the order a live run does."""
-        cum = np.asarray(cum, dtype=float)
-        stopped_at = np.asarray(stopped_at, dtype=int)
-        t = cum.shape[1] - 1
-        st = cls.from_arrays(theta, eta, t, cum[(stopped_at < 0) | (stopped_at == t)],
-                             np.zeros(t), stopped_at, frozen_w)
-        for u in np.unique(stopped_at[(stopped_at >= 0) & (stopped_at < t)]):
-            st._fold(cum[stopped_at == u], u)
-        return st
-
-    def arrays(self) -> dict:
+    def to_arrays(self) -> dict:
         """State as arrays: ``history`` (buffer rows, columns 0..t), the
         accumulator ``acc`` (length t), ``stopped_at`` and ``frozen_w``."""
         return {"history": self._hist[:, :self.t + 1], "acc": self._acc[:self.t],
@@ -395,13 +348,8 @@ class PartialDepPosterior:
             self._acc[:u] += _log_lam(self.eta, rows[:, u:u + 1] - rows[:, :u]).sum(axis=0)
 
     def advance(self, log_lr_values, active) -> None:
-        active = np.asarray(active, dtype=int)
-        log_lr_values = np.asarray(log_lr_values, dtype=float)
-        if log_lr_values.shape != active.shape:
-            raise ValueError("log_lr_values must align with the active index set")
-        if active.size and (active.min() < 0 or active.max() >= self.k
-                            or np.any(self._stopped_at[active] >= 0)):
-            raise ValueError("cannot advance a frozen or unknown stream")
+        log_lr_values, active = _advance_args(log_lr_values, active,
+                                              self._stopped_at >= 0)
         t = self.t
         gone = self._stopped_at[self._ids] >= 0
         if gone.any():
@@ -427,10 +375,6 @@ class PartialDepPosterior:
         self._stopped_at[idx] = self.t
 
     @property
-    def frozen(self) -> np.ndarray:
-        return self._stopped_at >= 0
-
-    @property
     def w(self) -> np.ndarray:
         t = self.t
         out = self._frozen_w.copy()  # live streams hold 0 here
@@ -452,3 +396,25 @@ class PartialDepPosterior:
         # a probability can round to just above 1; in-range values keep their bits
         out[self._ids[live]] = np.minimum(w_rows[live], 1.0)
         return out
+
+
+def reference_posterior_paths(theta: float, obs_model, horizon: int, n_paths: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Posterior paths of never-deactivated streams under the i.i.d. model.
+
+    Returns an (n_paths, horizon+1) array; column 0 is the prior value 0.
+    The marginal mean at time t is 1 - (1-theta)^t.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    prior = GeometricPrior(theta)
+    tau = prior.sample(n_paths, rng)
+    out = np.empty((n_paths, horizon + 1))
+    out[:, 0] = 0.0
+    log_odds = np.full(n_paths, NEG_INF)
+    lt, l1t = math.log(theta), math.log1p(-theta)
+    for t in range(1, horizon + 1):
+        x = obs_model.sample(tau < t, rng)
+        log_odds = obs_model.log_lr(x) + np.logaddexp(lt, log_odds) - l1t
+        out[:, t] = expit(log_odds)
+    return out

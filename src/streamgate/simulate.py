@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (AdaptiveDetector, DecisionTrace, DependentDetector,
-                       ThresholdDetector, ThresholdTable, _DetectorBase)
+from .detector import DETECTOR_KINDS, ThresholdTable, make_detector
 from .model import EnsembleModel
 
 CSV_COLUMNS = ("t,mean_fnp,se_fnp,mean_lfnr,se_lfnr,mean_active,mean_util,"
@@ -51,7 +50,7 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.procedure not in ("adaptive", "threshold", "dependent"):
+        if self.procedure not in DETECTOR_KINDS:
             raise ValueError(f"unknown procedure {self.procedure!r}")
         if self.procedure == "threshold" and self.table is None:
             raise ValueError("threshold procedure needs a calibrated table")
@@ -104,26 +103,6 @@ def fdp_lfdr(w_prev, dropped, tau, t: int) -> tuple[float, float]:
     return fdp, lfdr
 
 
-def run_length_and_cd(trace: DecisionTrace, tau, t: int, k: int) -> tuple[float, int, int]:
-    """Pre-change run length, cumulative detections, and utilization at time t."""
-    if t < 1 or t > len(trace.active_size):
-        raise ValueError(f"trace covers t=1..{len(trace.active_size)}, requested {t}")
-    tau = np.asarray(tau, dtype=float)
-    t_stop = np.where(trace.t_stop < 0, math.inf, trace.t_stop)
-    rl = float(np.minimum(np.minimum(t_stop, tau), t).sum())
-    cd = k - int(trace.active_size[t - 1])
-    util = int(trace.active_size[:t].sum())
-    return rl, cd, util
-
-
-def _make_detector(config: SimConfig) -> _DetectorBase:
-    if config.procedure == "adaptive":
-        return AdaptiveDetector(config.model, config.alpha, config.k)
-    if config.procedure == "threshold":
-        return ThresholdDetector(config.model, config.alpha, config.k, config.table)
-    return DependentDetector(config.model, config.alpha, config.k)
-
-
 # per-time metric rows: fnp, lfnr, fdp, lfdr, active, util, rl, cd
 _N_METRICS = 8
 
@@ -132,7 +111,7 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
     rng = np.random.default_rng(seed_seq)
     k, horizon = config.k, config.horizon
     tau = config.model.sample_change_points(k, rng)
-    det = _make_detector(config)
+    det = make_detector(config.procedure, config.model, config.alpha, k, config.table)
     rows = np.zeros((horizon, _N_METRICS))
     t_stop_eff = np.full(k, math.inf)
     util = 0

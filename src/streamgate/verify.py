@@ -5,7 +5,9 @@ independent route:
 
 * :func:`brute_force_posterior` recomputes the change posterior by direct
   summation over candidate change times (quadratic in t) instead of the
-  streaming recursion.
+  streaming recursion; :func:`posterior_partial_dep` does the same for
+  the partially dependent model, in one batch over the whole log
+  likelihood ratio matrix instead of the streaming backend.
 * :func:`brute_force_max_subset` searches all 2^n index subsets for the
   largest one whose mean posterior fits the budget, instead of sorting
   and scanning prefixes.
@@ -31,6 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .model import GeometricPrior
+from .posterior import _log_lam
 
 MAX_SUBSET_DIM = 20
 
@@ -58,6 +63,42 @@ def brute_force_posterior(theta: float, log_lrs) -> float:
     terms = math.log(theta) + m * math.log1p(-theta) + suffix
     tail = t * math.log1p(-theta)
     return float(np.exp(logsumexp(terms) - logsumexp(np.append(terms, tail))))
+
+
+def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
+                          log_lr_matrix) -> np.ndarray:
+    """Exact per-stream posteriors under the partially dependent model.
+
+    ``log_lr_matrix`` has shape (K, t): the log likelihood ratio of every
+    observation of every stream through time t (no deactivation).  Stream
+    k changes at the shared time tau0 with probability eta, else never.
+
+    Conditioning on tau0 = m < t and collapsing the m >= t tail (where the
+    data carry no signal and the likelihood contribution is 1):
+
+        P(tau0 = m | data) propto theta (1-theta)^m * prod_k Lam_k(m)
+        Lam_k(m) = eta * exp(l_k(m)) + (1 - eta)
+        w_k = sum_m P(tau0 = m | data) * eta exp(l_k(m)) / Lam_k(m)
+
+    with l_k(m) the log likelihood ratio of stream k's data after time m.
+    """
+    llr = np.atleast_2d(np.asarray(log_lr_matrix, dtype=float))
+    k, t = llr.shape
+    if t < 1:
+        raise ValueError("need at least one observation time")
+    if eta == 0.0:
+        return np.zeros(k)
+    theta = tau0_prior.theta
+    cum = np.concatenate([np.zeros((k, 1)), np.cumsum(llr, axis=1)], axis=1)
+    # l[k, m] = sum of stream-k log LRs over times m+1..t, for m = 0..t-1
+    l_km = cum[:, t:t + 1] - cum[:, :t]
+    log_lam = _log_lam(eta, l_km)
+    log_pk = math.log(eta) + l_km - log_lam
+    m = np.arange(t)
+    log_joint = math.log(theta) + m * math.log1p(-theta) + log_lam.sum(axis=0)
+    log_tail = t * math.log1p(-theta)
+    log_z = logsumexp(np.append(log_joint, log_tail))
+    return np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
 
 
 def brute_force_max_subset(w, alpha: float) -> int:

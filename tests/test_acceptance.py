@@ -31,7 +31,7 @@ from streamgate.calibrate import calibrate_thresholds, critical_time
 from streamgate.detector import (AdaptiveDetector, DependentDetector,
                                  checkpoint_state, one_step_rule, restore_state)
 from streamgate.model import GaussianShift, GeometricPrior, IIDModel, PartialDepModel
-from streamgate.posterior import PosteriorState, update_posterior
+from streamgate.posterior import PosteriorState
 from streamgate.simulate import SimConfig, run_experiment, write_metrics_csv
 from streamgate.verify import (brute_force_max_subset, brute_force_posterior,
                                conflicting_priors_enumeration,
@@ -58,9 +58,9 @@ def test_01_posterior_oracle_equivalence():
         obs = GaussianShift(1.0)
         x = obs.sample(np.arange(1, t + 1) > tau, rng)
         llr = obs.log_lr(x)
-        state = PosteriorState.initial(1)
+        state = PosteriorState(theta, 1)
         for value in np.atleast_1d(llr):
-            state = update_posterior(state, theta, [value], [0])
+            state.advance([value], [0])
         worst = max(worst, abs(state.w[0] - brute_force_posterior(theta, llr)))
     elapsed = time.perf_counter() - start
     _gate("criterion 1 (posterior oracle equivalence)",

@@ -239,6 +239,22 @@ def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
     assert code == 2 and "data error" in err and "checksum" in err
 
 
+def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
+    # a valid checksum over a payload without ``extra``: exit 2, not a traceback
+    from streamgate.detector import _payload_checksum
+
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    meta = json.loads(ck.read_text())
+    state = json.loads(meta["state"])
+    del state["extra"], state["checksum"]
+    meta["state"] = json.dumps({**state, "checksum": _payload_checksum(state)})
+    ck.write_text(json.dumps(meta))
+    code, _, err = _run(capsys, "detect", "--input", str(part2),
+                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                        *_IID, "--alpha", "0.05")
+    assert code == 2 and "data error" in err and "extra" in err
+
+
 @pytest.mark.parametrize("flags, saved, given", [
     (["--alpha", "0.5"], "alpha=0.05", "alpha=0.5"),
     (["--alpha", "0.05", "--mode", "dependent"], "mode='adaptive'", "mode='dependent'"),

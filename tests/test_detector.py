@@ -574,3 +574,84 @@ def test_checkpoint_rejects_unordered_active_set():
     payload["checksum"] = _payload_checksum(payload)
     with pytest.raises(CheckpointError, match="increasing"):
         restore_state(json.dumps(payload), model, 4)
+
+
+def _resigned(payload):
+    """``payload`` as a blob with a valid checksum."""
+    import json
+
+    from streamgate.detector import _payload_checksum
+
+    body = {key: val for key, val in payload.items() if key != "checksum"}
+    return json.dumps({**body, "checksum": _payload_checksum(body)})
+
+
+def _iid_checkpoint():
+    import json
+
+    model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
+    det = AdaptiveDetector(model, 0.3, 4)
+    det.observe([0.1, 0.2, 0.3, 0.4])
+    return model, json.loads(checkpoint_state(det))
+
+
+_TOP_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
+               "n_streams", "streams", "active", "active_size", "lfnr", "extra"]
+
+
+@pytest.mark.parametrize("change", ["delete", "retype"])
+@pytest.mark.parametrize("field", _TOP_FIELDS)
+def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
+    model, payload = _iid_checkpoint()
+    if change == "delete":
+        del payload[field]
+    else:  # another JSON type: strings become numbers, everything else a string
+        payload[field] = 7 if isinstance(payload[field], str) else "7"
+    with pytest.raises(CheckpointError):
+        restore_state(_resigned(payload), model, 4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phase", "bogus"),
+    ("t", -1),
+    ("active", [0, 1, 7]),
+    ("active", [-1, 0, 1]),
+    ("streams", [{"t_stop": "x"}] * 4),
+    ("lfnr", [5]),
+    ("extra", {}),
+    ("extra", {"log_odds": ["-inf"] * 3}),
+    ("extra", {"log_odds": ["-inf"] * 4, "acc": []}),
+    ("extra", {"log_odds": 5}),
+], ids=["phase", "t", "active-high", "active-negative", "t_stop", "lfnr",
+        "no-arrays", "short-array", "unknown-array", "array-type"])
+def test_checkpoint_bad_values_are_checkpoint_errors(field, value):
+    model, payload = _iid_checkpoint()
+    payload[field] = value
+    with pytest.raises(CheckpointError):
+        restore_state(_resigned(payload), model, 4)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
+def test_checkpoint_refuses_misshapen_backend_arrays(kind):
+    import json
+
+    if kind == "tabular":
+        model, k = conflicting_priors_model(), 4
+    elif kind == "adaptive":
+        model, k = IIDModel(GeometricPrior(0.1), GaussianShift(1.0)), 6
+    else:
+        model, k = PartialDepModel(GeometricPrior(0.1), 0.5 if kind == "partial" else 1.0,
+                                   GaussianShift(1.0)), 6
+    det = (DependentDetector if kind == "dependent" else AdaptiveDetector)(model, 0.3, k)
+    rng = np.random.default_rng(3)
+    tau = model.sample_change_points(k, rng)
+    for t in range(1, 4):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+    payload = json.loads(checkpoint_state(det))
+    assert restore_state(_resigned(payload), model, k).w.tobytes() == det.w.tobytes()
+    for name, value in payload["extra"].items():
+        bad = json.loads(json.dumps(payload))
+        bad["extra"][name] = value[:-1] if isinstance(value, list) else [value]
+        with pytest.raises(CheckpointError, match="posterior state"):
+            restore_state(_resigned(bad), model, k)

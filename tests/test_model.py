@@ -5,8 +5,7 @@ import pytest
 
 from streamgate.model import (INF, BernoulliPair, GaussianShift,
                               GeometricPrior, IIDModel, PartialDepModel,
-                              TabularModel, conflicting_priors_model,
-                              sample_change_points, sample_observation)
+                              TabularModel, conflicting_priors_model)
 
 
 def test_geometric_prior_normalization():
@@ -28,7 +27,7 @@ def test_geometric_sampling_matches_masses():
     prior = GeometricPrior(0.5)
     model = IIDModel(prior, GaussianShift(1.0))
     rng = np.random.default_rng(0)
-    tau = sample_change_points(model, 1_000_000, rng)
+    tau = model.sample_change_points(1_000_000, rng)
     for m in range(4):
         p = prior.mass(m)
         se = math.sqrt(p * (1 - p) / tau.size)
@@ -75,26 +74,22 @@ def test_tabular_masses_must_sum_to_one():
                      obs=(BernoulliPair(0.5, 0.51),))
 
 
-def test_sample_observation_pre_and_post_means():
+def test_sample_step_pre_and_post_means():
     model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
     rng = np.random.default_rng(4)
-    # single-draw surface
-    x = sample_observation(model, 0, 1, 0.0, rng)
-    assert isinstance(x, float)
     # post-change mean (tau=0, t=1 is after the change)
-    post = model.obs.sample(np.ones(1_000_000, dtype=bool), rng)
+    post = model.sample_step(1, np.zeros(1_000_000), rng)
     assert abs(post.mean() - 1.0) <= 0.01
     # pre-change mean (tau=inf)
-    pre = model.obs.sample(np.zeros(1_000_000, dtype=bool), rng)
+    pre = model.sample_step(1, np.full(1_000_000, INF), rng)
     assert abs(pre.mean() - 0.0) <= 0.01
 
 
-def test_sample_observation_bernoulli_boundary():
+def test_sample_step_bernoulli_boundary():
     # at t = tau the observation still follows the pre-change law
     model = IIDModel(GeometricPrior(0.05), BernoulliPair(0.5, 0.51))
     rng = np.random.default_rng(5)
-    draws = np.array([sample_observation(model, 0, 3, 3.0, rng)
-                      for _ in range(4000)])
+    draws = model.sample_step(3, np.full(4000, 3.0), rng)
     assert set(np.unique(draws)) <= {0.0, 1.0}
     assert abs(draws.mean() - 0.5) <= 3 * math.sqrt(0.25 / draws.size)
 
@@ -139,8 +134,8 @@ def test_model_validation():
     with pytest.raises(ValueError):
         GaussianShift(0.0)
     with pytest.raises(ValueError):
-        sample_change_points(IIDModel(GeometricPrior(0.1), GaussianShift(1.0)),
-                             0, np.random.default_rng(0))
+        IIDModel(GeometricPrior(0.1), GaussianShift(1.0)).sample_change_points(
+            0, np.random.default_rng(0))
 
 
 def test_fingerprints_distinguish_models():

@@ -8,31 +8,29 @@ from streamgate.detector import AdaptiveDetector, checkpoint_state, restore_stat
 from streamgate.model import GaussianShift, GeometricPrior, PartialDepModel
 from streamgate.posterior import (DependentPosteriorState, PartialDepPosterior,
                                   PosteriorState, TabularPosteriorState,
-                                  inclusive_change_prob, posterior_partial_dep,
-                                  prob_from_log_odds, reference_posterior_path,
-                                  reference_posterior_paths, update_dependent,
-                                  update_posterior, update_tabular)
-from streamgate.verify import brute_force_posterior
+                                  reference_posterior_paths)
+from streamgate.verify import brute_force_posterior, posterior_partial_dep
 
 
 def _run_recursion(theta, llr):
-    state = PosteriorState.initial(1)
+    state = PosteriorState(theta, 1)
     for value in llr:
-        state = update_posterior(state, theta, [value], [0])
+        state.advance([value], [0])
     return state.w[0]
 
 
 def test_single_update_known_value():
     # theta=0.5, W=0, likelihood ratio 1: posterior lands at 1/2
-    state = update_posterior(PosteriorState.initial(1), 0.5, [0.0], [0])
+    state = PosteriorState(0.5, 1)
+    state.advance([0.0], [0])
+    assert state.t == 1
     assert state.w[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_w_one_is_absorbing():
-    state = PosteriorState(t=3, log_odds=np.array([math.inf]),
-                           frozen=np.array([False]))
+    state = PosteriorState.from_arrays(0.3, 1, 3, [False], [math.inf])
     for llr in (-50.0, 0.0, 17.0):
-        state = update_posterior(state, 0.3, [llr], [0])
+        state.advance([llr], [0])
         assert state.w[0] == 1.0
 
 
@@ -52,47 +50,43 @@ def test_update_monotone_in_likelihood_ratio():
         w0 = rng.random()
         theta = rng.uniform(0.01, 0.9)
         llr = rng.normal()
-        base = PosteriorState(t=0, log_odds=np.array(
-            [math.log(w0) - math.log1p(-w0)]), frozen=np.array([False]))
-        lo = update_posterior(base, theta, [llr], [0]).w[0]
-        hi = update_posterior(base, theta, [llr + 1e-6], [0]).w[0]
-        assert hi >= lo
+        lo, hi = (PosteriorState.from_arrays(theta, 1, 0, [False],
+                                             [math.log(w0) - math.log1p(-w0)])
+                  for _ in range(2))
+        lo.advance([llr], [0])
+        hi.advance([llr + 1e-6], [0])
+        assert hi.w[0] >= lo.w[0]
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(2)
     llr = rng.normal(size=6)
-    state = update_posterior(PosteriorState.initial(6), 0.1, llr, np.arange(6))
+    state, state_p = PosteriorState(0.1, 6), PosteriorState(0.1, 6)
+    state.advance(llr, np.arange(6))
     perm = rng.permutation(6)
-    state_p = update_posterior(PosteriorState.initial(6), 0.1, llr[perm],
-                               np.arange(6))
+    state_p.advance(llr[perm], np.arange(6))
     assert np.allclose(state.w[perm], state_p.w, atol=0, rtol=0)
 
 
 def test_frozen_streams_never_change():
     rng = np.random.default_rng(3)
-    state = update_posterior(PosteriorState.initial(3), 0.2,
-                             rng.normal(size=3), np.arange(3))
+    state = PosteriorState(0.2, 3)
+    state.advance(rng.normal(size=3), np.arange(3))
     pinned = state.w[1]
-    state = state.freeze([1])
+    state.freeze([1])
     for _ in range(5):
-        state = update_posterior(state, 0.2, rng.normal(size=2), [0, 2])
+        state.advance(rng.normal(size=2), [0, 2])
     assert state.w[1] == pinned
     with pytest.raises(ValueError):
-        update_posterior(state, 0.2, [0.0], [1])
+        state.advance([0.0], [1])
+    with pytest.raises(ValueError):
+        state.advance([0.0], [3])
+    assert state.t == 6
 
 
 def test_update_rejects_misaligned_inputs():
     with pytest.raises(ValueError):
-        update_posterior(PosteriorState.initial(3), 0.1, [0.0, 0.0], [0])
-
-
-def test_inclusive_change_prob():
-    assert inclusive_change_prob(0.3, 0.0) == pytest.approx(0.3, abs=1e-15)
-    assert inclusive_change_prob(0.3, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert inclusive_change_prob(0.05, 0.2) == pytest.approx(0.24, abs=1e-15)
-    with pytest.raises(ValueError):
-        inclusive_change_prob(0.3, 1.2)
+        PosteriorState(0.1, 3).advance([0.0, 0.0], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +105,31 @@ def _dependent_oracle(theta, llr):
 
 
 def test_dependent_single_step():
-    state = update_dependent(DependentPosteriorState.initial(), 0.5, 0.0)
+    state = DependentPosteriorState(0.5, 2)
+    state.advance([0.3, -0.3], [0, 1])
     assert state.log_rho == pytest.approx(0.0, abs=1e-15)  # rho = 1
-    assert state.w == pytest.approx(0.5, abs=1e-15)
+    assert state.w.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_dependent_saturates():
-    state = update_dependent(DependentPosteriorState.initial(), 0.5, 1e6)
-    assert state.w == 1.0
+    state = DependentPosteriorState(0.5, 1)
+    state.advance([1e6], [0])
+    assert state.w[0] == 1.0
+
+
+def test_dependent_deactivates_jointly():
+    state = DependentPosteriorState(0.2, 3)
+    with pytest.raises(ValueError, match="cover every stream"):
+        state.advance([0.1, 0.2], [0, 1])
+    state.advance([0.1, 0.2, 0.3], [0, 1, 2])
+    with pytest.raises(ValueError, match="jointly"):
+        state.freeze([1])
+    pinned = state.w
+    state.freeze([0, 1, 2])
+    state.advance([], [])
+    assert state.t == 2 and state.w.tobytes() == pinned.tobytes()
+    with pytest.raises(ValueError):
+        state.advance([0.1, 0.2, 0.3], [0, 1, 2])
 
 
 def test_dependent_matches_enumeration():
@@ -126,10 +137,10 @@ def test_dependent_matches_enumeration():
     for trial in range(20):
         t = int(rng.integers(1, 9))
         llr = rng.normal(0, 1, size=(3, t))
-        state = DependentPosteriorState.initial()
+        state = DependentPosteriorState(0.2, 3)
         for s in range(t):
-            state = update_dependent(state, 0.2, llr[:, s].sum())
-        assert state.w == pytest.approx(_dependent_oracle(0.2, llr), abs=1e-10)
+            state.advance(llr[:, s], [0, 1, 2])
+        assert state.w[0] == pytest.approx(_dependent_oracle(0.2, llr), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +189,9 @@ def test_partial_dep_eta_edges():
     prior = GeometricPrior(0.2)
     assert np.all(posterior_partial_dep(prior, 0.0, llr) == 0.0)
     w1 = posterior_partial_dep(prior, 1.0, llr)
-    state = DependentPosteriorState.initial()
+    state = DependentPosteriorState(0.2, 4)
     for s in range(5):
-        state = update_dependent(state, 0.2, llr[:, s].sum())
+        state.advance(llr[:, s], np.arange(4))
     assert np.abs(w1 - state.w).max() <= 1e-12
     assert np.ptp(w1) == 0.0  # every stream identical when eta = 1
 
@@ -247,6 +258,15 @@ def test_logsumexp_rows_is_bit_identical_to_scipy():
     a[3:40] *= 40.0                       # most terms underflow
     want = logsumexp(a, axis=1)
     assert _logsumexp_rows(a).tobytes() == want.tobytes()
+    # the tabular backend's rows: -inf padding, and rows that are all -inf
+    for _ in range(2000):
+        rows, width = rng.integers(1, 8), rng.integers(1, 6)
+        b = rng.normal(0.0, rng.choice([1.0, 30.0, 400.0]), size=(rows, width))
+        b[rng.random(b.shape) < 0.4] = -math.inf
+        b[rng.random(rows) < 0.2] = -math.inf
+        with np.errstate(invalid="raise", divide="raise"):
+            got = _logsumexp_rows(b)
+        assert got.tobytes() == logsumexp(b, axis=1).tobytes()
 
 
 def _drive_with_freezes(eta, k=200, steps=60, seed=14):
@@ -290,11 +310,11 @@ def test_partial_dep_live_rows_match_full_history_formula(eta):
 def test_partial_dep_buffer_holds_only_live_rows():
     for post, cum, stopped_at, _ in _drive_with_freezes(0.5, k=40, steps=30):
         live = np.flatnonzero(stopped_at < 0)
-        history = post.arrays()["history"]
+        history = post.to_arrays()["history"]
         assert np.array_equal(post._ids, live)
         assert history.shape == (live.size, post.t + 1)
         assert np.array_equal(history, cum[live])
-        assert post.arrays()["acc"].shape == (post.t,)
+        assert post.to_arrays()["acc"].shape == (post.t,)
     assert live.size < 40
 
 
@@ -308,9 +328,9 @@ def test_partial_dep_freeze_keeps_w_until_the_next_advance():
     before = post.w
     post.freeze([1, 5])
     assert post.w.tobytes() == before.tobytes()
-    assert post.arrays()["history"].shape == (8, 5)
+    assert post.to_arrays()["history"].shape == (8, 5)
     post.advance(rng.normal(size=6), [0, 2, 3, 4, 6, 7])
-    assert post.arrays()["history"].shape == (6, 6)
+    assert post.to_arrays()["history"].shape == (6, 6)
 
 
 def test_partial_dep_advance_rejects_frozen_or_unknown_streams():
@@ -426,7 +446,7 @@ def test_partial_dep_legacy_cum_checkpoint_resumes():
     assert det.t == fx["t_checkpoint"]
     want_w = np.asarray([float.fromhex(v) for v in fx["w_at_checkpoint"]])
     assert np.abs(det.w - want_w).max() <= 1e-12
-    assert len(det._state.arrays()["history"]) == np.count_nonzero(
+    assert len(det._state.to_arrays()["history"]) == np.count_nonzero(
         (det.t_stop < 0) | (det.t_stop == det.t))
     again = restore_state(checkpoint_state(det), model, fx["k"])
     assert again.w.tobytes() == det.w.tobytes()
@@ -452,8 +472,8 @@ def test_partial_dep_legacy_cum_checkpoint_resumes():
 # ---------------------------------------------------------------------------
 
 def test_reference_path_starts_at_zero():
-    path = reference_posterior_path(0.05, GaussianShift(1.0), 5,
-                                    np.random.default_rng(9))
+    path = reference_posterior_paths(0.05, GaussianShift(1.0), 5, 1,
+                                     np.random.default_rng(9))[0]
     assert path[0] == 0.0
     assert np.all((path >= 0.0) & (path <= 1.0))
 
@@ -491,10 +511,10 @@ def test_tabular_posterior_matches_direct_bayes():
     rng = np.random.default_rng(12)
     for _ in range(20):
         xs = rng.integers(0, 2, size=4)
-        state = TabularPosteriorState.initial(supports, masses)
+        state = TabularPosteriorState(supports, masses)
         llr1 = np.log(np.where(xs == 1, 0.51 / 0.5, 0.49 / 0.5))
         for s in range(4):
-            state = update_tabular(state, [llr1[s], llr1[s]], [0, 1])
+            state.advance([llr1[s], llr1[s]], [0, 1])
             for k in range(2):
                 want = _table_oracle(supports[k], masses[k], 0.5, 0.51,
                                      xs[:s + 1])
@@ -502,15 +522,12 @@ def test_tabular_posterior_matches_direct_bayes():
 
 
 def test_tabular_posterior_freeze():
-    state = TabularPosteriorState.initial(((0, 2),), ((0.3, 0.7),))
-    state = update_tabular(state, [0.4], [0])
-    state = state.freeze([0])
+    state = TabularPosteriorState(((0, 2),), ((0.3, 0.7),))
+    state.advance([0.4], [0])
+    before = state.log_post.copy()
+    state.freeze([0])
     with pytest.raises(ValueError):
-        update_tabular(state, [0.4], [0])
-
-
-def test_prob_log_odds_round_trip():
-    w = np.array([0.0, 1e-12, 0.25, 0.5, 0.999, 1.0])
-    from streamgate.posterior import log_odds_from_prob
-    back = prob_from_log_odds(log_odds_from_prob(w))
-    assert np.allclose(back, w, atol=1e-15)
+        state.advance([0.4], [0])
+    state.advance([], [])
+    assert state.t == 2
+    assert state.log_post.tobytes() == before.tobytes()

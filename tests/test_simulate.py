@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from streamgate.calibrate import calibrate_thresholds
-from streamgate.detector import DecisionTrace
 from streamgate.model import (INF, BernoulliPair, GaussianShift,
                               GeometricPrior, IIDModel, PartialDepModel,
                               conflicting_priors_model)
-from streamgate.simulate import (SimConfig, fdp_lfdr, fnp,
-                                 lfnr_realized, run_experiment,
-                                 run_length_and_cd, write_metrics_csv)
+from streamgate.simulate import (SimConfig, fdp_lfdr, fnp, lfnr_realized,
+                                 run_experiment, write_metrics_csv)
 from streamgate.verify import dp_optimality_report
 
 
@@ -38,30 +36,6 @@ def test_fdp_lfdr_examples():
     assert fdp == 1.0
     _, lfdr = fdp_lfdr([0.9, 0.8], [0, 1], [0.0, 0.0], 3)
     assert lfdr == pytest.approx(0.15, abs=1e-15)
-
-
-def _trace(k, t_final, t_stop, active_size):
-    return DecisionTrace(n_streams=k, t_final=t_final,
-                         t_stop=np.asarray(t_stop, dtype=int),
-                         active_size=np.asarray(active_size, dtype=int),
-                         realized_lfnr=np.zeros(len(active_size)))
-
-
-def test_run_length_and_cd_examples():
-    trace = _trace(3, 1, [-1, -1, -1], [3])
-    rl, cd, util = run_length_and_cd(trace, [INF, INF, INF], 1, 3)
-    assert (cd, util) == (0, 3)
-
-    trace = _trace(1, 10, [3], [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    rl, _, _ = run_length_and_cd(trace, [5.0], 10, 1)
-    assert rl == 3.0
-
-    trace = _trace(1, 10, [7], [1] * 7 + [0, 0, 0])
-    rl, _, _ = run_length_and_cd(trace, [2.0], 10, 1)
-    assert rl == 2.0
-
-    with pytest.raises(ValueError):
-        run_length_and_cd(trace, [2.0], 11, 1)
 
 
 # ---------------------------------------------------------------------------
