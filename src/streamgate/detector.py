@@ -384,8 +384,16 @@ def _decode(value):
     if value and isinstance(value[0], list):
         return np.array([_decode(row) for row in value])
     if value and isinstance(value[0], int):
-        return np.array(value, dtype=int)
+        return _ints(value)
     return np.array(list(map(float.fromhex, value)), dtype=float)
+
+
+def _ints(values) -> np.ndarray:
+    """A JSON list of integers as an int array; floats are refused, not truncated."""
+    a = np.array(values)
+    if a.size and a.dtype.kind != "i":
+        raise TypeError(f"expected integers, got {a.dtype} values")
+    return a.astype(int)
 
 
 def _payload_checksum(payload: dict) -> str:
@@ -468,17 +476,17 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
         raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
         alpha = float.fromhex(payload["alpha"])
-        t_stop = np.array([s["t_stop"] for s in payload["streams"]], dtype=int)
-        active = np.array(payload["active"], dtype=int)
-        active_size = [int(v) for v in payload["active_size"]]
+        t_stop = _ints([s["t_stop"] for s in payload["streams"]])
+        active = _ints(payload["active"])
+        active_size = _ints(payload["active_size"]).tolist()
         lfnr = list(map(float.fromhex, payload["lfnr"]))
         arrays = {name: _decode(v) for name, v in payload["extra"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
-    # selection breaks ties by position in ``active``
-    if np.any(np.diff(active) <= 0) or (active.size and (active[0] < 0 or active[-1] >= k)):
-        raise CheckpointError(f"active stream indices must be strictly increasing "
-                              f"and lie in [0, {k})")
+    # selection breaks ties by position in ``active``, so it must be index order
+    if not np.array_equal(active, np.flatnonzero(t_stop < 0)):
+        raise CheckpointError("active stream indices must be strictly increasing and "
+                              "be exactly the streams without a stop time")
     det = make_detector(kind, model, alpha, k, table)
     try:
         det._state = det._backend(t, t_stop >= 0, arrays)

@@ -616,14 +616,18 @@ def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
     ("t", -1),
     ("active", [0, 1, 7]),
     ("active", [-1, 0, 1]),
+    ("active", [0.7, 1, 2, 3]),
     ("streams", [{"t_stop": "x"}] * 4),
+    ("streams", [{"t_stop": 0.5}] + [{"t_stop": -1}] * 3),
+    ("streams", [{"t_stop": 1}] + [{"t_stop": -1}] * 3),
     ("lfnr", [5]),
     ("extra", {}),
     ("extra", {"log_odds": ["-inf"] * 3}),
     ("extra", {"log_odds": ["-inf"] * 4, "acc": []}),
     ("extra", {"log_odds": 5}),
-], ids=["phase", "t", "active-high", "active-negative", "t_stop", "lfnr",
-        "no-arrays", "short-array", "unknown-array", "array-type"])
+], ids=["phase", "t", "active-high", "active-negative", "active-float", "t_stop",
+        "t_stop-float", "stopped-but-active", "lfnr", "no-arrays", "short-array",
+        "unknown-array", "array-type"])
 def test_checkpoint_bad_values_are_checkpoint_errors(field, value):
     model, payload = _iid_checkpoint()
     payload[field] = value
