@@ -25,8 +25,10 @@ optionally a per-step report (``--report``) with columns
 recoverable from the initial universe and the cumulative ``dropped``
 ids.
 
-``--checkpoint`` is replaced atomically (written to ``<path>.tmp``, then
-renamed), so a failed write leaves the previous checkpoint intact.
+``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``;
+format 1 is still read) is resumed from and saved at exit, and with
+``--checkpoint-every N`` also at t = N, 2N, ...  It is replaced atomically
+(``<path>.tmp``, then renamed): a failed write leaves the previous one intact.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.  A corrupt or truncated checkpoint, a bad or non-finite cell,
@@ -301,6 +303,9 @@ def _cmd_detect(args) -> int:
             raise UsageError("threshold mode needs --table")
         table = calibrate_mod.read_threshold_table(table_path)
 
+    every = args.checkpoint_every
+    if every is not None and (every < 1 or not args.checkpoint):
+        raise UsageError("--checkpoint-every needs a --checkpoint path and N >= 1")
     groups = _group_by_time(_iter_rows(args.input))
     try:
         first_t, first_obs, first_row = next(groups)
@@ -315,9 +320,12 @@ def _cmd_detect(args) -> int:
             blob = fh.read()
         try:
             meta = json.loads(blob)
-            ids = sorted(int(s) for s in meta["external_ids"])
-            state = meta["state"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            ids, state = sorted(meta["external_ids"]), meta["state"]
+            # outside the state's checksum; restore_state checks their count
+            if (type(state) is not str or len(set(ids)) != len(ids)
+                    or any(type(sid) is not int for sid in ids)):
+                raise ValueError("external_ids must be distinct integers")
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"unreadable checkpoint file: {exc}") from exc
         det = restore_state(state, model, len(ids), table=table)
         for key, given, saved in (("alpha", alpha, det.alpha), ("mode", mode, det.kind)):
@@ -332,6 +340,10 @@ def _cmd_detect(args) -> int:
 
     id_pos = {sid: i for i, sid in enumerate(ids)}
     report_rows = []
+
+    def save_checkpoint():
+        payload = {"external_ids": ids, "state": checkpoint_state(det)}
+        _write_atomic(args.checkpoint, json.dumps(payload))
 
     def process(t, obs, row_no):
         nonlocal discarded
@@ -358,6 +370,8 @@ def _cmd_detect(args) -> int:
             float(w_active.max()) if w_active.size else math.nan,
             " ".join(str(ids[i]) for i in dropped),
         ))
+        if every and det.t % every == 0:
+            save_checkpoint()
 
     process(first_t, first_obs, first_row)
     for t, obs, row_no in groups:
@@ -385,8 +399,7 @@ def _cmd_detect(args) -> int:
                 fh.write(f"{row[0]},{row[1]},{row[2]!r},{row[3]!r},{row[4]!r},"
                          f"{row[5]}\n")
     if args.checkpoint:
-        payload = {"external_ids": ids, "state": checkpoint_state(det)}
-        _write_atomic(args.checkpoint, json.dumps(payload))
+        save_checkpoint()
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)
@@ -606,6 +619,8 @@ def build_parser() -> _Parser:
     det.add_argument("--out", "-o", required=True, help="stopping-time table CSV")
     det.add_argument("--report", help="per-step report CSV")
     det.add_argument("--checkpoint", help="resume from / save to this path")
+    det.add_argument("--checkpoint-every", type=int, metavar="N",
+                     help="also save the checkpoint after every N-th selection")
     det.add_argument("--alpha")
     det.add_argument("--mode", help="adaptive | threshold | dependent")
     det.add_argument("--table", help="threshold table CSV (threshold mode)")

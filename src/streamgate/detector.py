@@ -28,12 +28,17 @@ belongs to a backend from :mod:`streamgate.posterior`, picked once by
 model (:meth:`_DetectorBase._backend`), which the detector drives through
 the backend protocol without knowing the model.  :func:`make_detector`
 builds a detector by kind name.  A detector can be checkpointed to a text
-blob and restored bit-exactly, the backend's ``to_arrays()`` encoded
-generically; resuming mid-run reproduces the uninterrupted decision trace.
+blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
+decision trace.  Format 2 is a checksummed JSON header plus each array once
+as ``{"dtype": "<f8"|"<i8", "shape": [...], "data": base64}``: ``t_stop``,
+``active_size``, ``lfnr`` and the backend's ``to_arrays()`` under ``arrays``;
+the active set is the streams without a stop time.  Format 1 blobs
+(per-stream records, hex-string floats) are still read, and pass the same checks.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -45,7 +50,7 @@ from .model import EnsembleModel, IIDModel, PartialDepModel, TabularModel
 from .posterior import (DependentPosteriorState, PartialDepPosterior,
                         PosteriorState, TabularPosteriorState)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
 
 
@@ -364,21 +369,31 @@ def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
 
 # -- checkpointing -------------------------------------------------------
 
-def _encode(value):
-    """Backend arrays for JSON: floats as hex strings (bit-exact), int
-    arrays as ints, one list level per axis."""
+def _pack(value) -> dict:
+    """An array or scalar as ``{"dtype", "shape", "data"}``: base64 of its
+    little-endian int64 (integer arrays) or float64 bytes, bit-exact."""
     a = np.asarray(value)
-    if a.dtype.kind in "iu":
-        return a.tolist()
-    if a.ndim == 0:
-        return float(a).hex()
-    if a.ndim == 1:
-        return list(map(float.hex, a))
-    return [_encode(row) for row in a]
+    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(data).decode()}
+
+
+def _unpack(value, dtype: str | None = None) -> np.ndarray:
+    """Inverse of :func:`_pack`; refuses another ``dtype`` than asked for,
+    invalid base64, and data whose size disagrees with the shape."""
+    if (not isinstance(value, dict) or set(value) != {"dtype", "shape", "data"}
+            or value["dtype"] not in ("<i8", "<f8") or dtype not in (None, value["dtype"])
+            or type(value["shape"]) is not list or type(value["data"]) is not str
+            or not all(type(n) is int and n >= 0 for n in value["shape"])):
+        raise TypeError(f"not a packed {dtype or '<i8 or <f8'} array")
+    raw, shape = base64.b64decode(value["data"], validate=True), value["shape"]
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"packed data of {len(raw)} bytes does not fit shape {shape}")
+    return np.frombuffer(raw, value["dtype"]).astype(value["dtype"][1:]).reshape(shape)
 
 
 def _decode(value):
-    """Inverse of :func:`_encode`."""
+    """A format-1 array: hex-string floats or ints, one list level per axis."""
     if isinstance(value, str):
         return float.fromhex(value)
     if value and isinstance(value[0], list):
@@ -402,8 +417,7 @@ def _payload_checksum(payload: dict) -> str:
 
 
 def checkpoint_state(det: _DetectorBase) -> str:
-    """Serialize a detector to a self-checking text blob (bit-exact reals)."""
-    w = det.w
+    """Serialize a detector to a self-checking text blob (format 2, bit-exact)."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "mode": det.kind,
@@ -412,86 +426,95 @@ def checkpoint_state(det: _DetectorBase) -> str:
         "phase": det._phase,
         "model_fingerprint": det.model.fingerprint(),
         "n_streams": det.k,
-        "streams": [
-            {
-                "index": int(i),
-                "log_odds": float.hex(math.inf if w[i] >= 1.0 else
-                                 (-math.inf if w[i] <= 0.0 else
-                                  math.log(w[i]) - math.log1p(-w[i]))),
-                "frozen": int(det.t_stop[i] >= 0),
-                "t_stop": int(det.t_stop[i]),
-            }
-            for i in range(det.k)
-        ],
-        "active": [int(i) for i in det.active],
-        "active_size": [int(v) for v in det._active_size],
-        "lfnr": [float.hex(v) for v in det._lfnr],
-        "extra": {name: _encode(v) for name, v in det._state.to_arrays().items()},
+        "t_stop": _pack(det.t_stop),
+        "active_size": _pack(det._active_size),
+        "lfnr": _pack(det._lfnr),
+        "arrays": {name: _pack(v) for name, v in det._state.to_arrays().items()},
     }
-    payload["checksum"] = _payload_checksum({k: v for k, v in payload.items()})
+    payload["checksum"] = _payload_checksum(payload)
     return json.dumps(payload, sort_keys=True)  # no indent: keeps the C encoder
 
 
-# top-level checkpoint fields and their JSON types
-_FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
-           "model_fingerprint": str, "n_streams": int, "streams": list,
-           "active": list, "active_size": list, "lfnr": list, "extra": dict}
+def _decode_v1(payload: dict) -> tuple:
+    """Format 1: per-stream ``streams`` records, a stored ``active`` set."""
+    t_stop = _ints([s["t_stop"] for s in payload["streams"]])
+    # selection breaks ties by position in ``active``, so it must be index order
+    if not np.array_equal(_ints(payload["active"]), np.flatnonzero(t_stop < 0)):
+        raise ValueError("active stream indices must be strictly increasing and "
+                         "be exactly the streams without a stop time")
+    return (t_stop, _ints(payload["active_size"]),
+            np.array(list(map(float.fromhex, payload["lfnr"])), dtype=float),
+            {name: _decode(v) for name, v in payload["extra"].items()})
+
+
+def _decode_v2(payload: dict) -> tuple:
+    """Format 2: every array packed once; the active set is derived."""
+    return (_unpack(payload["t_stop"], "<i8"), _unpack(payload["active_size"], "<i8"),
+            _unpack(payload["lfnr"], "<f8"),
+            {name: _unpack(v) for name, v in payload["arrays"].items()})
+
+
+# per format: its decoder, and its fields (the shared header first) with their JSON types
+_HEADER = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
+           "model_fingerprint": str, "n_streams": int}
+_FORMATS = {1: (_decode_v1, {**_HEADER, "streams": list, "active": list,
+                             "active_size": list, "lfnr": list, "extra": dict}),
+            2: (_decode_v2, {**_HEADER, "t_stop": dict, "active_size": dict,
+                             "lfnr": dict, "arrays": dict})}
 
 
 def restore_state(blob: str, model: EnsembleModel, k: int,
                   table: ThresholdTable | None = None) -> _DetectorBase:
-    """Rebuild a detector from a checkpoint blob.
-
-    Verifies format version, checksum, field types, and that the supplied
-    model matches the fingerprint recorded at checkpoint time.
-    """
+    """Rebuild a detector from a format-1 or format-2 checkpoint blob, checking its
+    checksum, fields, model fingerprint, and that its history fits its time."""
     try:
         payload = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
     if not isinstance(payload, dict) or "checksum" not in payload:
         raise CheckpointError("checkpoint is missing its checksum")
-    claimed = payload["checksum"]
     body = {key: val for key, val in payload.items() if key != "checksum"}
-    if _payload_checksum(body) != claimed:
+    if _payload_checksum(body) != payload["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch (corrupted or truncated)")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('format_version')!r}")
-    bad = [key for key, typ in _FIELDS.items() if type(payload.get(key)) is not typ]
+    version = payload.get("format_version")
+    if type(version) is not int or version not in _FORMATS:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
+    decode, fields = _FORMATS[version]
+    bad = [key for key, typ in fields.items() if type(payload.get(key)) is not typ]
+    bad += sorted(body.keys() - fields.keys())
     if bad:
-        raise CheckpointError(f"checkpoint field(s) missing or mistyped: {', '.join(bad)}")
+        raise CheckpointError(f"checkpoint field(s) missing, mistyped or unknown: {bad}")
     if payload["model_fingerprint"] != model.fingerprint():
         raise CheckpointError(
             "checkpoint was produced under a different model: "
             f"{payload['model_fingerprint']} vs {model.fingerprint()}")
     kind, t, phase = payload["mode"], payload["t"], payload["phase"]
-    if payload["n_streams"] != k or len(payload["streams"]) != k:
-        raise CheckpointError("stream count mismatch")
+    if payload["n_streams"] != k:
+        raise CheckpointError(f"stream count mismatch: {payload['n_streams']} vs {k}")
     if kind not in DETECTOR_KINDS:
         raise CheckpointError(f"unknown detector kind {kind!r}")
     if kind == "threshold" and table is None:
         raise CheckpointError("threshold checkpoints need their threshold table")
-    if phase not in ("observe", "select") or t < 0:
+    if phase not in ("observe", "select") or t < (phase == "select"):
         raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
         alpha = float.fromhex(payload["alpha"])
-        t_stop = _ints([s["t_stop"] for s in payload["streams"]])
-        active = _ints(payload["active"])
-        active_size = _ints(payload["active_size"]).tolist()
-        lfnr = list(map(float.fromhex, payload["lfnr"]))
-        arrays = {name: _decode(v) for name, v in payload["extra"].items()}
+        t_stop, active_size, lfnr, arrays = decode(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
-    # selection breaks ties by position in ``active``, so it must be index order
-    if not np.array_equal(active, np.flatnonzero(t_stop < 0)):
-        raise CheckpointError("active stream indices must be strictly increasing and "
-                              "be exactly the streams without a stop time")
+    steps = t + (phase == "observe")  # one per selection, plus the initial entry
+    stopped = t_stop[t_stop != -1]
+    if t_stop.shape != (k,) or np.any((stopped < 1) | (stopped > t)):
+        raise CheckpointError(f"stop times must be -1 or lie in [1, {t}], one per stream")
+    if (active_size.shape != (steps,) or lfnr.shape != (steps,)
+            or active_size[-1] != np.count_nonzero(t_stop < 0)):
+        raise CheckpointError(f"active_size and lfnr need {steps} entries at t={t}, "
+                              "the last count that of the streams without a stop time")
     det = make_detector(kind, model, alpha, k, table)
     try:
         det._state = det._backend(t, t_stop >= 0, arrays)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad {det._state.label} posterior state: {exc}") from exc
-    det._phase, det.active, det.t_stop = phase, active, t_stop
-    det._active_size, det._lfnr = active_size, lfnr
+    det._phase, det.active, det.t_stop = phase, np.flatnonzero(t_stop < 0), t_stop
+    det._active_size, det._lfnr = active_size.tolist(), lfnr.tolist()
     return det

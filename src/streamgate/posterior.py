@@ -312,8 +312,9 @@ class PartialDepPosterior:
             history, acc = cum[live], np.zeros(t)
         elif history is None or acc is None:
             raise ValueError("needs history and acc, or cum")
-        history = _shaped("history", np.reshape(history, (-1, t + 1)),
-                          (np.count_nonzero(live), t + 1))
+        if np.size(history) == 0:  # format-1 checkpoints give no rows as a flat []
+            history = np.zeros((0, t + 1))
+        history = _shaped("history", history, (np.count_nonzero(live), t + 1))
         st = cls(theta, eta, k)
         st.t = t
         st._stopped_at, st._frozen_w = stopped_at, frozen_w

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,20 +241,138 @@ def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
     assert code == 2 and "data error" in err and "checksum" in err
 
 
-def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
-    # a valid checksum over a payload without ``extra``: exit 2, not a traceback
+# a format-1 checkpoint file, written by ``_checkpointed_half`` with the
+# format-1 ``checkpoint_state`` (commit 639532b), with the sha256 of the
+# ``--out`` bytes that resuming it on the rest of the rows gives
+_V1_CLI = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json")
+                     .read_text())["cli"]
+
+
+def _drop_state_field(ck, field):
+    """Delete ``field`` from the checkpoint file's state, checksum recomputed."""
     from streamgate.detector import _payload_checksum
 
-    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
     meta = json.loads(ck.read_text())
     state = json.loads(meta["state"])
-    del state["extra"], state["checksum"]
+    del state[field], state["checksum"]
     meta["state"] = json.dumps({**state, "checksum": _payload_checksum(state)})
     ck.write_text(json.dumps(meta))
+
+
+def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
+    # a valid checksum over a format-1 payload without ``extra``: exit 2, not a traceback
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    ck.write_text(_V1_CLI["file"])
+    _drop_state_field(ck, "extra")
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
                         *_IID, "--alpha", "0.05")
     assert code == 2 and "data error" in err and "extra" in err
+
+
+def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
+    _drop_state_field(ck, "arrays")
+    code, _, err = _run(capsys, "detect", "--input", str(part2),
+                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                        *_IID, "--alpha", "0.05")
+    assert code == 2 and "data error" in err and "arrays" in err
+
+
+def test_detect_resumes_a_v1_checkpoint_file(tmp_path, capsys):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    ck.write_text(_V1_CLI["file"])
+    code, _, _ = _run(capsys, "detect", "--input", str(part2),
+                      "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                      *_IID, "--alpha", "0.05")
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest() == \
+        _V1_CLI["resumed_out_sha256"]
+    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 2], [1, 2, 3.7], [1, True, 3], [1, 2], "123"],
+                         ids=["repeat", "float", "bool", "count", "not-a-list"])
+def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, ids):
+    # the ids sit outside the state's checksum, so they are checked on their own
+    rows = _jump_rows(horizon=14, k=3)
+    part1 = tmp_path / "part1.ndjson"
+    _write_ndjson(part1, [r for r in rows if r[0] <= 7])
+    ck = tmp_path / "ck.json"
+    flags = ["--checkpoint", str(ck), *_IID, "--alpha", "0.05"]
+    code, _, _ = _run(capsys, "detect", "--input", str(part1),
+                      "--out", str(tmp_path / "p1.csv"), *flags)
+    assert code == 0
+    meta = json.loads(ck.read_text())
+    assert meta["external_ids"] == [1, 2, 3]
+    ck.write_text(json.dumps({**meta, "external_ids": ids}))
+    # input for exactly the streams the edited ids name
+    named = {int(sid) for sid in ids}
+    part2 = tmp_path / "part2.ndjson"
+    _write_ndjson(part2, [r for r in rows if r[0] > 7 and r[1] in named])
+    code, _, err = _run(capsys, "detect", "--input", str(part2),
+                        "--out", str(tmp_path / "o.csv"), *flags)
+    assert code == 2 and "data error" in err
+    assert "external_ids" in err or "stream count" in err
+
+
+def _wide(path, x, ids, times, bad_at=None):
+    """Wide CSV of rows ``times`` of ``x``; the first cell at ``bad_at`` is not a number."""
+    lines = ["t," + ",".join(map(str, ids))]
+    for t in times:
+        cells = [repr(float(v)) for v in x[t - 1]]
+        if t == bad_at:
+            cells[0] = "oops"
+        lines.append(f"{t}," + ",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_detect_checkpoint_every_survives_a_bad_cell(tmp_path, capsys):
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    rng = np.random.default_rng(34)
+    tau = model.sample_change_points(20, rng)
+    x = np.stack([model.sample_step(t, tau, rng) for t in range(1, 25)])
+    ids = [3 * i + 1 for i in range(20)]
+    flags = ["--model", "iid", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.1"]
+
+    def detect(name, times, *extra, bad_at=None):
+        _wide(tmp_path / f"{name}.csv", x, ids, times, bad_at)
+        return _run(capsys, "detect", "--input", str(tmp_path / f"{name}.csv"),
+                    "--out", str(tmp_path / f"{name}.out"), *extra, *flags)
+
+    assert detect("full", range(1, 25))[0] == 0
+    stops = [int(line.split(",")[1]) for line in
+             (tmp_path / "full.out").read_text().splitlines()[3:]]
+    assert min(stops) <= 15 < max(stops)
+
+    ck = tmp_path / "ck.json"
+    code, _, err = detect("crash", range(1, 25), "--checkpoint", str(ck),
+                          "--checkpoint-every", "5", bad_at=17)
+    assert code == 2 and "data error" in err
+    assert json.loads(json.loads(ck.read_text())["state"])["t"] == 15
+    # the same bytes as the checkpoint a clean run over t=1..15 writes at exit
+    assert detect("first", range(1, 16), "--checkpoint", str(tmp_path / "ck15.json"))[0] == 0
+    assert ck.read_bytes() == (tmp_path / "ck15.json").read_bytes()
+
+    assert detect("rest", range(16, 25), "--checkpoint", str(ck),
+                  "--checkpoint-every", "5")[0] == 0
+    assert (tmp_path / "rest.out").read_bytes() == (tmp_path / "full.out").read_bytes()
+    assert json.loads(json.loads(ck.read_text())["state"])["t"] == 24
+
+
+@pytest.mark.parametrize("every, with_path", [("0", True), ("-3", True), ("x", True),
+                                              ("2", False)],
+                         ids=["zero", "negative", "not-an-int", "no-checkpoint"])
+def test_detect_checkpoint_every_is_checked(tmp_path, capsys, every, with_path):
+    inp = tmp_path / "in.ndjson"
+    _write_ndjson(inp, _jump_rows(horizon=3))
+    ck = ["--checkpoint", str(tmp_path / "ck.json")] if with_path else []
+    code, _, err = _run(capsys, "detect", "--input", str(inp),
+                        "--out", str(tmp_path / "o.csv"), *ck,
+                        "--checkpoint-every", every, *_IID, "--alpha", "0.05")
+    assert code == 1 and "usage error" in err
+    assert not (tmp_path / "ck.json").exists()
 
 
 @pytest.mark.parametrize("flags, saved, given", [

@@ -1,13 +1,17 @@
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from streamgate.detector import (AdaptiveDetector, CheckpointError,
-                                 DependentDetector, TableExhaustedError,
-                                 ThresholdDetector, ThresholdTable,
-                                 checkpoint_state, one_step_rule,
+from streamgate.detector import (CHECKPOINT_VERSION, AdaptiveDetector,
+                                 CheckpointError, DependentDetector,
+                                 TableExhaustedError, ThresholdDetector,
+                                 ThresholdTable, _pack, _payload_checksum,
+                                 _unpack, checkpoint_state, one_step_rule,
                                  restore_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
                               PartialDepModel, conflicting_priors_model)
@@ -456,6 +460,45 @@ def test_w_evaluated_once_per_step(kind, monkeypatch):
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _resigned(payload):
+    """``payload`` as a blob with a valid checksum."""
+    body = {key: val for key, val in payload.items() if key != "checksum"}
+    return json.dumps({**body, "checksum": _payload_checksum(body)})
+
+
+# format-1 blobs, written by the format-1 ``checkpoint_state`` (commit 639532b)
+# from the runs each entry's ``run`` describes, with the sha256 of the
+# restored ``w.tobytes()`` and of the decision trace
+V1 = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json").read_text())
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _trace_sha(trace) -> str:
+    return _sha(json.dumps({"t_final": trace.t_final, "t_stop": trace.t_stop.tolist(),
+                            "active_size": trace.active_size.tolist(),
+                            "realized_lfnr": [float(v).hex() for v in trace.realized_lfnr]},
+                           sort_keys=True).encode())
+
+
+def _v1(name):
+    """Model, threshold table (or None) and parsed payload of fixture ``name``."""
+    entry = V1[name]
+    spec = entry["model"]
+    if spec["kind"] == "tabular":
+        model = conflicting_priors_model()
+    elif spec["kind"] == "iid":
+        model = IIDModel(GeometricPrior(spec["theta"]), GaussianShift(spec["mu"]))
+    else:
+        model = PartialDepModel(GeometricPrior(spec["theta"]), spec["eta"],
+                                GaussianShift(spec["mu"]))
+    table = (_table(model, entry["thresholds"], alpha=entry["alpha"])
+             if "thresholds" in entry else None)
+    return model, table, json.loads(entry["checkpoint"])
+
+
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
                                   "threshold"])
 def test_checkpoint_round_trip(kind):
@@ -494,6 +537,51 @@ def test_checkpoint_round_trip(kind):
     assert np.array_equal(back.w, det.w)
     assert back.trace().equals(det.trace())
     assert checkpoint_state(back) == blob
+
+
+def _fresh(kind):
+    iid = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
+    if kind == "tabular":
+        model = conflicting_priors_model()
+        return model, AdaptiveDetector(model, 0.34, 4)
+    if kind in ("partial", "dependent"):
+        model = PartialDepModel(GeometricPrior(0.1), 0.5 if kind == "partial" else 1.0,
+                                GaussianShift(1.0))
+        return model, (AdaptiveDetector if kind == "partial" else DependentDetector)(
+            model, 0.3, 6)
+    if kind == "threshold":
+        table = _table(iid, np.linspace(0.9, 0.2, 20), alpha=0.3)
+        return iid, ThresholdDetector(iid, 0.3, 6, table)
+    return iid, AdaptiveDetector(iid, 0.3, 6)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
+                                  "threshold"])
+def test_checkpoint_resume_at_every_step_is_bit_exact(kind):
+    # a checkpoint taken after any observation or selection resumes to the
+    # uninterrupted run's posteriors and decision trace
+    model, full = _fresh(kind)
+    rng = np.random.default_rng(21)
+    tau = model.sample_change_points(full.k, rng)
+    rows = [model.sample_step(t, tau, rng) for t in range(1, 16)]
+    blobs = []
+    for x in rows:
+        full.observe(x[full.active])
+        blobs.append(checkpoint_state(full))
+        full.deactivate()
+        blobs.append(checkpoint_state(full))
+    assert full.n_active < full.k
+    for blob in blobs:
+        det = restore_state(blob, model, full.k, table=getattr(full, "table", None))
+        assert checkpoint_state(det) == blob
+        for x in rows[det.t:]:
+            if det._phase == "select":
+                det.deactivate()
+            det.observe(x[det.active])
+        if det._phase == "select":
+            det.deactivate()
+        assert det.w.tobytes() == full.w.tobytes()
+        assert det.trace().equals(full.trace())
 
 
 def test_checkpoint_resume_equals_uninterrupted():
@@ -544,10 +632,6 @@ def test_checkpoint_rejects_corruption():
 
 
 def test_checkpoint_rejects_version_mismatch():
-    import json
-
-    from streamgate.detector import _payload_checksum
-
     model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
     det = AdaptiveDetector(model, 0.3, 4)
     det.observe([0.1, 0.2, 0.3, 0.4])
@@ -561,34 +645,45 @@ def test_checkpoint_rejects_version_mismatch():
 
 def test_checkpoint_rejects_unordered_active_set():
     # selection breaks ties by position in ``active``, which must be index order
-    import json
-
-    from streamgate.detector import _payload_checksum
-
-    model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
-    det = AdaptiveDetector(model, 0.3, 4)
-    det.observe([0.1, 0.2, 0.3, 0.4])
-    payload = json.loads(checkpoint_state(det))
+    model, _, payload = _v1("iid_t1")
     payload["active"] = [1, 0, 2, 3]
-    del payload["checksum"]
-    payload["checksum"] = _payload_checksum(payload)
     with pytest.raises(CheckpointError, match="increasing"):
-        restore_state(json.dumps(payload), model, 4)
+        restore_state(_resigned(payload), model, 4)
 
 
-def _resigned(payload):
-    """``payload`` as a blob with a valid checksum."""
-    import json
+def test_checkpoint_v2_derives_the_active_set():
+    # format 2 stores no active set: it is the streams without a stop time,
+    # in index order, and a blob that carries one anyway is refused
+    model, _, _ = _v1("adaptive")
+    det = restore_state(V1["adaptive"]["checkpoint"], model, 6)
+    payload = json.loads(checkpoint_state(det))
+    assert "active" not in payload and "streams" not in payload
+    back = restore_state(_resigned(payload), model, 6)
+    assert back.active.tolist() == np.flatnonzero(det.t_stop < 0).tolist()
+    assert back.active.tolist() != list(range(6))
+    payload["active"] = _pack(back.active[::-1])
+    with pytest.raises(CheckpointError, match="unknown.*active"):
+        restore_state(_resigned(payload), model, 6)
 
-    from streamgate.detector import _payload_checksum
 
-    body = {key: val for key, val in payload.items() if key != "checksum"}
-    return json.dumps({**body, "checksum": _payload_checksum(body)})
+@pytest.mark.parametrize("name", sorted(set(V1) - {"cli"}))
+def test_v1_fixture_restores_bit_exactly_and_rewrites_as_v2(name):
+    model, table, payload = _v1(name)
+    assert payload["format_version"] == 1
+    det = restore_state(V1[name]["checkpoint"], model, V1[name]["k"], table=table)
+    assert det.kind == V1[name]["mode"]
+    assert _sha(det.w.tobytes()) == V1[name]["w_sha256"]
+    assert _trace_sha(det.trace()) == V1[name]["trace_sha256"]
+    blob = checkpoint_state(det)
+    assert json.loads(blob)["format_version"] == CHECKPOINT_VERSION == 2
+    back = restore_state(blob, model, det.k, table=table)
+    assert back.w.tobytes() == det.w.tobytes()
+    assert back.trace().equals(det.trace())
+    assert checkpoint_state(back) == blob
 
 
 def _iid_checkpoint():
-    import json
-
+    """The state of fixture ``iid_t1`` (K=4, one observation), written now."""
     model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
     det = AdaptiveDetector(model, 0.3, 4)
     det.observe([0.1, 0.2, 0.3, 0.4])
@@ -597,18 +692,33 @@ def _iid_checkpoint():
 
 _TOP_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
                "n_streams", "streams", "active", "active_size", "lfnr", "extra"]
+_V2_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
+              "n_streams", "t_stop", "active_size", "lfnr", "arrays"]
+
+
+def _delete_or_retype(payload, field, change):
+    if change == "delete":
+        del payload[field]
+    else:  # another JSON type: strings become numbers, everything else a string
+        payload[field] = 7 if isinstance(payload[field], str) else "7"
+    return payload
 
 
 @pytest.mark.parametrize("change", ["delete", "retype"])
 @pytest.mark.parametrize("field", _TOP_FIELDS)
 def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
-    model, payload = _iid_checkpoint()
-    if change == "delete":
-        del payload[field]
-    else:  # another JSON type: strings become numbers, everything else a string
-        payload[field] = 7 if isinstance(payload[field], str) else "7"
+    model, _, payload = _v1("iid_t1")
     with pytest.raises(CheckpointError):
-        restore_state(_resigned(payload), model, 4)
+        restore_state(_resigned(_delete_or_retype(payload, field, change)), model, 4)
+
+
+@pytest.mark.parametrize("change", ["delete", "retype"])
+@pytest.mark.parametrize("field", _V2_FIELDS)
+def test_checkpoint_v2_schema_errors_are_checkpoint_errors(field, change):
+    model, payload = _iid_checkpoint()
+    assert restore_state(_resigned(payload), model, 4).t == 1
+    with pytest.raises(CheckpointError):
+        restore_state(_resigned(_delete_or_retype(payload, field, change)), model, 4)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -629,33 +739,158 @@ def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
         "t_stop-float", "stopped-but-active", "lfnr", "no-arrays", "short-array",
         "unknown-array", "array-type"])
 def test_checkpoint_bad_values_are_checkpoint_errors(field, value):
+    model, _, payload = _v1("iid_t1")
+    payload[field] = value
+    with pytest.raises(CheckpointError):
+        restore_state(_resigned(payload), model, 4)
+
+
+_NO_STOP = _pack(np.full(4, -1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("phase", "bogus"),
+    ("t", -1),
+    ("t", 0),
+    ("t_stop", _pack(np.array([2, -1, -1, -1]))),
+    ("t_stop", _pack(np.array([-5, -1, -1, -1]))),
+    ("t_stop", _pack(np.full(4, -1.0))),
+    ("t_stop", _pack(np.array([1, -1, -1, -1]))),
+    ("t_stop", _pack(np.full(5, -1))),
+    ("t_stop", _pack(np.full((4, 1), -1))),
+    ("t_stop", {**_NO_STOP, "data": "not base64!"}),
+    ("t_stop", {**_NO_STOP, "shape": [5]}),
+    ("t_stop", {**_NO_STOP, "dtype": "<i4"}),
+    ("t_stop", {**_NO_STOP, "shape": [-4]}),
+    ("t_stop", {**_NO_STOP, "shape": 4}),
+    ("t_stop", {"dtype": "<i8", "shape": [4]}),
+    ("t_stop", {**_NO_STOP, "data": 7}),
+    ("active_size", _pack(np.array([4.0]))),
+    ("lfnr", _pack(np.array([5]))),
+    ("lfnr", _pack(np.array([0.0, 0.0]))),
+    ("arrays", {}),
+    ("arrays", {"log_odds": _pack(np.full(3, -np.inf))}),
+    ("arrays", {"log_odds": _pack(np.full(4, -np.inf)), "acc": _pack(np.zeros(0))}),
+    ("arrays", {"log_odds": 5}),
+    ("arrays", {"log_odds": _pack(np.full(4, -np.inf)) | {"dtype": "<f2"}}),
+], ids=["phase", "t", "t-zero-select", "t_stop-after-t", "t_stop-negative",
+        "t_stop-float", "stopped-but-active", "t_stop-long", "t_stop-2d", "bad-base64",
+        "size-disagrees-with-shape", "unknown-dtype", "negative-shape", "shape-type",
+        "no-data", "data-type", "active_size-float", "lfnr-int", "lfnr-long",
+        "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype"])
+def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
     model, payload = _iid_checkpoint()
     payload[field] = value
     with pytest.raises(CheckpointError):
         restore_state(_resigned(payload), model, 4)
 
 
+def _with_history(payload, t_stop, active_size, lfnr):
+    """``payload`` with these stop times, active counts and LFNRs, in its
+    format (a format-1 ``active`` follows the stop times)."""
+    if payload["format_version"] == 1:
+        for rec, v in zip(payload["streams"], t_stop):
+            rec["t_stop"] = int(v)
+        payload["active"] = np.flatnonzero(np.asarray(t_stop) < 0).tolist()
+        payload["active_size"] = [int(v) for v in active_size]
+        payload["lfnr"] = [float.hex(float(v)) for v in lfnr]
+    else:
+        payload.update(t_stop=_pack(t_stop), active_size=_pack(active_size),
+                       lfnr=_pack(np.asarray(lfnr, dtype=float)))
+    return payload
+
+
+@pytest.mark.parametrize("case, match", [
+    ("stop-after-t", "stop times"),
+    ("stop-at-zero", "stop times"),
+    ("stop-below-minus-one", "stop times"),
+    ("lengths-differ", "entries"),
+    ("both-too-long", "entries"),
+    ("both-too-short", "entries"),
+    ("last-count", "the last count"),
+])
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_inconsistent_history_is_refused(version, case, match):
+    # fixture ``adaptive``: K=6 at t=3 (phase observe), stream 3 stopped at t=3
+    model, _, payload = _v1("adaptive")
+    det = restore_state(V1["adaptive"]["checkpoint"], model, 6)
+    if version == 2:
+        payload = json.loads(checkpoint_state(det))
+    trace = det.trace()
+    t_stop, sizes, lfnr = trace.t_stop, trace.active_size, trace.realized_lfnr
+    stopped = t_stop >= 0
+    assert det.t == 3 and stopped.sum() == 1 and len(sizes) == 4
+    if case == "stop-after-t":
+        t_stop = np.where(stopped, 99, -1)
+    elif case == "stop-at-zero":
+        t_stop = np.where(stopped, 0, -1)
+    elif case == "stop-below-minus-one":
+        t_stop = np.where(stopped, -2, -1)
+    elif case == "lengths-differ":
+        sizes = np.full(7, 6)
+        lfnr = lfnr[:1]
+    elif case == "both-too-long":
+        sizes, lfnr = np.append(sizes, sizes[-1]), np.append(lfnr, lfnr[-1])
+    elif case == "both-too-short":
+        sizes, lfnr = sizes[:-1], lfnr[:-1]
+    else:
+        sizes = np.append(sizes[:-1], sizes[-1] + 1)
+    with pytest.raises(CheckpointError, match=match):
+        restore_state(_resigned(_with_history(payload, t_stop, sizes, lfnr)), model, 6)
+
+
+def _misshapen(value, version):
+    """Each way to drop the last entry of a backend array, or give a scalar an axis."""
+    if version == 1:
+        return value[:-1] if isinstance(value, list) else [value]
+    a = _unpack(value)
+    return _pack(a[:-1] if a.ndim else a[None])
+
+
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
 def test_checkpoint_refuses_misshapen_backend_arrays(kind):
-    import json
-
-    if kind == "tabular":
-        model, k = conflicting_priors_model(), 4
-    elif kind == "adaptive":
-        model, k = IIDModel(GeometricPrior(0.1), GaussianShift(1.0)), 6
-    else:
-        model, k = PartialDepModel(GeometricPrior(0.1), 0.5 if kind == "partial" else 1.0,
-                                   GaussianShift(1.0)), 6
-    det = (DependentDetector if kind == "dependent" else AdaptiveDetector)(model, 0.3, k)
-    rng = np.random.default_rng(3)
-    tau = model.sample_change_points(k, rng)
-    for t in range(1, 4):
-        det.observe(model.sample_step(t, tau, rng)[det.active])
-        det.deactivate()
-    payload = json.loads(checkpoint_state(det))
-    assert restore_state(_resigned(payload), model, k).w.tobytes() == det.w.tobytes()
+    model, _, payload = _v1(kind)
+    k = V1[kind]["k"]
+    assert _sha(restore_state(_resigned(payload), model, k).w.tobytes()) == \
+        V1[kind]["w_sha256"]
     for name, value in payload["extra"].items():
         bad = json.loads(json.dumps(payload))
-        bad["extra"][name] = value[:-1] if isinstance(value, list) else [value]
+        bad["extra"][name] = _misshapen(value, 1)
         with pytest.raises(CheckpointError, match="posterior state"):
             restore_state(_resigned(bad), model, k)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
+def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
+    model, _, _ = _v1(kind)
+    k = V1[kind]["k"]
+    det = restore_state(V1[kind]["checkpoint"], model, k)
+    payload = json.loads(checkpoint_state(det))
+    assert sorted(payload["arrays"]) == sorted(json.loads(V1[kind]["checkpoint"])["extra"])
+    assert restore_state(_resigned(payload), model, k).w.tobytes() == det.w.tobytes()
+    for name, value in payload["arrays"].items():
+        a = _unpack(value)
+        # an entry dropped, or a non-square array transposed (the same size)
+        transposed = [_pack(a.T)] if a.ndim == 2 and a.shape[0] != a.shape[1] else []
+        for wrong in [_misshapen(value, 2)] + transposed:
+            bad = json.loads(json.dumps(payload))
+            bad["arrays"][name] = wrong
+            with pytest.raises(CheckpointError, match="posterior state"):
+                restore_state(_resigned(bad), model, k)
+
+
+def test_checkpoint_v2_stays_under_32_bytes_per_stream():
+    # K=20 000 after 10 steps; format 1 took about 107 bytes per stream, so
+    # a per-stream record creeping back shows here
+    model = IIDModel(GeometricPrior(0.01), GaussianShift(1.0))
+    k = 20_000
+    rng = np.random.default_rng(20)
+    tau = model.sample_change_points(k, rng)
+    det = AdaptiveDetector(model, 0.05, k)
+    for t in range(1, 11):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+    assert det.n_active < k
+    blob = checkpoint_state(det)
+    assert len(blob.encode()) < 32 * k
+    assert restore_state(blob, model, k).w.tobytes() == det.w.tobytes()

@@ -401,18 +401,47 @@ def test_partial_dep_checkpoint_keeps_only_live_rows():
         if det.t:
             det.deactivate()
         det.observe(x[det.active])
-    extra = json.loads(checkpoint_state(det))["extra"]
-    assert "cum" not in extra
-    assert len(extra["history"]) == det.n_active < 30
-    assert {len(row) for row in extra["history"]} == {det.t + 1}
-    assert len(extra["acc"]) == det.t
+    arrays = json.loads(checkpoint_state(det))["arrays"]
+    assert "cum" not in arrays
+    assert arrays["history"]["shape"] == [det.n_active, det.t + 1]
+    assert det.n_active < 30
+    assert arrays["acc"]["shape"] == [det.t]
+    assert arrays["stopped_at"]["shape"] == arrays["frozen_w"]["shape"] == [30]
+
+
+def _resigned(payload):
+    import json
+
+    from streamgate.detector import _payload_checksum
+
+    body = {key: val for key, val in payload.items() if key != "checksum"}
+    return json.dumps({**body, "checksum": _payload_checksum(body)})
 
 
 @pytest.mark.parametrize("field", ["history", "acc"])
 def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
+    # fixture ``partial_t14``: a format-1 blob of ``_partial_run`` after 14 steps
+    import json
+    from pathlib import Path
+
+    from streamgate.detector import CheckpointError
+
+    fx = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json")
+                    .read_text())["partial_t14"]
+    model, _ = _partial_run()
+    assert fx["model"] == {"kind": "partial", "theta": 0.15, "eta": 0.5, "mu": 1.0}
+    payload = json.loads(fx["checkpoint"])
+    assert restore_state(_resigned(payload), model, 30).t == 14
+    payload["extra"][field].pop()
+    with pytest.raises(CheckpointError, match="partially dependent"):
+        restore_state(_resigned(payload), model, 30)
+
+
+@pytest.mark.parametrize("field", ["history", "acc"])
+def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
     import json
 
-    from streamgate.detector import CheckpointError, _payload_checksum
+    from streamgate.detector import CheckpointError, _pack, _unpack
 
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
@@ -421,11 +450,9 @@ def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
             det.deactivate()
         det.observe(x[det.active])
     payload = json.loads(checkpoint_state(det))
-    payload["extra"][field].pop()
-    del payload["checksum"]
-    payload["checksum"] = _payload_checksum(payload)
+    payload["arrays"][field] = _pack(_unpack(payload["arrays"][field])[:-1])
     with pytest.raises(CheckpointError, match="partially dependent"):
-        restore_state(json.dumps(payload), model, 30)
+        restore_state(_resigned(payload), model, 30)
 
 
 def test_partial_dep_legacy_cum_checkpoint_resumes():
