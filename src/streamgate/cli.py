@@ -26,9 +26,10 @@ recoverable from the initial universe and the cumulative ``dropped``
 ids.
 
 ``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``;
-format 1 is still read) is resumed from and saved at exit, and with
-``--checkpoint-every N`` also at t = N, 2N, ...  It is replaced atomically
-(``<path>.tmp``, then renamed): a failed write leaves the previous one intact.
+format 1 is still read) is resumed from, and saved after every selection,
+so a run that fails mid-way keeps the state of its last complete step.  It
+is replaced atomically (``<path>.tmp``, then renamed): a failed write
+leaves the previous one intact.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.  A corrupt or truncated checkpoint, a bad or non-finite cell,
@@ -303,9 +304,6 @@ def _cmd_detect(args) -> int:
             raise UsageError("threshold mode needs --table")
         table = calibrate_mod.read_threshold_table(table_path)
 
-    every = args.checkpoint_every
-    if every is not None and (every < 1 or not args.checkpoint):
-        raise UsageError("--checkpoint-every needs a --checkpoint path and N >= 1")
     groups = _group_by_time(_iter_rows(args.input))
     try:
         first_t, first_obs, first_row = next(groups)
@@ -341,10 +339,6 @@ def _cmd_detect(args) -> int:
     id_pos = {sid: i for i, sid in enumerate(ids)}
     report_rows = []
 
-    def save_checkpoint():
-        payload = {"external_ids": ids, "state": checkpoint_state(det)}
-        _write_atomic(args.checkpoint, json.dumps(payload))
-
     def process(t, obs, row_no):
         nonlocal discarded
         expected = det.t + 1
@@ -370,8 +364,9 @@ def _cmd_detect(args) -> int:
             float(w_active.max()) if w_active.size else math.nan,
             " ".join(str(ids[i]) for i in dropped),
         ))
-        if every and det.t % every == 0:
-            save_checkpoint()
+        if args.checkpoint:
+            _write_atomic(args.checkpoint, json.dumps(
+                {"external_ids": ids, "state": checkpoint_state(det)}))
 
     process(first_t, first_obs, first_row)
     for t, obs, row_no in groups:
@@ -398,8 +393,6 @@ def _cmd_detect(args) -> int:
             for row in report_rows:
                 fh.write(f"{row[0]},{row[1]},{row[2]!r},{row[3]!r},{row[4]!r},"
                          f"{row[5]}\n")
-    if args.checkpoint:
-        save_checkpoint()
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)
@@ -618,9 +611,8 @@ def build_parser() -> _Parser:
     det.add_argument("--input", "-i", required=True, help="file or - for stdin")
     det.add_argument("--out", "-o", required=True, help="stopping-time table CSV")
     det.add_argument("--report", help="per-step report CSV")
-    det.add_argument("--checkpoint", help="resume from / save to this path")
-    det.add_argument("--checkpoint-every", type=int, metavar="N",
-                     help="also save the checkpoint after every N-th selection")
+    det.add_argument("--checkpoint",
+                     help="resume from / save to this path after every selection")
     det.add_argument("--alpha")
     det.add_argument("--mode", help="adaptive | threshold | dependent")
     det.add_argument("--table", help="threshold table CSV (threshold mode)")

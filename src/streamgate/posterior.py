@@ -55,8 +55,12 @@ NEG_INF = -math.inf
 
 
 def _shaped(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
-    """``value`` as a new ``dtype`` array, refused unless it has ``shape``."""
-    a = np.array(value, dtype=dtype)
+    """``value`` as a new ``dtype`` array, refused unless it has ``shape``
+    and, for ``int``, holds integers (floats are refused, not truncated)."""
+    a = np.array(value)
+    if dtype is int and a.dtype.kind not in "iu":
+        raise TypeError(f"{name} holds {a.dtype} values, expected integers")
+    a = a.astype(dtype, copy=False)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     return a

@@ -455,6 +455,38 @@ def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
         restore_state(_resigned(payload), model, 30)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_partial_dep_checkpoint_with_float_stop_times_is_refused(version):
+    # a float stop time must be refused: truncated, it restores another
+    # fold time and wrong posteriors
+    import json
+    from pathlib import Path
+
+    from streamgate.detector import CheckpointError, _pack, _unpack
+
+    model, data = _partial_run()
+    if version == 1:
+        payload = json.loads(json.loads(
+            (Path(__file__).parent / "data" / "checkpoints_v1.json")
+            .read_text())["partial_t14"]["checkpoint"])
+        stopped_at, arrays = np.array(payload["extra"]["stopped_at"]), payload["extra"]
+    else:
+        det = AdaptiveDetector(model, 0.2, 30)
+        for x in data[:14]:
+            if det.t:
+                det.deactivate()
+            det.observe(x[det.active])
+        payload = json.loads(checkpoint_state(det))
+        stopped_at, arrays = _unpack(payload["arrays"]["stopped_at"]), payload["arrays"]
+    assert restore_state(_resigned(payload), model, 30).t == 14
+    assert np.any((stopped_at >= 2) & (stopped_at < 14))
+    bumped = np.where(stopped_at >= 2, stopped_at + 0.5, stopped_at)
+    arrays["stopped_at"] = ([float.hex(float(v)) for v in bumped] if version == 1
+                            else _pack(bumped))
+    with pytest.raises(CheckpointError, match="integers"):
+        restore_state(_resigned(payload), model, 30)
+
+
 def test_partial_dep_legacy_cum_checkpoint_resumes():
     # ``checkpoint_state`` of the earlier every-stream form, taken after the
     # selection at t=12 of an observe/deactivate run over the stored rows
