@@ -8,6 +8,11 @@ observation and once after the selection.  The final decision trace is
 stored whole.  The fixture pins exact bits: a change to the posterior
 arithmetic, the selection rule or the checkpoint encoding shows here.
 
+Under ``outputs`` it also pins the sha256 of whole output files: a
+calibrated threshold table, a ``simulate`` metrics CSV (the same bytes at
+``--threads`` 1 and 3), and the ``--out``, ``--report`` and checkpoint
+files of a ``detect`` run that drops streams.
+
 Regenerate the fixture only when a change of bits is intended:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -15,11 +20,13 @@ Regenerate the fixture only when a change of bits is intended:
 import hashlib
 import json
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
-from streamgate.calibrate import calibrate_thresholds
+from streamgate.calibrate import calibrate_thresholds, write_threshold_table
+from streamgate.cli import main
 from streamgate.detector import (AdaptiveDetector, DependentDetector,
                                  ThresholdDetector, checkpoint_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
@@ -72,6 +79,33 @@ def _record(name) -> dict:
     }
 
 
+def _outputs() -> dict:
+    """sha256 of each output file of small calibrate, simulate and detect runs."""
+    iid = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        write_threshold_table(
+            calibrate_thresholds(0.05, GaussianShift(1.0), 0.1, 1000, 15, seed=3),
+            out / "table.csv")
+        for threads in ("1", "3"):
+            assert main(["simulate", *iid, "--k", "30", "--alpha", "0.05",
+                         "--horizon", "25", "--reps", "12", "--seed", "4",
+                         "--threads", threads, "--out", str(out / f"sim{threads}.csv")]) == 0
+        model, det, horizon, seed = _case("iid_adaptive")
+        rng = np.random.default_rng(seed)
+        tau = model.sample_change_points(det.k, rng)
+        lines = ["t," + ",".join(str(2 * i + 1) for i in range(det.k))]
+        lines += [f"{t}," + ",".join(map(repr, model.sample_step(t, tau, rng).tolist()))
+                  for t in range(1, horizon + 1)]
+        (out / "obs.csv").write_text("\n".join(lines) + "\n")
+        assert main(["detect", *iid, "--alpha", "0.1", "--input", str(out / "obs.csv"),
+                     "--out", str(out / "stops.csv"), "--report", str(out / "report.csv"),
+                     "--checkpoint", str(out / "ck.json")]) == 0
+        return {name: _sha((out / name).read_bytes())
+                for name in ("table.csv", "sim1.csv", "sim3.csv", "stops.csv",
+                             "report.csv", "ck.json")}
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_golden_bits(name):
     want = json.loads(FIXTURE.read_text())[name]
@@ -83,6 +117,14 @@ def test_golden_bits(name):
     assert got == want
 
 
+def test_golden_output_files(capsys):
+    want = json.loads(FIXTURE.read_text())["outputs"]
+    got = _outputs()
+    assert got["sim1.csv"] == got["sim3.csv"]
+    assert got == want
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({name: _record(name) for name in CASES},
+    FIXTURE.write_text(json.dumps({**{name: _record(name) for name in CASES},
+                                   "outputs": _outputs()},
                                   indent=1, sort_keys=True) + "\n")
