@@ -5,12 +5,14 @@ largest retained posterior) converges to a deterministic sequence; a
 detector can then simply keep streams whose posterior is at or below the
 precomputed threshold.  No closed form exists for the thresholds, so they
 are estimated by running the production adaptive detector on a large
-simulated homogeneous ensemble and recording, at each time,
+simulated homogeneous ensemble and keeping, from the
+:class:`~streamgate.detector.Selection` record of each step,
 
-* the largest retained posterior (the plug-in threshold estimate,
-  reported as 1.0 at steps where nothing was deactivated),
-* the surviving fraction of streams, and
-* the mean retained posterior (the realized LFNR).
+* its ``cutoff``, the largest retained posterior (the plug-in threshold
+  estimate: 1.0 at steps where nothing was deactivated, 0.0 once nothing
+  is retained),
+* its ``n_active`` as the surviving fraction of streams, and
+* its ``lfnr``, the mean retained posterior (the realized LFNR).
 
 In this large-ensemble limit the realized LFNR has a closed form: below a
 critical time ``log(1-alpha)/log(1-theta)`` no deactivation is needed and
@@ -65,32 +67,16 @@ def calibrate_thresholds(theta: float, obs_model, alpha: float, n_streams: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tau = model.sample_change_points(n_streams, rng)
     det = AdaptiveDetector(model, alpha, n_streams)
-
-    lam = np.empty(horizon)
-    survival = np.empty(horizon)
-    retained = np.empty(horizon)
+    steps = []
     for t in range(1, horizon + 1):
-        x = model.sample_step(t, tau, rng)
-        det.observe(x[det.active])
-        dropped = det.deactivate()
-        if dropped.size == 0:
-            lam[t - 1] = 1.0
-        elif det.n_active:
-            lam[t - 1] = det.w[det.active].max()
-        else:
-            lam[t - 1] = 0.0
-        survival[t - 1] = det.n_active / n_streams
-        retained[t - 1] = det.w[det.active].mean() if det.n_active else 0.0
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+        steps.append(det.last)
     return ThresholdTable(
-        thresholds=lam,
-        theta=theta,
-        alpha=alpha,
-        n_streams=n_streams,
-        seed=seed,
-        model_fingerprint=model.fingerprint(),
-        survival_frac=survival,
-        retained_mean=retained,
-    )
+        thresholds=np.array([s.cutoff for s in steps]), theta=theta, alpha=alpha,
+        n_streams=n_streams, seed=seed, model_fingerprint=model.fingerprint(),
+        survival_frac=np.array([s.n_active for s in steps]) / n_streams,
+        retained_mean=np.array([s.lfnr for s in steps]))
 
 
 def write_threshold_table(table: ThresholdTable, path) -> None:

@@ -356,14 +356,13 @@ def _cmd_detect(args) -> int:
         discarded += len(obs) - len(active_ids)
         det.observe(np.asarray([obs[sid] for sid in active_ids]))
         w_active = det.w[det.active]
-        dropped = det.deactivate()
-        report_rows.append((
-            t, det.n_active,
-            det.last_lfnr,
-            float(w_active.min()) if w_active.size else math.nan,
-            float(w_active.max()) if w_active.size else math.nan,
-            " ".join(str(ids[i]) for i in dropped),
-        ))
+        det.deactivate()
+        step = det.last
+        if args.report:
+            w_min, w_max = ((float(w_active.min()), float(w_active.max()))
+                            if w_active.size else (math.nan, math.nan))
+            report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
+                               f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if args.checkpoint:
             _write_atomic(args.checkpoint, json.dumps(
                 {"external_ids": ids, "state": checkpoint_state(det)}))
@@ -390,9 +389,7 @@ def _cmd_detect(args) -> int:
         with open(args.report, "w") as fh:
             fh.write("\n".join(meta_lines) + "\n")
             fh.write("t,n_active,lfnr,w_min,w_max,dropped\n")
-            for row in report_rows:
-                fh.write(f"{row[0]},{row[1]},{row[2]!r},{row[3]!r},{row[4]!r},"
-                         f"{row[5]}\n")
+            fh.writelines(report_rows)
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)

@@ -23,10 +23,15 @@ Detectors alternate ``observe(x)`` (ingest one observation per active
 stream, advancing the posteriors) and ``deactivate()`` (the
 F_t-measurable selection of the next active set).  ``step(x)`` wraps the
 pair for full-row feeds, discarding columns of streams that were just
-dropped.  The detectors differ only in their selection: the posterior
-belongs to a backend from :mod:`streamgate.posterior`, picked once by
-model (:meth:`_DetectorBase._backend`), which the detector drives through
-the backend protocol without knowing the model.  :func:`make_detector`
+dropped.  Each selection's facts are derived once, in ``deactivate()``,
+into a :class:`Selection` record, ``det.last``: the time, the active
+count, the realized cutoff lambda_t, the realized LFNR and the dropped
+streams.  Calibration, the replication engine and the CLI's per-step
+report read it; a restored detector has none until its next selection.
+The detectors differ only in their selection: the posterior belongs to a
+backend from :mod:`streamgate.posterior`, picked once by model
+(:meth:`_DetectorBase._backend`), which the detector drives through the
+backend protocol without knowing the model.  :func:`make_detector`
 builds a detector by kind name.  A detector can be checkpointed to a text
 blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
 decision trace.  Format 2 is a checksummed JSON header plus each array once
@@ -165,6 +170,24 @@ class ThresholdTable:
                 f"threshold table was calibrated at alpha={self.alpha}, run uses {alpha}")
 
 
+@dataclass(frozen=True)
+class Selection:
+    """The facts of one selection, derived once by ``deactivate()``.
+
+    At time ``t``, ``n_active`` streams are kept and ``dropped`` (stream
+    indices) are deactivated.  ``lfnr`` is the mean retained posterior (0
+    for an empty set).  ``cutoff`` is the largest retained posterior: 1.0
+    when nothing was dropped and 0.0 when nothing was kept.  Under the
+    adaptive rule it is lambda_t whenever the step both drops and keeps.
+    """
+
+    t: int
+    n_active: int
+    cutoff: float
+    lfnr: float
+    dropped: np.ndarray
+
+
 @dataclass
 class DecisionTrace:
     """Outcome of one detection run.
@@ -217,6 +240,7 @@ class _DetectorBase:
         self._phase = "observe"
         self._active_size = [k]
         self._lfnr = [0.0]
+        self.last: Selection | None = None  # none until the first selection
 
     def _backend(self, t: int = 0, frozen=None, arrays: dict | None = None):
         """The posterior backend for the model: fresh, or rebuilt at time
@@ -256,11 +280,6 @@ class _DetectorBase:
     def n_active(self) -> int:
         return len(self.active)
 
-    @property
-    def last_lfnr(self) -> float:
-        """Realized LFNR behind the latest selection (``trace().realized_lfnr[-1]``)."""
-        return self._lfnr[-1]
-
     def observe(self, x) -> None:
         """Ingest one observation per active stream (aligned with .active)."""
         if self._phase != "observe":
@@ -278,7 +297,8 @@ class _DetectorBase:
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
-        """Select the next active set from current posteriors; returns dropped indices."""
+        """Select the next active set from current posteriors, record it as
+        :attr:`last`, and return the dropped indices."""
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
         w_active = self.w[self.active]
@@ -288,8 +308,12 @@ class _DetectorBase:
         if dropped.size:
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[~keep])
-        self._active_size.append(self.n_active)
-        self._lfnr.append(float(w_active[keep].mean()) if self.n_active else 0.0)
+        kept_w, n = w_active[keep], self.n_active
+        cutoff = 1.0 if not dropped.size else float(kept_w.max()) if n else 0.0
+        self.last = Selection(self.t, n, cutoff, float(kept_w.mean()) if n else 0.0,
+                              dropped)
+        self._active_size.append(n)
+        self._lfnr.append(self.last.lfnr)
         self._phase = "observe"
         return dropped
 

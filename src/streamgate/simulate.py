@@ -4,7 +4,8 @@ Runs many independent detection campaigns on simulated ensembles and
 aggregates, per time point,
 
 * FNP -- fraction of retained streams that have already changed,
-* realized LFNR -- mean retained posterior (what the detector controls),
+* realized LFNR -- mean retained posterior (what the detector controls,
+  read from its selection record ``det.last``),
 * FDP / LFDR -- the dual quantities over streams dropped at that step,
 * active count, cumulative utilization (observations collected),
 * pre-change run length and cumulative detections.
@@ -83,14 +84,6 @@ def fnp(active_next, tau, t: int) -> float:
     return float(np.count_nonzero(tau[active_next] < t)) / active_next.size
 
 
-def lfnr_realized(w_prev, active_next) -> float:
-    """Mean posterior over the retained set (0 for the empty set)."""
-    active_next = np.asarray(active_next, dtype=int)
-    if active_next.size == 0:
-        return 0.0
-    return float(np.asarray(w_prev, dtype=float)[active_next].mean())
-
-
 def fdp_lfdr(w_prev, dropped, tau, t: int) -> tuple[float, float]:
     """False discovery proportion and local FDR over streams dropped at this step."""
     dropped = np.asarray(dropped, dtype=int)
@@ -123,7 +116,7 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
             if dropped.size:
                 t_stop_eff[dropped] = det.t_stop[dropped]
             row[0] = fnp(det.active, tau, t - 1)
-            row[1] = lfnr_realized(w_prev, det.active)
+            row[1] = det.last.lfnr
             row[2], row[3] = fdp_lfdr(w_prev, dropped, tau, t - 1)
         active_t = det.n_active
         util += active_t

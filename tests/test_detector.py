@@ -16,6 +16,8 @@ from streamgate.detector import (CHECKPOINT_VERSION, AdaptiveDetector,
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
                               PartialDepModel, conflicting_priors_model)
 from streamgate.verify import brute_force_max_subset, feasible_prefix_size
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _case as _golden_case
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +456,37 @@ def test_w_evaluated_once_per_step(kind, monkeypatch):
         det.w[det.active].mean()
         steps += 1
     assert 0 < len(calls) <= steps
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_selection_record_matches_independent_derivations(name):
+    model, det, horizon, seed = _golden_case(name)
+    assert det.last is None
+    rng = np.random.default_rng(seed)
+    tau = model.sample_change_points(det.k, rng)
+    emptied = False
+    for t in range(1, horizon + 1):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        w_before = np.sort(det.w[det.active])
+        dropped = det.deactivate()
+        rec = det.last
+        assert rec.t == det.t == t
+        assert rec.n_active == len(det.active)
+        assert rec.lfnr == det.trace().realized_lfnr[-1]
+        assert np.array_equal(rec.dropped, dropped)
+        if not dropped.size:
+            assert rec.cutoff == 1.0
+        elif not det.n_active:
+            assert rec.cutoff == 0.0
+            emptied = True
+        else:
+            assert rec.cutoff == det.w[det.active].max()
+            if det.kind == "adaptive":  # lambda_t, the N*-th smallest posterior
+                assert rec.cutoff == w_before[rec.n_active - 1]
+    # the jointly dependent run drops every stream: the empty retained set
+    assert emptied or name != "dependent"
+    assert restore_state(checkpoint_state(det), model, det.k,
+                         getattr(det, "table", None)).last is None
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from streamgate.calibrate import calibrate_thresholds
 from streamgate.model import (INF, BernoulliPair, GaussianShift,
                               GeometricPrior, IIDModel, PartialDepModel,
                               conflicting_priors_model)
-from streamgate.simulate import (SimConfig, fdp_lfdr, fnp, lfnr_realized,
-                                 run_experiment, write_metrics_csv)
+from streamgate.simulate import (SimConfig, fdp_lfdr, fnp, run_experiment,
+                                 write_metrics_csv)
 from streamgate.verify import dp_optimality_report
 
 
@@ -22,12 +22,6 @@ def test_fnp_examples():
     # the comparison is strict: a change at exactly t does not count
     assert fnp([0, 1, 2], [4.0, 4.0, 4.0], 4) == 0.0
     assert fnp([0, 1, 2], [4.0, 4.0, 4.0], 5) == 1.0
-
-
-def test_lfnr_realized_examples():
-    assert lfnr_realized([0.0, 0.0, 0.0], [0, 1, 2]) == 0.0
-    assert lfnr_realized([0.02, 0.04], [0, 1]) == pytest.approx(0.03, abs=1e-15)
-    assert lfnr_realized([0.9, 0.9], []) == 0.0
 
 
 def test_fdp_lfdr_examples():
