@@ -367,29 +367,31 @@ def _cmd_detect(args) -> int:
             _write_atomic(args.checkpoint, json.dumps(
                 {"external_ids": ids, "state": checkpoint_state(det)}))
 
-    process(first_t, first_obs, first_row)
-    for t, obs, row_no in groups:
-        process(t, obs, row_no)
+    def header(t_final):
+        return (f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={t_final}\n"
+                f"# model={model.fingerprint()}\n")
 
-    meta_lines = [
-        f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={det.t}",
-        f"# model={model.fingerprint()}",
-    ]
+    try:
+        process(first_t, first_obs, first_row)
+        for t, obs, row_no in groups:
+            process(t, obs, row_no)
+    finally:
+        # a failed run still reports the steps it completed, as a clean run
+        # over exactly those steps would; a restored detector has no record yet
+        if args.report and det.last is not None:
+            with open(args.report, "w") as fh:
+                fh.write(header(det.last.t) + "t,n_active,lfnr,w_min,w_max,dropped\n")
+                fh.writelines(report_rows)
+
     trace = det.trace()
     with open(args.out, "w") as fh:
-        fh.write("\n".join(meta_lines) + "\n")
-        fh.write("stream,t_stop,censored\n")
+        fh.write(header(det.t) + "stream,t_stop,censored\n")
         for i, sid in enumerate(ids):
             stopped = trace.t_stop[i]
             if stopped < 0:
                 fh.write(f"{sid},{trace.t_final},1\n")
             else:
                 fh.write(f"{sid},{stopped},0\n")
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write("\n".join(meta_lines) + "\n")
-            fh.write("t,n_active,lfnr,w_min,w_max,dropped\n")
-            fh.writelines(report_rows)
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)

@@ -145,9 +145,16 @@ def test_detect_threshold_table_past_its_horizon_is_a_data_error(tmp_path, capsy
     _write_ndjson(data, _jump_rows(horizon=3))
     code, _, err = _run(capsys, "detect", "--input", str(data),
                         "--out", str(tmp_path / "o.csv"), *_IID_ALPHA,
-                        "--mode", "threshold", "--table", str(table))
+                        "--mode", "threshold", "--table", str(table),
+                        "--report", str(tmp_path / "r3.csv"))
     assert code == 2
     assert "data error" in err and "t=1..2" in err and "t=3" in err
+    # t=3 was observed but not selected: the report covers t=1..2 only
+    _write_ndjson(data, _jump_rows(horizon=3)[:-4])
+    assert _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o.csv"),
+                *_IID_ALPHA, "--mode", "threshold", "--table", str(table),
+                "--report", str(tmp_path / "r2.csv"))[0] == 0
+    assert (tmp_path / "r3.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
 def test_detect_report_reads_lfnr_without_copying_the_trace(tmp_path, capsys,
@@ -347,14 +354,20 @@ def test_detect_checkpoint_survives_a_bad_cell(tmp_path, capsys):
     assert min(stops) <= 15 < max(stops)
 
     ck = tmp_path / "ck.json"
-    code, _, err = detect("crash", range(1, 25), "--checkpoint", str(ck), bad_at=17)
+    code, _, err = detect("crash", range(1, 25), "--checkpoint", str(ck),
+                          "--report", str(tmp_path / "crash.rep"), bad_at=17)
     assert code == 2 and "data error" in err
     # a step runs once the first row of the next one is read, so the bad
     # row at t=17 stops the run before t=16: the checkpoint holds t=15
     assert json.loads(json.loads(ck.read_text())["state"])["t"] == 15
-    # the same bytes as the checkpoint a clean run over t=1..15 leaves
-    assert detect("first", range(1, 16), "--checkpoint", str(tmp_path / "ck15.json"))[0] == 0
+    # the same checkpoint and report bytes as a clean run over t=1..15 leaves
+    assert detect("first", range(1, 16), "--checkpoint", str(tmp_path / "ck15.json"),
+                  "--report", str(tmp_path / "first.rep"))[0] == 0
     assert ck.read_bytes() == (tmp_path / "ck15.json").read_bytes()
+    report = (tmp_path / "crash.rep").read_bytes()
+    assert b"t_final=15" in report and report.splitlines()[-1].startswith(b"15,")
+    assert report == (tmp_path / "first.rep").read_bytes()
+    assert not (tmp_path / "crash.out").exists()
 
     assert detect("rest", range(16, 25), "--checkpoint", str(ck))[0] == 0
     assert (tmp_path / "rest.out").read_bytes() == (tmp_path / "full.out").read_bytes()
