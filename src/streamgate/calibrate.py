@@ -96,32 +96,47 @@ def write_threshold_table(table: ThresholdTable, path) -> None:
 
 
 def read_threshold_table(path) -> ThresholdTable:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read a table written by :func:`write_threshold_table`.
+
+    A malformed file raises ValueError naming the file, and the row for a
+    bad row: missing or bad ``theta``/``alpha``/``n``/``seed``/``model``
+    metadata, a row without exactly four cells, a cell that is not a
+    number, or a ``t`` column other than 1..n in order.  The survival and
+    retained-mean cells may be empty, in every row or in none.
+    """
     meta: dict[str, str] = {}
     rows = []
-    for ln in lines:
-        if not ln:
-            continue
-        if ln.startswith("#"):
-            for tok in ln[1:].strip().split(" "):
-                if "=" in tok:
-                    key, val = tok.split("=", 1)
-                    meta[key] = val
-        elif ln != CSV_HEADER:
-            rows.append(ln.split(","))
+    with open(path) as fh:
+        for row_no, ln in enumerate(fh, start=1):
+            ln = ln.rstrip("\n")
+            if ln.startswith("#"):
+                meta.update(tok.split("=", 1) for tok in ln[1:].split() if "=" in tok)
+            elif ln and ln != CSV_HEADER:
+                cells = ln.split(",")
+                try:
+                    if len(cells) != 4:
+                        raise ValueError(f"expected 4 cells ({CSV_HEADER}), got {len(cells)}")
+                    if int(cells[0]) != len(rows) + 1:
+                        raise ValueError(f"expected t={len(rows) + 1}, got t={cells[0]}")
+                    blank = cells[2] == cells[3] == ""
+                    if rows and blank != (rows[0][1] is None):
+                        raise ValueError("survival_frac and retained_mean must be "
+                                         "given in every row or in none")
+                    rows.append((float(cells[1]), *((None, None) if blank
+                                                    else map(float, cells[2:]))))
+                except ValueError as exc:
+                    raise ValueError(f"{path} row {row_no}: {exc}") from None
     if not rows:
         raise ValueError(f"no threshold rows found in {path}")
-    lam = np.array([float(r[1]) for r in rows])
-    surv = np.array([float(r[2]) for r in rows]) if rows[0][2] else None
-    rmean = np.array([float(r[3]) for r in rows]) if rows[0][3] else None
-    return ThresholdTable(
-        thresholds=lam,
-        theta=float(meta["theta"]),
-        alpha=float(meta["alpha"]),
-        n_streams=int(meta["n"]),
-        seed=int(meta["seed"]),
-        model_fingerprint=meta["model"],
-        survival_frac=surv,
-        retained_mean=rmean,
-    )
+    lam, surv, rmean = zip(*rows)
+    try:
+        return ThresholdTable(
+            thresholds=np.array(lam), theta=float(meta["theta"]),
+            alpha=float(meta["alpha"]), n_streams=int(meta["n"]), seed=int(meta["seed"]),
+            model_fingerprint=meta["model"],
+            survival_frac=None if surv[0] is None else np.array(surv),
+            retained_mean=None if rmean[0] is None else np.array(rmean))
+    except KeyError as exc:
+        raise ValueError(f"{path}: metadata {exc} is missing") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -169,13 +169,14 @@ def _build_model(args, cfg: dict[str, str]):
 
 
 def _default_threads() -> int:
-    raw = os.environ.get("STREAMGATE_THREADS")
-    if raw is None:
-        return 1
+    raw = os.environ.get("STREAMGATE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"STREAMGATE_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,17 @@ def _write_atomic(path: str, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _read_table(args, cfg: dict[str, str], what: str):
+    """The ``--table`` file of a threshold ``what``; a malformed one is bad data."""
+    path = _resolved(args, cfg, "table", str)
+    if path is None:
+        raise UsageError(f"threshold {what} needs --table")
+    try:
+        return calibrate_mod.read_threshold_table(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+
+
 def _cmd_detect(args) -> int:
     cfg = _load_config(args.config, "detect")
     model = _build_model(args, cfg)
@@ -297,12 +309,7 @@ def _cmd_detect(args) -> int:
     if alpha is None:
         raise UsageError("detect needs alpha")
     mode = _resolved(args, cfg, "mode", str, "adaptive")
-    table = None
-    if mode == "threshold":
-        table_path = _resolved(args, cfg, "table", str)
-        if table_path is None:
-            raise UsageError("threshold mode needs --table")
-        table = calibrate_mod.read_threshold_table(table_path)
+    table = _read_table(args, cfg, "mode") if mode == "threshold" else None
 
     groups = _group_by_time(_iter_rows(args.input))
     try:
@@ -409,18 +416,13 @@ def _cmd_simulate(args) -> int:
     reps = _resolved(args, cfg, "reps", int)
     seed = _resolved(args, cfg, "seed", int, 0)
     procedure = _resolved(args, cfg, "procedure", str, "adaptive")
-    threads = args.threads
+    threads = _default_threads() if args.threads is None else args.threads
     if horizon is None and isinstance(model, IIDModel):
         # long enough to cover the full decay of the active count
         horizon = 200 if model.prior.theta >= 0.05 else 600
     if None in (k, alpha, horizon, reps):
         raise UsageError("simulate needs k, alpha, horizon, and reps")
-    table = None
-    if procedure == "threshold":
-        table_path = _resolved(args, cfg, "table", str)
-        if table_path is None:
-            raise UsageError("threshold procedure needs --table")
-        table = calibrate_mod.read_threshold_table(table_path)
+    table = _read_table(args, cfg, "procedure") if procedure == "threshold" else None
     try:
         config = simulate_mod.SimConfig(model=model, k=k, alpha=alpha,
                                         horizon=horizon, replications=reps,
@@ -628,7 +630,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed")
     sim.add_argument("--procedure", help="adaptive | threshold | dependent")
     sim.add_argument("--table", help="threshold table CSV (threshold procedure)")
-    sim.add_argument("--threads", type=int, default=_default_threads())
+    sim.add_argument("--threads", type=int)
     _add_model_flags(sim)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -146,7 +146,7 @@ class ThresholdTable:
         lam = np.asarray(self.thresholds, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("thresholds must be a nonempty 1-d sequence")
-        if np.any((lam < 0.0) | (lam > 1.0)):
+        if not np.all((lam >= 0.0) & (lam <= 1.0)):  # NaN fails too
             raise ValueError("thresholds must lie in [0, 1]")
         object.__setattr__(self, "thresholds", lam)
 

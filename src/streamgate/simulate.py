@@ -51,6 +51,8 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.procedure not in DETECTOR_KINDS:
             raise ValueError(f"unknown procedure {self.procedure!r}")
         if self.procedure == "threshold" and self.table is None:

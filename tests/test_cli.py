@@ -157,6 +157,43 @@ def test_detect_threshold_table_past_its_horizon_is_a_data_error(tmp_path, capsy
     assert (tmp_path / "r3.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
+def _no_metadata(lines):
+    return lines[1:]
+
+
+def _short_row(lines):
+    return lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:]
+
+
+def _bad_cell(lines):
+    t, _, rest = lines[4].split(",", 2)
+    return lines[:4] + [f"{t},abc,{rest}"] + lines[5:]
+
+
+def _unordered(lines):
+    return lines[:4] + [lines[5], lines[4]]
+
+
+@pytest.mark.parametrize("spoil, where", [
+    (_no_metadata, "'theta' is missing"), (_short_row, "row 5: expected 4 cells"),
+    (_bad_cell, "row 5: could not convert"), (_unordered, "row 5: expected t=2, got t=3"),
+], ids=["no-metadata", "short-row", "bad-cell", "unordered"])
+def test_malformed_threshold_table_is_a_data_error(tmp_path, capsys, spoil, where):
+    table = tmp_path / "table.csv"
+    assert _run(capsys, "calibrate", "--theta", "0.05", "--alpha", "0.05", "--mu", "1.0",
+                "--n", "1000", "--horizon", "3", "--seed", "1", "--out", str(table))[0] == 0
+    table.write_text("\n".join(spoil(table.read_text().splitlines())) + "\n")
+    data = tmp_path / "obs.ndjson"
+    _write_ndjson(data, _jump_rows(horizon=3))
+    for argv in (["detect", "--input", str(data), "--mode", "threshold"],
+                 ["simulate", "--k", "10", "--horizon", "3", "--reps", "2",
+                  "--procedure", "threshold"]):
+        code, _, err = _run(capsys, *argv, *_IID_ALPHA, "--table", str(table),
+                            "--out", str(tmp_path / "o.csv"))
+        assert code == 2 and "data error" in err
+        assert f"{table}" in err and where in err
+
+
 def test_detect_report_reads_lfnr_without_copying_the_trace(tmp_path, capsys,
                                                            monkeypatch):
     from streamgate.detector import _DetectorBase
@@ -542,6 +579,27 @@ def test_simulate_writes_metrics_and_is_deterministic(tmp_path, capsys):
     lfnr_col = header.index("mean_lfnr")
     for row in body[1:]:
         assert float(row.split(",")[lfnr_col]) <= 0.05 + 1e-12
+
+
+_SIM = ["simulate", *_IID_ALPHA, "--k", "10", "--horizon", "3", "--reps", "2"]
+
+
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_simulate_refuses_a_bad_thread_count(tmp_path, capsys, threads):
+    code, _, err = _run(capsys, *_SIM, "--threads", threads,
+                        "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and "usage error" in err and "threads" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_simulate_refuses_a_bad_threads_variable(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("STREAMGATE_THREADS", raw)
+    code, _, err = _run(capsys, *_SIM, "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and "usage error" in err
+    assert "STREAMGATE_THREADS" in err and repr(raw) in err
+    monkeypatch.setenv("STREAMGATE_THREADS", "2")
+    assert _run(capsys, *_SIM, "--out", str(tmp_path / "x.csv"))[0] == 0
 
 
 def test_simulate_rejects_bad_combo(tmp_path, capsys):

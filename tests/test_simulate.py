@@ -44,6 +44,12 @@ def _small_config(**kw):
     return SimConfig(**base)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sim_config_refuses_a_bad_thread_count(threads):
+    with pytest.raises(ValueError, match="threads"):
+        _small_config(threads=threads)
+
+
 def test_run_experiment_invariants():
     frame = run_experiment(_small_config())
     k = 40
