@@ -23,7 +23,12 @@ no gaps; observations for deactivated streams are discarded with a note.
 optionally a per-step report (``--report``) with columns
 ``t,n_active,lfnr,w_min,w_max,dropped``: the active set at any time is
 recoverable from the initial universe and the cumulative ``dropped``
-ids.
+ids.  ``n_active``, ``lfnr`` and ``dropped`` come from the detector's
+selection record (``det.last``); ``w_min``/``w_max`` span the active
+set's posteriors before the selection.  ``--out`` is written only when a
+run ends cleanly.  The report is also written when a run fails after at
+least one completed step: it then holds the bytes a clean run over
+exactly those steps writes, its ``t_final`` the last completed step.
 
 ``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``;
 format 1 is still read) is resumed from, and saved after every selection,
@@ -33,13 +38,15 @@ leaves the previous one intact.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.  A corrupt or truncated checkpoint, a bad or non-finite cell,
-and input running past a threshold table's horizon are data errors;
-resuming with an alpha or mode other than the checkpoint's is a usage
-error.
+input running past a threshold table's horizon, and a malformed threshold
+table (missing metadata, a row of the wrong width, a bad cell, a ``t``
+column other than 1..n) are data errors; resuming with an alpha or mode
+other than the checkpoint's is a usage error.
 All randomness flows from ``--seed``; per-replication substreams
 are spawned from it.  ``--threads`` caps worker parallelism (the
 ``STREAMGATE_THREADS`` environment variable overrides the default of 1);
-outputs are byte-identical for every thread count.
+a count below 1, from either, is a usage error.  Outputs are
+byte-identical for every thread count.
 """
 
 from __future__ import annotations
