@@ -371,8 +371,8 @@ def _cmd_detect(args) -> int:
         det.observe(np.asarray([obs[sid] for sid in active_ids]))
         w_active = det.w[det.active]
         det.deactivate()
-        step = det.last
         if args.report:
+            step = det.last
             w_min, w_max = ((float(w_active.min()), float(w_active.max()))
                             if w_active.size else (math.nan, math.nan))
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
