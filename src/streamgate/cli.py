@@ -206,9 +206,15 @@ def _iter_rows(path: str):
                     continue
                 try:
                     rec = json.loads(line)
-                    yield row_no, int(rec["t"]), int(rec["stream"]), float(rec["x"])
-                except (KeyError, ValueError, TypeError) as exc:
+                    t, sid, x = rec["t"], rec["stream"], rec["x"]
+                    # JSON numbers only, never truncated: 2.9, true and "2" are refused
+                    if type(t) is not int or type(sid) is not int or type(x) not in (int, float):
+                        raise TypeError("t and stream must be JSON integers and x a JSON "
+                                        f"number, got t={t!r}, stream={sid!r}, x={x!r}")
+                    x = float(x)
+                except (KeyError, ValueError, TypeError, OverflowError) as exc:
                     raise DataError(f"row {row_no}: bad NDJSON record ({exc})") from exc
+                yield row_no, t, sid, x
                 row_no += 1
             return
         header = [h.strip() for h in first.strip().split(",")]

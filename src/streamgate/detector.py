@@ -7,8 +7,8 @@ of already-changed streams among those kept active.
 
 * :func:`one_step_rule` -- the core selection: the largest set whose mean
   posterior is at most ``alpha``.  Sorted prefix means never decrease, so
-  it is a cutoff rule: keep posteriors below lambda_t, the N*-th smallest
-  one, and the smallest-index ties at lambda_t.
+  it is a cutoff rule: keep posteriors at most lambda_t, the N*-th smallest
+  one, less the largest-index ties at lambda_t beyond N*.
 * :class:`AdaptiveDetector` -- applies the one-step rule every period on
   the current posteriors (the procedure whose stream utilization is
   maximal among all LFNR-controlling procedures under the homogeneous
@@ -23,12 +23,20 @@ Detectors alternate ``observe(x)`` (ingest one observation per active
 stream, advancing the posteriors) and ``deactivate()`` (the
 F_t-measurable selection of the next active set).  ``step(x)`` wraps the
 pair for full-row feeds, discarding columns of streams that were just
-dropped.  Each selection's facts are derived once, in ``deactivate()``,
+dropped.  Every detector selects on one path: ``deactivate()`` keeps the
+active streams with ``w <= cutoff``, and a detector supplies only the
+cutoff (``_cutoff``) -- lambda_t from one sort of the active posteriors
+(adaptive), the table's entry for t (threshold) or ``alpha`` on the
+pooled posterior (dependent).  The adaptive rule also names how many ties
+at lambda_t lie beyond N*; those are dropped from the largest positions,
+and only a tie group that straddles N* costs a second pass over w.
+:func:`one_step_rule` is the same cutoff over any posterior vector.
+Each selection's facts are derived once, in ``deactivate()``,
 into a :class:`Selection` record, ``det.last``: the time, the active
 count, the realized cutoff lambda_t, the realized LFNR and the dropped
 streams.  Calibration, the replication engine and the CLI's per-step
 report read it; a restored detector has none until its next selection.
-The detectors differ only in their selection: the posterior belongs to a
+The detectors differ only in their cutoff: the posterior belongs to a
 backend from :mod:`streamgate.posterior`, picked once by model
 (:meth:`_DetectorBase._backend`), which the detector drives through the
 backend protocol without knowing the model.  :func:`make_detector`
@@ -59,6 +67,9 @@ CHECKPOINT_VERSION = 2
 DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class CheckpointError(ValueError):
     """Corrupted, truncated, or incompatible checkpoint blob."""
 
@@ -67,22 +78,36 @@ class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
 
 
+def _settled(excess: np.ndarray, window) -> tuple[int, int]:
+    """(one past the last prefix that certainly fits, the first that certainly
+    fails), given each prefix's excess over its budget and rounding window."""
+    fits = (excess < -window).nonzero()[0]
+    fails = (excess > window).nonzero()[0]
+    return (int(fits[-1]) + 1 if fits.size else 0,
+            int(fails[0]) if fails.size else len(excess))
+
+
 def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float) -> int:
     """Largest n with math.fsum(sorted_w[:n]) <= alpha * n (equality retains).
 
-    A vectorized cumulative sum settles every n outside its rounding window.
-    The undecided n between the last certain fit and the first certain
-    failure are tested longest first on exact integer prefix sums, since
-    the rounded test is not monotone within an ulp of the budget.
+    A vectorized cumulative sum settles every n outside its rounding window:
+    first one window that bounds every prefix (prefix sums and budgets only
+    grow with n), then, for the few it leaves open, each prefix's own.  The
+    undecided n between the last certain fit and the first certain failure
+    are tested longest first on exact integer prefix sums, since the rounded
+    test is not monotone within an ulp of the budget.
     """
-    counts = np.arange(1.0, len(sorted_w) + 1)
+    size = len(sorted_w)
+    if not size:
+        return 0
+    counts = np.arange(1.0, size + 1)
     sums = np.cumsum(sorted_w)
-    budget = alpha * counts
-    window = (counts + 2.0) * np.finfo(float).eps * np.maximum(sums, budget)
-    fits = np.flatnonzero(sums - budget < -window)
-    fails = np.flatnonzero(sums - budget > window)
-    lo = int(fits[-1]) + 1 if fits.size else 0
-    hi = int(fails[0]) if fails.size else len(sorted_w)
+    excess = sums - alpha * counts
+    lo, hi = _settled(excess, (size + 2.0) * _EPS * max(float(sums[-1]), alpha * size))
+    if hi > lo:
+        n, part = counts[lo:hi], slice(lo, hi)
+        inner = _settled(excess[part], (n + 2.0) * _EPS * np.maximum(sums[part], alpha * n))
+        lo, hi = lo + inner[0], lo + inner[1]
     if hi <= lo:
         return lo
     # each w is an integer multiple of 2**-1074; int / int rounds correctly
@@ -94,6 +119,32 @@ def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float) -> int:
             return n
         exact -= units[n - 1]
     return lo
+
+
+def _adaptive_cutoff(w: np.ndarray, alpha: float) -> tuple[float, int]:
+    """The one-step rule as a cutoff: lambda_t, the N*-th smallest posterior
+    (N* the longest feasible sorted prefix; -inf when N* = 0), and how many
+    entries equal to lambda_t lie beyond N* and are dropped."""
+    sorted_w = np.sort(w)  # NaN sorts last, so the two ends check every entry
+    if w.size and not (sorted_w[0] >= 0.0 and sorted_w[-1] <= 1.0):
+        raise ValueError("posterior probabilities must lie in [0, 1]")
+    n = _largest_feasible_prefix(sorted_w, alpha)
+    if not n:
+        return -math.inf, 0
+    lam = sorted_w[n - 1]
+    return float(lam), int(np.searchsorted(sorted_w, lam, side="right")) - n
+
+
+def _keep_mask(w: np.ndarray, cutoff: float, surplus: int = 0, order=None) -> np.ndarray:
+    """Keep ``w <= cutoff``, less the last ``surplus`` entries equal to the
+    cutoff, last by position or, given ``order``, by that key."""
+    keep = w <= cutoff
+    if surplus:
+        tied = np.flatnonzero(w == cutoff)
+        if order is not None:
+            tied = tied[np.argsort(order[tied], kind="stable")]
+        keep[tied[-surplus:]] = False
+    return keep
 
 
 def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
@@ -108,18 +159,7 @@ def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
         indices = np.asarray(indices, dtype=int)
         if w.shape != indices.shape:
             raise ValueError("w and indices must align")
-    sorted_w = np.sort(w)  # NaN sorts last, so the two ends check every entry
-    if w.size and not (sorted_w[0] >= 0.0 and sorted_w[-1] <= 1.0):
-        raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(sorted_w, alpha)
-    keep = np.zeros(w.size, dtype=bool)
-    if n:
-        lam = sorted_w[n - 1]
-        keep = w < lam
-        tied = np.flatnonzero(w == lam)
-        if indices is not None:
-            tied = tied[np.argsort(indices[tied], kind="stable")]
-        keep[tied[:n - np.searchsorted(sorted_w, lam)]] = True
+    keep = _keep_mask(w, *_adaptive_cutoff(w, alpha), indices)
     return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
 
 
@@ -214,8 +254,10 @@ class DecisionTrace:
 
 
 class _DetectorBase:
-    """Shared observe/deactivate protocol; subclasses supply ``_select``,
-    the boolean keep mask over ``active`` given its posteriors.
+    """Shared observe/deactivate protocol; subclasses supply ``_cutoff``:
+    given the active posteriors, the cutoff to keep ``w <= cutoff`` and the
+    count of ties at it to drop from the largest positions (0 but for the
+    adaptive rule).
 
     The posterior lives in a backend chosen by :meth:`_backend`.  ``w`` is
     evaluated once per step and cached read-only until the next
@@ -302,15 +344,17 @@ class _DetectorBase:
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
         w_active = self.w[self.active]
-        keep = self._select(w_active)
-        dropped = self.active[~keep]
+        keep = _keep_mask(w_active, *self._cutoff(w_active))
+        drop = ~keep
+        dropped = self.active[drop]
         self.active = self.active[keep]  # ``active`` stays in index order
         if dropped.size:
             self.t_stop[dropped] = self.t
-            self._state.freeze(dropped, w_active[~keep])
+            self._state.freeze(dropped, w_active[drop])
         kept_w, n = w_active[keep], self.n_active
         cutoff = 1.0 if not dropped.size else float(kept_w.max()) if n else 0.0
-        self.last = Selection(self.t, n, cutoff, float(kept_w.mean()) if n else 0.0,
+        # sum / n is the division ndarray.mean does: the same bits
+        self.last = Selection(self.t, n, cutoff, float(kept_w.sum()) / n if n else 0.0,
                               dropped)
         self._active_size.append(n)
         self._lfnr.append(self.last.lfnr)
@@ -341,11 +385,9 @@ class AdaptiveDetector(_DetectorBase):
 
     kind = "adaptive"
 
-    def _select(self, w_active: np.ndarray) -> np.ndarray:
+    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
         # ``active`` is in index order, so positions break ties like indices
-        keep = np.zeros(len(w_active), dtype=bool)
-        keep[one_step_rule(w_active, self.alpha)] = True
-        return keep
+        return _adaptive_cutoff(w_active, self.alpha)
 
 
 class ThresholdDetector(AdaptiveDetector):
@@ -359,8 +401,8 @@ class ThresholdDetector(AdaptiveDetector):
         table.check_compatible(model, alpha)
         self.table = table
 
-    def _select(self, w_active: np.ndarray) -> np.ndarray:
-        return w_active <= self.table.threshold_at(self.t)
+    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
+        return self.table.threshold_at(self.t), 0
 
 
 class DependentDetector(_DetectorBase):
@@ -372,8 +414,8 @@ class DependentDetector(_DetectorBase):
 
     kind = "dependent"
 
-    def _select(self, w_active: np.ndarray) -> np.ndarray:
-        return w_active <= self.alpha
+    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
+        return self.alpha, 0
 
 
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,

@@ -102,13 +102,23 @@ def fdp_lfdr(w_prev, dropped, tau, t: int) -> tuple[float, float]:
 _N_METRICS = 8
 
 
+def _run_lengths(m: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k min(m_k, s) for each s in ``times``, from one sort of ``m``:
+    the m_k below s, plus s for every other stream.  Every term is an
+    integer, so each sum is exact in float64 whatever its order."""
+    m = np.sort(m)
+    below = np.searchsorted(m, times)  # count of m_k < s
+    prefix = np.concatenate(([0.0], np.cumsum(m)))
+    return prefix[below] + times * (m.size - below)
+
+
 def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:
     rng = np.random.default_rng(seed_seq)
     k, horizon = config.k, config.horizon
     tau = config.model.sample_change_points(k, rng)
     det = make_detector(config.procedure, config.model, config.alpha, k, config.table)
     rows = np.zeros((horizon, _N_METRICS))
-    t_stop_eff = np.full(k, math.inf)
+    stop = tau.astype(float)  # min(stop time, tau), lowered as streams are dropped
     util = 0
     for t in range(1, horizon + 1):
         row = rows[t - 1]
@@ -116,7 +126,7 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
             w_prev = det.w
             dropped = det.deactivate()
             if dropped.size:
-                t_stop_eff[dropped] = det.t_stop[dropped]
+                stop[dropped] = np.minimum(stop[dropped], det.t_stop[dropped])
             row[0] = fnp(det.active, tau, t - 1)
             row[1] = det.last.lfnr
             row[2], row[3] = fdp_lfdr(w_prev, dropped, tau, t - 1)
@@ -124,13 +134,13 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
         util += active_t
         row[4] = active_t
         row[5] = util
-        row[6] = np.minimum(np.minimum(t_stop_eff, tau), t).sum()
+        row[6] = np.minimum(stop, t).sum()
         row[7] = k - active_t
         if active_t == 0:
             # nothing left to observe: remaining rows are deterministic
-            for s in range(t + 1, horizon + 1):
-                rows[s - 1, 4:8] = (0, util,
-                                    np.minimum(np.minimum(t_stop_eff, tau), s).sum(), k)
+            rows[t:, 5] = util
+            rows[t:, 6] = _run_lengths(stop, np.arange(t + 1.0, horizon + 1))
+            rows[t:, 7] = k
             break
         x = config.model.sample_step(t, tau, rng)
         det.observe(x[det.active])

@@ -135,6 +135,23 @@ def test_detect_non_finite_observation_is_a_data_error(tmp_path, capsys, name, t
     assert "row 4" in err and "stream 7" in err
 
 
+@pytest.mark.parametrize("bad", [
+    '"t": 2.9, "stream": 1, "x": 0.1', '"t": 2, "stream": 1.7, "x": 0.1',
+    '"t": 2, "stream": true, "x": 0.1', '"t": "2", "stream": 1, "x": 0.1',
+    '"t": 2, "stream": "1", "x": 0.1', '"t": 2, "stream": 1, "x": true',
+    '"t": 2, "stream": 1, "x": "0.1"',
+], ids=["float-t", "float-stream", "bool-stream", "string-t", "string-stream",
+        "bool-x", "string-x"])
+def test_detect_ndjson_ids_and_times_must_be_json_integers(tmp_path, capsys, bad):
+    # each would otherwise be coerced to the valid row t=2, stream 1, x=0.1 or 1
+    data = tmp_path / "obs.ndjson"
+    data.write_text('{"t": 1, "stream": 1, "x": 0.1}\n{"t": 1, "stream": 2, "x": 0.2}\n'
+                    '{"t": 2, "stream": 2, "x": 0.1}\n{' + bad + '}\n')
+    code, _, err = _run(capsys, "detect", "--input", str(data),
+                        "--out", str(tmp_path / "o.csv"), *_IID_ALPHA)
+    assert code == 2 and "data error" in err and "row 4" in err
+
+
 def test_detect_threshold_table_past_its_horizon_is_a_data_error(tmp_path, capsys):
     table = tmp_path / "table.csv"
     code, _, _ = _run(capsys, "calibrate", "--theta", "0.05", "--alpha", "0.05",

@@ -184,6 +184,34 @@ def test_adaptive_no_deactivation_at_zero_posteriors():
     assert det.n_active == 10
 
 
+def test_adaptive_selection_matches_one_step_rule_on_ties():
+    # deactivate() applies the cutoff itself: it must keep exactly the set
+    # one_step_rule picks, down to which ties at lambda_t survive, also on a
+    # non-contiguous active set where positions are not stream indices
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    alpha, k = 0.05, 300
+    levels = np.array([0.0, 0.02, 0.2, 0.6])
+    rng = np.random.default_rng(31)
+    straddles = 0
+    for _ in range(40):
+        det = AdaptiveDetector(model, alpha, k)
+        for _ in range(4):
+            w = rng.choice(levels, size=k, p=rng.dirichlet(np.ones(len(levels))))
+            for start in rng.integers(0, k, size=3):   # runs of exact copies of alpha
+                w[start:start + rng.integers(5, 60)] = alpha
+            active = det.active
+            want = active[one_step_rule(w[active], alpha)]
+            det._w, det._phase = w, "select"
+            det.deactivate()
+            assert np.array_equal(det.active, want)
+            if want.size:
+                lam = np.sort(w[active])[want.size - 1]
+                straddles += want.size < np.count_nonzero(w[active] <= lam)
+            if not det.n_active:
+                break
+    assert straddles >= 20   # the tie group at lambda_t is split that often
+
+
 def test_adaptive_on_conflicting_priors_first_selection():
     # whatever the first observations are, the largest feasible set is
     # streams {0,1,2}; stream 3 can never join 1 and 2 under the budget

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streamgate.calibrate import calibrate_thresholds
+from streamgate.detector import AdaptiveDetector
 from streamgate.model import (INF, BernoulliPair, GaussianShift,
                               GeometricPrior, IIDModel, PartialDepModel,
                               conflicting_priors_model)
@@ -60,6 +61,36 @@ def test_run_experiment_invariants():
     assert np.all(np.abs(frame.mean_util - util) <= 1e-9)
     assert np.all(frame.mean_lfnr <= 0.05 + 1e-12)
     assert np.all(frame.mean_rl <= frame.mean_util + 1e-9)
+
+
+def test_rows_after_the_last_drop_match_a_plain_loop():
+    # replications empty long before the horizon, so most rows are filled in
+    # closed form; rebuild each replication's stop times from its seed and
+    # compare every row with sums written out stream by stream
+    model = IIDModel(GeometricPrior(0.3), GaussianShift(1.0))
+    k, horizon, reps = 40, 60, 6
+    frame = run_experiment(SimConfig(model=model, k=k, alpha=0.05, horizon=horizon,
+                                     replications=reps, seed=11))
+    per_rep = []
+    for child in np.random.SeedSequence(11).spawn(reps):
+        rng = np.random.default_rng(child)   # the engine's draws, in its order
+        tau = model.sample_change_points(k, rng)
+        det = AdaptiveDetector(model, 0.05, k)
+        while det.n_active:
+            det.observe(model.sample_step(det.t + 1, tau, rng)[det.active])
+            det.deactivate()
+        stop = det.t_stop.tolist()
+        assert max(stop) < horizon // 2      # the tail covers most rows
+        per_rep.append([(sum(min(stop[j], tau[j], s) for j in range(k)),
+                         sum(min(stop[j], s) for j in range(k)),
+                         sum(stop[j] >= s for j in range(k)),
+                         sum(stop[j] < s for j in range(k)))
+                        for s in range(1, horizon + 1)])
+    rl, util, active, dropped = np.asarray(per_rep, dtype=float).mean(axis=0).T
+    assert np.array_equal(frame.mean_rl, rl)
+    assert np.array_equal(frame.mean_util, util)
+    assert np.array_equal(frame.mean_active, active)
+    assert np.array_equal(frame.mean_cd, dropped)
 
 
 def test_run_experiment_fnp_controlled_on_average():
