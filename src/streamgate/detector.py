@@ -135,7 +135,7 @@ def _adaptive_cutoff(w: np.ndarray, alpha: float) -> tuple[float, int]:
     return float(lam), int(np.searchsorted(sorted_w, lam, side="right")) - n
 
 
-def _keep_mask(w: np.ndarray, cutoff: float, surplus: int = 0, order=None) -> np.ndarray:
+def _keep_mask(w: np.ndarray, cutoff: float, surplus: int, order=None) -> np.ndarray:
     """Keep ``w <= cutoff``, less the last ``surplus`` entries equal to the
     cutoff, last by position or, given ``order``, by that key."""
     keep = w <= cutoff
