@@ -1,16 +1,15 @@
 """Record a benchmark entry per workload: one line of the perf trajectory.
 
-    python3 tools/bench_record.py --seeds 2201 2202 2203 [--workloads NAME ...]
-                                  [--root CHECKOUT] [--out DIR]
+    python3 tools/bench_record.py --seeds 2201 2202 2203 [--root CHECKOUT]
 
-For each workload (default: every workload in ``BENCHMARK.json``) this runs
+For each workload in ``BENCHMARK.json`` this runs
 ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0``
 in the checkout ``--root`` (default: this repository) once per seed, and
-appends one entry to ``BENCH_<workload>.json`` in ``--out`` (default: the
-checkout).  ``S`` is the benchmark's own ``run_seconds``.  An entry holds the
-checkout's git sha and source hash, the python, numpy and scipy versions,
-the seeds, the median and quartiles of each end-to-end metric, the failed
-and attempted operation counts, and the result digest of every run.
+appends one entry to ``BENCH_<workload>.json`` in that checkout.  ``S`` is
+the benchmark's own ``run_seconds``.  An entry holds the checkout's git sha
+and source hash, the python, numpy and scipy versions, the seeds, the median
+and quartiles of each end-to-end metric, the failed and attempted operation
+counts, and the result digest of every run.
 
 The file is a JSON list of entries, oldest first.  To compare two commits,
 run this once in each checkout on the same seeds.  Exit code: 0 when every
@@ -85,30 +84,21 @@ def append_entry(path: Path, entry: dict) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--workloads", nargs="+")
     ap.add_argument("--root", type=Path, default=REPO,
                     help="checkout to benchmark (default: this repository)")
-    ap.add_argument("--out", type=Path, help="where BENCH_*.json go (default: --root)")
     args = ap.parse_args()
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workloads or names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown:
-        ap.error(f"unknown workload(s) {unknown}; BENCHMARK.json has {names}")
-    out = (args.out or root).resolve()
-    out.mkdir(parents=True, exist_ok=True)
     metric_names = [m["name"] for m in spec["end_to_end"]]
     code = 0
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         try:
             entry = record(root, workload, args.seeds, spec["run_seconds"], metric_names)
         except RuntimeError as exc:
             print(f"bench_record: {exc}", file=sys.stderr)
             code = 1
             continue
-        append_entry(out / f"BENCH_{workload}.json", entry)
+        append_entry(root / f"BENCH_{workload}.json", entry)
         summary = ", ".join(f"{name} {m['median']:.6g} [{m['q1']:.6g}, {m['q3']:.6g}]"
                             for name, m in entry["metrics"].items())
         print(f"{workload}: {summary}; failed {entry['failed']}/{entry['attempted']}")
