@@ -30,14 +30,15 @@ run ends cleanly.  The report is also written when a run fails after at
 least one completed step: it then holds the bytes a clean run over
 exactly those steps writes, its ``t_final`` the last completed step.
 
-``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``;
-format 1 is still read) is resumed from, and saved after every selection,
-so a run that fails mid-way keeps the state of its last complete step.  It
-is replaced atomically (``<path>.tmp``, then renamed): a failed write
-leaves the previous one intact.
+``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``)
+is resumed from, and saved after every selection, so a run that fails
+mid-way keeps the state of its last complete step.  It is replaced
+atomically (``<path>.tmp``, then renamed): a failed write leaves the
+previous one intact.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.  A corrupt or truncated checkpoint, a bad or non-finite cell,
+failure.  A corrupt or truncated checkpoint, one of another format
+version or with an alpha outside (0, 1], a bad or non-finite cell,
 input running past a threshold table's horizon, and a malformed threshold
 table (missing metadata, a row of the wrong width, a bad cell, a ``t``
 column other than 1..n) are data errors; resuming with an alpha or mode
@@ -119,13 +120,13 @@ def _resolved(args, cfg: dict[str, str], key: str, cast=str, default=None):
 
 
 def _build_obs(cfg_get):
-    mu = cfg_get("mu", float)
+    mu, sigma = cfg_get("mu", float), cfg_get("sigma", float)
     p0 = cfg_get("p0", float)
     p1 = cfg_get("p1", float)
-    if mu is not None and (p0 is not None or p1 is not None):
+    if (mu is not None or sigma is not None) and (p0 is not None or p1 is not None):
         raise UsageError("give either mu/sigma (gaussian) or p0/p1 (bernoulli), not both")
     if mu is not None:
-        return GaussianShift(mu=mu, sigma=cfg_get("sigma", float) or 1.0)
+        return GaussianShift(mu=mu, sigma=1.0 if sigma is None else sigma)
     if p0 is not None and p1 is not None:
         return BernoulliPair(p0=p0, p1=p1)
     raise UsageError("observation model missing: set mu (gaussian) or p0 and p1")

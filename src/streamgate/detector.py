@@ -45,8 +45,8 @@ blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
 decision trace.  Format 2 is a checksummed JSON header plus each array once
 as ``{"dtype": "<f8"|"<i8", "shape": [...], "data": base64}``: ``t_stop``,
 ``active_size``, ``lfnr`` and the backend's ``to_arrays()`` under ``arrays``;
-the active set is the streams without a stop time.  Format 1 blobs
-(per-stream records, hex-string floats) are still read, and pass the same checks.
+the active set is the streams without a stop time.  A blob of any other
+format version is refused.
 """
 
 from __future__ import annotations
@@ -458,25 +458,6 @@ def _unpack(value, dtype: str | None = None) -> np.ndarray:
     return np.frombuffer(raw, value["dtype"]).astype(value["dtype"][1:]).reshape(shape)
 
 
-def _decode(value):
-    """A format-1 array: hex-string floats or ints, one list level per axis."""
-    if isinstance(value, str):
-        return float.fromhex(value)
-    if value and isinstance(value[0], list):
-        return np.array([_decode(row) for row in value])
-    if value and isinstance(value[0], int):
-        return _ints(value)
-    return np.array(list(map(float.fromhex, value)), dtype=float)
-
-
-def _ints(values) -> np.ndarray:
-    """A JSON list of integers as an int array; floats are refused, not truncated."""
-    a = np.array(values)
-    if a.size and a.dtype.kind != "i":
-        raise TypeError(f"expected integers, got {a.dtype} values")
-    return a.astype(int)
-
-
 def _payload_checksum(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -501,38 +482,16 @@ def checkpoint_state(det: _DetectorBase) -> str:
     return json.dumps(payload, sort_keys=True)  # no indent: keeps the C encoder
 
 
-def _decode_v1(payload: dict) -> tuple:
-    """Format 1: per-stream ``streams`` records, a stored ``active`` set."""
-    t_stop = _ints([s["t_stop"] for s in payload["streams"]])
-    # selection breaks ties by position in ``active``, so it must be index order
-    if not np.array_equal(_ints(payload["active"]), np.flatnonzero(t_stop < 0)):
-        raise ValueError("active stream indices must be strictly increasing and "
-                         "be exactly the streams without a stop time")
-    return (t_stop, _ints(payload["active_size"]),
-            np.array(list(map(float.fromhex, payload["lfnr"])), dtype=float),
-            {name: _decode(v) for name, v in payload["extra"].items()})
-
-
-def _decode_v2(payload: dict) -> tuple:
-    """Format 2: every array packed once; the active set is derived."""
-    return (_unpack(payload["t_stop"], "<i8"), _unpack(payload["active_size"], "<i8"),
-            _unpack(payload["lfnr"], "<f8"),
-            {name: _unpack(v) for name, v in payload["arrays"].items()})
-
-
-# per format: its decoder, and its fields (the shared header first) with their JSON types
-_HEADER = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
-           "model_fingerprint": str, "n_streams": int}
-_FORMATS = {1: (_decode_v1, {**_HEADER, "streams": list, "active": list,
-                             "active_size": list, "lfnr": list, "extra": dict}),
-            2: (_decode_v2, {**_HEADER, "t_stop": dict, "active_size": dict,
-                             "lfnr": dict, "arrays": dict})}
+# the checkpoint's fields, with their JSON types
+_FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
+           "model_fingerprint": str, "n_streams": int, "t_stop": dict, "active_size": dict,
+           "lfnr": dict, "arrays": dict}
 
 
 def restore_state(blob: str, model: EnsembleModel, k: int,
                   table: ThresholdTable | None = None) -> _DetectorBase:
-    """Rebuild a detector from a format-1 or format-2 checkpoint blob, checking its
-    checksum, fields, model fingerprint, and that its history fits its time."""
+    """Rebuild a detector from a checkpoint blob, checking its checksum,
+    format version, fields, model fingerprint, and that its history fits its time."""
     try:
         payload = json.loads(blob)
     except json.JSONDecodeError as exc:
@@ -543,11 +502,11 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
     if _payload_checksum(body) != payload["checksum"]:
         raise CheckpointError("checkpoint checksum mismatch (corrupted or truncated)")
     version = payload.get("format_version")
-    if type(version) is not int or version not in _FORMATS:
-        raise CheckpointError(f"unsupported checkpoint version {version!r}")
-    decode, fields = _FORMATS[version]
-    bad = [key for key, typ in fields.items() if type(payload.get(key)) is not typ]
-    bad += sorted(body.keys() - fields.keys())
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r} "
+                              f"(this program reads version {CHECKPOINT_VERSION})")
+    bad = [key for key, typ in _FIELDS.items() if type(payload.get(key)) is not typ]
+    bad += sorted(body.keys() - _FIELDS.keys())
     if bad:
         raise CheckpointError(f"checkpoint field(s) missing, mistyped or unknown: {bad}")
     if payload["model_fingerprint"] != model.fingerprint():
@@ -565,9 +524,14 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
         raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
         alpha = float.fromhex(payload["alpha"])
-        t_stop, active_size, lfnr, arrays = decode(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        t_stop = _unpack(payload["t_stop"], "<i8")
+        active_size = _unpack(payload["active_size"], "<i8")
+        lfnr = _unpack(payload["lfnr"], "<f8")
+        arrays = {name: _unpack(v) for name, v in payload["arrays"].items()}
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
+    if not 0.0 < alpha <= 1.0:  # NaN fails too
+        raise CheckpointError(f"checkpoint alpha {alpha!r} does not lie in (0, 1]")
     steps = t + (phase == "observe")  # one per selection, plus the initial entry
     stopped = t_stop[t_stop != -1]
     if t_stop.shape != (k,) or np.any((stopped < 1) | (stopped > t)):

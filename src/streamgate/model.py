@@ -80,8 +80,9 @@ class GaussianShift:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu != 0.0):
             raise ValueError(f"mu must be finite and nonzero, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive with a finite, nonzero square, "
+                             f"got {self.sigma!r}")
 
     def sample(self, post: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one observation per entry of the boolean post-change mask."""

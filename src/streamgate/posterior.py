@@ -297,36 +297,20 @@ class PartialDepPosterior:
 
     @classmethod
     def from_arrays(cls, theta: float, eta: float, k: int, t: int, frozen,
-                    stopped_at, frozen_w, history=None, acc=None,
-                    cum=None) -> "PartialDepPosterior":
+                    stopped_at, frozen_w, history, acc) -> "PartialDepPosterior":
         """Rebuild from :meth:`to_arrays`: ``history`` holds the rows of the
-        streams live or frozen at ``t`` (increasing id), columns 0..t.
-
-        Earlier checkpoints give ``cum`` instead of ``history`` and ``acc``:
-        every stream's cumulative log LR path as (t+1, K) columns.  Frozen
-        streams are then folded by stop time, in the order a live run does.
-        """
+        streams live or frozen at ``t`` (increasing id), columns 0..t."""
         stopped_at = _shaped("stopped_at", stopped_at, (k,), int)
         frozen_w = _shaped("frozen_w", frozen_w, (k,))
         if not np.array_equal(frozen, stopped_at >= 0) or np.any(stopped_at > t):
             raise ValueError("stop times disagree with the frozen streams")
         live = (stopped_at < 0) | (stopped_at == t)
-        if cum is not None:
-            cum = _shaped("cum", np.transpose(cum), (k, t + 1))
-            history, acc = cum[live], np.zeros(t)
-        elif history is None or acc is None:
-            raise ValueError("needs history and acc, or cum")
-        if np.size(history) == 0:  # format-1 checkpoints give no rows as a flat []
-            history = np.zeros((0, t + 1))
         history = _shaped("history", history, (np.count_nonzero(live), t + 1))
         st = cls(theta, eta, k)
         st.t = t
         st._stopped_at, st._frozen_w = stopped_at, frozen_w
         st._set_rows(np.flatnonzero(live), history, max(8, 2 * (t + 1)))
         st._acc[:t] = _shaped("acc", acc, (t,))
-        if cum is not None:
-            for u in np.unique(stopped_at[(stopped_at >= 0) & (stopped_at < t)]):
-                st._fold(cum[stopped_at == u], u)
         return st
 
     def to_arrays(self) -> dict:

@@ -1,8 +1,6 @@
-import hashlib
 import json
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -302,55 +300,66 @@ def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
     assert code == 2 and "data error" in err and "checksum" in err
 
 
-# a format-1 checkpoint file, written by ``_checkpointed_half`` with the
-# format-1 ``checkpoint_state`` (commit 639532b), with the sha256 of the
-# ``--out`` bytes that resuming it on the rest of the rows gives
-_V1_CLI = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json")
-                     .read_text())["cli"]
-
-
-def _drop_state_field(ck, field):
-    """Delete ``field`` from the checkpoint file's state, checksum recomputed."""
+def _edit_state(ck, edit):
+    """Apply ``edit`` to the checkpoint file's state, checksum recomputed."""
     from streamgate.detector import _payload_checksum
 
     meta = json.loads(ck.read_text())
     state = json.loads(meta["state"])
-    del state[field], state["checksum"]
+    del state["checksum"]
+    edit(state)
     meta["state"] = json.dumps({**state, "checksum": _payload_checksum(state)})
     ck.write_text(json.dumps(meta))
 
 
-def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
-    # a valid checksum over a format-1 payload without ``extra``: exit 2, not a traceback
+def _resume_edited(tmp_path, capsys, edit):
+    """Exit code and stderr of resuming a checkpoint whose state ``edit`` changed."""
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    ck.write_text(_V1_CLI["file"])
-    _drop_state_field(ck, "extra")
+    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
+    _edit_state(ck, edit)
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
                         *_IID, "--alpha", "0.05")
-    assert code == 2 and "data error" in err and "extra" in err
+    assert not (tmp_path / "o.csv").exists()
+    return code, err
 
 
 def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
-    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
-    _drop_state_field(ck, "arrays")
-    code, _, err = _run(capsys, "detect", "--input", str(part2),
-                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
-                        *_IID, "--alpha", "0.05")
+    code, err = _resume_edited(tmp_path, capsys, lambda state: state.pop("arrays"))
     assert code == 2 and "data error" in err and "arrays" in err
 
 
-def test_detect_resumes_a_v1_checkpoint_file(tmp_path, capsys):
-    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    ck.write_text(_V1_CLI["file"])
-    code, _, _ = _run(capsys, "detect", "--input", str(part2),
-                      "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
-                      *_IID, "--alpha", "0.05")
-    assert code == 0
-    assert hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest() == \
-        _V1_CLI["resumed_out_sha256"]
-    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
+def test_detect_refuses_a_v1_checkpoint_file(tmp_path, capsys):
+    # only format 2 is read; another version is a corrupt checkpoint, named
+    code, err = _resume_edited(tmp_path, capsys,
+                               lambda state: state.update(format_version=1))
+    assert code == 2 and "data error" in err and "version 1" in err
+
+
+def test_detect_checkpoint_with_an_out_of_range_alpha_is_a_data_error(tmp_path, capsys):
+    # an alpha no detector accepts is a corrupt checkpoint, not a usage error
+    code, err = _resume_edited(tmp_path, capsys,
+                               lambda state: state.update(alpha=float.hex(1.5)))
+    assert code == 2 and "data error" in err and "alpha" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mu", "1.0", "--sigma", "0"],
+    ["--mu", "1.0", "--sigma", "-0.0"],
+    ["--mu", "1.0", "--sigma", "1e-300"],
+    ["--mu", "1.0", "--sigma", "1e200"],
+    ["--p0", "0.3", "--p1", "0.6", "--sigma", "2.0"],
+], ids=["zero", "negative-zero", "square-underflows", "square-overflows",
+        "with-bernoulli"])
+def test_detect_refuses_a_sigma_it_cannot_use(tmp_path, capsys, flags):
+    # sigma defaults to 1 only when absent; it is never replaced or dropped
+    data = tmp_path / "obs.ndjson"
+    _write_ndjson(data, _jump_rows())
+    code, _, err = _run(capsys, "detect", "--input", str(data),
+                        "--out", str(tmp_path / "o.csv"), "--model", "iid",
+                        "--theta", "0.05", "--alpha", "0.05", *flags)
+    assert code == 1 and "usage error" in err and "sigma" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("ids", [[1, 2, 2], [1, 2, 3.7], [1, True, 3], [1, 2], "123"],

@@ -1,8 +1,6 @@
-import hashlib
 import itertools
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -527,39 +525,6 @@ def _resigned(payload):
     return json.dumps({**body, "checksum": _payload_checksum(body)})
 
 
-# format-1 blobs, written by the format-1 ``checkpoint_state`` (commit 639532b)
-# from the runs each entry's ``run`` describes, with the sha256 of the
-# restored ``w.tobytes()`` and of the decision trace
-V1 = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json").read_text())
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _trace_sha(trace) -> str:
-    return _sha(json.dumps({"t_final": trace.t_final, "t_stop": trace.t_stop.tolist(),
-                            "active_size": trace.active_size.tolist(),
-                            "realized_lfnr": [float(v).hex() for v in trace.realized_lfnr]},
-                           sort_keys=True).encode())
-
-
-def _v1(name):
-    """Model, threshold table (or None) and parsed payload of fixture ``name``."""
-    entry = V1[name]
-    spec = entry["model"]
-    if spec["kind"] == "tabular":
-        model = conflicting_priors_model()
-    elif spec["kind"] == "iid":
-        model = IIDModel(GeometricPrior(spec["theta"]), GaussianShift(spec["mu"]))
-    else:
-        model = PartialDepModel(GeometricPrior(spec["theta"]), spec["eta"],
-                                GaussianShift(spec["mu"]))
-    table = (_table(model, entry["thresholds"], alpha=entry["alpha"])
-             if "thresholds" in entry else None)
-    return model, table, json.loads(entry["checkpoint"])
-
-
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
                                   "threshold"])
 def test_checkpoint_round_trip(kind):
@@ -614,6 +579,18 @@ def _fresh(kind):
         table = _table(iid, np.linspace(0.9, 0.2, 20), alpha=0.3)
         return iid, ThresholdDetector(iid, 0.3, 6, table)
     return iid, AdaptiveDetector(iid, 0.3, 6)
+
+
+def _seeded(kind):
+    """``_fresh(kind)`` after three observe+deactivate steps on rng seed 3."""
+    model, det = _fresh(kind)
+    rng = np.random.default_rng(3)
+    tau = model.sample_change_points(det.k, rng)
+    for t in range(1, 4):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+    assert det.t == 3 and det._phase == "observe"
+    return model, det
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
@@ -692,67 +669,38 @@ def test_checkpoint_rejects_corruption():
         restore_state(blob, other, 4)                     # model fingerprint
 
 
-def test_checkpoint_rejects_version_mismatch():
-    model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
-    det = AdaptiveDetector(model, 0.3, 4)
-    det.observe([0.1, 0.2, 0.3, 0.4])
-    payload = json.loads(checkpoint_state(det))
-    payload["format_version"] = 999
-    del payload["checksum"]
-    payload["checksum"] = _payload_checksum(payload)
-    with pytest.raises(CheckpointError, match="version"):
-        restore_state(json.dumps(payload), model, 4)
-
-
-def test_checkpoint_rejects_unordered_active_set():
-    # selection breaks ties by position in ``active``, which must be index order
-    model, _, payload = _v1("iid_t1")
-    payload["active"] = [1, 0, 2, 3]
-    with pytest.raises(CheckpointError, match="increasing"):
+@pytest.mark.parametrize("version", [1, 3, "2", True],
+                         ids=["int-1", "int-3", "str-2", "bool-true"])
+def test_checkpoint_rejects_version_mismatch(version):
+    # only format 2 is read; "2" and True are not the integer 2
+    model, payload = _iid_checkpoint()
+    payload["format_version"] = version
+    with pytest.raises(CheckpointError, match=f"version {version!r}"):
         restore_state(_resigned(payload), model, 4)
 
 
 def test_checkpoint_v2_derives_the_active_set():
     # format 2 stores no active set: it is the streams without a stop time,
     # in index order, and a blob that carries one anyway is refused
-    model, _, _ = _v1("adaptive")
-    det = restore_state(V1["adaptive"]["checkpoint"], model, 6)
+    model, det = _seeded("adaptive")
+    assert det.k == 6 and det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
     payload = json.loads(checkpoint_state(det))
     assert "active" not in payload and "streams" not in payload
     back = restore_state(_resigned(payload), model, 6)
-    assert back.active.tolist() == np.flatnonzero(det.t_stop < 0).tolist()
-    assert back.active.tolist() != list(range(6))
+    assert back.active.tolist() == [0, 1, 2, 4, 5]
     payload["active"] = _pack(back.active[::-1])
     with pytest.raises(CheckpointError, match="unknown.*active"):
         restore_state(_resigned(payload), model, 6)
 
 
-@pytest.mark.parametrize("name", sorted(set(V1) - {"cli"}))
-def test_v1_fixture_restores_bit_exactly_and_rewrites_as_v2(name):
-    model, table, payload = _v1(name)
-    assert payload["format_version"] == 1
-    det = restore_state(V1[name]["checkpoint"], model, V1[name]["k"], table=table)
-    assert det.kind == V1[name]["mode"]
-    assert _sha(det.w.tobytes()) == V1[name]["w_sha256"]
-    assert _trace_sha(det.trace()) == V1[name]["trace_sha256"]
-    blob = checkpoint_state(det)
-    assert json.loads(blob)["format_version"] == CHECKPOINT_VERSION == 2
-    back = restore_state(blob, model, det.k, table=table)
-    assert back.w.tobytes() == det.w.tobytes()
-    assert back.trace().equals(det.trace())
-    assert checkpoint_state(back) == blob
-
-
 def _iid_checkpoint():
-    """The state of fixture ``iid_t1`` (K=4, one observation), written now."""
+    """The state of a K=4 detector after one observation, as a payload."""
     model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
     det = AdaptiveDetector(model, 0.3, 4)
     det.observe([0.1, 0.2, 0.3, 0.4])
     return model, json.loads(checkpoint_state(det))
 
 
-_TOP_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
-               "n_streams", "streams", "active", "active_size", "lfnr", "extra"]
 _V2_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
               "n_streams", "t_stop", "active_size", "lfnr", "arrays"]
 
@@ -766,44 +714,12 @@ def _delete_or_retype(payload, field, change):
 
 
 @pytest.mark.parametrize("change", ["delete", "retype"])
-@pytest.mark.parametrize("field", _TOP_FIELDS)
-def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
-    model, _, payload = _v1("iid_t1")
-    with pytest.raises(CheckpointError):
-        restore_state(_resigned(_delete_or_retype(payload, field, change)), model, 4)
-
-
-@pytest.mark.parametrize("change", ["delete", "retype"])
 @pytest.mark.parametrize("field", _V2_FIELDS)
 def test_checkpoint_v2_schema_errors_are_checkpoint_errors(field, change):
     model, payload = _iid_checkpoint()
     assert restore_state(_resigned(payload), model, 4).t == 1
     with pytest.raises(CheckpointError):
         restore_state(_resigned(_delete_or_retype(payload, field, change)), model, 4)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("phase", "bogus"),
-    ("t", -1),
-    ("active", [0, 1, 7]),
-    ("active", [-1, 0, 1]),
-    ("active", [0.7, 1, 2, 3]),
-    ("streams", [{"t_stop": "x"}] * 4),
-    ("streams", [{"t_stop": 0.5}] + [{"t_stop": -1}] * 3),
-    ("streams", [{"t_stop": 1}] + [{"t_stop": -1}] * 3),
-    ("lfnr", [5]),
-    ("extra", {}),
-    ("extra", {"log_odds": ["-inf"] * 3}),
-    ("extra", {"log_odds": ["-inf"] * 4, "acc": []}),
-    ("extra", {"log_odds": 5}),
-], ids=["phase", "t", "active-high", "active-negative", "active-float", "t_stop",
-        "t_stop-float", "stopped-but-active", "lfnr", "no-arrays", "short-array",
-        "unknown-array", "array-type"])
-def test_checkpoint_bad_values_are_checkpoint_errors(field, value):
-    model, _, payload = _v1("iid_t1")
-    payload[field] = value
-    with pytest.raises(CheckpointError):
-        restore_state(_resigned(payload), model, 4)
 
 
 _NO_STOP = _pack(np.full(4, -1))
@@ -834,31 +750,20 @@ _NO_STOP = _pack(np.full(4, -1))
     ("arrays", {"log_odds": _pack(np.full(4, -np.inf)), "acc": _pack(np.zeros(0))}),
     ("arrays", {"log_odds": 5}),
     ("arrays", {"log_odds": _pack(np.full(4, -np.inf)) | {"dtype": "<f2"}}),
+    ("alpha", float.hex(1.5)),
+    ("alpha", "nan"),
+    ("alpha", float.hex(0.0)),
 ], ids=["phase", "t", "t-zero-select", "t_stop-after-t", "t_stop-negative",
         "t_stop-float", "stopped-but-active", "t_stop-long", "t_stop-2d", "bad-base64",
         "size-disagrees-with-shape", "unknown-dtype", "negative-shape", "shape-type",
         "no-data", "data-type", "active_size-float", "lfnr-int", "lfnr-long",
-        "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype"])
+        "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype",
+        "alpha-above-one", "alpha-nan", "alpha-zero"])
 def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
     model, payload = _iid_checkpoint()
     payload[field] = value
     with pytest.raises(CheckpointError):
         restore_state(_resigned(payload), model, 4)
-
-
-def _with_history(payload, t_stop, active_size, lfnr):
-    """``payload`` with these stop times, active counts and LFNRs, in its
-    format (a format-1 ``active`` follows the stop times)."""
-    if payload["format_version"] == 1:
-        for rec, v in zip(payload["streams"], t_stop):
-            rec["t_stop"] = int(v)
-        payload["active"] = np.flatnonzero(np.asarray(t_stop) < 0).tolist()
-        payload["active_size"] = [int(v) for v in active_size]
-        payload["lfnr"] = [float.hex(float(v)) for v in lfnr]
-    else:
-        payload.update(t_stop=_pack(t_stop), active_size=_pack(active_size),
-                       lfnr=_pack(np.asarray(lfnr, dtype=float)))
-    return payload
 
 
 @pytest.mark.parametrize("case, match", [
@@ -870,13 +775,12 @@ def _with_history(payload, t_stop, active_size, lfnr):
     ("both-too-short", "entries"),
     ("last-count", "the last count"),
 ])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [CHECKPOINT_VERSION])
 def test_checkpoint_inconsistent_history_is_refused(version, case, match):
-    # fixture ``adaptive``: K=6 at t=3 (phase observe), stream 3 stopped at t=3
-    model, _, payload = _v1("adaptive")
-    det = restore_state(V1["adaptive"]["checkpoint"], model, 6)
-    if version == 2:
-        payload = json.loads(checkpoint_state(det))
+    # K=6 at t=3 (phase observe), stream 3 stopped at t=3
+    model, det = _seeded("adaptive")
+    payload = json.loads(checkpoint_state(det))
+    assert payload["format_version"] == version
     trace = det.trace()
     t_stop, sizes, lfnr = trace.t_stop, trace.active_size, trace.realized_lfnr
     stopped = t_stop >= 0
@@ -896,48 +800,30 @@ def test_checkpoint_inconsistent_history_is_refused(version, case, match):
         sizes, lfnr = sizes[:-1], lfnr[:-1]
     else:
         sizes = np.append(sizes[:-1], sizes[-1] + 1)
+    payload.update(t_stop=_pack(t_stop), active_size=_pack(sizes), lfnr=_pack(lfnr))
     with pytest.raises(CheckpointError, match=match):
-        restore_state(_resigned(_with_history(payload, t_stop, sizes, lfnr)), model, 6)
-
-
-def _misshapen(value, version):
-    """Each way to drop the last entry of a backend array, or give a scalar an axis."""
-    if version == 1:
-        return value[:-1] if isinstance(value, list) else [value]
-    a = _unpack(value)
-    return _pack(a[:-1] if a.ndim else a[None])
-
-
-@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
-def test_checkpoint_refuses_misshapen_backend_arrays(kind):
-    model, _, payload = _v1(kind)
-    k = V1[kind]["k"]
-    assert _sha(restore_state(_resigned(payload), model, k).w.tobytes()) == \
-        V1[kind]["w_sha256"]
-    for name, value in payload["extra"].items():
-        bad = json.loads(json.dumps(payload))
-        bad["extra"][name] = _misshapen(value, 1)
-        with pytest.raises(CheckpointError, match="posterior state"):
-            restore_state(_resigned(bad), model, k)
+        restore_state(_resigned(payload), model, 6)
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
 def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
-    model, _, _ = _v1(kind)
-    k = V1[kind]["k"]
-    det = restore_state(V1[kind]["checkpoint"], model, k)
+    model, det = _seeded(kind)
+    assert det.n_active < det.k  # the arrays hold frozen streams' state too
     payload = json.loads(checkpoint_state(det))
-    assert sorted(payload["arrays"]) == sorted(json.loads(V1[kind]["checkpoint"])["extra"])
-    assert restore_state(_resigned(payload), model, k).w.tobytes() == det.w.tobytes()
+    assert restore_state(_resigned(payload), model, det.k).w.tobytes() == det.w.tobytes()
     for name, value in payload["arrays"].items():
         a = _unpack(value)
-        # an entry dropped, or a non-square array transposed (the same size)
-        transposed = [_pack(a.T)] if a.ndim == 2 and a.shape[0] != a.shape[1] else []
-        for wrong in [_misshapen(value, 2)] + transposed:
+        assert a.size
+        # an entry dropped, a scalar given an axis, or a non-square array
+        # transposed (the same size)
+        wrong = [_pack(a[:-1] if a.ndim else a[None])]
+        if a.ndim == 2 and a.shape[0] != a.shape[1]:
+            wrong.append(_pack(a.T))
+        for bad_value in wrong:
             bad = json.loads(json.dumps(payload))
-            bad["arrays"][name] = wrong
+            bad["arrays"][name] = bad_value
             with pytest.raises(CheckpointError, match="posterior state"):
-                restore_state(_resigned(bad), model, k)
+                restore_state(_resigned(bad), model, det.k)
 
 
 def test_checkpoint_v2_stays_under_32_bytes_per_stream():

@@ -419,25 +419,6 @@ def _resigned(payload):
 
 
 @pytest.mark.parametrize("field", ["history", "acc"])
-def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
-    # fixture ``partial_t14``: a format-1 blob of ``_partial_run`` after 14 steps
-    import json
-    from pathlib import Path
-
-    from streamgate.detector import CheckpointError
-
-    fx = json.loads((Path(__file__).parent / "data" / "checkpoints_v1.json")
-                    .read_text())["partial_t14"]
-    model, _ = _partial_run()
-    assert fx["model"] == {"kind": "partial", "theta": 0.15, "eta": 0.5, "mu": 1.0}
-    payload = json.loads(fx["checkpoint"])
-    assert restore_state(_resigned(payload), model, 30).t == 14
-    payload["extra"][field].pop()
-    with pytest.raises(CheckpointError, match="partially dependent"):
-        restore_state(_resigned(payload), model, 30)
-
-
-@pytest.mark.parametrize("field", ["history", "acc"])
 def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
     import json
 
@@ -455,75 +436,29 @@ def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
         restore_state(_resigned(payload), model, 30)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [2])
 def test_partial_dep_checkpoint_with_float_stop_times_is_refused(version):
     # a float stop time must be refused: truncated, it restores another
     # fold time and wrong posteriors
     import json
-    from pathlib import Path
 
     from streamgate.detector import CheckpointError, _pack, _unpack
 
     model, data = _partial_run()
-    if version == 1:
-        payload = json.loads(json.loads(
-            (Path(__file__).parent / "data" / "checkpoints_v1.json")
-            .read_text())["partial_t14"]["checkpoint"])
-        stopped_at, arrays = np.array(payload["extra"]["stopped_at"]), payload["extra"]
-    else:
-        det = AdaptiveDetector(model, 0.2, 30)
-        for x in data[:14]:
-            if det.t:
-                det.deactivate()
-            det.observe(x[det.active])
-        payload = json.loads(checkpoint_state(det))
-        stopped_at, arrays = _unpack(payload["arrays"]["stopped_at"]), payload["arrays"]
+    det = AdaptiveDetector(model, 0.2, 30)
+    for x in data[:14]:
+        if det.t:
+            det.deactivate()
+        det.observe(x[det.active])
+    payload = json.loads(checkpoint_state(det))
+    assert payload["format_version"] == version
+    arrays = payload["arrays"]
+    stopped_at = _unpack(arrays["stopped_at"])
     assert restore_state(_resigned(payload), model, 30).t == 14
     assert np.any((stopped_at >= 2) & (stopped_at < 14))
-    bumped = np.where(stopped_at >= 2, stopped_at + 0.5, stopped_at)
-    arrays["stopped_at"] = ([float.hex(float(v)) for v in bumped] if version == 1
-                            else _pack(bumped))
+    arrays["stopped_at"] = _pack(np.where(stopped_at >= 2, stopped_at + 0.5, stopped_at))
     with pytest.raises(CheckpointError, match="integers"):
         restore_state(_resigned(payload), model, 30)
-
-
-def test_partial_dep_legacy_cum_checkpoint_resumes():
-    # ``checkpoint_state`` of the earlier every-stream form, taken after the
-    # selection at t=12 of an observe/deactivate run over the stored rows
-    # ``x``; streams stopped at t=8, 9 and 12 (and 17 later)
-    import json
-    from pathlib import Path
-
-    fx = json.loads((Path(__file__).parent / "data" / "partial_cum_checkpoint.json")
-                    .read_text())
-    assert "cum" in json.loads(fx["checkpoint"])["extra"]
-    cfg = fx["model"]
-    model = PartialDepModel(GeometricPrior(cfg["theta"]), cfg["eta"],
-                            GaussianShift(cfg["mu"]))
-    x = np.asarray(fx["x"])
-    det = restore_state(fx["checkpoint"], model, fx["k"])
-    assert det.t == fx["t_checkpoint"]
-    want_w = np.asarray([float.fromhex(v) for v in fx["w_at_checkpoint"]])
-    assert np.abs(det.w - want_w).max() <= 1e-12
-    assert len(det._state.to_arrays()["history"]) == np.count_nonzero(
-        (det.t_stop < 0) | (det.t_stop == det.t))
-    again = restore_state(checkpoint_state(det), model, fx["k"])
-    assert again.w.tobytes() == det.w.tobytes()
-    for row in x[det.t:]:
-        det.observe(row[det.active])
-        det.deactivate()
-    assert det.t_stop.tolist() == fx["t_stop"]
-    assert det.trace().active_size.tolist() == fx["active_size"]
-
-    # an uninterrupted run makes the same decisions; its realized LFNR may
-    # differ in the last bits, since the checkpoint carries the earlier form's
-    fresh = AdaptiveDetector(model, fx["alpha"], fx["k"])
-    for row in x:
-        fresh.observe(row[fresh.active])
-        fresh.deactivate()
-    assert np.array_equal(fresh.t_stop, det.t_stop)
-    assert np.array_equal(fresh.trace().active_size, det.trace().active_size)
-    assert np.abs(fresh.trace().realized_lfnr - det.trace().realized_lfnr).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
