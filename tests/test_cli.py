@@ -324,6 +324,19 @@ def _resume_edited(tmp_path, capsys, edit):
     return code, err
 
 
+def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
+    # each field of the state, dropped with a valid checksum: exit 2 naming it
+    # (a missing format_version is refused as version None)
+    from streamgate.detector import _FIELDS
+
+    for field in _FIELDS:
+        run = tmp_path / field
+        run.mkdir()
+        code, err = _resume_edited(run, capsys, lambda state: state.pop(field))
+        named = "version None" if field == "format_version" else field
+        assert code == 2 and "data error" in err and named in err
+
+
 def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
     code, err = _resume_edited(tmp_path, capsys, lambda state: state.pop("arrays"))
     assert code == 2 and "data error" in err and "arrays" in err

@@ -669,14 +669,13 @@ def test_checkpoint_rejects_corruption():
         restore_state(blob, other, 4)                     # model fingerprint
 
 
-@pytest.mark.parametrize("version", [1, 3, "2", True],
-                         ids=["int-1", "int-3", "str-2", "bool-true"])
-def test_checkpoint_rejects_version_mismatch(version):
+def test_checkpoint_rejects_version_mismatch():
     # only format 2 is read; "2" and True are not the integer 2
-    model, payload = _iid_checkpoint()
-    payload["format_version"] = version
-    with pytest.raises(CheckpointError, match=f"version {version!r}"):
-        restore_state(_resigned(payload), model, 4)
+    for version in [1, 3, "2", True]:
+        model, payload = _iid_checkpoint()
+        payload["format_version"] = version
+        with pytest.raises(CheckpointError, match=f"version {version!r}"):
+            restore_state(_resigned(payload), model, 4)
 
 
 def test_checkpoint_v2_derives_the_active_set():
@@ -720,6 +719,23 @@ def test_checkpoint_v2_schema_errors_are_checkpoint_errors(field, change):
     assert restore_state(_resigned(payload), model, 4).t == 1
     with pytest.raises(CheckpointError):
         restore_state(_resigned(_delete_or_retype(payload, field, change)), model, 4)
+
+
+_KINDS = ["adaptive", "tabular", "partial", "dependent", "threshold"]
+
+
+@pytest.mark.parametrize("change", ["delete", "retype"])
+@pytest.mark.parametrize("field", _V2_FIELDS)
+def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
+    # the same checks mid-run (t=3, phase observe), for every detector kind
+    for kind in _KINDS:
+        model, det = _seeded(kind)
+        table = getattr(det, "table", None)
+        payload = json.loads(checkpoint_state(det))
+        assert restore_state(_resigned(payload), model, det.k, table=table).t == 3
+        with pytest.raises(CheckpointError):
+            restore_state(_resigned(_delete_or_retype(payload, field, change)),
+                          model, det.k, table=table)
 
 
 _NO_STOP = _pack(np.full(4, -1))
@@ -766,6 +782,31 @@ def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
         restore_state(_resigned(payload), model, 4)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("phase", "bogus", "phase"),
+    ("t", -1, "time"),
+    ("t_stop", "x", "mistyped"),
+    ("t_stop", _pack(np.array([-1.0, -1.0, -1.0, 3.0, -1.0, -1.0])), "<i8"),
+    ("t_stop", _pack(np.array([3, -1, -1, 3, -1, -1])), "the last count"),
+    ("lfnr", _pack(np.array([5, 5, 5, 5])), "malformed"),
+    ("arrays", {}, "posterior state"),
+    ("arrays", {"log_odds": _pack(np.full(5, -np.inf))}, "posterior state"),
+    ("arrays", {"log_odds": _pack(np.full(6, -np.inf)), "acc": _pack(np.zeros(0))},
+     "posterior state"),
+    ("arrays", {"log_odds": 5}, "malformed"),
+], ids=["phase", "t", "t_stop", "t_stop-float", "stopped-but-active", "lfnr",
+        "no-arrays", "short-array", "unknown-array", "array-type"])
+def test_checkpoint_bad_values_are_checkpoint_errors(field, value, match):
+    # the same checks mid-run: K=6 at t=3 (phase observe), stream 3 stopped at t=3
+    model, det = _seeded("adaptive")
+    assert det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
+    payload = json.loads(checkpoint_state(det))
+    assert restore_state(_resigned(payload), model, 6).t == 3
+    payload[field] = value
+    with pytest.raises(CheckpointError, match=match):
+        restore_state(_resigned(payload), model, 6)
+
+
 @pytest.mark.parametrize("case, match", [
     ("stop-after-t", "stop times"),
     ("stop-at-zero", "stop times"),
@@ -805,10 +846,8 @@ def test_checkpoint_inconsistent_history_is_refused(version, case, match):
         restore_state(_resigned(payload), model, 6)
 
 
-@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
-def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
-    model, det = _seeded(kind)
-    assert det.n_active < det.k  # the arrays hold frozen streams' state too
+def _refuses_misshapen_arrays(model, det):
+    """Each backend array of ``det``'s checkpoint, misshapen, is refused."""
     payload = json.loads(checkpoint_state(det))
     assert restore_state(_resigned(payload), model, det.k).w.tobytes() == det.w.tobytes()
     for name, value in payload["arrays"].items():
@@ -824,6 +863,23 @@ def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
             bad["arrays"][name] = bad_value
             with pytest.raises(CheckpointError, match="posterior state"):
                 restore_state(_resigned(bad), model, det.k)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
+def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
+    model, det = _seeded(kind)
+    assert det.n_active < det.k  # the arrays hold frozen streams' state too
+    _refuses_misshapen_arrays(model, det)
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
+def test_checkpoint_refuses_misshapen_backend_arrays(kind):
+    # the same, taken between an observation and its selection (phase select)
+    model, det = _seeded(kind)
+    rng = np.random.default_rng(4)
+    det.observe(model.sample_step(4, np.full(det.k, 2), rng)[det.active])
+    assert det.t == 4 and det._phase == "select" and det.n_active < det.k
+    _refuses_misshapen_arrays(model, det)
 
 
 def test_checkpoint_v2_stays_under_32_bytes_per_stream():

@@ -419,6 +419,29 @@ def _resigned(payload):
 
 
 @pytest.mark.parametrize("field", ["history", "acc"])
+def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
+    # taken after the selection at t=14, with the dropped stream's row still kept
+    import json
+
+    from streamgate.detector import CheckpointError, _pack, _unpack
+
+    model, data = _partial_run()
+    det = AdaptiveDetector(model, 0.2, 30)
+    for x in data[:14]:
+        if det.t:
+            det.deactivate()
+        det.observe(x[det.active])
+    det.deactivate()
+    assert det.t == 14 and np.count_nonzero(det.t_stop == 14) == 1
+    payload = json.loads(checkpoint_state(det))
+    assert payload["arrays"]["history"]["shape"][0] == det.n_active + 1
+    assert restore_state(_resigned(payload), model, 30).t == 14
+    payload["arrays"][field] = _pack(_unpack(payload["arrays"][field])[:-1])
+    with pytest.raises(CheckpointError, match="partially dependent"):
+        restore_state(_resigned(payload), model, 30)
+
+
+@pytest.mark.parametrize("field", ["history", "acc"])
 def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
     import json
 
