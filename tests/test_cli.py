@@ -450,6 +450,187 @@ def test_detect_checkpoint_survives_a_bad_cell(tmp_path, capsys):
     assert json.loads(json.loads(ck.read_text())["state"])["t"] == 24
 
 
+def _rows_of(fmt, x, ids, times, bad_at=None):
+    """NDJSON or long-CSV lines of rows ``times`` of ``x``; the first value at
+    ``bad_at`` is not a number."""
+    lines = [] if fmt == "ndjson" else ["t,stream,x"]
+    for t in times:
+        for sid, v in zip(ids, x[t - 1]):
+            cell = "oops" if t == bad_at and sid == ids[0] else repr(float(v))
+            lines.append(f'{{"t": {t}, "stream": {sid}, "x": {cell}}}' if fmt == "ndjson"
+                         else f"{t},{sid},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "long-csv"])
+def test_detect_checkpoint_survives_a_bad_row(tmp_path, capsys, fmt):
+    # the twin of the wide-CSV test above: a bad first row of t=17 stops the
+    # run before t=16 runs, and the held state resumes to the clean result
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    rng = np.random.default_rng(34)
+    tau = model.sample_change_points(20, rng)
+    x = np.stack([model.sample_step(t, tau, rng) for t in range(1, 25)])
+    ids = [3 * i + 1 for i in range(20)]
+
+    def detect(name, times, *extra, bad_at=None):
+        (tmp_path / name).write_text(_rows_of(fmt, x, ids, times, bad_at))
+        return _run(capsys, "detect", "--input", str(tmp_path / name), "--out",
+                    str(tmp_path / f"{name}.out"), *extra, *_IID, "--alpha", "0.1")
+
+    assert detect("full", range(1, 25))[0] == 0
+    ck = tmp_path / "ck.json"
+    code, _, err = detect("crash", range(1, 25), "--checkpoint", str(ck),
+                          "--report", str(tmp_path / "crash.rep"), bad_at=17)
+    row = 16 * 20 + (1 if fmt == "ndjson" else 2)
+    assert code == 2 and f"data error: row {row}: " in err
+    assert detect("first", range(1, 16), "--checkpoint", str(tmp_path / "ck15.json"),
+                  "--report", str(tmp_path / "first.rep"))[0] == 0
+    assert ck.read_bytes() == (tmp_path / "ck15.json").read_bytes()
+    assert (tmp_path / "crash.rep").read_bytes() == (tmp_path / "first.rep").read_bytes()
+    assert detect("rest", range(16, 25), "--checkpoint", str(ck))[0] == 0
+    assert (tmp_path / "rest.out").read_bytes() == (tmp_path / "full.out").read_bytes()
+
+
+def _clean_lines(fmt, k, horizon):
+    """A clean input of streams 1..k over t=1..horizon; the CSV header is row 1."""
+    x = {(t, sid): ((7 * sid + 3 * t) % 11) / 10 - 1.5
+         for t in range(1, horizon + 1) for sid in range(1, k + 1)}
+    if fmt == "wide":
+        return ["t," + ",".join(map(str, range(1, k + 1)))] + [
+            f"{t}," + ",".join(repr(x[t, sid]) for sid in range(1, k + 1))
+            for t in range(1, horizon + 1)]
+    rows = [(t, sid, x[t, sid]) for t, sid in sorted(x)]
+    if fmt == "ndjson":
+        return [f'{{"t": {t}, "stream": {sid}, "x": {v!r}}}' for t, sid, v in rows]
+    return ["t,stream,x"] + [f"{t},{sid},{v!r}" for t, sid, v in rows]
+
+
+def _nd(t, sid, x):
+    return f'{{"t": {t}, "stream": {sid}, "x": {x}}}'
+
+
+# (format, streams, steps, {row: replacement line}, data error, t held after it).
+# Streams 1..3 over t=1..5 unless stated; NDJSON row 3(t-1)+s holds (t, s),
+# long CSV one row later and wide CSV row t+1 the whole of t.  A step runs once
+# the next step's first row is read and checked, so a fault at a step's first
+# row holds two steps back and one later in the step holds one step back.
+# With 400 streams over 11 steps, t=11 spans NDJSON rows 4001..4400, across
+# the 4096-line mark.
+_REFUSALS = {
+    "ndjson-bad-record-first-row": (
+        "ndjson", 3, 5, {7: '{"t": 3, "stream": 1, "x": }'},
+        "row 7: bad NDJSON record (Expecting value: line 1 column 28 (char 27))", 1),
+    "ndjson-missing-field-mid-step": (
+        "ndjson", 3, 5, {8: '{"t": 3, "stream": 2}'}, "row 8: bad NDJSON record ('x')", 2),
+    "ndjson-non-finite-first-row": (
+        "ndjson", 3, 5, {7: _nd(3, 1, "NaN")},
+        "row 7: non-finite observation nan for stream 1 at t=3", 1),
+    "ndjson-non-finite-mid-step": (
+        "ndjson", 3, 5, {8: _nd(3, 2, "-Infinity")},
+        "row 8: non-finite observation -inf for stream 2 at t=3", 2),
+    "ndjson-unsorted-mid-step": (
+        "ndjson", 3, 5, {8: _nd(2, 2, 0.5)}, "row 8: input not sorted by time (2 after 3)", 2),
+    "ndjson-duplicate": (
+        "ndjson", 3, 5, {9: _nd(3, 1, 0.5)},
+        "row 9: duplicate observation for stream 1 at t=3", 2),
+    "ndjson-duplicate-then-bad-record": (
+        "ndjson", 3, 5, {8: _nd(3, 1, 0.5), 9: "oops"},
+        "row 8: duplicate observation for stream 1 at t=3", 2),
+    "ndjson-duplicate-then-non-finite-next-step": (
+        "ndjson", 3, 5, {5: _nd(2, 1, 0.5), 7: _nd(3, 1, "NaN")},
+        "row 5: duplicate observation for stream 1 at t=2", 1),
+    "ndjson-time-gap": (
+        "ndjson", 3, 5, {13: _nd(6, 1, 0.5), 14: _nd(6, 2, 0.5), 15: _nd(6, 3, 0.5)},
+        "row 13: time gap, expected t=5, got t=6", 4),
+    "ndjson-unknown-id": (
+        "ndjson", 3, 5, {7: _nd(3, 9, 0.5)}, "row 7: unknown stream id(s) [9]", 2),
+    "ndjson-unknown-id-then-non-finite": (
+        "ndjson", 3, 5, {7: _nd(3, 9, 0.5), 8: _nd(3, 2, "NaN")},
+        "row 8: non-finite observation nan for stream 2 at t=3", 2),
+    "ndjson-missing-id": (
+        "ndjson", 3, 5, {8: ""}, "row 7: missing observation for active stream(s) [2] at t=3", 2),
+    "ndjson-not-from-t1": (
+        "ndjson", 3, 5, {1: _nd(0, 1, 0.5), 2: _nd(0, 2, 0.5), 3: _nd(0, 3, 0.5)},
+        "row 1: input must start at t=1, got t=0", None),
+    "ndjson-bad-record-past-4096": (
+        "ndjson", 400, 11, {4200: '{"t": 11, "stream": 200, "x": 0.1'},
+        "row 4200: bad NDJSON record (Expecting ',' delimiter: line 1 column 34 (char 33))",
+        10),
+    "ndjson-duplicate-across-4096": (
+        "ndjson", 400, 11, {4200: _nd(11, 50, 0.5)},
+        "row 4200: duplicate observation for stream 50 at t=11", 10),
+    "ndjson-non-finite-at-4097": (
+        "ndjson", 400, 11, {4097: _nd(11, 97, "Infinity")},
+        "row 4097: non-finite observation inf for stream 97 at t=11", 10),
+    "long-bad-cell-first-row": (
+        "long", 3, 5, {8: "3,1,abc"}, "row 8: could not convert string to float: 'abc'", 1),
+    "long-bad-time-mid-step": (
+        "long", 3, 5, {9: "x,2,0.5"}, "row 9: invalid literal for int() with base 10: 'x'", 2),
+    "long-wrong-width": ("long", 3, 5, {9: "3,2"}, "row 9: expected t,stream,x", 2),
+    "long-non-finite-first-row": (
+        "long", 3, 5, {8: "3,1,inf"}, "row 8: non-finite observation inf for stream 1 at t=3", 1),
+    "long-unsorted-first-row": (
+        "long", 3, 5, {8: "1,1,0.5"}, "row 8: input not sorted by time (1 after 2)", 1),
+    "long-duplicate": (
+        "long", 3, 5, {10: "3,2,0.5"}, "row 10: duplicate observation for stream 2 at t=3", 2),
+    "long-unknown-id-then-non-finite": (
+        "long", 3, 5, {8: "3,9,0.5", 9: "3,2,nan"},
+        "row 9: non-finite observation nan for stream 2 at t=3", 2),
+    "long-not-from-t1": (
+        "long", 3, 5, {2: "", 3: "", 4: ""}, "row 5: input must start at t=1, got t=2", None),
+    "long-bad-cell-past-4096": (
+        "long", 400, 11, {4200: "11,199,x1"},
+        "row 4200: could not convert string to float: 'x1'", 10),
+    "long-duplicate-across-4096": (
+        "long", 400, 11, {4200: "11,50,0.5"},
+        "row 4200: duplicate observation for stream 50 at t=11", 10),
+    "wide-bad-cell": (
+        "wide", 3, 5, {4: "3,0.1,abc,0.3"}, "row 4: could not convert string to float: 'abc'", 1),
+    "wide-wrong-width": ("wide", 3, 5, {4: "3,0.1,0.2"}, "row 4: expected 4 columns", 1),
+    "wide-non-finite-first-cell": (
+        "wide", 3, 5, {4: "3,nan,0.2,0.3"},
+        "row 4: non-finite observation nan for stream 1 at t=3", 1),
+    # cells are met in column order, and the step before runs once the
+    # row's first cell has passed
+    "wide-non-finite-later-cell": (
+        "wide", 3, 5, {4: "3,0.1,0.2,inf"},
+        "row 4: non-finite observation inf for stream 3 at t=3", 2),
+    "wide-repeated-time": (
+        "wide", 3, 5, {4: "2,0.1,0.2,0.3"},
+        "row 4: duplicate observation for stream 1 at t=2", 1),
+    "wide-unknown-id": (
+        "wide", 3, 5, {2: "1,0.1,0.2,"}, "row 3: unknown stream id(s) [3]", 1),
+    "wide-unknown-id-then-non-finite": (
+        "wide", 3, 5, {2: "1,0.1,0.2,", 3: "2,0.1,0.2,nan"},
+        "row 3: non-finite observation nan for stream 3 at t=2", 1),
+    "wide-missing-id": (
+        "wide", 3, 5, {4: "3,0.1,,0.3"},
+        "row 4: missing observation for active stream(s) [2] at t=3", 2),
+    "wide-time-gap": (
+        "wide", 3, 5, {6: "6,0.1,0.2,0.3"}, "row 6: time gap, expected t=5, got t=6", 4),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_detect_refusals_name_their_row_and_keep_the_steps_before(tmp_path, capsys, case):
+    fmt, k, horizon, edits, message, held = _REFUSALS[case]
+    lines = _clean_lines(fmt, k, horizon)
+    for row, text in edits.items():
+        lines[row - 1] = text
+    data = tmp_path / "obs"
+    data.write_text("\n".join(lines) + "\n")
+    ck, report = tmp_path / "ck.json", tmp_path / "r.csv"
+    code, _, err = _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o"),
+                        "--checkpoint", str(ck), "--report", str(report), *_IID_ALPHA)
+    assert (code, err) == (2, f"data error: {message}\n")
+    assert not (tmp_path / "o").exists()
+    if held is None:
+        assert not ck.exists() and not report.exists()
+    else:
+        assert json.loads(json.loads(ck.read_text())["state"])["t"] == held
+        assert f"t_final={held}\n" in report.read_text().splitlines(keepends=True)[0]
+
+
 @pytest.mark.parametrize("flags, saved, given", [
     (["--alpha", "0.5"], "alpha=0.05", "alpha=0.5"),
     (["--alpha", "0.05", "--mode", "dependent"], "mode='adaptive'", "mode='dependent'"),
