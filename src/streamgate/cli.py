@@ -58,6 +58,7 @@ import contextlib
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -190,102 +191,201 @@ def _default_threads() -> int:
 # ---------------------------------------------------------------------------
 # observation ingestion
 # ---------------------------------------------------------------------------
+# A chunk is (t, ids, x, rows): int64 times and stream ids, float64 values
+# and the source row of each observation, in file order.
 
-def _iter_rows(path: str):
-    """Yield (row_no, t, stream_id, x) from NDJSON, long CSV, or wide CSV."""
+_scan = json.JSONDecoder().scan_once  # json.loads(s) is _scan(s, 0) ending at len(s)
+_fields = operator.itemgetter("t", "stream", "x")
+
+
+def _int64(value: int, row_no: int) -> int:
+    if -2**63 <= value < 2**63:
+        return value
+    raise DataError(f"row {row_no}: {value} does not fit in int64")
+
+
+def _ndjson_row(line: str, row_no: int) -> tuple[int, int, float]:
+    try:
+        rec = json.loads(line)
+        t, sid, x = rec["t"], rec["stream"], rec["x"]
+        # JSON numbers only, never truncated: 2.9, true and "2" are refused
+        if type(t) is not int or type(sid) is not int or type(x) not in (int, float):
+            raise TypeError("t and stream must be JSON integers and x a JSON "
+                            f"number, got t={t!r}, stream={sid!r}, x={x!r}")
+        x = float(x)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise DataError(f"row {row_no}: bad NDJSON record ({exc})") from exc
+    return _int64(t, row_no), _int64(sid, row_no), x
+
+
+def _long_row(line: str, row_no: int) -> tuple[int, int, float]:
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise DataError(f"row {row_no}: expected t,stream,x")
+    try:
+        t, sid, x = int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError as exc:
+        raise DataError(f"row {row_no}: {exc}") from exc
+    return _int64(t, row_no), _int64(sid, row_no), x
+
+
+def _ndjson_columns(lines):
+    """t, stream and x of stripped lines as ``_ndjson_row`` reads them; raises
+    where it would refuse a line.  Lines are decoded 128 at a time, so that
+    their records are freed before the cyclic garbage collector traces them."""
+    t, sid, x = [], [], []
+    for i in range(0, len(lines), 128):
+        recs, ends = zip(*[_scan(line, 0) for line in lines[i:i + 128]])
+        if ends != tuple(map(len, lines[i:i + 128])):
+            raise ValueError("extra data after a record")
+        for col, values in zip((t, sid, x), zip(*map(_fields, recs))):
+            col += values
+    if {*map(type, t), *map(type, sid)} != {int} or not {*map(type, x)} <= {int, float}:
+        raise TypeError("t and stream must be JSON integers and x a JSON number")
+    return t, sid, map(float, x)
+
+
+def _long_columns(lines):
+    """t, stream and x of stripped lines as ``_long_row`` reads them; raises
+    where it would refuse a line."""
+    if {*map(str.count, lines, itertools.repeat(","))} != {2}:
+        raise ValueError("expected t,stream,x")
+    cells = ",".join(lines).split(",")
+    return map(int, cells[0::3]), map(int, cells[1::3]), map(float, cells[2::3])
+
+
+def _line_chunks(lines, row_no: int, parse_row):
+    """Chunks of lines read one at a time, each ending at the first row of a
+    new step, so that the step before can run as soon as that row arrives.  A
+    bad line raises ``parse_row``'s message after the rows before it."""
+    held, fault = [], None
+    for row_no, line in enumerate(lines, row_no):
+        if line := line.strip():
+            try:
+                held.append((*parse_row(line, row_no), row_no))
+            except DataError as exc:
+                fault = exc
+                break
+            if held[-1][0] != held[0][0]:
+                yield tuple(map(np.array, zip(*held)))
+                held = []
+    if held:
+        yield tuple(map(np.array, zip(*held)))
+    if fault:
+        raise fault
+
+
+def _block_chunks(lines, row_no: int, parse_row, columns):
+    """Chunks of 4096 lines; one that ``columns`` refuses is read again by
+    ``_line_chunks``, so that its first bad line names itself."""
+    while block := list(itertools.islice(lines, 4096)):
+        rows = np.arange(row_no, row_no + len(block))
+        kept = list(map(str.strip, block))
+        if "" in kept:  # a blank line keeps its row number but holds no observation
+            rows = rows[[bool(line) for line in kept]]
+            kept = [line for line in kept if line]
+        try:
+            t, sid, x = [np.fromiter(col, dtype, len(kept)) for col, dtype in
+                         zip(columns(kept), (np.int64, np.int64, np.float64))]
+        except (KeyError, TypeError, ValueError, OverflowError, StopIteration):
+            yield from _line_chunks(block, row_no, parse_row)
+        else:
+            yield t, sid, x, rows
+        row_no += len(block)
+
+
+def _wide_chunks(fh, header: list[str]):
+    """A chunk per line of wide CSV; a blank cell holds no observation."""
+    if header[0] != "t" or len(header) < 2:
+        raise DataError("unrecognized input header; expected NDJSON, "
+                        "'t,stream,x', or wide 't,<id>,...'")
+    ids = []
+    for h in header[1:]:
+        try:
+            ids.append(_int64(int(h), 1))
+        except ValueError as exc:
+            raise DataError(f"bad stream id {h!r} in wide header") from exc
+    ids = np.array(ids, np.int64)
+    for row_no, line in enumerate(fh, 2):
+        if not (line := line.strip()):
+            continue
+        parts = line.split(",")
+        if len(parts) != ids.size + 1:
+            raise DataError(f"row {row_no}: expected {ids.size + 1} columns")
+        try:
+            t, sid, cells = _int64(int(parts[0]), row_no), ids, parts[1:]
+            if "" in cells:
+                sid, cells = ids[[bool(cell) for cell in cells]], [c for c in cells if c]
+            # float() per cell, so that each reads exactly as float(cell) does
+            x = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError as exc:
+            raise DataError(f"row {row_no}: {exc}") from exc
+        if x.size:
+            yield np.full(x.size, t), sid, x, np.full(x.size, row_no)
+
+
+def _chunks(path: str):
+    """Observation chunks of NDJSON, long CSV or wide CSV."""
     fh = sys.stdin if path == "-" else open(path)
     try:
         first = fh.readline()
         if not first.strip():
             raise DataError("no observations")
-        row_no = 1
-        if first.lstrip().startswith("{"):
-            for line in itertools.chain([first], fh):
-                line = line.strip()
-                if not line:
-                    row_no += 1
-                    continue
-                try:
-                    rec = json.loads(line)
-                    t, sid, x = rec["t"], rec["stream"], rec["x"]
-                    # JSON numbers only, never truncated: 2.9, true and "2" are refused
-                    if type(t) is not int or type(sid) is not int or type(x) not in (int, float):
-                        raise TypeError("t and stream must be JSON integers and x a JSON "
-                                        f"number, got t={t!r}, stream={sid!r}, x={x!r}")
-                    x = float(x)
-                except (KeyError, ValueError, TypeError, OverflowError) as exc:
-                    raise DataError(f"row {row_no}: bad NDJSON record ({exc})") from exc
-                yield row_no, t, sid, x
-                row_no += 1
-            return
         header = [h.strip() for h in first.strip().split(",")]
-        if header == ["t", "stream", "x"]:
-            for line in fh:
-                row_no += 1
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise DataError(f"row {row_no}: expected t,stream,x")
-                try:
-                    yield row_no, int(parts[0]), int(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise DataError(f"row {row_no}: {exc}") from exc
+        if first.lstrip().startswith("{"):
+            form = itertools.chain([first], fh), 1, _ndjson_row, _ndjson_columns
+        elif header == ["t", "stream", "x"]:
+            form = fh, 2, _long_row, _long_columns
+        else:
+            yield from _wide_chunks(fh, header)
             return
-        if header[0] != "t" or len(header) < 2:
-            raise DataError("unrecognized input header; expected NDJSON, "
-                            "'t,stream,x', or wide 't,<id>,...'")
-        ids = []
-        for h in header[1:]:
-            try:
-                ids.append(int(h))
-            except ValueError as exc:
-                raise DataError(f"bad stream id {h!r} in wide header") from exc
-        for line in fh:
-            row_no += 1
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(ids) + 1:
-                raise DataError(f"row {row_no}: expected {len(ids) + 1} columns")
-            try:
-                t = int(parts[0])
-                cells = [(sid, float(cell)) for sid, cell in zip(ids, parts[1:])
-                         if cell != ""]
-            except ValueError as exc:
-                raise DataError(f"row {row_no}: {exc}") from exc
-            for sid, x in cells:
-                yield row_no, t, sid, x
+        # stdin goes a line at a time: a step runs once the next one's first row arrives
+        yield from _line_chunks(*form[:3]) if fh is sys.stdin else _block_chunks(*form)
     finally:
         if fh is not sys.stdin:
             fh.close()
 
 
-def _group_by_time(rows):
-    """Yield (t, {stream_id: x}, row_no) groups; times must be nondecreasing."""
-    current_t = None
-    group: dict[int, float] = {}
-    group_row = 0
-    for row_no, t, sid, x in rows:
-        if not math.isfinite(x):
-            raise DataError(f"row {row_no}: non-finite observation {x!r} for stream "
-                            f"{sid} at t={t}")
-        if current_t is None:
-            current_t, group_row = t, row_no
-        if t < current_t:
-            raise DataError(f"row {row_no}: input not sorted by time "
-                            f"({t} after {current_t})")
-        if t > current_t:
-            yield current_t, group, group_row
-            current_t, group, group_row = t, {}, row_no
-        if sid in group:
-            raise DataError(f"row {row_no}: duplicate observation for stream {sid} "
-                            f"at t={t}")
-        group[sid] = x
-    if current_t is not None:
-        yield current_t, group, group_row
+def _steps(chunks):
+    """Yield (t, ids, x, rows) per time step, with the row checks: a value not
+    finite, a time out of order, a stream repeated within a step.  A step is
+    yielded once the next step's first row has passed them, and faults are
+    raised in file order."""
+    t_now, held = None, []
+
+    def step():
+        sid, x, rows = map(np.concatenate, zip(*held))
+        held.clear()
+        if np.any(np.diff(np.sort(sid)) == 0):
+            order = np.argsort(sid, kind="stable")
+            i = order[1:][np.diff(sid[order]) == 0].min()  # the first repeat in the file
+            raise DataError(f"row {rows[i]}: duplicate observation for stream {sid[i]} "
+                            f"at t={t_now}")
+        return t_now, sid, x, rows
+
+    try:
+        for t, sid, x, rows in chunks:
+            t_now = int(t[0]) if t_now is None else t_now
+            prev = np.concatenate(([t_now], t[:-1]))
+            bad = np.flatnonzero(~np.isfinite(x) | (t < prev))
+            end, cut = bad[0] if bad.size else t.size, 0
+            for s in np.flatnonzero(t[:end] != prev[:end]).tolist():
+                held.append((sid[cut:s], x[cut:s], rows[cut:s]))
+                yield step()
+                t_now, cut = int(t[s]), s
+            held.append((sid[cut:end], x[cut:end], rows[cut:end]))
+            if end < t.size and not np.isfinite(x[end]):
+                raise DataError(f"row {rows[end]}: non-finite observation {float(x[end])!r} "
+                                f"for stream {sid[end]} at t={t[end]}")
+            if end < t.size:
+                raise DataError(f"row {rows[end]}: input not sorted by time "
+                                f"({t[end]} after {prev[end]})")
+    except DataError:
+        if held:  # a stream repeated before the fault is the first fault
+            step()
+        raise
+    if held:
+        yield step()
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -325,14 +425,12 @@ def _cmd_detect(args) -> int:
     mode = _resolved(args, cfg, "mode", str, "adaptive")
     table = _read_table(args, cfg, "mode") if mode == "threshold" else None
 
-    groups = _group_by_time(_iter_rows(args.input))
-    try:
-        first_t, first_obs, first_row = next(groups)
-    except StopIteration:
+    steps = _steps(_chunks(args.input))
+    first = next(steps, None)
+    if first is None:
         raise DataError("no observations")
 
     det = None
-    ids = None
     discarded = 0
     if args.checkpoint and os.path.exists(args.checkpoint):
         with open(args.checkpoint) as fh:
@@ -344,7 +442,8 @@ def _cmd_detect(args) -> int:
             if (type(state) is not str or len(set(ids)) != len(ids)
                     or any(type(sid) is not int for sid in ids)):
                 raise ValueError("external_ids must be distinct integers")
-        except (KeyError, TypeError, ValueError) as exc:
+            universe = np.array(ids, np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"unreadable checkpoint file: {exc}") from exc
         det = restore_state(state, model, len(ids), table=table)
         for key, given, saved in (("alpha", alpha, det.alpha), ("mode", mode, det.kind)):
@@ -352,30 +451,37 @@ def _cmd_detect(args) -> int:
                 raise UsageError(f"checkpoint was written with {key}={saved!r}, "
                                  f"refusing to resume with {key}={given!r}")
     if det is None:
+        first_t, first_ids, _, first_rows = first
         if first_t != 1:
-            raise DataError(f"row {first_row}: input must start at t=1, got t={first_t}")
-        ids = sorted(first_obs)
+            raise DataError(f"row {first_rows[0]}: input must start at t=1, got t={first_t}")
+        universe = np.sort(first_ids)
+        ids = universe.tolist()
         det = make_detector(mode, model, alpha, len(ids), table)
 
-    id_pos = {sid: i for i, sid in enumerate(ids)}
+    ids_json = json.dumps(ids)  # the checkpoint's prefix, encoded once
     report_rows = []
 
-    def process(t, obs, row_no):
+    def process(t, sid, x, rows):
         nonlocal discarded
         expected = det.t + 1
         if t != expected:
-            raise DataError(f"row {row_no}: time gap, expected t={expected}, got t={t}")
-        unknown = obs.keys() - id_pos.keys()
-        if unknown:
-            raise DataError(f"row {row_no}: unknown stream id(s) {sorted(unknown)}")
-        active_ids = [ids[i] for i in det.active]
-        missing = [sid for sid in active_ids if sid not in obs]
-        if missing:
-            raise DataError(f"row {row_no}: missing observation for active "
-                            f"stream(s) {missing} at t={t}")
-        # every active id is in ``obs`` and its ids are unique and known
-        discarded += len(obs) - len(active_ids)
-        det.observe(np.asarray([obs[sid] for sid in active_ids]))
+            raise DataError(f"row {rows[0]}: time gap, expected t={expected}, got t={t}")
+        order = np.argsort(sid)  # sorted needles make searchsorted several times faster
+        sid, x = sid[order], x[order]
+        pos = np.searchsorted(universe, sid)
+        unknown = sid[universe.take(pos, mode="clip") != sid]
+        if unknown.size:
+            raise DataError(f"row {rows[0]}: unknown stream id(s) {unknown.tolist()}")
+        # values are finite, so NaN marks an active stream with no observation
+        x_all = np.full(det.k, np.nan)
+        x_all[pos] = x
+        x_active = x_all[det.active]
+        missing = det.active[np.isnan(x_active)]
+        if missing.size:
+            raise DataError(f"row {rows[0]}: missing observation for active "
+                            f"stream(s) {universe[missing].tolist()} at t={t}")
+        discarded += sid.size - det.n_active
+        det.observe(x_active)
         w_active = det.w[det.active]
         det.deactivate()
         if args.report:
@@ -385,17 +491,16 @@ def _cmd_detect(args) -> int:
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if args.checkpoint:
-            _write_atomic(args.checkpoint, json.dumps(
-                {"external_ids": ids, "state": checkpoint_state(det)}))
+            _write_atomic(args.checkpoint, '{"external_ids": ' + ids_json + ', "state": '
+                          + json.dumps(checkpoint_state(det)) + "}")
 
     def header(t_final):
         return (f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={t_final}\n"
                 f"# model={model.fingerprint()}\n")
 
     try:
-        process(first_t, first_obs, first_row)
-        for t, obs, row_no in groups:
-            process(t, obs, row_no)
+        for step in itertools.chain([first], steps):
+            process(*step)
     finally:
         # a failed run still reports the steps it completed, as a clean run
         # over exactly those steps would; a restored detector has no record yet

@@ -710,6 +710,120 @@ def test_detect_reads_ndjson_stdin_line_by_line(tmp_path, capsys, monkeypatch):
     assert code == 2 and "row 4: bad NDJSON record" in err
 
 
+def test_detect_reads_stdin_and_files_alike(tmp_path, capsys, monkeypatch):
+    # a file goes in blocks of lines, stdin a line at a time: the same bytes,
+    # over blank lines, integer values and steps across a block boundary
+    lines = [_nd(t, sid, sid % 3 - 1 if sid % 5 else -0.25 * sid / 400)
+             for t in range(1, 8) for sid in range(1, 801)]
+    lines[4200:4200] = ["", "  "]
+    data = tmp_path / "obs.ndjson"
+    data.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for src in (str(data), "-"):
+        monkeypatch.setattr(sys, "stdin", _LineStream(data.read_text()))
+        name = "stdin" if src == "-" else "file"
+        code, out, err = _run(capsys, "detect", "--input", src, "--out", str(tmp_path / name),
+                              "--report", str(tmp_path / f"{name}.rep"), "--checkpoint",
+                              str(tmp_path / f"{name}.ck"), *_IID_ALPHA)
+        assert code == 0
+        outputs.append([out, err] + [(tmp_path / f"{name}{ext}").read_bytes()
+                                     for ext in ("", ".rep", ".ck")])
+    assert outputs[0] == outputs[1]
+
+
+class _CountingStream(_LineStream):
+    """A line-by-line stdin that counts the lines it hands out."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.read = 0
+
+    def readline(self):
+        self.read += 1
+        return next(self._lines, "")
+
+    def __iter__(self):
+        return iter(self.readline, "")
+
+
+def test_detect_runs_a_stdin_step_once_the_next_one_starts(tmp_path, capsys, monkeypatch):
+    # stdin is not read ahead: t=1 is checkpointed once t=2's first line is in
+    stream = _CountingStream("".join(_nd(t, sid, -0.5) + "\n" for t in (1, 2, 3)
+                                     for sid in (1, 2)))
+    monkeypatch.setattr(sys, "stdin", stream)
+    saved, write = [], cli._write_atomic
+    monkeypatch.setattr(cli, "_write_atomic",
+                        lambda path, text: saved.append(stream.read) or write(path, text))
+    code, _, _ = _run(capsys, "detect", "--input", "-", "--out", str(tmp_path / "o"),
+                      "--checkpoint", str(tmp_path / "ck"), *_IID_ALPHA)
+    assert code == 0 and saved == [3, 5, 7]  # the 7th read finds the end of input
+
+
+@pytest.mark.parametrize("name, text, message", [
+    # joined into one array, lines 1 and 2 make one record and line 3 two
+    ("obs.ndjson", '{"t":1,"stream":1,"x":1,"y":[1\n2]}\n'
+                   '{"t": 1, "stream": 2, "x": 0.1},{"t": 1, "stream": 3, "x": 0.2}\n',
+     "row 1: bad NDJSON record (Expecting ',' delimiter: line 1 column 31 (char 30))"),
+    ("obs.ndjson", '{"t": 1, "stream": 1, "x": 0.1}\n{"t": 1, "stream": 2, "x": 1e400}\n',
+     "row 2: non-finite observation inf for stream 2 at t=1"),
+    ("long.csv", "t,stream,x\n1,1,0.1\n1,2,1e400\n",
+     "row 3: non-finite observation inf for stream 2 at t=1"),
+    ("wide.csv", "t,1,2\n1,0.1,1e400\n", "row 2: non-finite observation inf for stream 2 at t=1"),
+], ids=["joined-lines", "ndjson-1e400", "long-1e400", "wide-1e400"])
+def test_detect_reads_each_line_on_its_own(tmp_path, capsys, name, text, message):
+    data = tmp_path / name
+    data.write_text(text)
+    code, _, err = _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o"),
+                        *_IID_ALPHA)
+    assert (code, err) == (2, f"data error: {message}\n")
+
+
+def test_detect_reads_wide_cells_as_float_does(tmp_path, capsys):
+    # underscores and inner spaces read as float() reads them
+    outputs = []
+    for name, row in (("plain", "1,10.0,2.5,-0.5"), ("spelt", "1,1_0, 2.5,-0.5 ")):
+        data = tmp_path / f"{name}.csv"
+        data.write_text(f"t,1,2,3\n{row}\n2,0.1,0.2,0.3\n")
+        code, _, _ = _run(capsys, "detect", "--input", str(data), "--out",
+                          str(tmp_path / f"{name}.out"), "--report",
+                          str(tmp_path / f"{name}.rep"), *_IID_ALPHA)
+        assert code == 0
+        outputs.append((tmp_path / f"{name}.rep").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+_BIG = 2**70
+
+
+@pytest.mark.parametrize("name, text, row, value", [
+    ("obs.ndjson", f'{{"t": 1, "stream": 1, "x": 0.1}}\n{{"t": 1, "stream": {_BIG}, "x": 0.1}}\n',
+     2, _BIG),
+    ("obs.ndjson", f'{{"t": {-_BIG}, "stream": 1, "x": 0.1}}\n', 1, -_BIG),
+    ("long.csv", f"t,stream,x\n1,1,0.1\n1,{2**63},0.1\n", 3, 2**63),
+    ("long.csv", f"t,stream,x\n{_BIG},1,0.1\n", 2, _BIG),
+    ("wide.csv", f"t,1,{_BIG}\n1,0.1,0.2\n", 1, _BIG),
+    ("wide.csv", f"t,1,2\n{_BIG},0.1,0.2\n", 2, _BIG),
+], ids=["ndjson-stream", "ndjson-time", "long-stream", "long-time", "wide-header",
+        "wide-time"])
+def test_detect_ids_and_times_must_fit_int64(tmp_path, capsys, name, text, row, value):
+    data = tmp_path / name
+    data.write_text(text)
+    code, _, err = _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o"),
+                        *_IID_ALPHA)
+    assert (code, err) == (2, f"data error: row {row}: {value} does not fit in int64\n")
+
+
+def test_detect_takes_ids_at_the_ends_of_int64(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text(f"t,stream,x\n1,{2**63 - 1},0.1\n1,{-2**63},0.2\n2,{-2**63},0.3\n"
+                    f"2,{2**63 - 1},0.4\n")
+    code, _, _ = _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o"),
+                      *_IID_ALPHA)
+    assert code == 0
+    body = (tmp_path / "o").read_text().splitlines()[3:]
+    assert [line.split(",")[0] for line in body] == [str(-2**63), str(2**63 - 1)]
+
+
 def test_detect_wide_csv_then_ndjson_resume_matches_library(tmp_path, capsys):
     # non-contiguous ids in shuffled column and line order; streams drop in
     # both halves, and some dropped streams keep reporting (discarded rows)
