@@ -18,6 +18,9 @@ Observation input for ``detect`` is NDJSON (``{"t":1,"stream":1,"x":0.3}``
 per line), long CSV (``t,stream,x`` header), or wide CSV (``t`` column
 followed by one column per stream id).  Rows must be sorted by time with
 no gaps; observations for deactivated streams are discarded with a note.
+Times and stream ids must fit int64.  A step runs once the next step's
+first row is read, so a bad row at the start of step t stops the run
+with t-2 as its last completed step, and one later in step t with t-1.
 ``detect`` writes the per-stream stopping-time table (``--out``;
 ``censored=1`` marks streams still active when input ended) and
 optionally a per-step report (``--report``) with columns
@@ -246,8 +249,7 @@ def _ndjson_columns(lines):
 
 
 def _long_columns(lines):
-    """t, stream and x of stripped lines as ``_long_row`` reads them; raises
-    where it would refuse a line."""
+    """t, stream and x of stripped lines as ``_long_row`` reads them, or a raise."""
     if {*map(str.count, lines, itertools.repeat(","))} != {2}:
         raise ValueError("expected t,stream,x")
     cells = ",".join(lines).split(",")
@@ -258,21 +260,20 @@ def _line_chunks(lines, row_no: int, parse_row):
     """Chunks of lines read one at a time, each ending at the first row of a
     new step, so that the step before can run as soon as that row arrives.  A
     bad line raises ``parse_row``'s message after the rows before it."""
-    held, fault = [], None
+    held = []
     for row_no, line in enumerate(lines, row_no):
         if line := line.strip():
             try:
                 held.append((*parse_row(line, row_no), row_no))
-            except DataError as exc:
-                fault = exc
-                break
+            except DataError:
+                if held:
+                    yield tuple(map(np.array, zip(*held)))
+                raise
             if held[-1][0] != held[0][0]:
                 yield tuple(map(np.array, zip(*held)))
                 held = []
     if held:
         yield tuple(map(np.array, zip(*held)))
-    if fault:
-        raise fault
 
 
 def _block_chunks(lines, row_no: int, parse_row, columns):
@@ -499,8 +500,8 @@ def _cmd_detect(args) -> int:
                 f"# model={model.fingerprint()}\n")
 
     try:
-        for step in itertools.chain([first], steps):
-            process(*step)
+        for obs in itertools.chain([first], steps):
+            process(*obs)
     finally:
         # a failed run still reports the steps it completed, as a clean run
         # over exactly those steps would; a restored detector has no record yet
