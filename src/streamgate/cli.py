@@ -233,9 +233,10 @@ def _long_row(line: str, row_no: int) -> tuple[int, int, float]:
 
 
 def _ndjson_columns(lines):
-    """t, stream and x of stripped lines as ``_ndjson_row`` reads them; raises
-    where it would refuse a line.  Lines are decoded 128 at a time, so that
-    their records are freed before the cyclic garbage collector traces them."""
+    """The t, stream and x columns of stripped lines, each read as
+    ``_ndjson_row`` reads it; raises wherever that would refuse a line.  Lines
+    are decoded 128 at a time, so that their records are freed before the
+    cyclic garbage collector has to trace them."""
     t, sid, x = [], [], []
     for i in range(0, len(lines), 128):
         recs, ends = zip(*[_scan(line, 0) for line in lines[i:i + 128]])
@@ -245,11 +246,12 @@ def _ndjson_columns(lines):
             col += values
     if {*map(type, t), *map(type, sid)} != {int} or not {*map(type, x)} <= {int, float}:
         raise TypeError("t and stream must be JSON integers and x a JSON number")
-    return t, sid, map(float, x)
+    return t, sid, x  # numpy reads an int x as float(x) does
 
 
 def _long_columns(lines):
-    """t, stream and x of stripped lines as ``_long_row`` reads them, or a raise."""
+    """The t, stream and x columns of stripped lines, each read as
+    ``_long_row`` reads it; raises wherever that would refuse a line."""
     if {*map(str.count, lines, itertools.repeat(","))} != {2}:
         raise ValueError("expected t,stream,x")
     cells = ",".join(lines).split(",")
