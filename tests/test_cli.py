@@ -813,6 +813,15 @@ def test_detect_ids_and_times_must_fit_int64(tmp_path, capsys, name, text, row, 
     assert (code, err) == (2, f"data error: row {row}: {value} does not fit in int64\n")
 
 
+def test_detect_resume_refuses_checkpoint_ids_outside_int64(tmp_path, capsys):
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    meta = json.loads(ck.read_text())
+    ck.write_text(json.dumps({**meta, "external_ids": meta["external_ids"][:-1] + [_BIG]}))
+    code, _, err = _run(capsys, "detect", "--input", str(part2), "--out", str(tmp_path / "o"),
+                        "--checkpoint", str(ck), *_IID, "--alpha", "0.05")
+    assert code == 2 and "data error: unreadable checkpoint file" in err
+
+
 def test_detect_takes_ids_at_the_ends_of_int64(tmp_path, capsys):
     data = tmp_path / "long.csv"
     data.write_text(f"t,stream,x\n1,{2**63 - 1},0.1\n1,{-2**63},0.2\n2,{-2**63},0.3\n"
