@@ -450,6 +450,10 @@ def test_detect_checkpoint_survives_a_bad_cell(tmp_path, capsys):
     assert json.loads(json.loads(ck.read_text())["state"])["t"] == 24
 
 
+def _nd(t, sid, x):
+    return f'{{"t": {t}, "stream": {sid}, "x": {x}}}'
+
+
 def _rows_of(fmt, x, ids, times, bad_at=None):
     """NDJSON or long-CSV lines of rows ``times`` of ``x``; the first value at
     ``bad_at`` is not a number."""
@@ -457,8 +461,7 @@ def _rows_of(fmt, x, ids, times, bad_at=None):
     for t in times:
         for sid, v in zip(ids, x[t - 1]):
             cell = "oops" if t == bad_at and sid == ids[0] else repr(float(v))
-            lines.append(f'{{"t": {t}, "stream": {sid}, "x": {cell}}}' if fmt == "ndjson"
-                         else f"{t},{sid},{cell}")
+            lines.append(_nd(t, sid, cell) if fmt == "ndjson" else f"{t},{sid},{cell}")
     return "\n".join(lines) + "\n"
 
 
@@ -501,12 +504,8 @@ def _clean_lines(fmt, k, horizon):
             for t in range(1, horizon + 1)]
     rows = [(t, sid, x[t, sid]) for t, sid in sorted(x)]
     if fmt == "ndjson":
-        return [f'{{"t": {t}, "stream": {sid}, "x": {v!r}}}' for t, sid, v in rows]
+        return [_nd(t, sid, repr(v)) for t, sid, v in rows]
     return ["t,stream,x"] + [f"{t},{sid},{v!r}" for t, sid, v in rows]
-
-
-def _nd(t, sid, x):
-    return f'{{"t": {t}, "stream": {sid}, "x": {x}}}'
 
 
 # (format, streams, steps, {row: replacement line}, data error, t held after it).
