@@ -832,6 +832,59 @@ def test_detect_takes_ids_at_the_ends_of_int64(tmp_path, capsys):
     assert [line.split(",")[0] for line in body] == [str(-2**63), str(2**63 - 1)]
 
 
+def _group_rows(rows):
+    """Per-row reference for ``cli._steps``: (t, {stream: x}, first row) per
+    step from (row, t, stream, x) rows, with its faults in row order."""
+    t_now, group, first = None, {}, None
+    for row_no, t, sid, x in rows:
+        if not np.isfinite(x):
+            raise cli.DataError(f"row {row_no}: non-finite observation {x!r} for stream "
+                                f"{sid} at t={t}")
+        if t_now is None:
+            t_now, first = t, row_no
+        if t < t_now:
+            raise cli.DataError(f"row {row_no}: input not sorted by time ({t} after {t_now})")
+        if t > t_now:
+            yield t_now, group, first
+            t_now, group, first = t, {}, row_no
+        if sid in group:
+            raise cli.DataError(f"row {row_no}: duplicate observation for stream {sid} "
+                                f"at t={t}")
+        group[sid] = x
+    if t_now is not None:
+        yield t_now, group, first
+
+
+def _outcome(steps):
+    got = []
+    try:
+        for t, group, first in steps:
+            got.append((t, group, first))
+    except cli.DataError as exc:
+        got.append(str(exc))
+    return got
+
+
+def test_steps_match_the_per_row_reference():
+    # random rows in random chunks: repeats, a few faults, chunk edges anywhere
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        t = np.sort(rng.integers(1, 6, n))
+        swap = rng.integers(0, n, 1 if rng.random() < 0.3 else 0)
+        t[swap], t[swap - 1] = t[swap - 1], t[swap]
+        sid = rng.integers(1, 8 if rng.random() < 0.5 else 400, n)
+        x = rng.normal(size=n)
+        x[rng.random(n) < 0.04] = rng.choice([np.nan, np.inf, -np.inf])
+        rows = np.arange(2, n + 2)
+        cuts = [0, *np.sort(rng.choice(np.arange(1, n + 1), int(rng.integers(0, n)))), n]
+        chunks = [(t[a:b], sid[a:b], x[a:b], rows[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
+        steps = ((t, dict(zip(ids.tolist(), x.tolist())), int(first[0]))
+                 for t, ids, x, first in cli._steps(iter(chunks)))
+        assert _outcome(steps) == _outcome(_group_rows(zip(
+            rows.tolist(), t.tolist(), sid.tolist(), x.tolist()))), f"seed {seed}"
+
+
 def test_detect_wide_csv_then_ndjson_resume_matches_library(tmp_path, capsys):
     # non-contiguous ids in shuffled column and line order; streams drop in
     # both halves, and some dropped streams keep reporting (discarded rows)
