@@ -1116,3 +1116,16 @@ def test_tabular_model_from_config(tmp_path, capsys):
                       "--horizon", "5", "--reps", "10", "--seed", "2")
     assert code == 0
     assert out.exists()
+
+
+def test_verify_all_prints_one_pass_line_per_suite(capsys):
+    code, out, _ = _run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS posterior max_abs_diff=1.332e-15 partial_max_abs_diff=1.443e-15",
+        "PASS selection 200 random instances + one 2000-stream tie-heavy instance",
+        "PASS ordering 200 monotonicity + axiom trials",
+        "U2=7 U4=10 coexist=false",
+        "PASS counterexample U2=7 U4=10 coexist=false",
+        "PASS optimality proposed matches supremum at t=1..3",
+    ]
