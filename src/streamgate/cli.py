@@ -7,12 +7,20 @@ simulate    replication study of a configured ensemble, metrics CSV out
 calibrate   Monte Carlo estimation of the non-adaptive threshold table
 verify      run the brute-force oracle suites, machine-readable report
 
-Configuration may come from an INI-style file (``--config``): an optional
-``[model]`` section plus one section per subcommand, flat ``key=value``
-entries; command-line flags override file values.  Model keys: ``model``
-(iid | partial | tabular), ``theta``, ``eta``, ``mu``, ``sigma``, ``p0``,
-``p1``, and for tabular models one ``prior.<stream>`` row per stream,
-e.g. ``prior.1 = 0:0.1,3:0.9``.
+Configuration may come from an INI-style file (``--config``) of flat
+``key=value`` entries in a ``[model]`` section and the subcommand's own
+section, which wins over ``[model]``; a flag wins over both, and other
+sections are ignored.  Either section may hold any key its subcommand reads:
+  model keys   ``model`` (iid | partial | tabular), ``theta`` (iid, partial),
+               ``eta`` (partial), ``mu`` and ``sigma`` or ``p0`` and ``p1``, and
+               ``prior.<stream>`` rows (tabular), e.g. ``prior.1 = 0:0.1,3:0.9``
+  detect       ``alpha``, ``mode``, ``table`` (threshold mode only)
+  simulate     ``k``, ``alpha``, ``horizon``, ``reps``, ``seed``, ``procedure``,
+               ``table`` (threshold procedure only)
+  calibrate    ``alpha``, ``n``, ``horizon``, ``seed``; the model must be iid
+``--input``, ``--out``, ``--report``, ``--checkpoint`` and ``--threads`` are
+flags only.  A flag or config key that the chosen subcommand and model do
+not read is a usage error naming it, raised before any file is opened.
 
 Observation input for ``detect`` is NDJSON (``{"t":1,"stream":1,"x":0.3}``
 per line), long CSV (``t,stream,x`` header), or wide CSV (``t`` column
@@ -64,17 +72,16 @@ import math
 import operator
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
-from . import verify as verify_mod
 from .detector import (CheckpointError, TableExhaustedError, checkpoint_state,
                        make_detector, restore_state)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
+from .verify import SUITES
 
 
 class UsageError(Exception):
@@ -91,42 +98,54 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# inputs: flags over config keys, each one read or refused
 # ---------------------------------------------------------------------------
 
-_MODEL_KEYS = ("model", "theta", "eta", "mu", "sigma", "p0", "p1")
+class _Inputs:
+    """A subcommand's flags over its ``[model]`` and own config sections.
+    Each read crosses a given key off (``flag`` reads a flag-only input and
+    leaves its config key given), so ``refuse_unread`` names the rest."""
+
+    def __init__(self, args, command: str):
+        self.args, self.command = args, command
+        self.cfg: dict[str, str] = {}
+        self.unread: dict[str, None] = {}  # "--key" or "[section] key", in the order given
+        if args.config is not None:
+            parser = configparser.ConfigParser()
+            if not parser.read(args.config):
+                raise UsageError(f"config file not found: {args.config}")
+            for sec in ("model", command):  # the subcommand's section wins
+                if parser.has_section(sec):
+                    self.cfg.update(parser.items(sec))
+                    self.unread.update(dict.fromkeys(f"[{sec}] {key}" for key in parser[sec]))
+        self.unread.update(dict.fromkeys(
+            f"--{key}" for key, val in vars(args).items()
+            if val is not None and key not in ("command", "func", "config")))
+
+    def get(self, key: str, cast=str, default=None):
+        for label in (f"--{key}", f"[model] {key}", f"[{self.command}] {key}"):
+            self.unread.pop(label, None)
+        val = getattr(self.args, key, None)
+        if val is None:
+            val = self.cfg.get(key)
+        if val is None:
+            return default
+        try:
+            return cast(val)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad value for {key}: {val!r} ({exc})") from exc
+
+    def flag(self, key: str):
+        self.unread.pop(f"--{key}", None)
+        return getattr(self.args, key)
+
+    def refuse_unread(self) -> None:
+        if self.unread:
+            raise UsageError(f"{self.command} does not use {', '.join(self.unread)} "
+                             f"with this model and settings")
 
 
-def _load_config(path: str | None, section: str) -> dict[str, str]:
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    merged: dict[str, str] = {}
-    for sec in ("model", section):
-        if parser.has_section(sec):
-            merged.update(parser.items(sec))
-    return merged
-
-
-def _resolved(args, cfg: dict[str, str], key: str, cast=str, default=None):
-    val = getattr(args, key.replace(".", "_"), None)
-    if val is None:
-        val = cfg.get(key)
-    if val is None:
-        return default
-    try:
-        return cast(val)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {key}: {val!r} ({exc})") from exc
-
-
-def _build_obs(cfg_get):
-    mu, sigma = cfg_get("mu", float), cfg_get("sigma", float)
-    p0 = cfg_get("p0", float)
-    p1 = cfg_get("p1", float)
+def _build_obs(mu, sigma, p0, p1):
     if (mu is not None or sigma is not None) and (p0 is not None or p1 is not None):
         raise UsageError("give either mu/sigma (gaussian) or p0/p1 (bernoulli), not both")
     if mu is not None:
@@ -136,48 +155,40 @@ def _build_obs(cfg_get):
     raise UsageError("observation model missing: set mu (gaussian) or p0 and p1")
 
 
-def _parse_prior_rows(cfg: dict[str, str]) -> tuple[tuple, tuple]:
-    rows = sorted((key for key in cfg if key.startswith("prior.")),
+def _prior_rows(inp: _Inputs) -> tuple[tuple, tuple]:
+    """The ``prior.<stream>`` rows of the config file, in stream order."""
+    rows = sorted((key for key in inp.cfg if key.startswith("prior.")),
                   key=lambda key: int(key.split(".", 1)[1]))
-    if not rows:
-        raise UsageError("tabular model needs prior.<stream> rows in the config file")
     supports, masses = [], []
     for key in rows:
-        sup, mas = [], []
-        for cell in cfg[key].split(","):
-            m, p = cell.split(":")
-            sup.append(int(m))
-            mas.append(float(p))
-        supports.append(tuple(sup))
-        masses.append(tuple(mas))
+        cells = [cell.split(":") for cell in inp.get(key).split(",")]
+        supports.append(tuple(int(m) for m, _ in cells))
+        masses.append(tuple(float(p) for _, p in cells))
     return tuple(supports), tuple(masses)
 
 
-def _build_model(args, cfg: dict[str, str]):
-    def cfg_get(key, cast=str, default=None):
-        return _resolved(args, cfg, key, cast, default)
-
-    kind = cfg_get("model", str, "iid").lower()
-    if kind in ("iid", "ms"):
-        theta = cfg_get("theta", float)
-        if theta is None:
-            raise UsageError("iid model needs theta")
-        return IIDModel(GeometricPrior(theta), _build_obs(cfg_get))
-    if kind in ("partial", "dependent"):
-        theta = cfg_get("theta", float)
-        eta = cfg_get("eta", float, 1.0)
-        if theta is None:
-            raise UsageError("partial model needs theta")
-        return PartialDepModel(GeometricPrior(theta), eta, _build_obs(cfg_get))
-    if kind == "tabular":
-        if cfg_get("builtin", str) == "conflicting":
-            from .model import conflicting_priors_model
-            return conflicting_priors_model()
-        supports, masses = _parse_prior_rows(cfg)
-        obs = _build_obs(cfg_get)
-        return TabularModel(supports=supports, masses=masses,
-                            obs=tuple(obs for _ in supports))
-    raise UsageError(f"unknown model kind {kind!r}")
+def _build_model(inp: _Inputs):
+    """Read the model keys, then, as every subcommand's last read, refuse each
+    key given but not read, and only then build the model: a stray key is
+    named before a missing one, and before any file is opened."""
+    kind = inp.get("model", str, "iid").lower()
+    if kind not in ("iid", "partial", "tabular"):
+        raise UsageError(f"bad value for model: {kind!r} (iid | partial | tabular)")
+    theta = None if kind == "tabular" else inp.get("theta", float)
+    eta = inp.get("eta", float, 1.0) if kind == "partial" else None
+    supports, masses = _prior_rows(inp) if kind == "tabular" else ((), ())
+    obs = [inp.get(key, float) for key in ("mu", "sigma", "p0", "p1")]
+    inp.refuse_unread()
+    if kind == "tabular" and not supports:
+        raise UsageError("tabular model needs prior.<stream> rows in the config file")
+    if kind != "tabular" and theta is None:
+        raise UsageError(f"{kind} model needs theta")
+    obs = _build_obs(*obs)
+    if kind == "iid":
+        return IIDModel(GeometricPrior(theta), obs)
+    if kind == "partial":
+        return PartialDepModel(GeometricPrior(theta), eta, obs)
+    return TabularModel(supports=supports, masses=masses, obs=tuple(obs for _ in supports))
 
 
 def _default_threads() -> int:
@@ -408,9 +419,8 @@ def _write_atomic(path: str, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _read_table(args, cfg: dict[str, str], what: str):
+def _read_table(path: str | None, what: str):
     """The ``--table`` file of a threshold ``what``; a malformed one is bad data."""
-    path = _resolved(args, cfg, "table", str)
     if path is None:
         raise UsageError(f"threshold {what} needs --table")
     try:
@@ -420,23 +430,25 @@ def _read_table(args, cfg: dict[str, str], what: str):
 
 
 def _cmd_detect(args) -> int:
-    cfg = _load_config(args.config, "detect")
-    model = _build_model(args, cfg)
-    alpha = _resolved(args, cfg, "alpha", float)
+    inp = _Inputs(args, "detect")
+    source, out, report, ckpt = map(inp.flag, ("input", "out", "report", "checkpoint"))
+    alpha = inp.get("alpha", float)
+    mode = inp.get("mode", str, "adaptive")
+    table_path = inp.get("table") if mode == "threshold" else None
+    model = _build_model(inp)
     if alpha is None:
         raise UsageError("detect needs alpha")
-    mode = _resolved(args, cfg, "mode", str, "adaptive")
-    table = _read_table(args, cfg, "mode") if mode == "threshold" else None
+    table = _read_table(table_path, "mode") if mode == "threshold" else None
 
-    steps = _steps(_chunks(args.input))
+    steps = _steps(_chunks(source))
     first = next(steps, None)
     if first is None:
         raise DataError("no observations")
 
     det = None
     discarded = 0
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        with open(args.checkpoint) as fh:
+    if ckpt and os.path.exists(ckpt):
+        with open(ckpt) as fh:
             blob = fh.read()
         try:
             meta = json.loads(blob)
@@ -487,14 +499,14 @@ def _cmd_detect(args) -> int:
         det.observe(x_active)
         w_active = det.w[det.active]
         det.deactivate()
-        if args.report:
+        if report:
             step = det.last
             w_min, w_max = ((float(w_active.min()), float(w_active.max()))
                             if w_active.size else (math.nan, math.nan))
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
-        if args.checkpoint:
-            _write_atomic(args.checkpoint, '{"external_ids": ' + ids_json + ', "state": '
+        if ckpt:
+            _write_atomic(ckpt, '{"external_ids": ' + ids_json + ', "state": '
                           + json.dumps(checkpoint_state(det)) + "}")
 
     def header(t_final):
@@ -507,20 +519,16 @@ def _cmd_detect(args) -> int:
     finally:
         # a failed run still reports the steps it completed, as a clean run
         # over exactly those steps would; a restored detector has no record yet
-        if args.report and det.last is not None:
-            with open(args.report, "w") as fh:
+        if report and det.last is not None:
+            with open(report, "w") as fh:
                 fh.write(header(det.last.t) + "t,n_active,lfnr,w_min,w_max,dropped\n")
                 fh.writelines(report_rows)
 
     trace = det.trace()
-    with open(args.out, "w") as fh:
-        fh.write(header(det.t) + "stream,t_stop,censored\n")
-        for i, sid in enumerate(ids):
-            stopped = trace.t_stop[i]
-            if stopped < 0:
-                fh.write(f"{sid},{trace.t_final},1\n")
-            else:
-                fh.write(f"{sid},{stopped},0\n")
+    rows = [f"{sid},{trace.t_final},1\n" if stopped < 0 else f"{sid},{stopped},0\n"
+            for sid, stopped in zip(ids, trace.t_stop.tolist())]
+    with open(out, "w") as fh:
+        fh.writelines([header(det.t), "stream,t_stop,censored\n", *rows])
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)
@@ -530,184 +538,69 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, "simulate")
-    model = _build_model(args, cfg)
-    k = _resolved(args, cfg, "k", int)
-    alpha = _resolved(args, cfg, "alpha", float)
-    horizon = _resolved(args, cfg, "horizon", int)
-    reps = _resolved(args, cfg, "reps", int)
-    seed = _resolved(args, cfg, "seed", int, 0)
-    procedure = _resolved(args, cfg, "procedure", str, "adaptive")
-    threads = _default_threads() if args.threads is None else args.threads
+    inp = _Inputs(args, "simulate")
+    out, threads = inp.flag("out"), inp.flag("threads")
+    k = inp.get("k", int)
+    alpha = inp.get("alpha", float)
+    horizon = inp.get("horizon", int)
+    reps = inp.get("reps", int)
+    seed = inp.get("seed", int, 0)
+    procedure = inp.get("procedure", str, "adaptive")
+    table_path = inp.get("table") if procedure == "threshold" else None
+    model = _build_model(inp)
+    threads = _default_threads() if threads is None else threads
     if horizon is None and isinstance(model, IIDModel):
         # long enough to cover the full decay of the active count
         horizon = 200 if model.prior.theta >= 0.05 else 600
     if None in (k, alpha, horizon, reps):
         raise UsageError("simulate needs k, alpha, horizon, and reps")
-    table = _read_table(args, cfg, "procedure") if procedure == "threshold" else None
-    try:
-        config = simulate_mod.SimConfig(model=model, k=k, alpha=alpha,
-                                        horizon=horizon, replications=reps,
-                                        procedure=procedure, seed=seed,
-                                        table=table, threads=threads)
-        frame = simulate_mod.run_experiment(config)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    simulate_mod.write_metrics_csv(frame, args.out, metadata={
+    table = _read_table(table_path, "procedure") if procedure == "threshold" else None
+    # a bad setting raises ValueError, which main() reports as a usage error
+    frame = simulate_mod.run_experiment(simulate_mod.SimConfig(
+        model=model, k=k, alpha=alpha, horizon=horizon, replications=reps,
+        procedure=procedure, seed=seed, table=table, threads=threads))
+    simulate_mod.write_metrics_csv(frame, out, metadata={
         "model": model.fingerprint(),
         "k": k, "alpha": repr(alpha), "horizon": horizon,
         "procedure": procedure, "seed": seed,
     })
-    print(f"simulate: wrote {args.out} ({reps} replications, horizon {horizon})")
+    print(f"simulate: wrote {out} ({reps} replications, horizon {horizon})")
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    cfg = _load_config(args.config, "calibrate")
-    theta = _resolved(args, cfg, "theta", float)
-    alpha = _resolved(args, cfg, "alpha", float)
-    n = _resolved(args, cfg, "n", int)
-    horizon = _resolved(args, cfg, "horizon", int)
-    seed = _resolved(args, cfg, "seed", int, 0)
-    if None in (theta, alpha, n, horizon):
-        raise UsageError("calibrate needs theta, alpha, n, and horizon")
+    inp = _Inputs(args, "calibrate")
+    out = inp.flag("out")
+    alpha = inp.get("alpha", float)
+    n = inp.get("n", int)
+    horizon = inp.get("horizon", int)
+    seed = inp.get("seed", int, 0)
+    model = _build_model(inp)
+    if not isinstance(model, IIDModel):
+        raise UsageError("calibrate needs an iid model")
+    if None in (alpha, n, horizon):
+        raise UsageError("calibrate needs alpha, n, and horizon")
     if n < 1000:
         raise UsageError(f"n={n} is below the calibration floor of 1000 streams")
-
-    def cfg_get(key, cast=str, default=None):
-        return _resolved(args, cfg, key, cast, default)
-
-    obs = _build_obs(cfg_get)
-    table = calibrate_mod.calibrate_thresholds(theta, obs, alpha, n, horizon, seed)
-    calibrate_mod.write_threshold_table(table, args.out)
-    print(f"calibrate: wrote {args.out} (n={n}, horizon {horizon})")
+    table = calibrate_mod.calibrate_thresholds(model.prior.theta, model.obs, alpha, n,
+                                               horizon, seed)
+    calibrate_mod.write_threshold_table(table, out)
+    print(f"calibrate: wrote {out} (n={n}, horizon {horizon})")
     return 0
 
 
-def _verify_posterior(trials: int, rng) -> tuple[bool, str]:
-    from .posterior import PartialDepPosterior, PosteriorState
-
-    worst = 0.0
-    for _ in range(trials):
-        theta = rng.choice([0.01, 0.05, 0.3])
-        t = int(rng.integers(1, 26))
-        llr = rng.normal(0.0, 1.5, size=t)
-        state = PosteriorState(theta, 1)
-        for value in llr:
-            state.advance([value], [0])
-        worst = max(worst, abs(state.w[0]
-                               - verify_mod.brute_force_posterior(theta, llr)))
-    # the streaming partially dependent backend, with random freezes, against
-    # the batch formula on the observed log LRs (zero after a stream's stop)
-    worst_partial = 0.0
-    for _ in range(trials):
-        theta = float(rng.choice([0.01, 0.05, 0.3]))
-        eta = float(rng.choice([0.3, 0.5, 1.0]))
-        k, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 26))
-        post = PartialDepPosterior(theta, eta, k)
-        observed = np.zeros((k, horizon))
-        pinned = np.zeros(k)
-        live = np.arange(k)
-        for s in range(horizon):
-            observed[live, s] = rng.normal(0.0, 1.5, size=live.size)
-            post.advance(observed[live, s], live)
-            want = verify_mod.posterior_partial_dep(GeometricPrior(theta), eta,
-                                                    observed[:, :s + 1])
-            pinned[live] = want[live]
-            worst_partial = max(worst_partial, float(np.abs(post.w - pinned).max()))
-            drop = live[rng.random(live.size) < 0.2]
-            post.freeze(drop)
-            live = np.setdiff1d(live, drop)
-    return (worst <= 1e-10 and worst_partial <= 1e-10,
-            f"max_abs_diff={worst:.3e} partial_max_abs_diff={worst_partial:.3e}")
-
-
-def _verify_selection(trials: int, rng) -> tuple[bool, str]:
-    from .detector import one_step_rule
-
-    for _ in range(trials):
-        n = int(rng.integers(0, 13))
-        w = rng.random(n)
-        alpha = float(rng.random())
-        kept = one_step_rule(w, alpha)
-        size = verify_mod.brute_force_max_subset(w, alpha)
-        if len(kept) != size:
-            return False, f"size mismatch for w={w!r} alpha={alpha!r}"
-        if len(kept) != verify_mod.feasible_prefix_size(np.sort(w), alpha):
-            return False, f"prefix mismatch for w={w!r} alpha={alpha!r}"
-    # large tie-heavy instance: few posterior levels, shuffled stream ids, so
-    # the cutoff falls inside a block of ties broken by the smaller id
-    n = 2000
-    w = rng.integers(0, 16, size=n) / 32.0
-    ids = rng.permutation(4 * n)[:n]
-    alpha = float(np.sort(w)[:7 * n // 10].mean())
-    kept = one_step_rule(w, alpha, ids)
-    size = verify_mod.feasible_prefix_size(np.sort(w), alpha)
-    order = np.lexsort((ids, w))
-    if not np.array_equal(kept, np.sort(ids[order[:size]])):
-        return False, f"tie-heavy instance (n={n}, alpha={alpha!r}) breaks the tie rule"
-    return True, f"{trials} random instances + one {n}-stream tie-heavy instance"
-
-
-def _verify_ordering(trials: int, rng) -> tuple[bool, str]:
-    ok, bad = verify_mod.monotone_selection_check(trials, 0.05, rng)
-    if not ok:
-        return False, f"monotonicity counterexample {bad!r}"
-    ok, bad = verify_mod.partial_order_axioms_check(trials, rng)
-    if not ok:
-        return False, str(bad)
-    return True, f"{trials} monotonicity + axiom trials"
-
-
-def _verify_counterexample(*_args) -> tuple[bool, str]:
-    rep = verify_mod.conflicting_priors_enumeration()
-    line = (f"U2={rep.util_sup_t2} U4={rep.util_sup_t4} "
-            f"coexist={'true' if rep.jointly_attainable else 'false'}")
-    print(line)
-    ok = (rep.util_sup_t2 == 7 and rep.util_sup_t4 == 10
-          and not rep.jointly_attainable)
-    return ok, line
-
-
-def _verify_optimality(*_args) -> tuple[bool, str]:
-    rows = verify_mod.dp_optimality_report(
-        Fraction(3, 10), Fraction(1, 5), Fraction(4, 5), Fraction(3, 10),
-        n_streams=2, horizon=3)
-    for row in rows:
-        if row.util_proposed != row.util_supremum:
-            return False, f"utilization gap at t={row.t}"
-        if row.runlength_proposed != row.runlength_supremum:
-            return False, f"run-length gap at t={row.t}"
-        if row.expected_active_proposed != row.max_expected_active:
-            return False, f"active-count gap at t={row.t}"
-    return True, f"proposed matches supremum at t=1..{len(rows)}"
-
-
-_SUITES = {
-    "posterior": _verify_posterior,
-    "selection": _verify_selection,
-    "ordering": _verify_ordering,
-    "counterexample": _verify_counterexample,
-    "optimality": _verify_optimality,
-}
-_SUITE_ALIASES = {"example3": "counterexample"}
-
-
 def _cmd_verify(args) -> int:
-    name = _SUITE_ALIASES.get(args.suite, args.suite)
-    if name == "all":
-        names = list(_SUITES)
-    elif name in _SUITES:
-        names = [name]
-    else:
+    name = {"example3": "counterexample"}.get(args.suite, args.suite)
+    names = list(SUITES) if name == "all" else [name]
+    if not SUITES.keys() >= set(names):
         raise UsageError(f"unknown suite {args.suite!r}; choose from "
-                         f"{', '.join(list(_SUITES) + ['all'])}")
+                         f"{', '.join([*SUITES, 'all'])}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for suite in names:
-        ok, detail = _SUITES[suite](args.trials, rng)
+        ok, detail = SUITES[suite](args.trials, rng)
         print(f"{'PASS' if ok else 'FAIL'} {suite} {detail}")
-        failures += 0 if ok else 1
+        failures += not ok
     return 3 if failures else 0
 
 
@@ -759,23 +652,21 @@ def build_parser() -> _Parser:
     cal = subs.add_parser("calibrate", help="estimate the threshold table")
     cal.add_argument("--config", "-c")
     cal.add_argument("--out", "-o", required=True)
-    cal.add_argument("--theta")
     cal.add_argument("--alpha")
     cal.add_argument("--n", help="simulated streams (>= 1000)")
     cal.add_argument("--horizon")
     cal.add_argument("--seed")
-    cal.add_argument("--mu")
-    cal.add_argument("--sigma")
-    cal.add_argument("--p0")
-    cal.add_argument("--p1")
+    _add_model_flags(cal)
     cal.set_defaults(func=_cmd_calibrate)
 
     ver = subs.add_parser("verify", help="run oracle suites")
     ver.add_argument("suite", nargs="?", default="all",
                      help="posterior | selection | ordering | counterexample "
                           "| optimality | all")
-    ver.add_argument("--trials", type=int, default=200)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--trials", type=int, default=200,
+                     help="trials of each randomized suite (posterior, selection, ordering)")
+    ver.add_argument("--seed", type=int, default=0,
+                     help="seed of the randomized suites (posterior, selection, ordering)")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -54,17 +54,6 @@ class GeometricPrior:
     def __post_init__(self) -> None:
         _check_prob(self.theta, "theta", open_left=True, open_right=True)
 
-    def mass(self, m) -> np.ndarray | float:
-        m = np.asarray(m, dtype=float)
-        out = np.where(m >= 0, self.theta * (1.0 - self.theta) ** m, 0.0)
-        return out if out.ndim else float(out)
-
-    def tail(self, t) -> np.ndarray | float:
-        """P(tau >= t) = (1-theta)^t."""
-        t = np.asarray(t, dtype=float)
-        out = (1.0 - self.theta) ** t
-        return out if out.ndim else float(out)
-
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         # numpy's geometric counts trials to first success, support {1, 2, ...}
         return rng.geometric(self.theta, size=size).astype(float) - 1.0

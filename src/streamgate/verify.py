@@ -22,6 +22,9 @@ independent route:
   procedure's exact performance.  :func:`conflicting_priors_enumeration`
   reproduces the four-stream instance in which the time-2 and time-4
   optima are incompatible, so no uniformly optimal procedure exists.
+* :data:`SUITES` is what ``streamgate verify`` runs: each suite takes
+  ``(trials, rng)``, which only the randomized ones read, and returns
+  ``(ok, detail)``.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import GeometricPrior
-from .posterior import _log_lam
+from .detector import one_step_rule
+from .model import GeometricPrior, conflicting_priors_model
+from .posterior import PartialDepPosterior, PosteriorState, _log_lam
 
 MAX_SUBSET_DIM = 20
 
@@ -483,21 +487,17 @@ def dp_optimality_report(theta, p0, p1, alpha, n_streams: int,
     return rows
 
 
-_CONFLICTING_PRIORS = (
-    ((0, 3), (Fraction(1, 10), Fraction(9, 10))),
-    ((0, 1), (Fraction(4, 10), Fraction(6, 10))),
-    ((0, 1), (Fraction(43, 100), Fraction(57, 100))),
-    ((0, 3), (Fraction(55, 100), Fraction(45, 100))),
-)
-_CONFLICT_P0 = Fraction(1, 2)
-_CONFLICT_P1 = Fraction(51, 100)
 _CONFLICT_ALPHA = Fraction(34, 100)
 
 
 def _conflicting_streams() -> dict:
+    """The streams of ``conflicting_priors_model()``, its decimal floats read
+    as the exact fractions they were written as."""
+    model = conflicting_priors_model()
     return {
-        k: _TableStream(sup, mas, _CONFLICT_P0, _CONFLICT_P1)
-        for k, (sup, mas) in enumerate(_CONFLICTING_PRIORS)
+        k: _TableStream(sup, tuple(Fraction(str(p)) for p in mas),
+                        Fraction(str(obs.p0)), Fraction(str(obs.p1)))
+        for k, (sup, mas, obs) in enumerate(zip(model.supports, model.masses, model.obs))
     }
 
 
@@ -566,13 +566,102 @@ def conflicting_priors_enumeration() -> ConflictingPriorsReport:
     )
 
 
-def conflicting_priors_w_ranges() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
-    """Exact min/max posterior per (stream, time<=3) over all data paths."""
-    out = {}
-    for k, (sup, mas) in enumerate(_CONFLICTING_PRIORS):
-        level = [_TableStream(sup, mas, _CONFLICT_P0, _CONFLICT_P1)]
-        for t in range(1, 4):
-            level = [s.advance(x) for s in level for x in (0, 1)]
-            ws = [s.w for s in level]
-            out[(k, t)] = (min(ws), max(ws))
-    return out
+# ---------------------------------------------------------------------------
+# the suites of ``streamgate verify``
+# ---------------------------------------------------------------------------
+
+def _posterior_suite(trials: int, rng) -> tuple[bool, str]:
+    worst = 0.0
+    for _ in range(trials):
+        theta = rng.choice([0.01, 0.05, 0.3])
+        t = int(rng.integers(1, 26))
+        llr = rng.normal(0.0, 1.5, size=t)
+        state = PosteriorState(theta, 1)
+        for value in llr:
+            state.advance([value], [0])
+        worst = max(worst, abs(state.w[0] - brute_force_posterior(theta, llr)))
+    # the streaming partially dependent backend, with random freezes, against
+    # the batch formula on the observed log LRs (zero after a stream's stop)
+    worst_partial = 0.0
+    for _ in range(trials):
+        theta = float(rng.choice([0.01, 0.05, 0.3]))
+        eta = float(rng.choice([0.3, 0.5, 1.0]))
+        k, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 26))
+        post = PartialDepPosterior(theta, eta, k)
+        observed = np.zeros((k, horizon))
+        pinned = np.zeros(k)
+        live = np.arange(k)
+        for s in range(horizon):
+            observed[live, s] = rng.normal(0.0, 1.5, size=live.size)
+            post.advance(observed[live, s], live)
+            want = posterior_partial_dep(GeometricPrior(theta), eta, observed[:, :s + 1])
+            pinned[live] = want[live]
+            worst_partial = max(worst_partial, float(np.abs(post.w - pinned).max()))
+            drop = live[rng.random(live.size) < 0.2]
+            post.freeze(drop)
+            live = np.setdiff1d(live, drop)
+    return (worst <= 1e-10 and worst_partial <= 1e-10,
+            f"max_abs_diff={worst:.3e} partial_max_abs_diff={worst_partial:.3e}")
+
+
+def _selection_suite(trials: int, rng) -> tuple[bool, str]:
+    for _ in range(trials):
+        n = int(rng.integers(0, 13))
+        w = rng.random(n)
+        alpha = float(rng.random())
+        kept = one_step_rule(w, alpha)
+        if len(kept) != brute_force_max_subset(w, alpha):
+            return False, f"size mismatch for w={w!r} alpha={alpha!r}"
+        if len(kept) != feasible_prefix_size(np.sort(w), alpha):
+            return False, f"prefix mismatch for w={w!r} alpha={alpha!r}"
+    # large tie-heavy instance: few posterior levels, shuffled stream ids, so
+    # the cutoff falls inside a block of ties broken by the smaller id
+    n = 2000
+    w = rng.integers(0, 16, size=n) / 32.0
+    ids = rng.permutation(4 * n)[:n]
+    alpha = float(np.sort(w)[:7 * n // 10].mean())
+    kept = one_step_rule(w, alpha, ids)
+    size = feasible_prefix_size(np.sort(w), alpha)
+    order = np.lexsort((ids, w))
+    if not np.array_equal(kept, np.sort(ids[order[:size]])):
+        return False, f"tie-heavy instance (n={n}, alpha={alpha!r}) breaks the tie rule"
+    return True, f"{trials} random instances + one {n}-stream tie-heavy instance"
+
+
+def _ordering_suite(trials: int, rng) -> tuple[bool, str]:
+    ok, bad = monotone_selection_check(trials, 0.05, rng)
+    if not ok:
+        return False, f"monotonicity counterexample {bad!r}"
+    ok, bad = partial_order_axioms_check(trials, rng)
+    if not ok:
+        return False, str(bad)
+    return True, f"{trials} monotonicity + axiom trials"
+
+
+def _counterexample_suite(*_args) -> tuple[bool, str]:
+    rep = conflicting_priors_enumeration()
+    ok = rep.util_sup_t2 == 7 and rep.util_sup_t4 == 10 and not rep.jointly_attainable
+    return ok, (f"U2={rep.util_sup_t2} U4={rep.util_sup_t4} "
+                f"coexist={'true' if rep.jointly_attainable else 'false'}")
+
+
+def _optimality_suite(*_args) -> tuple[bool, str]:
+    rows = dp_optimality_report(Fraction(3, 10), Fraction(1, 5), Fraction(4, 5),
+                                Fraction(3, 10), n_streams=2, horizon=3)
+    for row in rows:
+        if row.util_proposed != row.util_supremum:
+            return False, f"utilization gap at t={row.t}"
+        if row.runlength_proposed != row.runlength_supremum:
+            return False, f"run-length gap at t={row.t}"
+        if row.expected_active_proposed != row.max_expected_active:
+            return False, f"active-count gap at t={row.t}"
+    return True, f"proposed matches supremum at t=1..{len(rows)}"
+
+
+SUITES = {
+    "posterior": _posterior_suite,
+    "selection": _selection_suite,
+    "ordering": _ordering_suite,
+    "counterexample": _counterexample_suite,
+    "optimality": _optimality_suite,
+}

@@ -1125,7 +1125,40 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
         "PASS posterior max_abs_diff=1.332e-15 partial_max_abs_diff=1.443e-15",
         "PASS selection 200 random instances + one 2000-stream tie-heavy instance",
         "PASS ordering 200 monotonicity + axiom trials",
-        "U2=7 U4=10 coexist=false",
         "PASS counterexample U2=7 U4=10 coexist=false",
         "PASS optimality proposed matches supremum at t=1..3",
     ]
+
+
+@pytest.mark.parametrize("command, flags, config, names", [
+    ("detect", [*_IID_ALPHA, "--eta", "0.3"], None, ["--eta"]),
+    ("detect", [*_IID_ALPHA, "--table", "missing.csv"], None, ["--table"]),
+    ("calibrate", [], "[model]\nmodel = partial\ntheta = 0.05\nmu = 1.0\neta = 0.3\n"
+     "[calibrate]\nalpha = 0.05\nalhpa = 0.2\nn = 1000\nhorizon = 3\nthreads = 4\n",
+     ["[calibrate] alhpa", "[calibrate] threads"]),
+    ("detect", ["--alpha", "0.05"], "[model]\nmodel = iid\ntheta = 0.05\nmu = 1.0\n"
+     "prior.1 = 0:0.1,3:0.9\n", ["[model] prior.1"]),
+    ("detect", _IID_ALPHA, "[detect]\nreport = r.csv\n", ["[detect] report"]),
+    ("detect", ["--model", "ms", "--theta", "0.05", "--mu", "1", "--alpha", "0.05"], None,
+     ["model", "'ms'"]),
+    ("detect", ["--theta", "0.7", "--alpha", "0.05"],
+     "[model]\nmodel = tabular\nbuiltin = conflicting\np0 = 0.5\np1 = 0.51\n",
+     ["[model] builtin", "--theta"]),
+], ids=["eta-with-iid", "table-in-adaptive-mode", "calibrate-partial-typo-threads",
+        "prior-row-with-iid", "report-in-config", "model-alias-ms", "tabular-builtin"])
+def test_an_input_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch,
+                                                      command, flags, config, names):
+    monkeypatch.chdir(tmp_path)
+    _write_ndjson(tmp_path / "obs.ndjson", _jump_rows(k=2, horizon=3))
+    argv = [command, *flags, "--out", "o.csv"]
+    if command == "detect":
+        argv += ["--input", "obs.ndjson", "--report", "r.csv", "--checkpoint", "ck.json"]
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config)
+        argv += ["--config", "run.ini"]
+    code, _, err = _run(capsys, *argv)
+    assert code == 1 and err.startswith("usage error")
+    assert all(name in err for name in names), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.ndjson"] + (
+        ["run.ini"] if config else [])
+

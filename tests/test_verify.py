@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from streamgate.verify import (brute_force_max_subset, brute_force_posterior,
+                               _conflicting_streams,
                                conflicting_priors_enumeration,
-                               conflicting_priors_w_ranges,
                                dp_optimality_report, feasible_prefix,
                                feasible_prefix_size, monotone_selection_check,
                                ordered_leq, partial_order_axioms_check,
@@ -121,6 +121,18 @@ def test_dp_optimality_holds_at_the_largest_allowed_instance():
         assert row.util_proposed == row.util_supremum
         assert row.runlength_proposed == row.runlength_supremum
         assert row.expected_active_proposed == row.max_expected_active
+
+
+def conflicting_priors_w_ranges() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """Exact min/max posterior per (stream, time<=3) over all data paths."""
+    out = {}
+    for k, stream in _conflicting_streams().items():
+        level = [stream]
+        for t in range(1, 4):
+            level = [s.advance(x) for s in level for x in (0, 1)]
+            ws = [s.w for s in level]
+            out[(k, t)] = (min(ws), max(ws))
+    return out
 
 
 def test_conflicting_priors_w_ranges_match_budget_signs():
