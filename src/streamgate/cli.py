@@ -20,7 +20,8 @@ sections are ignored.  Either section may hold any key its subcommand reads:
   calibrate    ``alpha``, ``n``, ``horizon``, ``seed``; the model must be iid
 ``--input``, ``--out``, ``--report``, ``--checkpoint`` and ``--threads`` are
 flags only.  A flag or config key that the chosen subcommand and model do
-not read is a usage error naming it, raised before any file is opened.
+not read is a usage error naming it, raised before any file is opened; a
+config file that does not parse is a usage error too.
 
 Observation input for ``detect`` is NDJSON (``{"t":1,"stream":1,"x":0.3}``
 per line), long CSV (``t,stream,x`` header), or wide CSV (``t`` column
@@ -680,7 +681,7 @@ def main(argv=None) -> int:
     except (DataError, OSError, CheckpointError, TableExhaustedError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError, configparser.Error) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

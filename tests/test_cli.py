@@ -1162,3 +1162,13 @@ def test_an_input_the_command_does_not_read_is_refused(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.ndjson"] + (
         ["run.ini"] if config else [])
 
+
+
+@pytest.mark.parametrize("text", ["theta = 0.05\n", "[model]\ntheta = 5%\n"],
+                         ids=["no-section-header", "bare-percent"])
+def test_a_malformed_config_file_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code, _, err = _run(capsys, *_SIM, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+    assert code == 1 and err.startswith("usage error")
+    assert not (tmp_path / "x.csv").exists()
