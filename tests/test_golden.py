@@ -10,8 +10,10 @@ arithmetic, the selection rule or the checkpoint encoding shows here.
 
 Under ``outputs`` it also pins the sha256 of whole output files: a
 calibrated threshold table, a ``simulate`` metrics CSV (the same bytes at
-``--threads`` 1 and 3), and the ``--out``, ``--report`` and checkpoint
-files of a ``detect`` run that drops streams.
+``--threads`` 1 and 3), one ``run_experiment`` metrics CSV for each other
+procedure and model (threshold, dependent, tabular, partially dependent
+and Bernoulli IID), and the ``--out``, ``--report`` and checkpoint files
+of a ``detect`` run that drops streams.
 
 Regenerate the fixture only when a change of bits is intended:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -29,8 +31,9 @@ from streamgate.calibrate import calibrate_thresholds, write_threshold_table
 from streamgate.cli import main
 from streamgate.detector import (AdaptiveDetector, DependentDetector,
                                  ThresholdDetector, checkpoint_state)
-from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
-                              PartialDepModel, conflicting_priors_model)
+from streamgate.model import (BernoulliPair, GaussianShift, GeometricPrior,
+                              IIDModel, PartialDepModel, conflicting_priors_model)
+from streamgate.simulate import SimConfig, run_experiment, write_metrics_csv
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_bits.json"
 
@@ -79,14 +82,31 @@ def _record(name) -> dict:
     }
 
 
+def _simulations(table) -> dict:
+    """The ``run_experiment`` configurations pinned besides the CLI's IID one."""
+    iid = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    partial = PartialDepModel(GeometricPrior(0.15), 0.5, GaussianShift(1.5))
+    joint = PartialDepModel(GeometricPrior(0.1), 1.0, GaussianShift(1.0))
+    bernoulli = IIDModel(GeometricPrior(0.1), BernoulliPair(0.2, 0.8))
+    return {
+        "threshold": SimConfig(iid, 30, 0.1, 15, 10, "threshold", seed=8, table=table),
+        "dependent": SimConfig(joint, 10, 0.3, 20, 10, "dependent", seed=9),
+        "tabular": SimConfig(conflicting_priors_model(), 4, 0.34, 12, 40, seed=10),
+        "partial": SimConfig(partial, 30, 0.2, 20, 5, seed=11),
+        "bernoulli": SimConfig(bernoulli, 30, 0.1, 25, 10, seed=12),
+    }
+
+
 def _outputs() -> dict:
     """sha256 of each output file of small calibrate, simulate and detect runs."""
     iid = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
-        write_threshold_table(
-            calibrate_thresholds(0.05, GaussianShift(1.0), 0.1, 1000, 15, seed=3),
-            out / "table.csv")
+        table = calibrate_thresholds(0.05, GaussianShift(1.0), 0.1, 1000, 15, seed=3)
+        write_threshold_table(table, out / "table.csv")
+        sims = _simulations(table)
+        for name, config in sims.items():
+            write_metrics_csv(run_experiment(config), out / f"sim_{name}.csv")
         for threads in ("1", "3"):
             assert main(["simulate", *iid, "--k", "30", "--alpha", "0.05",
                          "--horizon", "25", "--reps", "12", "--seed", "4",
@@ -103,7 +123,7 @@ def _outputs() -> dict:
                      "--checkpoint", str(out / "ck.json")]) == 0
         return {name: _sha((out / name).read_bytes())
                 for name in ("table.csv", "sim1.csv", "sim3.csv", "stops.csv",
-                             "report.csv", "ck.json")}
+                             "report.csv", "ck.json", *(f"sim_{n}.csv" for n in sims))}
 
 
 @pytest.mark.parametrize("name", CASES)
