@@ -222,12 +222,20 @@ def test_adaptive_on_conflicting_priors_first_selection():
 
 def test_observe_validations():
     model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
-    det = AdaptiveDetector(model, 0.05, 3)
-    with pytest.raises(ValueError):
-        det.observe([1.0, 2.0])          # missing observation for an active stream
-    with pytest.raises(ValueError):
-        det.observe([1.0, 2.0, math.nan])
+    det, twin = AdaptiveDetector(model, 0.05, 3), AdaptiveDetector(model, 0.05, 3)
+    for d in (det, twin):
+        d.observe([0.4, -0.2, 0.9])
+        d.deactivate()
+    # a refused observation leaves the time, the phase and the posterior as
+    # they were, so the next step matches a run that never saw it
+    for bad in ([1.0, 2.0],              # missing observation for an active stream
+                [1.0, 2.0, math.nan], [math.inf, 2.0, 0.0], [1.0, -math.inf, 0.0]):
+        with pytest.raises(ValueError):
+            det.observe(bad)
+        assert det.t == 1 and det._phase == "observe"
     det.observe([0.1, 0.2, 0.3])
+    twin.observe([0.1, 0.2, 0.3])
+    assert det.t == 2 and det.w.tobytes() == twin.w.tobytes()
     with pytest.raises(RuntimeError):
         det.observe([0.1, 0.2, 0.3])     # must deactivate first
     det.deactivate()

@@ -333,15 +333,19 @@ def test_partial_dep_freeze_keeps_w_until_the_next_advance():
     assert post.to_arrays()["history"].shape == (6, 6)
 
 
-def test_partial_dep_advance_rejects_frozen_or_unknown_streams():
-    post = PartialDepPosterior(0.1, 0.5, 4)
+@pytest.mark.parametrize("backend", ["iid", "tabular", "partial"])
+def test_advance_rejects_frozen_or_unknown_streams(backend):
+    post = {"iid": lambda: PosteriorState(0.1, 4),
+            "tabular": lambda: TabularPosteriorState(((0, 2),) * 4, ((0.3, 0.7),) * 4),
+            "partial": lambda: PartialDepPosterior(0.1, 0.5, 4)}[backend]()
     post.advance([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3])
     post.freeze([2])
     for bad in ([0, 2], [0, 4], [-1, 0]):
         with pytest.raises(ValueError, match="frozen or unknown"):
             post.advance([0.1, 0.1], bad)
-    with pytest.raises(ValueError, match="frozen or unknown"):
-        post.freeze([2])
+    if backend == "partial":
+        with pytest.raises(ValueError, match="frozen or unknown"):
+            post.freeze([2])
     assert post.t == 1
     post.advance([0.1, 0.1, 0.1], [0, 1, 3])
     assert post.t == 2
