@@ -220,7 +220,9 @@ class TabularPosteriorState:
     stream k (padded entries carry -inf).  w_k sums the mass of support
     points < t.  An observation at time t+1 is post-change for support
     point m exactly when m <= t, so those entries pick up its log
-    likelihood ratio.
+    likelihood ratio.  A frozen stream reports ``frozen_w``, its posterior
+    when it was frozen: its mass no longer moves, but more of its support
+    would fall below t.
     """
 
     label = "tabular"
@@ -236,18 +238,20 @@ class TabularPosteriorState:
             with np.errstate(divide="ignore"):
                 self.log_post[i, :len(mas)] = np.log(mas)
         self.frozen = np.zeros(k, dtype=bool)
+        self.frozen_w = np.zeros(k)
 
     @classmethod
-    def from_arrays(cls, supports, masses, t: int, frozen,
-                    log_post) -> "TabularPosteriorState":
+    def from_arrays(cls, supports, masses, t: int, frozen, log_post,
+                    frozen_w) -> "TabularPosteriorState":
         st = cls(supports, masses)
         st.t = t
         st.frozen = _shaped("frozen", frozen, st.frozen.shape, bool)
         st.log_post = _shaped("log_post", log_post, st.log_post.shape)
+        st.frozen_w = _shaped("frozen_w", frozen_w, st.frozen_w.shape)
         return st
 
     def to_arrays(self) -> dict:
-        return {"log_post": self.log_post}
+        return {"log_post": self.log_post, "frozen_w": self.frozen_w}
 
     def advance(self, log_lr_values, active) -> None:
         log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
@@ -257,12 +261,14 @@ class TabularPosteriorState:
         self.log_post[active] = rows - _logsumexp_rows(rows)[:, None]
 
     def freeze(self, idx, w_idx=None) -> None:
+        self.frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self.frozen[idx] = True
 
     @property
     def w(self) -> np.ndarray:
         changed = self.support < self.t
-        return np.exp(_logsumexp_rows(np.where(changed, self.log_post, NEG_INF)))
+        w = np.exp(_logsumexp_rows(np.where(changed, self.log_post, NEG_INF)))
+        return np.where(self.frozen, self.frozen_w, w)
 
 
 class PartialDepPosterior:

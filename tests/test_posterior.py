@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from streamgate.detector import AdaptiveDetector, checkpoint_state, restore_state
-from streamgate.model import GaussianShift, GeometricPrior, PartialDepModel
+from streamgate.detector import (AdaptiveDetector, DependentDetector, checkpoint_state,
+                                 restore_state)
+from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
+                              TabularModel)
 from streamgate.posterior import (DependentPosteriorState, PartialDepPosterior,
                                   PosteriorState, TabularPosteriorState,
                                   reference_posterior_paths)
@@ -82,6 +84,36 @@ def test_frozen_streams_never_change():
     with pytest.raises(ValueError):
         state.advance([0.0], [3])
     assert state.t == 6
+
+
+@pytest.mark.parametrize("backend", ["iid", "tabular", "partial", "dependent"])
+def test_frozen_stream_keeps_its_drop_time_w_bits(backend):
+    # streams are dropped well before the end of the run, and the detector
+    # goes through a checkpoint round trip after every step; the tabular
+    # streams are all dropped at t=6, before support point 10 passes below t
+    if backend == "tabular":
+        model = TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6,
+                             (GaussianShift(1.0),) * 6)
+        k, alpha, seed = 6, 0.3, 2
+    elif backend == "iid":
+        model, k, alpha, seed = IIDModel(GeometricPrior(0.2), GaussianShift(1.5)), 20, 0.1, 4
+    else:
+        eta = 0.5 if backend == "partial" else 1.0
+        model = PartialDepModel(GeometricPrior(0.2), eta, GaussianShift(1.5))
+        k, alpha, seed = 20, 0.2, 3
+    make = DependentDetector if backend == "dependent" else AdaptiveDetector
+    det = make(model, alpha, k)
+    rng = np.random.default_rng(seed)
+    tau = model.sample_change_points(k, rng)
+    pinned = np.full(k, np.nan)
+    for t in range(1, 31):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        dropped = det.deactivate()
+        pinned[dropped] = det.w[dropped]
+        det = restore_state(checkpoint_state(det), model, k)
+        frozen = det.t_stop >= 0
+        assert det.w[frozen].tobytes() == pinned[frozen].tobytes(), f"t={t}"
+    assert frozen.any() and det.t_stop[frozen].min() <= 15
 
 
 def test_update_rejects_misaligned_inputs():
