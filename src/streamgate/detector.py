@@ -323,7 +323,9 @@ class _DetectorBase:
         return len(self.active)
 
     def observe(self, x) -> None:
-        """Ingest one observation per active stream (aligned with .active)."""
+        """Ingest one observation per active stream (aligned with .active).
+        The model's log likelihood ratio refuses a missing or non-finite
+        value, before anything changes."""
         if self._phase != "observe":
             raise RuntimeError("deactivate() must run before the next observe()")
         x = np.asarray(x, dtype=float)
@@ -331,11 +333,9 @@ class _DetectorBase:
             raise ValueError(
                 f"expected {self.n_active} observations for the active set, "
                 f"got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("missing or non-finite observation for an active stream")
+        self._state.advance(self.model.log_lr_rows(x, self.active) if x.size else x,
+                            self.active)
         self._w = None
-        self._state.advance(self.model.log_lr_rows(x, self.active) if x.size
-                            else np.empty(0), self.active)
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
@@ -345,13 +345,15 @@ class _DetectorBase:
             raise RuntimeError("observe() must run before deactivate()")
         w_active = self.w[self.active]
         keep = _keep_mask(w_active, *self._cutoff(w_active))
-        drop = ~keep
-        dropped = self.active[drop]
-        self.active = self.active[keep]  # ``active`` stays in index order
-        if dropped.size:
+        if keep.all():
+            dropped, kept_w = self.active[:0], w_active
+        else:
+            drop = ~keep
+            dropped, kept_w = self.active[drop], w_active[keep]
+            self.active = self.active[keep]  # ``active`` stays in index order
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[drop])
-        kept_w, n = w_active[keep], self.n_active
+        n = self.n_active
         cutoff = 1.0 if not dropped.size else float(kept_w.max()) if n else 0.0
         # sum / n is the division ndarray.mean does: the same bits
         self.last = Selection(self.t, n, cutoff, float(kept_w.sum()) / n if n else 0.0,

@@ -82,7 +82,7 @@ class GaussianShift:
     def log_lr(self, x) -> np.ndarray | float:
         """log q(x)/p(x) = (mu*x - mu^2/2) / sigma^2."""
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("log_lr requires finite observations")
         out = (self.mu * x - 0.5 * self.mu * self.mu) / (self.sigma * self.sigma)
         return out if out.ndim else float(out)
@@ -111,10 +111,9 @@ class BernoulliPair:
 
     def log_lr(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("log_lr requires finite observations")
-        if not np.all((x == 0.0) | (x == 1.0)):
-            raise ValueError("Bernoulli observations must be 0 or 1")
+        if not ((x == 0.0) | (x == 1.0)).all():  # NaN and +-inf fail too
+            raise ValueError("log_lr requires finite observations" if not np.isfinite(x).all()
+                             else "Bernoulli observations must be 0 or 1")
         out = np.where(
             x == 1.0,
             math.log(self.p1 / self.p0),

@@ -74,7 +74,7 @@ def _advance_args(log_lr_values, active, frozen: np.ndarray):
     if log_lr_values.shape != active.shape:
         raise ValueError("log_lr_values must align with the active index set")
     if active.size and (active.min() < 0 or active.max() >= len(frozen)
-                        or np.any(frozen[active])):
+                        or frozen[active].any()):
         raise ValueError("cannot advance a frozen or unknown stream")
     return log_lr_values, active
 

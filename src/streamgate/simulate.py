@@ -4,11 +4,17 @@ Runs many independent detection campaigns on simulated ensembles and
 aggregates, per time point,
 
 * FNP -- fraction of retained streams that have already changed,
-* realized LFNR -- mean retained posterior (what the detector controls,
-  read from its selection record ``det.last``),
+* realized LFNR -- mean retained posterior (what the detector controls),
 * FDP / LFDR -- the dual quantities over streams dropped at that step,
 * active count, cumulative utilization (observations collected),
 * pre-change run length and cumulative detections.
+
+Each replication runs only the detector loop: deactivate, observe, and
+stop once nothing is active.  The loop records one number of its own,
+the dropped streams' mean ``1 - w`` for the LFDR, read from that step's
+posteriors.  Every other row is derived once per replication from the
+change times and the decision trace ``det.trace()``: the active counts,
+the realized LFNR and the stop times.
 
 Time indexing matches the one-step-ahead convention: the FNP/LFNR row at
 time t is a property of the selection entering time t, i.e. of the active
@@ -77,31 +83,6 @@ class MetricsFrame:
     replications: int
 
 
-def fnp(active_next, tau, t: int) -> float:
-    """Fraction of retained streams whose change happened strictly before t."""
-    active_next = np.asarray(active_next, dtype=int)
-    tau = np.asarray(tau, dtype=float)
-    if active_next.size == 0:
-        return 0.0
-    return float(np.count_nonzero(tau[active_next] < t)) / active_next.size
-
-
-def fdp_lfdr(w_prev, dropped, tau, t: int) -> tuple[float, float]:
-    """False discovery proportion and local FDR over streams dropped at this step."""
-    dropped = np.asarray(dropped, dtype=int)
-    if dropped.size == 0:
-        return 0.0, 0.0
-    tau = np.asarray(tau, dtype=float)
-    w_prev = np.asarray(w_prev, dtype=float)
-    fdp = float(np.count_nonzero(tau[dropped] >= t)) / dropped.size
-    lfdr = float((1.0 - w_prev[dropped]).mean())
-    return fdp, lfdr
-
-
-# per-time metric rows: fnp, lfnr, fdp, lfdr, active, util, rl, cd
-_N_METRICS = 8
-
-
 def _run_lengths(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_k min(m_k, s) for each s in ``times``, from one sort of ``m``:
     the m_k below s, plus s for every other stream.  Every term is an
@@ -112,39 +93,51 @@ def _run_lengths(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     return prefix[below] + times * (m.size - below)
 
 
+def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """count / total as floats, 0 where total is 0."""
+    return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
+
+
 def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """One replication's rows (time x fnp, lfnr, fdp, lfdr, active, util, rl, cd)."""
     rng = np.random.default_rng(seed_seq)
     k, horizon = config.k, config.horizon
     tau = config.model.sample_change_points(k, rng)
     det = make_detector(config.procedure, config.model, config.alpha, k, config.table)
-    rows = np.zeros((horizon, _N_METRICS))
-    stop = tau.astype(float)  # min(stop time, tau), lowered as streams are dropped
-    util = 0
+    lfdr = np.zeros(horizon)
     for t in range(1, horizon + 1):
-        row = rows[t - 1]
         if t > 1:
-            w_prev = det.w
             dropped = det.deactivate()
             if dropped.size:
-                stop[dropped] = np.minimum(stop[dropped], det.t_stop[dropped])
-            row[0] = fnp(det.active, tau, t - 1)
-            row[1] = det.last.lfnr
-            row[2], row[3] = fdp_lfdr(w_prev, dropped, tau, t - 1)
-        active_t = det.n_active
-        util += active_t
-        row[4] = active_t
-        row[5] = util
-        row[6] = np.minimum(stop, t).sum()
-        row[7] = k - active_t
-        if active_t == 0:
-            # nothing left to observe: remaining rows are deterministic
-            rows[t:, 5] = util
-            rows[t:, 6] = _run_lengths(stop, np.arange(t + 1.0, horizon + 1))
-            rows[t:, 7] = k
-            break
+                lfdr[t - 1] = (1.0 - det.w[dropped]).mean()
+            if not det.n_active:
+                break
         x = config.model.sample_step(t, tau, rng)
         det.observe(x[det.active])
-    return rows
+    # row i holds the selection made at time i (none at 0) and the active
+    # set it leaves for time i+1; rows after the active set empties are 0
+    trace = det.trace()
+    n_rows = len(trace.active_size)
+    active = np.zeros(horizon, dtype=int)
+    active[:n_rows] = trace.active_size
+    lfnr = np.zeros(horizon)
+    lfnr[:n_rows] = trace.realized_lfnr
+    t_stop = trace.t_stop
+    stopped = t_stop >= 0
+    # stream k is retained and already changed at the selections i with
+    # tau_k < i < end_k, i.e. from i = floor(tau_k) + 1
+    end = np.where(stopped, t_stop, horizon)
+    first = np.floor(tau) + 1
+    counted = first < end
+    changed_kept = np.cumsum(np.bincount(first[counted].astype(int), minlength=horizon + 1)
+                             - np.bincount(end[counted], minlength=horizon + 1))[:horizon]
+    drops = np.bincount(t_stop[stopped], minlength=horizon)
+    false_drops = np.bincount(t_stop[stopped & (tau >= t_stop)], minlength=horizon)
+    stop = np.minimum(tau, np.where(stopped, t_stop, math.inf))
+    return np.column_stack([
+        _share(changed_kept, active), lfnr, _share(false_drops, drops), lfdr,
+        active, np.cumsum(active), _run_lengths(stop, np.arange(1.0, horizon + 1)),
+        k - active])
 
 
 def _replicate_packed(args) -> np.ndarray:

@@ -5,32 +5,10 @@ import pytest
 
 from streamgate.calibrate import calibrate_thresholds
 from streamgate.detector import AdaptiveDetector
-from streamgate.model import (INF, BernoulliPair, GaussianShift,
-                              GeometricPrior, IIDModel, PartialDepModel,
-                              conflicting_priors_model)
-from streamgate.simulate import (SimConfig, fdp_lfdr, fnp, run_experiment,
-                                 write_metrics_csv)
+from streamgate.model import (BernoulliPair, GaussianShift, GeometricPrior,
+                              IIDModel, PartialDepModel, conflicting_priors_model)
+from streamgate.simulate import SimConfig, run_experiment, write_metrics_csv
 from streamgate.verify import dp_optimality_report
-
-
-# ---------------------------------------------------------------------------
-# metric definitions
-# ---------------------------------------------------------------------------
-
-def test_fnp_examples():
-    assert fnp([0, 1], [0.0, INF], 5) == 0.5
-    assert fnp([], [0.0, INF], 5) == 0.0
-    # the comparison is strict: a change at exactly t does not count
-    assert fnp([0, 1, 2], [4.0, 4.0, 4.0], 4) == 0.0
-    assert fnp([0, 1, 2], [4.0, 4.0, 4.0], 5) == 1.0
-
-
-def test_fdp_lfdr_examples():
-    assert fdp_lfdr([0.5], [], [INF], 3) == (0.0, 0.0)
-    fdp, _ = fdp_lfdr([0.5], [0], [INF], 3)
-    assert fdp == 1.0
-    _, lfdr = fdp_lfdr([0.9, 0.8], [0, 1], [0.0, 0.0], 3)
-    assert lfdr == pytest.approx(0.15, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -64,33 +42,61 @@ def test_run_experiment_invariants():
 
 
 def test_rows_after_the_last_drop_match_a_plain_loop():
-    # replications empty long before the horizon, so most rows are filled in
-    # closed form; rebuild each replication's stop times from its seed and
-    # compare every row with sums written out stream by stream
+    # replications empty long before the horizon; rebuild each replication
+    # stream by stream from its seed and compare every row with sums written
+    # out over the streams retained and dropped at each selection
     model = IIDModel(GeometricPrior(0.3), GaussianShift(1.0))
     k, horizon, reps = 40, 60, 6
     frame = run_experiment(SimConfig(model=model, k=k, alpha=0.05, horizon=horizon,
                                      replications=reps, seed=11))
-    per_rep = []
+    per_rep, lfnr, lfdr, edges = [], [], [], set()
     for child in np.random.SeedSequence(11).spawn(reps):
         rng = np.random.default_rng(child)   # the engine's draws, in its order
         tau = model.sample_change_points(k, rng)
         det = AdaptiveDetector(model, 0.05, k)
-        while det.n_active:
-            det.observe(model.sample_step(det.t + 1, tau, rng)[det.active])
-            det.deactivate()
+        # the row at time s is the selection at s-1; none at s=1
+        kept, dropped, lfnr_rep, lfdr_rep = [list(range(k))], [[]], [0.0], [0.0]
+        while len(lfnr_rep) < horizon:
+            if det.n_active:
+                det.observe(model.sample_step(det.t + 1, tau, rng)[det.active])
+                w = det.w
+                det.deactivate()
+            kept.append([j for j in kept[-1] if det.t_stop[j] < 0])
+            dropped.append([j for j in kept[-2] if det.t_stop[j] >= 0])
+            lfnr_rep.append(sum(w[j] for j in kept[-1]) / len(kept[-1]) if kept[-1] else 0.0)
+            lfdr_rep.append(sum(1.0 - w[j] for j in dropped[-1]) / len(dropped[-1])
+                            if dropped[-1] else 0.0)
         stop = det.t_stop.tolist()
-        assert max(stop) < horizon // 2      # the tail covers most rows
-        per_rep.append([(sum(min(stop[j], tau[j], s) for j in range(k)),
+        assert max(stop) < horizon // 2      # most rows come after the last drop
+        # a change at exactly s-1 is not yet a change at the selection at s-1;
+        # an empty retained or dropped set gives 0
+        fnp = [sum(tau[j] < s - 1 for j in ids) / len(ids) if ids else 0.0
+               for s, ids in enumerate(kept, 1)]
+        fdp = [sum(tau[j] >= s - 1 for j in ids) / len(ids) if ids else 0.0
+               for s, ids in enumerate(dropped, 1)]
+        edges |= {"tau at s-1 kept" for s, ids in enumerate(kept[1:], 2)
+                  if any(tau[j] == s - 1 for j in ids)}
+        edges |= {"nothing kept" for ids in kept[1:] if not ids}
+        edges |= {"nothing dropped" for ids in dropped[1:] if not ids}
+        per_rep.append([(fnp[s - 1], fdp[s - 1],
+                         sum(min(stop[j], tau[j], s) for j in range(k)),
                          sum(min(stop[j], s) for j in range(k)),
                          sum(stop[j] >= s for j in range(k)),
                          sum(stop[j] < s for j in range(k)))
                         for s in range(1, horizon + 1)])
-    rl, util, active, dropped = np.asarray(per_rep, dtype=float).mean(axis=0).T
+        lfnr.append(lfnr_rep)
+        lfdr.append(lfdr_rep)
+    assert edges == {"tau at s-1 kept", "nothing kept", "nothing dropped"}
+    fnp, fdp, rl, util, active, cd = np.asarray(per_rep, dtype=float).mean(axis=0).T
+    assert np.array_equal(frame.mean_fnp, fnp)
+    assert np.array_equal(frame.mean_fdp, fdp)
     assert np.array_equal(frame.mean_rl, rl)
     assert np.array_equal(frame.mean_util, util)
     assert np.array_equal(frame.mean_active, active)
-    assert np.array_equal(frame.mean_cd, dropped)
+    assert np.array_equal(frame.mean_cd, cd)
+    # numpy sums in another order than the loops above
+    assert frame.mean_lfnr == pytest.approx(np.mean(lfnr, axis=0), rel=1e-13, abs=1e-16)
+    assert frame.mean_lfdr == pytest.approx(np.mean(lfdr, axis=0), rel=1e-13, abs=1e-16)
 
 
 def test_run_experiment_fnp_controlled_on_average():
