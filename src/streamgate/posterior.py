@@ -268,7 +268,8 @@ class TabularPosteriorState:
     def w(self) -> np.ndarray:
         changed = self.support < self.t
         w = np.exp(_logsumexp_rows(np.where(changed, self.log_post, NEG_INF)))
-        return np.where(self.frozen, self.frozen_w, w)
+        # a probability can round to just above 1; in-range values keep their bits
+        return np.where(self.frozen, self.frozen_w, np.minimum(w, 1.0))
 
 
 class PartialDepPosterior:

@@ -574,6 +574,21 @@ def test_tabular_posterior_matches_direct_bayes():
                 assert state.w[k] == pytest.approx(want, abs=1e-12)
 
 
+def test_tabular_posteriors_stay_in_unit_interval():
+    # once every support point lies below t, a live stream's posterior sums
+    # all of its mass; on this run it rounded to 1 + 2.2e-16 at t=11, and
+    # the selection rule refused it as not a probability
+    model = TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6,
+                         (GaussianShift(1.0),) * 6)
+    rng = np.random.default_rng(65)
+    tau = model.sample_change_points(6, rng)
+    det = AdaptiveDetector(model, 0.3, 6)
+    for t in range(1, 16):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        assert det.w.max() <= 1.0
+        det.deactivate()
+
+
 def test_tabular_posterior_freeze():
     state = TabularPosteriorState(((0, 2),), ((0.3, 0.7),))
     state.advance([0.4], [0])
