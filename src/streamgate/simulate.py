@@ -115,7 +115,7 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
         x = config.model.sample_step(t, tau, rng)
         det.observe(x[det.active])
     # row i holds the selection made at time i (none at 0) and the active
-    # set it leaves for time i+1; rows after the active set empties are 0
+    # set it leaves for time i+1; past the trace's end nothing is active
     trace = det.trace()
     n_rows = len(trace.active_size)
     active = np.zeros(horizon, dtype=int)
