@@ -86,14 +86,18 @@ def test_frozen_streams_never_change():
     assert state.t == 6
 
 
+def _six_tabular_streams():
+    """Six Gaussian streams whose change time is 0, 5 or 10."""
+    return TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6, (GaussianShift(1.0),) * 6)
+
+
 @pytest.mark.parametrize("backend", ["iid", "tabular", "partial", "dependent"])
 def test_frozen_stream_keeps_its_drop_time_w_bits(backend):
     # streams are dropped well before the end of the run, and the detector
     # goes through a checkpoint round trip after every step; the tabular
     # streams are all dropped at t=6, before support point 10 passes below t
     if backend == "tabular":
-        model = TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6,
-                             (GaussianShift(1.0),) * 6)
+        model = _six_tabular_streams()
         k, alpha, seed = 6, 0.3, 2
     elif backend == "iid":
         model, k, alpha, seed = IIDModel(GeometricPrior(0.2), GaussianShift(1.5)), 20, 0.1, 4
@@ -578,8 +582,7 @@ def test_tabular_posteriors_stay_in_unit_interval():
     # once every support point lies below t, a live stream's posterior sums
     # all of its mass; on this run it rounded to 1 + 2.2e-16 at t=11, and
     # the selection rule refused it as not a probability
-    model = TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6,
-                         (GaussianShift(1.0),) * 6)
+    model = _six_tabular_streams()
     rng = np.random.default_rng(65)
     tau = model.sample_change_points(6, rng)
     det = AdaptiveDetector(model, 0.3, 6)
