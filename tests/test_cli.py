@@ -610,17 +610,20 @@ _REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_REFUSALS))
-def test_detect_refusals_name_their_row_and_keep_the_steps_before(tmp_path, capsys, case):
+def _check_refusal(tmp_path, capsys, monkeypatch, case, stdin):
+    """Run ``_REFUSALS[case]`` from a file or, given ``stdin``, from stdin
+    read line by line; check its message and the steps it keeps."""
     fmt, k, horizon, edits, message, held = _REFUSALS[case]
     lines = _clean_lines(fmt, k, horizon)
     for row, text in edits.items():
         lines[row - 1] = text
     data = tmp_path / "obs"
     data.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(sys, "stdin", _LineStream(data.read_text()))
     ck, report = tmp_path / "ck.json", tmp_path / "r.csv"
-    code, _, err = _run(capsys, "detect", "--input", str(data), "--out", str(tmp_path / "o"),
-                        "--checkpoint", str(ck), "--report", str(report), *_IID_ALPHA)
+    code, _, err = _run(capsys, "detect", "--input", "-" if stdin else str(data),
+                        "--out", str(tmp_path / "o"), "--checkpoint", str(ck),
+                        "--report", str(report), *_IID_ALPHA)
     assert (code, err) == (2, f"data error: {message}\n")
     assert not (tmp_path / "o").exists()
     if held is None:
@@ -628,6 +631,18 @@ def test_detect_refusals_name_their_row_and_keep_the_steps_before(tmp_path, caps
     else:
         assert json.loads(json.loads(ck.read_text())["state"])["t"] == held
         assert f"t_final={held}\n" in report.read_text().splitlines(keepends=True)[0]
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_detect_refusals_name_their_row_and_keep_the_steps_before(tmp_path, capsys,
+                                                                  monkeypatch, case):
+    _check_refusal(tmp_path, capsys, monkeypatch, case, stdin=False)
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_detect_refusals_from_stdin_match_the_file(tmp_path, capsys, monkeypatch, case):
+    # stdin is read a line at a time, files in blocks: the same messages and steps
+    _check_refusal(tmp_path, capsys, monkeypatch, case, stdin=True)
 
 
 @pytest.mark.parametrize("flags, saved, given", [
