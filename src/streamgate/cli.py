@@ -221,7 +221,12 @@ def _int64(value: int, row_no: int) -> int:
 
 def _ndjson_row(line: str, row_no: int) -> tuple[int, int, float]:
     try:
-        rec = json.loads(line)
+        try:
+            rec, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):  # refused: raise json.loads's own message
+            rec = json.loads(line)
         t, sid, x = rec["t"], rec["stream"], rec["x"]
         # JSON numbers only, never truncated: 2.9, true and "2" are refused
         if type(t) is not int or type(sid) is not int or type(x) not in (int, float):
