@@ -42,11 +42,15 @@ run ends cleanly.  The report is also written when a run fails after at
 least one completed step: it then holds the bytes a clean run over
 exactly those steps writes, its ``t_final`` the last completed step.
 
-``--checkpoint`` (``{"external_ids": [...], "state": <format-2 blob>}``)
-is resumed from, and saved after every selection, so a run that fails
-mid-way keeps the state of its last complete step.  It is replaced
-atomically (``<path>.tmp``, then renamed): a failed write leaves the
-previous one intact.
+``--checkpoint`` is resumed from, and saved after every selection, so a
+run that fails mid-way keeps the state of its last complete step.  Its
+first line is the JSON list of external stream ids, encoded once per run
+and checked on resume (distinct integers within int64, one per stream);
+the rest is the detector's format-3 blob as ``checkpoint_state`` writes
+it (a sha256 line, a JSON header line, one base64 line per array), whose
+hash does not cover the ids.  It is replaced atomically (``<path>.tmp``,
+then renamed): a failed write leaves the previous one intact.  A file of
+format 1 or 2 (one JSON object) is refused.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.  A corrupt or truncated checkpoint, one of another format
@@ -454,19 +458,22 @@ def _cmd_detect(args) -> int:
     det = None
     discarded = 0
     if ckpt and os.path.exists(ckpt):
-        with open(ckpt) as fh:
-            blob = fh.read()
         try:
-            meta = json.loads(blob)
-            ids, state = sorted(meta["external_ids"]), meta["state"]
-            # outside the state's checksum; restore_state checks their count
-            if (type(state) is not str or len(set(ids)) != len(ids)
-                    or any(type(sid) is not int for sid in ids)):
-                raise ValueError("external_ids must be distinct integers")
+            # the external ids, then the detector's blob; newline="" keeps a
+            # stray carriage return in the text that is hashed
+            with open(ckpt, newline="") as fh:
+                ids, blob = json.loads(fh.readline()), fh.read()
+            # outside the blob's hash; restore_state checks their count
+            if type(ids) is not list:
+                raise ValueError("the first line is not a JSON list of external ids "
+                                 "(one JSON object is a format 1 or 2 file, not read)")
+            ids = sorted(ids)
+            if len(set(ids)) != len(ids) or any(type(sid) is not int for sid in ids):
+                raise ValueError("external ids must be distinct integers")
             universe = np.array(ids, np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"unreadable checkpoint file: {exc}") from exc
-        det = restore_state(state, model, len(ids), table=table)
+        det = restore_state(blob, model, len(ids), table=table)
         for key, given, saved in (("alpha", alpha, det.alpha), ("mode", mode, det.kind)):
             if given != saved:
                 raise UsageError(f"checkpoint was written with {key}={saved!r}, "
@@ -479,7 +486,7 @@ def _cmd_detect(args) -> int:
         ids = universe.tolist()
         det = make_detector(mode, model, alpha, len(ids), table)
 
-    ids_json = json.dumps(ids)  # the checkpoint's prefix, encoded once
+    ids_line = json.dumps(ids) + "\n"  # the checkpoint's first line, encoded once
     report_rows = []
 
     def process(t, sid, x, rows):
@@ -512,8 +519,7 @@ def _cmd_detect(args) -> int:
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if ckpt:
-            _write_atomic(ckpt, '{"external_ids": ' + ids_json + ', "state": '
-                          + json.dumps(checkpoint_state(det)) + "}")
+            _write_atomic(ckpt, ids_line + checkpoint_state(det))
 
     def header(t_final):
         return (f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={t_final}\n"

@@ -42,16 +42,20 @@ backend from :mod:`streamgate.posterior`, picked once by model
 backend protocol without knowing the model.  :func:`make_detector`
 builds a detector by kind name.  A detector can be checkpointed to a text
 blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
-decision trace.  Format 2 is a checksummed JSON header plus each array once
-as ``{"dtype": "<f8"|"<i8", "shape": [...], "data": base64}``: ``t_stop``,
-``active_size``, ``lfnr`` and the backend's ``to_arrays()`` under ``arrays``;
-the active set is the streams without a stop time.  A blob of any other
-format version is refused.
+decision trace.  Format 3 is built in one pass, as lines: the sha256 (hex)
+of every byte after its own line; one JSON header of the scalar fields and
+the ordered ``[name, dtype, shape]`` of each array (dtype ``"<i8"`` or
+``"<f8"``); then each array's little-endian bytes as one base64 line, in
+the order ``t_stop``, ``active_size``, ``lfnr``, then the backend's
+``to_arrays()``.  The active set is the streams without a stop time.
+:func:`restore_state` checks the hash before it parses anything, and
+refuses a blob of any other format version, formats 1 and 2 included.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
 import math
@@ -63,7 +67,7 @@ from .model import EnsembleModel, IIDModel, PartialDepModel, TabularModel
 from .posterior import (DependentPosteriorState, PartialDepPosterior,
                         PosteriorState, TabularPosteriorState)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
 
 
@@ -437,87 +441,94 @@ def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
 
 # -- checkpointing -------------------------------------------------------
 
-def _pack(value) -> dict:
-    """An array or scalar as ``{"dtype", "shape", "data"}``: base64 of its
-    little-endian int64 (integer arrays) or float64 bytes, bit-exact."""
-    a = np.asarray(value)
-    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
-    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(data).decode()}
-
-
-def _unpack(value, dtype: str | None = None) -> np.ndarray:
-    """Inverse of :func:`_pack`; refuses another ``dtype`` than asked for,
-    invalid base64, and data whose size disagrees with the shape."""
-    if (not isinstance(value, dict) or set(value) != {"dtype", "shape", "data"}
-            or value["dtype"] not in ("<i8", "<f8") or dtype not in (None, value["dtype"])
-            or type(value["shape"]) is not list or type(value["data"]) is not str
-            or not all(type(n) is int and n >= 0 for n in value["shape"])):
-        raise TypeError(f"not a packed {dtype or '<i8 or <f8'} array")
-    raw, shape = base64.b64decode(value["data"], validate=True), value["shape"]
-    if len(raw) != 8 * math.prod(shape):
-        raise ValueError(f"packed data of {len(raw)} bytes does not fit shape {shape}")
-    return np.frombuffer(raw, value["dtype"]).astype(value["dtype"][1:]).reshape(shape)
-
-
-def _payload_checksum(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+# the header's fields, with their JSON types
+_FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
+           "model_fingerprint": str, "n_streams": int, "arrays": list}
+# the arrays every checkpoint starts with, before the backend's
+_HISTORY = [["t_stop", "<i8"], ["active_size", "<i8"], ["lfnr", "<f8"]]
 
 
 def checkpoint_state(det: _DetectorBase) -> str:
-    """Serialize a detector to a self-checking text blob (format 2, bit-exact)."""
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "mode": det.kind,
-        "t": det.t,
-        "alpha": float.hex(det.alpha),
-        "phase": det._phase,
-        "model_fingerprint": det.model.fingerprint(),
-        "n_streams": det.k,
-        "t_stop": _pack(det.t_stop),
-        "active_size": _pack(det._active_size),
-        "lfnr": _pack(det._lfnr),
-        "arrays": {name: _pack(v) for name, v in det._state.to_arrays().items()},
-    }
-    payload["checksum"] = _payload_checksum(payload)
-    return json.dumps(payload, sort_keys=True)  # no indent: keeps the C encoder
+    """Serialize a detector to a self-checking text blob (format 3, bit-exact)."""
+    arrays = {"t_stop": det.t_stop, "active_size": det._active_size, "lfnr": det._lfnr,
+              **det._state.to_arrays()}
+    specs, lines = [], []
+    for name, value in arrays.items():
+        a = np.asarray(value)
+        dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
+        specs.append([name, dtype, list(a.shape)])
+        # little-endian int64 or float64 bytes as one base64 line, "\n" included
+        lines.append(binascii.b2a_base64(np.ascontiguousarray(a, dtype)))
+    header = {"format_version": CHECKPOINT_VERSION, "mode": det.kind, "t": det.t,
+              "alpha": float.hex(det.alpha), "phase": det._phase,
+              "model_fingerprint": det.model.fingerprint(), "n_streams": det.k,
+              "arrays": specs}
+    body = b"".join([json.dumps(header).encode(), b"\n", *lines])
+    return hashlib.sha256(body).hexdigest() + "\n" + body.decode()
 
 
-# the checkpoint's fields, with their JSON types
-_FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
-           "model_fingerprint": str, "n_streams": int, "t_stop": dict, "active_size": dict,
-           "lfnr": dict, "arrays": dict}
+def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
+    """The arrays of a format-3 body, one per ``[name, dtype, shape]`` entry
+    and line; refuses a mistyped entry, a line too many or too few, invalid
+    base64, data whose size disagrees with its shape, a repeated name, and
+    history arrays other than ``_HISTORY``."""
+    for spec in specs:
+        if (type(spec) is not list or len(spec) != 3 or type(spec[0]) is not str
+                or spec[1] not in ("<i8", "<f8") or type(spec[2]) is not list
+                or not all(type(n) is int and n >= 0 for n in spec[2])):
+            raise TypeError(f"mistyped array entry {spec!r:.80}: "
+                            "expected [name, '<i8' or '<f8', shape]")
+    if len(lines) != len(specs):
+        raise ValueError(f"the header lists {len(specs)} arrays, but {len(lines)} lines follow")
+    if len({spec[0] for spec in specs}) != len(specs):
+        raise ValueError("an array name is repeated")
+    if [spec[:2] for spec in specs[:3]] != _HISTORY:
+        raise TypeError("the arrays must start with t_stop <i8, active_size <i8 and lfnr <f8")
+    arrays = {}
+    for (name, dtype, shape), line in zip(specs, lines):
+        raw = base64.b64decode(line, validate=True)
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{name}: {len(raw)} bytes do not fit shape {shape}")
+        arrays[name] = np.frombuffer(raw, dtype).reshape(shape)
+    return arrays
 
 
 def restore_state(blob: str, model: EnsembleModel, k: int,
                   table: ThresholdTable | None = None) -> _DetectorBase:
-    """Rebuild a detector from a checkpoint blob, checking its checksum,
-    format version, fields, model fingerprint, and that its history fits its time."""
+    """Rebuild a detector from a checkpoint blob, checking its hash, format
+    version, fields, model fingerprint, and that its history fits its time."""
+    if blob.startswith("{"):
+        raise CheckpointError("unsupported checkpoint version: one JSON object is format "
+                              f"1 or 2 (this program reads version {CHECKPOINT_VERSION})")
+    digest, _, body = blob.partition("\n")  # the hash covers every byte after its line
     try:
-        payload = json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
-    if not isinstance(payload, dict) or "checksum" not in payload:
-        raise CheckpointError("checkpoint is missing its checksum")
-    body = {key: val for key, val in payload.items() if key != "checksum"}
-    if _payload_checksum(body) != payload["checksum"]:
+        data = body.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise CheckpointError(f"checkpoint is not ASCII text: {exc}") from exc
+    if hashlib.sha256(data).hexdigest() != digest:
         raise CheckpointError("checkpoint checksum mismatch (corrupted or truncated)")
-    version = payload.get("format_version")
+    head, *lines = data.split(b"\n")
+    if lines[-1:] != [b""]:
+        raise CheckpointError("checkpoint does not end with a newline")
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
+        raise CheckpointError(f"unparseable checkpoint header: {exc}") from exc
+    version = header.get("format_version") if isinstance(header, dict) else None
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r} "
                               f"(this program reads version {CHECKPOINT_VERSION})")
-    bad = [key for key, typ in _FIELDS.items() if type(payload.get(key)) is not typ]
-    bad += sorted(body.keys() - _FIELDS.keys())
+    bad = [key for key, typ in _FIELDS.items() if type(header.get(key)) is not typ]
+    bad += sorted(header.keys() - _FIELDS.keys())
     if bad:
         raise CheckpointError(f"checkpoint field(s) missing, mistyped or unknown: {bad}")
-    if payload["model_fingerprint"] != model.fingerprint():
+    if header["model_fingerprint"] != model.fingerprint():
         raise CheckpointError(
             "checkpoint was produced under a different model: "
-            f"{payload['model_fingerprint']} vs {model.fingerprint()}")
-    kind, t, phase = payload["mode"], payload["t"], payload["phase"]
-    if payload["n_streams"] != k:
-        raise CheckpointError(f"stream count mismatch: {payload['n_streams']} vs {k}")
+            f"{header['model_fingerprint']} vs {model.fingerprint()}")
+    kind, t, phase = header["mode"], header["t"], header["phase"]
+    if header["n_streams"] != k:
+        raise CheckpointError(f"stream count mismatch: {header['n_streams']} vs {k}")
     if kind not in DETECTOR_KINDS:
         raise CheckpointError(f"unknown detector kind {kind!r}")
     if kind == "threshold" and table is None:
@@ -525,13 +536,11 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
     if phase not in ("observe", "select") or t < (phase == "select"):
         raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
-        alpha = float.fromhex(payload["alpha"])
-        t_stop = _unpack(payload["t_stop"], "<i8")
-        active_size = _unpack(payload["active_size"], "<i8")
-        lfnr = _unpack(payload["lfnr"], "<f8")
-        arrays = {name: _unpack(v) for name, v in payload["arrays"].items()}
+        alpha = float.fromhex(header["alpha"])
+        arrays = _decode_arrays(header["arrays"], lines[:-1])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
+    t_stop, active_size, lfnr = (arrays.pop(name) for name, _ in _HISTORY)
     if not 0.0 < alpha <= 1.0:  # NaN fails too
         raise CheckpointError(f"checkpoint alpha {alpha!r} does not lie in (0, 1]")
     steps = t + (phase == "observe")  # one per selection, plus the initial entry
@@ -547,6 +556,6 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
         det._state = det._backend(t, t_stop >= 0, arrays)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad {det._state.label} posterior state: {exc}") from exc
-    det._phase, det.active, det.t_stop = phase, np.flatnonzero(t_stop < 0), t_stop
+    det._phase, det.active, det.t_stop = phase, np.flatnonzero(t_stop < 0), t_stop.astype(int)
     det._active_size, det._lfnr = active_size.tolist(), lfnr.tolist()
     return det

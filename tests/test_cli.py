@@ -7,8 +7,11 @@ import pytest
 
 import streamgate.cli as cli
 from streamgate.cli import main
-from streamgate.detector import AdaptiveDetector, restore_state
-from streamgate.model import GaussianShift, GeometricPrior, IIDModel
+from streamgate.detector import AdaptiveDetector, CheckpointError, restore_state
+from streamgate.calibrate import read_threshold_table
+from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
+                              TabularModel)
+from test_detector import _format2_blob, _payload, _resigned
 
 
 def _run(capsys, *argv):
@@ -285,37 +288,41 @@ def _checkpointed_half(tmp_path, capsys, *flags):
 _IID = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
 
 
+def _split_file(ck):
+    """A checkpoint file as its external ids and the detector's blob."""
+    ids_line, blob = ck.read_text().split("\n", 1)
+    return json.loads(ids_line), blob
+
+
+def _saved_t(ck):
+    return _payload(_split_file(ck)[1])["t"]
+
+
 def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    blob = ck.read_text()
+    text = ck.read_text()
     resume = ["detect", "--input", str(part2), "--out", str(tmp_path / "o.csv"),
               "--checkpoint", str(ck), *_IID, "--alpha", "0.05"]
-    ck.write_text(blob[: len(blob) // 2])                      # truncated file
+    ck.write_text(text[: len(text) // 2])                      # truncated file
     code, _, err = _run(capsys, *resume)
     assert code == 2 and "data error" in err
-    meta = json.loads(blob)
-    meta["state"] = meta["state"].replace('"t": 7', '"t": 8')  # checksum breaks
-    ck.write_text(json.dumps(meta))
+    ck.write_text(text.replace('"t": 7', '"t": 8'))            # checksum breaks
     code, _, err = _run(capsys, *resume)
     assert code == 2 and "data error" in err and "checksum" in err
 
 
 def _edit_state(ck, edit):
-    """Apply ``edit`` to the checkpoint file's state, checksum recomputed."""
-    from streamgate.detector import _payload_checksum
-
-    meta = json.loads(ck.read_text())
-    state = json.loads(meta["state"])
-    del state["checksum"]
-    edit(state)
-    meta["state"] = json.dumps({**state, "checksum": _payload_checksum(state)})
-    ck.write_text(json.dumps(meta))
+    """Apply ``edit`` to the checkpoint file's state, its hash recomputed."""
+    ids, blob = _split_file(ck)
+    payload = _payload(blob)
+    edit(payload)
+    ck.write_text(json.dumps(ids) + "\n" + _resigned(payload))
 
 
 def _resume_edited(tmp_path, capsys, edit):
     """Exit code and stderr of resuming a checkpoint whose state ``edit`` changed."""
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    assert json.loads(json.loads(ck.read_text())["state"])["format_version"] == 2
+    assert _payload(_split_file(ck)[1])["format_version"] == 3
     _edit_state(ck, edit)
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
@@ -325,14 +332,15 @@ def _resume_edited(tmp_path, capsys, edit):
 
 
 def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
-    # each field of the state, dropped with a valid checksum: exit 2 naming it
-    # (a missing format_version is refused as version None)
+    # each header field and history array, dropped with a valid hash: exit 2
+    # naming it (a missing format_version is refused as version None)
     from streamgate.detector import _FIELDS
 
-    for field in _FIELDS:
+    for field in [*_FIELDS, "t_stop", "active_size", "lfnr"]:
         run = tmp_path / field
         run.mkdir()
-        code, err = _resume_edited(run, capsys, lambda state: state.pop(field))
+        code, err = _resume_edited(run, capsys, lambda state: (
+            state if field in state else state["arrays"]).pop(field))
         named = "version None" if field == "format_version" else field
         assert code == 2 and "data error" in err and named in err
 
@@ -343,7 +351,7 @@ def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
 
 
 def test_detect_refuses_a_v1_checkpoint_file(tmp_path, capsys):
-    # only format 2 is read; another version is a corrupt checkpoint, named
+    # only format 3 is read; another version is a corrupt checkpoint, named
     code, err = _resume_edited(tmp_path, capsys,
                                lambda state: state.update(format_version=1))
     assert code == 2 and "data error" in err and "version 1" in err
@@ -387,9 +395,9 @@ def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, ids):
     code, _, _ = _run(capsys, "detect", "--input", str(part1),
                       "--out", str(tmp_path / "p1.csv"), *flags)
     assert code == 0
-    meta = json.loads(ck.read_text())
-    assert meta["external_ids"] == [1, 2, 3]
-    ck.write_text(json.dumps({**meta, "external_ids": ids}))
+    saved, blob = _split_file(ck)
+    assert saved == [1, 2, 3]
+    ck.write_text(json.dumps(ids) + "\n" + blob)
     # input for exactly the streams the edited ids name
     named = {int(sid) for sid in ids}
     part2 = tmp_path / "part2.ndjson"
@@ -397,7 +405,7 @@ def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, ids):
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), *flags)
     assert code == 2 and "data error" in err
-    assert "external_ids" in err or "stream count" in err
+    assert "external ids" in err or "stream count" in err
 
 
 def _wide(path, x, ids, times, bad_at=None):
@@ -435,7 +443,7 @@ def test_detect_checkpoint_survives_a_bad_cell(tmp_path, capsys):
     assert code == 2 and "data error" in err
     # a step runs once the first row of the next one is read, so the bad
     # row at t=17 stops the run before t=16: the checkpoint holds t=15
-    assert json.loads(json.loads(ck.read_text())["state"])["t"] == 15
+    assert _saved_t(ck) == 15
     # the same checkpoint and report bytes as a clean run over t=1..15 leaves
     assert detect("first", range(1, 16), "--checkpoint", str(tmp_path / "ck15.json"),
                   "--report", str(tmp_path / "first.rep"))[0] == 0
@@ -447,7 +455,7 @@ def test_detect_checkpoint_survives_a_bad_cell(tmp_path, capsys):
 
     assert detect("rest", range(16, 25), "--checkpoint", str(ck))[0] == 0
     assert (tmp_path / "rest.out").read_bytes() == (tmp_path / "full.out").read_bytes()
-    assert json.loads(json.loads(ck.read_text())["state"])["t"] == 24
+    assert _saved_t(ck) == 24
 
 
 def _nd(t, sid, x):
@@ -629,7 +637,7 @@ def _check_refusal(tmp_path, capsys, monkeypatch, case, stdin):
     if held is None:
         assert not ck.exists() and not report.exists()
     else:
-        assert json.loads(json.loads(ck.read_text())["state"])["t"] == held
+        assert _saved_t(ck) == held
         assert f"t_final={held}\n" in report.read_text().splitlines(keepends=True)[0]
 
 
@@ -643,6 +651,77 @@ def test_detect_refusals_name_their_row_and_keep_the_steps_before(tmp_path, caps
 def test_detect_refusals_from_stdin_match_the_file(tmp_path, capsys, monkeypatch, case):
     # stdin is read a line at a time, files in blocks: the same messages and steps
     _check_refusal(tmp_path, capsys, monkeypatch, case, stdin=True)
+
+
+_TABULAR_PRIORS = ("prior.1 = 0:0.1,3:0.9\nprior.2 = 0:0.4,1:0.6\n"
+                   "prior.3 = 0:0.43,1:0.57\nprior.4 = 0:0.55,3:0.45\n")
+
+
+def _kind_setup(tmp_path, capsys, kind):
+    """The detect flags of one detector kind over streams 1..4, and its model
+    and threshold table as ``restore_state`` takes them."""
+    gauss, table = GaussianShift(1.0), None
+    if kind in ("adaptive", "threshold"):
+        flags, model = [*_IID, "--alpha", "0.05"], IIDModel(GeometricPrior(0.05), gauss)
+    elif kind == "tabular":
+        cfg = tmp_path / "tab.ini"
+        cfg.write_text("[model]\nmodel = tabular\nmu = 1.0\n" + _TABULAR_PRIORS)
+        supports = ((0, 3), (0, 1), (0, 1), (0, 3))
+        masses = ((0.1, 0.9), (0.4, 0.6), (0.43, 0.57), (0.55, 0.45))
+        flags, model = ["--config", str(cfg), "--alpha", "0.34"], TabularModel(
+            supports=supports, masses=masses, obs=(gauss,) * 4)
+    else:
+        eta = "0.5" if kind == "partial" else "1"
+        flags = ["--model", "partial", "--theta", "0.05", "--eta", eta, "--mu", "1.0",
+                 "--alpha", "0.3"]
+        model = PartialDepModel(GeometricPrior(0.05), float(eta), gauss)
+    if kind == "threshold":
+        path = tmp_path / "table.csv"
+        assert _run(capsys, "calibrate", *flags, "--n", "1000", "--horizon", "14",
+                    "--seed", "1", "--out", str(path))[0] == 0
+        flags += ["--mode", "threshold", "--table", str(path)]
+        table = read_threshold_table(path)
+    if kind == "dependent":
+        flags += ["--mode", "dependent"]
+    return flags, model, table
+
+
+def _blob_edits(blob):
+    """Edits of a blob that its hash must catch: one character changed in
+    each line, the last line dropped, a line added, a cut mid-line."""
+    lines = blob.split("\n")[:-1]  # the hash, the header, one per array
+    edits = {}
+    for i, line in enumerate(lines):
+        j = len(line) // 2
+        changed = [*lines]
+        changed[i] = line[:j] + ("B" if line[j] != "B" else "C") + line[j + 1:]
+        edits[f"line-{i}"] = "".join(f"{text}\n" for text in changed)
+    edits["last-line-dropped"] = "".join(f"{text}\n" for text in lines[:-1])
+    edits["line-added"] = blob + lines[-1] + "\n"
+    edits["cut-mid-line"] = blob[:len(blob) - 1 - len(lines[-1]) // 2]
+    return edits
+
+
+@pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
+                                  "threshold"])
+def test_every_byte_of_a_checkpoint_is_covered(tmp_path, capsys, kind):
+    flags, model, table = _kind_setup(tmp_path, capsys, kind)
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *flags)
+    ids, blob = _split_file(ck)
+    mode = kind if kind in ("threshold", "dependent") else "adaptive"
+    assert ids == [1, 2, 3, 4] and _payload(blob)["mode"] == mode
+    assert restore_state(blob, model, 4, table).t == 7
+    edits = _blob_edits(blob)
+    assert len(edits) == len(blob.split("\n")) + 2
+    for name, edited in edits.items():
+        with pytest.raises(CheckpointError):
+            restore_state(edited, model, 4, table)
+        text = json.dumps(ids) + "\n" + edited
+        ck.write_text(text)
+        code, _, err = _run(capsys, "detect", "--input", str(part2), "--out",
+                            str(tmp_path / "o.csv"), "--checkpoint", str(ck), *flags)
+        assert code == 2 and err.startswith("data error: "), name
+        assert ck.read_text() == text and not (tmp_path / "o.csv").exists(), name
 
 
 @pytest.mark.parametrize("flags, saved, given", [
@@ -829,8 +908,8 @@ def test_detect_ids_and_times_must_fit_int64(tmp_path, capsys, name, text, row, 
 
 def test_detect_resume_refuses_checkpoint_ids_outside_int64(tmp_path, capsys):
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    meta = json.loads(ck.read_text())
-    ck.write_text(json.dumps({**meta, "external_ids": meta["external_ids"][:-1] + [_BIG]}))
+    ids, blob = _split_file(ck)
+    ck.write_text(json.dumps(ids[:-1] + [_BIG]) + "\n" + blob)
     code, _, err = _run(capsys, "detect", "--input", str(part2), "--out", str(tmp_path / "o"),
                         "--checkpoint", str(ck), *_IID, "--alpha", "0.05")
     assert code == 2 and "data error: unreadable checkpoint file" in err
@@ -958,18 +1037,24 @@ def test_detect_wide_csv_then_ndjson_resume_matches_library(tmp_path, capsys):
     assert table[3:] == expected
     assert sum(notes) == discarded
 
-    # a checkpoint laid out as older versions wrote it (indent=1) restores
-    meta = json.loads(saved)
-    old_state = json.dumps(json.loads(meta["state"]), sort_keys=True, indent=1)
-    restored = restore_state(old_state, model, k)
+    # the file saved after the first call: the external ids, then a blob
+    # that restores the library run's bits
+    first_line, blob = saved.split("\n", 1)
+    assert json.loads(first_line) == ids.tolist()
+    restored = restore_state(blob, model, k)
     assert restored.w.tobytes() == w_half.tobytes()
     assert restored.trace().equals(trace_half)
-    ck.write_text(json.dumps({"external_ids": meta["external_ids"],
-                              "state": old_state}, indent=1))
-    code, _, _ = _run(capsys, "detect", "--input", str(rest),
-                      "--out", str(tmp_path / "old.out"), "--checkpoint", str(ck), *flags)
-    assert code == 0
-    assert (tmp_path / "old.out").read_bytes() == (tmp_path / "rest.out").read_bytes()
+    # the same state laid out as format 2 wrote it is refused, as a blob and
+    # as a file, and the file is left as it was
+    with pytest.raises(CheckpointError, match="format 1 or 2"):
+        restore_state(_format2_blob(blob), model, k)
+    old = json.dumps({"external_ids": ids.tolist(), "state": _format2_blob(blob)})
+    ck.write_text(old)
+    code, _, err = _run(capsys, "detect", "--input", str(rest),
+                        "--out", str(tmp_path / "old.out"), "--checkpoint", str(ck), *flags)
+    assert code == 2 and "data error: unreadable checkpoint file" in err
+    assert "format 1 or 2" in err and ck.read_text() == old
+    assert not (tmp_path / "old.out").exists()
 
 
 def test_simulate_writes_metrics_and_is_deterministic(tmp_path, capsys):

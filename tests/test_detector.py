@@ -1,3 +1,5 @@
+import base64
+import hashlib
 import itertools
 import json
 import math
@@ -8,8 +10,7 @@ import pytest
 from streamgate.detector import (CHECKPOINT_VERSION, AdaptiveDetector,
                                  CheckpointError, DependentDetector,
                                  TableExhaustedError, ThresholdDetector,
-                                 ThresholdTable, _pack, _payload_checksum,
-                                 _unpack, checkpoint_state, one_step_rule,
+                                 ThresholdTable, checkpoint_state, one_step_rule,
                                  restore_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
                               PartialDepModel, conflicting_priors_model)
@@ -527,10 +528,75 @@ def test_selection_record_matches_independent_derivations(name):
 # checkpointing
 # ---------------------------------------------------------------------------
 
+_HISTORY = ("t_stop", "active_size", "lfnr")
+
+
+def _pack(value):
+    """An array as ``{"dtype", "shape", "data"}``: what a format-3 header
+    lists for it, and its base64 line."""
+    a = np.asarray(value)
+    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
+    return {"dtype": dtype, "shape": list(a.shape),
+            "data": base64.b64encode(np.ascontiguousarray(a, dtype).tobytes()).decode()}
+
+
+def _unpack(entry):
+    return np.frombuffer(base64.b64decode(entry["data"]), entry["dtype"]).reshape(entry["shape"])
+
+
+def _payload(blob):
+    """A format-3 blob as its header, with ``arrays`` mapping each array's
+    name to its packed form, in the blob's order."""
+    _, header, *lines = blob.split("\n")
+    assert lines.pop() == ""
+    payload = json.loads(header)
+    payload["arrays"] = {name: {"dtype": dtype, "shape": shape, "data": line}
+                         for (name, dtype, shape), line in zip(payload["arrays"], lines,
+                                                               strict=True)}
+    return payload
+
+
 def _resigned(payload):
-    """``payload`` as a blob with a valid checksum."""
-    body = {key: val for key, val in payload.items() if key != "checksum"}
-    return json.dumps({**body, "checksum": _payload_checksum(body)})
+    """``payload`` as a format-3 blob with a valid hash.  An array entry is
+    written as far as it goes: a missing key leaves out its part, and an
+    entry that is not a dict is listed as ``[name, entry]`` with no line."""
+    header, lines = dict(payload), []
+    if isinstance(payload.get("arrays"), dict):
+        header["arrays"] = []
+        for name, entry in payload["arrays"].items():
+            if not isinstance(entry, dict):
+                header["arrays"].append([name, entry])
+                continue
+            header["arrays"].append([name, *(entry[key] for key in ("dtype", "shape")
+                                             if key in entry)])
+            if "data" in entry:
+                lines.append(str(entry["data"]))
+    body = "".join(f"{line}\n" for line in [json.dumps(header), *lines])
+    return hashlib.sha256(body.encode()).hexdigest() + "\n" + body
+
+
+def _format2_blob(blob):
+    """``blob`` laid out as format 2 wrote it: one JSON object holding the
+    history arrays packed under their own fields, the backend's under
+    ``arrays``, and a sha256 of its canonical JSON as ``checksum``."""
+    payload = _payload(blob)
+    arrays = payload.pop("arrays")
+    state = {**payload, "format_version": 2,
+             **{name: arrays.pop(name) for name in _HISTORY}, "arrays": arrays}
+    canon = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return json.dumps({**state, "checksum": hashlib.sha256(canon.encode()).hexdigest()},
+                      sort_keys=True)
+
+
+def _set(payload, field, value):
+    """``payload`` with ``field`` set to ``value``: a header field, a history
+    array, or, for ``arrays``, the backend's arrays after the history's."""
+    arrays = payload["arrays"]
+    if field == "arrays":
+        payload["arrays"] = {**{name: arrays[name] for name in _HISTORY}, **value}
+    else:
+        (arrays if field in _HISTORY else payload)[field] = value
+    return payload
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
@@ -678,25 +744,35 @@ def test_checkpoint_rejects_corruption():
 
 
 def test_checkpoint_rejects_version_mismatch():
-    # only format 2 is read; "2" and True are not the integer 2
-    for version in [1, 3, "2", True]:
+    # only format 3 is read; "3" and True are not the integer 3
+    for version in [1, 2, 4, "3", True]:
         model, payload = _iid_checkpoint()
         payload["format_version"] = version
         with pytest.raises(CheckpointError, match=f"version {version!r}"):
             restore_state(_resigned(payload), model, 4)
 
 
+def test_checkpoint_refuses_a_format_2_blob():
+    # format 2 (one JSON object, with its own valid checksum) has no reader left
+    model, det = _seeded("adaptive")
+    blob = _format2_blob(checkpoint_state(det))
+    assert json.loads(blob)["format_version"] == 2
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version.*format 1 or 2"):
+        restore_state(blob, model, det.k)
+
+
 def test_checkpoint_v2_derives_the_active_set():
-    # format 2 stores no active set: it is the streams without a stop time,
-    # in index order, and a blob that carries one anyway is refused
+    # the checkpoint (format 2 before it, hence the name) stores no active
+    # set: it is the streams without a stop time, in index order, and a blob
+    # that carries one anyway is refused
     model, det = _seeded("adaptive")
     assert det.k == 6 and det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
-    payload = json.loads(checkpoint_state(det))
-    assert "active" not in payload and "streams" not in payload
+    payload = _payload(checkpoint_state(det))
+    assert list(payload["arrays"]) == ["t_stop", "active_size", "lfnr", "log_odds"]
     back = restore_state(_resigned(payload), model, 6)
     assert back.active.tolist() == [0, 1, 2, 4, 5]
-    payload["active"] = _pack(back.active[::-1])
-    with pytest.raises(CheckpointError, match="unknown.*active"):
+    payload["arrays"]["active"] = _pack(back.active[::-1])
+    with pytest.raises(CheckpointError, match="posterior state.*active"):
         restore_state(_resigned(payload), model, 6)
 
 
@@ -705,18 +781,21 @@ def _iid_checkpoint():
     model = IIDModel(GeometricPrior(0.1), GaussianShift(1.0))
     det = AdaptiveDetector(model, 0.3, 4)
     det.observe([0.1, 0.2, 0.3, 0.4])
-    return model, json.loads(checkpoint_state(det))
+    return model, _payload(checkpoint_state(det))
 
 
+# the header's fields and the history arrays; the tests named "v2" run at
+# t=1, the others mid-run (both on the current format)
 _V2_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
               "n_streams", "t_stop", "active_size", "lfnr", "arrays"]
 
 
 def _delete_or_retype(payload, field, change):
+    where = payload["arrays"] if field in _HISTORY else payload
     if change == "delete":
-        del payload[field]
+        del where[field]
     else:  # another JSON type: strings become numbers, everything else a string
-        payload[field] = 7 if isinstance(payload[field], str) else "7"
+        where[field] = 7 if isinstance(where[field], str) else "7"
     return payload
 
 
@@ -739,7 +818,7 @@ def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
     for kind in _KINDS:
         model, det = _seeded(kind)
         table = getattr(det, "table", None)
-        payload = json.loads(checkpoint_state(det))
+        payload = _payload(checkpoint_state(det))
         assert restore_state(_resigned(payload), model, det.k, table=table).t == 3
         with pytest.raises(CheckpointError):
             restore_state(_resigned(_delete_or_retype(payload, field, change)),
@@ -784,10 +863,11 @@ _NO_STOP = _pack(np.full(4, -1))
         "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype",
         "alpha-above-one", "alpha-nan", "alpha-zero"])
 def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
+    # "no-data" lists an array with no line, "data-type" puts a number where
+    # its base64 goes, and "array-type" lists a bare number as the entry
     model, payload = _iid_checkpoint()
-    payload[field] = value
     with pytest.raises(CheckpointError):
-        restore_state(_resigned(payload), model, 4)
+        restore_state(_resigned(_set(payload, field, value)), model, 4)
 
 
 @pytest.mark.parametrize("field, value, match", [
@@ -808,11 +888,33 @@ def test_checkpoint_bad_values_are_checkpoint_errors(field, value, match):
     # the same checks mid-run: K=6 at t=3 (phase observe), stream 3 stopped at t=3
     model, det = _seeded("adaptive")
     assert det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
-    payload = json.loads(checkpoint_state(det))
+    payload = _payload(checkpoint_state(det))
     assert restore_state(_resigned(payload), model, 6).t == 3
-    payload[field] = value
     with pytest.raises(CheckpointError, match=match):
-        restore_state(_resigned(payload), model, 6)
+        restore_state(_resigned(_set(payload, field, value)), model, 6)
+
+
+def _body(head, lines):
+    return "".join(f"{line}\n" for line in [head, *lines])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda head, lines: _body(head, lines[:-1]), "lines follow"),
+    (lambda head, lines: _body(head, [*lines, lines[-1]]), "lines follow"),
+    (lambda head, lines: _body(head, lines)[:-1], "newline"),
+    (lambda head, lines: _body("[1, 2]", lines), "version None"),
+    (lambda head, lines: _body("{", lines), "unparseable"),
+    (lambda head, lines: _body(head.replace('"log_odds"', '"lfnr"'), lines), "repeated"),
+    (lambda head, lines: _body(head.replace('"t_stop"', '"t_stop_"'), lines), "must start"),
+], ids=["line-missing", "line-extra", "no-final-newline", "header-not-an-object",
+        "header-not-json", "repeated-name", "history-renamed"])
+def test_checkpoint_body_layout_errors_are_checkpoint_errors(edit, match):
+    # a body whose hash is valid, but whose header and lines do not agree
+    model, det = _seeded("adaptive")
+    _, head, *lines = checkpoint_state(det).split("\n")
+    body = edit(head, lines[:-1])
+    with pytest.raises(CheckpointError, match=match):
+        restore_state(hashlib.sha256(body.encode()).hexdigest() + "\n" + body, model, 6)
 
 
 @pytest.mark.parametrize("case, match", [
@@ -824,12 +926,11 @@ def test_checkpoint_bad_values_are_checkpoint_errors(field, value, match):
     ("both-too-short", "entries"),
     ("last-count", "the last count"),
 ])
-@pytest.mark.parametrize("version", [CHECKPOINT_VERSION])
-def test_checkpoint_inconsistent_history_is_refused(version, case, match):
+def test_checkpoint_inconsistent_history_is_refused(case, match):
     # K=6 at t=3 (phase observe), stream 3 stopped at t=3
     model, det = _seeded("adaptive")
-    payload = json.loads(checkpoint_state(det))
-    assert payload["format_version"] == version
+    payload = _payload(checkpoint_state(det))
+    assert payload["format_version"] == CHECKPOINT_VERSION
     trace = det.trace()
     t_stop, sizes, lfnr = trace.t_stop, trace.active_size, trace.realized_lfnr
     stopped = t_stop >= 0
@@ -849,16 +950,18 @@ def test_checkpoint_inconsistent_history_is_refused(version, case, match):
         sizes, lfnr = sizes[:-1], lfnr[:-1]
     else:
         sizes = np.append(sizes[:-1], sizes[-1] + 1)
-    payload.update(t_stop=_pack(t_stop), active_size=_pack(sizes), lfnr=_pack(lfnr))
+    payload["arrays"].update(t_stop=_pack(t_stop), active_size=_pack(sizes), lfnr=_pack(lfnr))
     with pytest.raises(CheckpointError, match=match):
         restore_state(_resigned(payload), model, 6)
 
 
 def _refuses_misshapen_arrays(model, det):
     """Each backend array of ``det``'s checkpoint, misshapen, is refused."""
-    payload = json.loads(checkpoint_state(det))
+    payload = _payload(checkpoint_state(det))
     assert restore_state(_resigned(payload), model, det.k).w.tobytes() == det.w.tobytes()
     for name, value in payload["arrays"].items():
+        if name in _HISTORY:
+            continue
         a = _unpack(value)
         assert a.size
         # an entry dropped, a scalar given an axis, or a non-square array
@@ -905,3 +1008,21 @@ def test_checkpoint_v2_stays_under_32_bytes_per_stream():
     blob = checkpoint_state(det)
     assert len(blob.encode()) < 32 * k
     assert restore_state(blob, model, k).w.tobytes() == det.w.tobytes()
+
+
+def test_checkpoint_round_trip_at_large_k_is_bit_exact():
+    # K=100 000: the restored w and trace and the re-encoded blob are the same bits
+    model = IIDModel(GeometricPrior(0.01), GaussianShift(1.0))
+    k = 100_000
+    rng = np.random.default_rng(22)
+    tau = model.sample_change_points(k, rng)
+    det = AdaptiveDetector(model, 0.05, k)
+    for t in range(1, 11):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+    assert 0 < det.n_active < k
+    blob = checkpoint_state(det)
+    back = restore_state(blob, model, k)
+    assert back.w.tobytes() == det.w.tobytes()
+    assert back.trace().equals(det.trace())
+    assert checkpoint_state(back) == blob

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from streamgate.detector import (AdaptiveDetector, DependentDetector, checkpoint_state,
-                                 restore_state)
+from streamgate.detector import (AdaptiveDetector, CheckpointError, DependentDetector,
+                                 checkpoint_state, restore_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
                               TabularModel)
 from streamgate.posterior import (DependentPosteriorState, PartialDepPosterior,
                                   PosteriorState, TabularPosteriorState,
                                   reference_posterior_paths)
 from streamgate.verify import brute_force_posterior, posterior_partial_dep
+from test_detector import _pack, _payload, _resigned, _unpack
 
 
 def _run_recursion(theta, llr):
@@ -433,15 +434,13 @@ def _check_round_trip(det, model, rest, full):
 
 
 def test_partial_dep_checkpoint_keeps_only_live_rows():
-    import json
-
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
     for x in data:
         if det.t:
             det.deactivate()
         det.observe(x[det.active])
-    arrays = json.loads(checkpoint_state(det))["arrays"]
+    arrays = _payload(checkpoint_state(det))["arrays"]
     assert "cum" not in arrays
     assert arrays["history"]["shape"] == [det.n_active, det.t + 1]
     assert det.n_active < 30
@@ -449,22 +448,9 @@ def test_partial_dep_checkpoint_keeps_only_live_rows():
     assert arrays["stopped_at"]["shape"] == arrays["frozen_w"]["shape"] == [30]
 
 
-def _resigned(payload):
-    import json
-
-    from streamgate.detector import _payload_checksum
-
-    body = {key: val for key, val in payload.items() if key != "checksum"}
-    return json.dumps({**body, "checksum": _payload_checksum(body)})
-
-
 @pytest.mark.parametrize("field", ["history", "acc"])
 def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
     # taken after the selection at t=14, with the dropped stream's row still kept
-    import json
-
-    from streamgate.detector import CheckpointError, _pack, _unpack
-
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
     for x in data[:14]:
@@ -473,7 +459,7 @@ def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
         det.observe(x[det.active])
     det.deactivate()
     assert det.t == 14 and np.count_nonzero(det.t_stop == 14) == 1
-    payload = json.loads(checkpoint_state(det))
+    payload = _payload(checkpoint_state(det))
     assert payload["arrays"]["history"]["shape"][0] == det.n_active + 1
     assert restore_state(_resigned(payload), model, 30).t == 14
     payload["arrays"][field] = _pack(_unpack(payload["arrays"][field])[:-1])
@@ -483,38 +469,29 @@ def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
 
 @pytest.mark.parametrize("field", ["history", "acc"])
 def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
-    import json
-
-    from streamgate.detector import CheckpointError, _pack, _unpack
-
+    # the same, taken after the observation at t=14 (the name dates from format 2)
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
     for x in data[:14]:
         if det.t:
             det.deactivate()
         det.observe(x[det.active])
-    payload = json.loads(checkpoint_state(det))
+    payload = _payload(checkpoint_state(det))
     payload["arrays"][field] = _pack(_unpack(payload["arrays"][field])[:-1])
     with pytest.raises(CheckpointError, match="partially dependent"):
         restore_state(_resigned(payload), model, 30)
 
 
-@pytest.mark.parametrize("version", [2])
-def test_partial_dep_checkpoint_with_float_stop_times_is_refused(version):
+def test_partial_dep_checkpoint_with_float_stop_times_is_refused():
     # a float stop time must be refused: truncated, it restores another
     # fold time and wrong posteriors
-    import json
-
-    from streamgate.detector import CheckpointError, _pack, _unpack
-
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
     for x in data[:14]:
         if det.t:
             det.deactivate()
         det.observe(x[det.active])
-    payload = json.loads(checkpoint_state(det))
-    assert payload["format_version"] == version
+    payload = _payload(checkpoint_state(det))
     arrays = payload["arrays"]
     stopped_at = _unpack(arrays["stopped_at"])
     assert restore_state(_resigned(payload), model, 30).t == 14
