@@ -906,8 +906,9 @@ def _body(head, lines):
     (lambda head, lines: _body("{", lines), "unparseable"),
     (lambda head, lines: _body(head.replace('"log_odds"', '"lfnr"'), lines), "repeated"),
     (lambda head, lines: _body(head.replace('"t_stop"', '"t_stop_"'), lines), "must start"),
+    (lambda head, lines: _body(head.replace("adaptive", "adaptiv\u00e9"), lines), "ASCII"),
 ], ids=["line-missing", "line-extra", "no-final-newline", "header-not-an-object",
-        "header-not-json", "repeated-name", "history-renamed"])
+        "header-not-json", "repeated-name", "history-renamed", "not-ascii"])
 def test_checkpoint_body_layout_errors_are_checkpoint_errors(edit, match):
     # a body whose hash is valid, but whose header and lines do not agree
     model, det = _seeded("adaptive")
