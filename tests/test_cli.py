@@ -7,8 +7,8 @@ import pytest
 
 import streamgate.cli as cli
 from streamgate.cli import main
-from streamgate.detector import AdaptiveDetector, CheckpointError, restore_state
 from streamgate.calibrate import read_threshold_table
+from streamgate.detector import AdaptiveDetector, CheckpointError, restore_state
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
                               TabularModel)
 from test_detector import _format2_blob, _payload, _resigned
