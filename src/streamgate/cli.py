@@ -607,6 +607,8 @@ def _cmd_verify(args) -> int:
     if not SUITES.keys() >= set(names):
         raise UsageError(f"unknown suite {args.suite!r}; choose from "
                          f"{', '.join([*SUITES, 'all'])}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     for suite in names:
@@ -676,7 +678,7 @@ def build_parser() -> _Parser:
                      help="posterior | selection | ordering | counterexample "
                           "| optimality | all")
     ver.add_argument("--trials", type=int, default=200,
-                     help="trials of each randomized suite (posterior, selection, ordering)")
+                     help="trials (>= 1) of each randomized suite (posterior, selection, ordering)")
     ver.add_argument("--seed", type=int, default=0,
                      help="seed of the randomized suites (posterior, selection, ordering)")
     ver.set_defaults(func=_cmd_verify)

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+
+from . import _special
 
 INF = math.inf
 
@@ -235,7 +236,7 @@ class TabularModel:
                 x[k] = 1.0 if u[k] < p else 0.0
             else:
                 # uniform -> normal via inverse CDF keeps one innovation per (t, k)
-                x[k] = om.sigma * ndtri(u[k]) + (om.mu if post[k] else 0.0)
+                x[k] = om.sigma * _special.ndtri(u[k]) + (om.mu if post[k] else 0.0)
         return x
 
     def fingerprint(self) -> str:

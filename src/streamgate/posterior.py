@@ -47,8 +47,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
+from . import _special
 from .model import GeometricPrior
 
 NEG_INF = -math.inf
@@ -154,7 +154,7 @@ class PosteriorState:
 
     @property
     def w(self) -> np.ndarray:
-        return expit(self.log_odds)
+        return _special.expit(self.log_odds)
 
 
 class DependentPosteriorState(PosteriorState):
@@ -204,12 +204,12 @@ class DependentPosteriorState(PosteriorState):
     def freeze(self, idx, w_idx=None) -> None:
         if len(idx) != self.k:
             raise ValueError("dependent streams are deactivated jointly")
-        self.frozen_w = float(expit(self.log_odds[0]))
+        self.frozen_w = float(_special.expit(self.log_odds[0]))
         super().freeze([0])
 
     @property
     def w(self) -> np.ndarray:
-        pooled = self.frozen_w if self.frozen[0] else float(expit(self.log_odds[0]))
+        pooled = self.frozen_w if self.frozen[0] else float(_special.expit(self.log_odds[0]))
         return np.full(self.k, pooled)
 
 
@@ -412,5 +412,5 @@ def reference_posterior_paths(theta: float, obs_model, horizon: int, n_paths: in
     for t in range(1, horizon + 1):
         x = obs_model.sample(tau < t, rng)
         log_odds = obs_model.log_lr(x) + np.logaddexp(lt, log_odds) - l1t
-        out[:, t] = expit(log_odds)
+        out[:, t] = _special.expit(log_odds)
     return out

@@ -28,7 +28,6 @@ reduction, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +149,9 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
     children = np.random.SeedSequence(config.seed).spawn(reps)
     jobs = [(config, ss) for ss in children]
     if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        import scipy.special  # forked workers inherit it instead of each importing it
         chunk = max(1, reps // (config.threads * 8))
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(_replicate_packed, jobs, chunksize=chunk))

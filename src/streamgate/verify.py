@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import logsumexp
 
+from . import _special
 from .detector import one_step_rule
 from .model import GeometricPrior, conflicting_priors_model
 from .posterior import PartialDepPosterior, PosteriorState, _log_lam
@@ -66,7 +66,7 @@ def brute_force_posterior(theta: float, log_lrs) -> float:
     m = np.arange(t)
     terms = math.log(theta) + m * math.log1p(-theta) + suffix
     tail = t * math.log1p(-theta)
-    return float(np.exp(logsumexp(terms) - logsumexp(np.append(terms, tail))))
+    return float(np.exp(_special.logsumexp(terms) - _special.logsumexp(np.append(terms, tail))))
 
 
 def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
@@ -101,8 +101,8 @@ def posterior_partial_dep(tau0_prior: GeometricPrior, eta: float,
     m = np.arange(t)
     log_joint = math.log(theta) + m * math.log1p(-theta) + log_lam.sum(axis=0)
     log_tail = t * math.log1p(-theta)
-    log_z = logsumexp(np.append(log_joint, log_tail))
-    return np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
+    log_z = _special.logsumexp(np.append(log_joint, log_tail))
+    return np.exp(_special.logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
 
 
 def brute_force_max_subset(w, alpha: float) -> int:

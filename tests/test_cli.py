@@ -1177,6 +1177,14 @@ def test_verify_fast_suites(capsys):
     assert code == 0 and "PASS ordering" in out
 
 
+@pytest.mark.parametrize("suite", ["posterior", "selection", "ordering", "all"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_refuses_a_trial_count_below_one(capsys, suite, trials):
+    code, out, err = _run(capsys, "verify", suite, "--trials", trials)
+    assert code == 1 and out == ""
+    assert "usage error" in err and "--trials" in err
+
+
 def test_verify_posterior_checks_the_partial_backend(capsys, monkeypatch):
     from streamgate.posterior import PartialDepPosterior
 
