@@ -5,14 +5,14 @@ largest retained posterior) converges to a deterministic sequence; a
 detector can then simply keep streams whose posterior is at or below the
 precomputed threshold.  No closed form exists for the thresholds, so they
 are estimated by running the production adaptive detector on a large
-simulated homogeneous ensemble and keeping, from the
-:class:`~streamgate.detector.Selection` record of each step,
+simulated homogeneous ensemble and reading, for each step, from its
+decision trace (:meth:`~streamgate.detector.AdaptiveDetector.trace`)
 
-* its ``cutoff``, the largest retained posterior (the plug-in threshold
+* ``cutoff``, the largest retained posterior (the plug-in threshold
   estimate: 1.0 at steps where nothing was deactivated, 0.0 once nothing
   is retained),
-* its ``n_active`` as the surviving fraction of streams, and
-* its ``lfnr``, the mean retained posterior (the realized LFNR).
+* ``active_size`` as the surviving fraction of streams, and
+* ``realized_lfnr``, the mean retained posterior (the realized LFNR).
 
 In this large-ensemble limit the realized LFNR has a closed form: below a
 critical time ``log(1-alpha)/log(1-theta)`` no deactivation is needed and
@@ -67,16 +67,15 @@ def calibrate_thresholds(theta: float, obs_model, alpha: float, n_streams: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tau = model.sample_change_points(n_streams, rng)
     det = AdaptiveDetector(model, alpha, n_streams)
-    steps = []
     for t in range(1, horizon + 1):
         det.observe(model.sample_step(t, tau, rng)[det.active])
         det.deactivate()
-        steps.append(det.last)
+    trace = det.trace()  # entry 0 is the start, before any selection
     return ThresholdTable(
-        thresholds=np.array([s.cutoff for s in steps]), theta=theta, alpha=alpha,
+        thresholds=trace.cutoff[1:], theta=theta, alpha=alpha,
         n_streams=n_streams, seed=seed, model_fingerprint=model.fingerprint(),
-        survival_frac=np.array([s.n_active for s in steps]) / n_streams,
-        retained_mean=np.array([s.lfnr for s in steps]))
+        survival_frac=trace.active_size[1:] / n_streams,
+        retained_mean=trace.realized_lfnr[1:])
 
 
 def write_threshold_table(table: ThresholdTable, path) -> None:

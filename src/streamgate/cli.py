@@ -43,14 +43,12 @@ least one completed step: it then holds the bytes a clean run over
 exactly those steps writes, its ``t_final`` the last completed step.
 
 ``--checkpoint`` is resumed from, and saved after every selection, so a
-run that fails mid-way keeps the state of its last complete step.  Its
-first line is the JSON list of external stream ids, encoded once per run
-and checked on resume (distinct integers within int64, one per stream);
-the rest is the detector's format-3 blob as ``checkpoint_state`` writes
-it (a sha256 line, a JSON header line, one base64 line per array), whose
-hash does not cover the ids.  It is replaced atomically (``<path>.tmp``,
-then renamed): a failed write leaves the previous one intact.  A file of
-format 1 or 2 (one JSON object) is refused.
+run that fails mid-way keeps the state of its last complete step.  The
+file is the detector's format-4 blob (``checkpoint_state``) with the
+external stream ids inside it, so one sha256 covers every byte.  It is
+replaced atomically (``<path>.tmp``, then renamed): a failed write leaves
+the previous one intact.  A file of an older format, or a blob without
+ids, is refused.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure.  A corrupt or truncated checkpoint, one of another format
@@ -455,38 +453,25 @@ def _cmd_detect(args) -> int:
     if first is None:
         raise DataError("no observations")
 
-    det = None
     discarded = 0
     if ckpt and os.path.exists(ckpt):
-        try:
-            # the external ids, then the detector's blob; newline="" keeps a
-            # stray carriage return in the text that is hashed
-            with open(ckpt, newline="") as fh:
-                ids, blob = json.loads(fh.readline()), fh.read()
-            # outside the blob's hash; restore_state checks their count
-            if type(ids) is not list:
-                raise ValueError("the first line is not a JSON list of external ids "
-                                 "(one JSON object is a format 1 or 2 file, not read)")
-            ids = sorted(ids)
-            if len(set(ids)) != len(ids) or any(type(sid) is not int for sid in ids):
-                raise ValueError("external ids must be distinct integers")
-            universe = np.array(ids, np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointError(f"unreadable checkpoint file: {exc}") from exc
-        det = restore_state(blob, model, len(ids), table=table)
+        # newline="" keeps a stray carriage return, and surrogateescape a
+        # byte that is not UTF-8, in the text that is hashed
+        with open(ckpt, newline="", errors="surrogateescape") as fh:
+            det = restore_state(fh.read(), model, table=table)
+        if det.ids is None:
+            raise CheckpointError("the checkpoint holds no external stream ids")
         for key, given, saved in (("alpha", alpha, det.alpha), ("mode", mode, det.kind)):
             if given != saved:
                 raise UsageError(f"checkpoint was written with {key}={saved!r}, "
                                  f"refusing to resume with {key}={given!r}")
-    if det is None:
+    else:
         first_t, first_ids, _, first_rows = first
         if first_t != 1:
             raise DataError(f"row {first_rows[0]}: input must start at t=1, got t={first_t}")
-        universe = np.sort(first_ids)
-        ids = universe.tolist()
-        det = make_detector(mode, model, alpha, len(ids), table)
-
-    ids_line = json.dumps(ids) + "\n"  # the checkpoint's first line, encoded once
+        det = make_detector(mode, model, alpha, len(first_ids), table)
+        det.ids = np.sort(first_ids)
+    universe, ids = det.ids, det.ids.tolist()
     report_rows = []
 
     def process(t, sid, x, rows):
@@ -519,7 +504,7 @@ def _cmd_detect(args) -> int:
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if ckpt:
-            _write_atomic(ckpt, ids_line + checkpoint_state(det))
+            _write_atomic(ckpt, checkpoint_state(det))
 
     def header(t_final):
         return (f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={t_final}\n"

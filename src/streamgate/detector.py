@@ -34,22 +34,23 @@ and only a tie group that straddles N* costs a second pass over w.
 Each selection's facts are derived once, in ``deactivate()``,
 into a :class:`Selection` record, ``det.last``: the time, the active
 count, the realized cutoff lambda_t, the realized LFNR and the dropped
-streams.  Calibration, the replication engine and the CLI's per-step
-report read it; a restored detector has none until its next selection.
+streams, which the CLI's per-step report reads (a restored detector has
+none until its next selection).  ``det.trace()`` keeps each selection's
+cutoff and LFNR and derives the active counts from the stop times.
 The detectors differ only in their cutoff: the posterior belongs to a
 backend from :mod:`streamgate.posterior`, picked once by model
 (:meth:`_DetectorBase._backend`), which the detector drives through the
 backend protocol without knowing the model.  :func:`make_detector`
 builds a detector by kind name.  A detector can be checkpointed to a text
 blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
-decision trace.  Format 3 is built in one pass, as lines: the sha256 (hex)
+decision trace.  Format 4 is built in one pass, as lines: the sha256 (hex)
 of every byte after its own line; one JSON header of the scalar fields and
 the ordered ``[name, dtype, shape]`` of each array (dtype ``"<i8"`` or
 ``"<f8"``); then each array's little-endian bytes as one base64 line, in
-the order ``t_stop``, ``active_size``, ``lfnr``, then the backend's
-``to_arrays()``.  The active set is the streams without a stop time.
-:func:`restore_state` checks the hash before it parses anything, and
-refuses a blob of any other format version, formats 1 and 2 included.
+the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids`` (when the detector's
+external ids are set), then the backend's ``to_arrays()``; the active set
+and counts follow from the stop times.  :func:`restore_state` checks the
+hash before it parses anything, and refuses any other format version.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .model import EnsembleModel, IIDModel, PartialDepModel, TabularModel
 from .posterior import (DependentPosteriorState, PartialDepPosterior,
                         PosteriorState, TabularPosteriorState)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
 
 
@@ -238,9 +239,10 @@ class DecisionTrace:
 
     ``t_stop[k]`` is the last time stream k was observed; -1 marks streams
     still active when the run ended (censored, distinct from a real
-    deactivation).  ``active_size[i]`` is the active count at time i+1 and
-    ``realized_lfnr[i]`` the mean retained posterior behind that selection
-    (zero at time 1 by convention).
+    deactivation).  Entry i of the other arrays is the selection at time i
+    (entry 0 the start): ``active_size[i]``, the count it keeps (k less the
+    streams stopped by time i), its ``realized_lfnr[i]`` (0 at the start)
+    and ``cutoff[i]``, its ``Selection.cutoff`` (1.0 at the start).
     """
 
     n_streams: int
@@ -248,13 +250,11 @@ class DecisionTrace:
     t_stop: np.ndarray
     active_size: np.ndarray
     realized_lfnr: np.ndarray
+    cutoff: np.ndarray
 
     def equals(self, other: "DecisionTrace") -> bool:
-        return (self.n_streams == other.n_streams
-                and self.t_final == other.t_final
-                and np.array_equal(self.t_stop, other.t_stop)
-                and np.array_equal(self.active_size, other.active_size)
-                and np.array_equal(self.realized_lfnr, other.realized_lfnr))
+        return all(np.array_equal(value, getattr(other, name))
+                   for name, value in vars(self).items())
 
 
 class _DetectorBase:
@@ -276,16 +276,16 @@ class _DetectorBase:
             raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
         if k < 1:
             raise ValueError("need at least one stream")
-        self.model = model
-        self.alpha = float(alpha)
-        self.k = int(k)
-        self._state = self._backend()
+        self.model, self.alpha, self.k = model, float(alpha), int(k)
+        self.ids: np.ndarray | None = None  # external stream ids, checkpointed when set
+        self._start(self._backend(), np.full(k, -1, dtype=int), "observe", [1.0], [0.0])
+
+    def _start(self, state, t_stop: np.ndarray, phase: str, cutoffs, lfnr) -> None:
+        """Take up a run at the backend's time; stop times are -1 while active."""
+        self._state, self.t_stop, self._phase = state, t_stop, phase
+        self.active = np.flatnonzero(t_stop < 0)
+        self._cutoffs, self._lfnr = cutoffs, lfnr
         self._w = None
-        self.active = np.arange(k)
-        self.t_stop = np.full(k, -1, dtype=int)
-        self._phase = "observe"
-        self._active_size = [k]
-        self._lfnr = [0.0]
         self.last: Selection | None = None  # none until the first selection
 
     def _backend(self, t: int = 0, frozen=None, arrays: dict | None = None):
@@ -308,7 +308,10 @@ class _DetectorBase:
             raise TypeError(f"unsupported model type {type(model).__name__}")
         if arrays is None:
             return cls(*params)
-        return cls.from_arrays(*params, t, frozen, **arrays)
+        try:
+            return cls.from_arrays(*params, t, frozen, **arrays)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad {cls.label} posterior state: {exc}") from exc
 
     @property
     def t(self) -> int:
@@ -362,7 +365,7 @@ class _DetectorBase:
         # sum / n is the division ndarray.mean does: the same bits
         self.last = Selection(self.t, n, cutoff, float(kept_w.sum()) / n if n else 0.0,
                               dropped)
-        self._active_size.append(n)
+        self._cutoffs.append(cutoff)
         self._lfnr.append(self.last.lfnr)
         self._phase = "observe"
         return dropped
@@ -381,9 +384,12 @@ class _DetectorBase:
         self.observe(x_full[self.active])
 
     def trace(self) -> DecisionTrace:
+        # entry s of the bincount is the number of streams stopped at time s
+        stops = np.bincount(self.t_stop[self.t_stop >= 1], minlength=len(self._lfnr))
         return DecisionTrace(n_streams=self.k, t_final=self.t, t_stop=self.t_stop.copy(),
-                             active_size=np.asarray(self._active_size, dtype=int),
-                             realized_lfnr=np.asarray(self._lfnr, dtype=float))
+                             active_size=self.k - np.cumsum(stops),
+                             realized_lfnr=np.asarray(self._lfnr, dtype=float),
+                             cutoff=np.asarray(self._cutoffs, dtype=float))
 
 
 class AdaptiveDetector(_DetectorBase):
@@ -444,13 +450,15 @@ def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
 # the header's fields, with their JSON types
 _FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,
            "model_fingerprint": str, "n_streams": int, "arrays": list}
-# the arrays every checkpoint starts with, before the backend's
-_HISTORY = [["t_stop", "<i8"], ["active_size", "<i8"], ["lfnr", "<f8"]]
+# the arrays every checkpoint starts with, before the ids and the backend's
+_HISTORY = [["t_stop", "<i8"], ["cutoff", "<f8"], ["lfnr", "<f8"]]
 
 
 def checkpoint_state(det: _DetectorBase) -> str:
-    """Serialize a detector to a self-checking text blob (format 3, bit-exact)."""
-    arrays = {"t_stop": det.t_stop, "active_size": det._active_size, "lfnr": det._lfnr,
+    """Serialize a detector, with its external ids when they are set, to a
+    self-checking text blob (format 4, bit-exact)."""
+    ids = {} if det.ids is None else {"ids": det.ids}
+    arrays = {"t_stop": det.t_stop, "cutoff": det._cutoffs, "lfnr": det._lfnr, **ids,
               **det._state.to_arrays()}
     specs, lines = [], []
     for name, value in arrays.items():
@@ -468,7 +476,7 @@ def checkpoint_state(det: _DetectorBase) -> str:
 
 
 def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
-    """The arrays of a format-3 body, one per ``[name, dtype, shape]`` entry
+    """The arrays of a format-4 body, one per ``[name, dtype, shape]`` entry
     and line; refuses a mistyped entry, a line too many or too few, invalid
     base64, data whose size disagrees with its shape, a repeated name, and
     history arrays other than ``_HISTORY``."""
@@ -483,7 +491,7 @@ def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
     if len({spec[0] for spec in specs}) != len(specs):
         raise ValueError("an array name is repeated")
     if [spec[:2] for spec in specs[:3]] != _HISTORY:
-        raise TypeError("the arrays must start with t_stop <i8, active_size <i8 and lfnr <f8")
+        raise TypeError("the arrays must start with t_stop <i8, cutoff <f8 and lfnr <f8")
     arrays = {}
     for (name, dtype, shape), line in zip(specs, lines):
         raw = base64.b64decode(line, validate=True)
@@ -493,13 +501,15 @@ def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
     return arrays
 
 
-def restore_state(blob: str, model: EnsembleModel, k: int,
+def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
                   table: ThresholdTable | None = None) -> _DetectorBase:
     """Rebuild a detector from a checkpoint blob, checking its hash, format
-    version, fields, model fingerprint, and that its history fits its time."""
-    if blob.startswith("{"):
-        raise CheckpointError("unsupported checkpoint version: one JSON object is format "
-                              f"1 or 2 (this program reads version {CHECKPOINT_VERSION})")
+    version, fields, model fingerprint, stream count (``k``, when given),
+    that its history fits its time and that its external ids, if any, are
+    one strictly increasing int64 per stream."""
+    if blob.startswith(("{", "[")):
+        raise CheckpointError("unsupported checkpoint version: a JSON first line is format 1 or "
+                              f"2, or format-3 ids (this program reads {CHECKPOINT_VERSION})")
     digest, _, body = blob.partition("\n")  # the hash covers every byte after its line
     try:
         data = body.encode("ascii")
@@ -527,7 +537,8 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
             "checkpoint was produced under a different model: "
             f"{header['model_fingerprint']} vs {model.fingerprint()}")
     kind, t, phase = header["mode"], header["t"], header["phase"]
-    if header["n_streams"] != k:
+    k = header["n_streams"] if k is None else k
+    if header["n_streams"] != k or k < 1:
         raise CheckpointError(f"stream count mismatch: {header['n_streams']} vs {k}")
     if kind not in DETECTOR_KINDS:
         raise CheckpointError(f"unknown detector kind {kind!r}")
@@ -540,22 +551,26 @@ def restore_state(blob: str, model: EnsembleModel, k: int,
         arrays = _decode_arrays(header["arrays"], lines[:-1])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
-    t_stop, active_size, lfnr = (arrays.pop(name) for name, _ in _HISTORY)
+    t_stop, cutoff, lfnr = (arrays.pop(name) for name, _ in _HISTORY)
+    ids = arrays.pop("ids", None)
     if not 0.0 < alpha <= 1.0:  # NaN fails too
         raise CheckpointError(f"checkpoint alpha {alpha!r} does not lie in (0, 1]")
     steps = t + (phase == "observe")  # one per selection, plus the initial entry
     stopped = t_stop[t_stop != -1]
-    if t_stop.shape != (k,) or np.any((stopped < 1) | (stopped > t)):
-        raise CheckpointError(f"stop times must be -1 or lie in [1, {t}], one per stream")
-    if (active_size.shape != (steps,) or lfnr.shape != (steps,)
-            or active_size[-1] != np.count_nonzero(t_stop < 0)):
-        raise CheckpointError(f"active_size and lfnr need {steps} entries at t={t}, "
-                              "the last count that of the streams without a stop time")
-    det = make_detector(kind, model, alpha, k, table)
-    try:
-        det._state = det._backend(t, t_stop >= 0, arrays)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad {det._state.label} posterior state: {exc}") from exc
-    det._phase, det.active, det.t_stop = phase, np.flatnonzero(t_stop < 0), t_stop.astype(int)
-    det._active_size, det._lfnr = active_size.tolist(), lfnr.tolist()
+    if t_stop.shape != (k,) or np.any((stopped < 1) | (stopped >= steps)):
+        raise CheckpointError(f"stop times must be -1 or lie in [1, {steps - 1}], one per stream")
+    if cutoff.shape != (steps,) or lfnr.shape != (steps,):
+        raise CheckpointError(f"cutoff and lfnr need {steps} entries at t={t}")
+    if ids is not None and (ids.dtype != np.int64 or ids.shape != (k,)
+                            or np.any(ids[1:] <= ids[:-1])):
+        raise CheckpointError(f"external ids must be {k} strictly increasing <i8 values")
+    # not the constructor, whose fresh backend and stop times would go unused
+    det = object.__new__({"adaptive": AdaptiveDetector, "threshold": ThresholdDetector,
+                          "dependent": DependentDetector}[kind])
+    det.model, det.alpha, det.k, det.ids = model, alpha, k, ids
+    if kind == "threshold":
+        table.check_compatible(model, alpha)
+        det.table = table
+    det._start(det._backend(t, t_stop >= 0, arrays), t_stop.astype(int), phase,
+               cutoff.tolist(), lfnr.tolist())
     return det

@@ -133,8 +133,8 @@ class PosteriorState:
     @classmethod
     def from_arrays(cls, theta: float, k: int, t: int, frozen,
                     log_odds) -> "PosteriorState":
-        st = cls(theta, k)
-        st.t = t
+        st = cls.__new__(cls)  # not the constructor: its fresh arrays would go unused
+        st.theta, st.t = theta, t
         st.frozen = _shaped("frozen", frozen, (k,), bool)
         st.log_odds = _shaped("log_odds", log_odds, (k,))
         return st

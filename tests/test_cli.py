@@ -8,10 +8,11 @@ import pytest
 import streamgate.cli as cli
 from streamgate.cli import main
 from streamgate.calibrate import read_threshold_table
-from streamgate.detector import AdaptiveDetector, CheckpointError, restore_state
+from streamgate.detector import (AdaptiveDetector, CheckpointError, checkpoint_state,
+                                 restore_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
                               TabularModel)
-from test_detector import _format2_blob, _payload, _resigned
+from test_detector import _format2_blob, _pack, _payload, _resigned, _unpack
 
 
 def _run(capsys, *argv):
@@ -270,9 +271,10 @@ def test_detect_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
     assert resumed_out.read_bytes() == full_out.read_bytes()
 
 
-def _checkpointed_half(tmp_path, capsys, *flags):
-    """Run t=1..7 with --checkpoint; return (checkpoint path, rest of the rows)."""
-    rows = _jump_rows(horizon=14)
+def _checkpointed_half(tmp_path, capsys, *flags, ids=(1, 2, 3, 4)):
+    """Run t=1..7 of four streams named ``ids`` with --checkpoint; return
+    (checkpoint path, rest of the rows)."""
+    rows = [(t, ids[sid - 1], x) for t, sid, x in _jump_rows(horizon=14)]
     part1 = tmp_path / "part1.ndjson"
     _write_ndjson(part1, [r for r in rows if r[0] <= 7])
     ck = tmp_path / "ck.json"
@@ -288,14 +290,8 @@ def _checkpointed_half(tmp_path, capsys, *flags):
 _IID = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
 
 
-def _split_file(ck):
-    """A checkpoint file as its external ids and the detector's blob."""
-    ids_line, blob = ck.read_text().split("\n", 1)
-    return json.loads(ids_line), blob
-
-
 def _saved_t(ck):
-    return _payload(_split_file(ck)[1])["t"]
+    return _payload(ck.read_text())["t"]
 
 
 def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
@@ -313,16 +309,15 @@ def test_detect_corrupt_checkpoint_is_a_data_error(tmp_path, capsys):
 
 def _edit_state(ck, edit):
     """Apply ``edit`` to the checkpoint file's state, its hash recomputed."""
-    ids, blob = _split_file(ck)
-    payload = _payload(blob)
+    payload = _payload(ck.read_text())
     edit(payload)
-    ck.write_text(json.dumps(ids) + "\n" + _resigned(payload))
+    ck.write_text(_resigned(payload))
 
 
 def _resume_edited(tmp_path, capsys, edit):
     """Exit code and stderr of resuming a checkpoint whose state ``edit`` changed."""
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    assert _payload(_split_file(ck)[1])["format_version"] == 3
+    assert _payload(ck.read_text())["format_version"] == 4
     _edit_state(ck, edit)
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
@@ -332,11 +327,11 @@ def _resume_edited(tmp_path, capsys, edit):
 
 
 def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
-    # each header field and history array, dropped with a valid hash: exit 2
-    # naming it (a missing format_version is refused as version None)
+    # each header field, history array and the ids, dropped with a valid
+    # hash: exit 2 naming it (a missing format_version is refused as version None)
     from streamgate.detector import _FIELDS
 
-    for field in [*_FIELDS, "t_stop", "active_size", "lfnr"]:
+    for field in [*_FIELDS, "t_stop", "cutoff", "lfnr", "ids"]:
         run = tmp_path / field
         run.mkdir()
         code, err = _resume_edited(run, capsys, lambda state: (
@@ -351,7 +346,7 @@ def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
 
 
 def test_detect_refuses_a_v1_checkpoint_file(tmp_path, capsys):
-    # only format 3 is read; another version is a corrupt checkpoint, named
+    # only format 4 is read; another version is a corrupt checkpoint, named
     code, err = _resume_edited(tmp_path, capsys,
                                lambda state: state.update(format_version=1))
     assert code == 2 and "data error" in err and "version 1" in err
@@ -383,10 +378,17 @@ def test_detect_refuses_a_sigma_it_cannot_use(tmp_path, capsys, flags):
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("ids", [[1, 2, 2], [1, 2, 3.7], [1, True, 3], [1, 2], "123"],
-                         ids=["repeat", "float", "bool", "count", "not-a-list"])
-def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, ids):
-    # the ids sit outside the state's checksum, so they are checked on their own
+@pytest.mark.parametrize("entry", [
+    _pack(np.array([1, 2, 2])),
+    _pack(np.array([1, 2, 3.7])),
+    {**_pack(np.array([1, 1, 3])), "dtype": "|b1"},
+    _pack(np.array([1, 2])),
+    _pack(np.array(123)),
+    _pack(np.array([2, 1, 3])),
+], ids=["repeat", "float", "bool", "count", "not-a-list", "unsorted"])
+def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, entry):
+    # ids edited inside the blob, its hash recomputed: restore_state refuses
+    # all but one strictly increasing int64 per stream, and the file stays
     rows = _jump_rows(horizon=14, k=3)
     part1 = tmp_path / "part1.ndjson"
     _write_ndjson(part1, [r for r in rows if r[0] <= 7])
@@ -395,17 +397,45 @@ def test_detect_resume_refuses_bad_external_ids(tmp_path, capsys, ids):
     code, _, _ = _run(capsys, "detect", "--input", str(part1),
                       "--out", str(tmp_path / "p1.csv"), *flags)
     assert code == 0
-    saved, blob = _split_file(ck)
-    assert saved == [1, 2, 3]
-    ck.write_text(json.dumps(ids) + "\n" + blob)
-    # input for exactly the streams the edited ids name
-    named = {int(sid) for sid in ids}
+    payload = _payload(ck.read_text())
+    assert _unpack(payload["arrays"]["ids"]).tolist() == [1, 2, 3]
+    payload["arrays"]["ids"] = entry
+    text = _resigned(payload)
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    with pytest.raises(CheckpointError, match="ids"):
+        restore_state(text, model)
+    ck.write_text(text)
     part2 = tmp_path / "part2.ndjson"
-    _write_ndjson(part2, [r for r in rows if r[0] > 7 and r[1] in named])
+    _write_ndjson(part2, [r for r in rows if r[0] > 7])
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), *flags)
-    assert code == 2 and "data error" in err
-    assert "external ids" in err or "stream count" in err
+    assert code == 2 and err.startswith("data error: ") and "ids" in err
+    assert ck.read_text() == text and not (tmp_path / "o.csv").exists()
+
+
+def test_detect_resume_refuses_a_checkpoint_that_is_not_utf8(tmp_path, capsys):
+    # a byte that is not text at all is a corrupt checkpoint too, not a usage error
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    data = ck.read_bytes().replace(b'"t": 7', b'"t": \xff')
+    ck.write_bytes(data)
+    code, _, err = _run(capsys, "detect", "--input", str(part2), "--out",
+                        str(tmp_path / "o.csv"), "--checkpoint", str(ck), *_IID, "--alpha", "0.05")
+    assert code == 2 and err.startswith("data error: checkpoint is not ASCII text")
+    assert ck.read_bytes() == data and not (tmp_path / "o.csv").exists()
+
+
+def test_detect_resume_refuses_a_blob_without_ids(tmp_path, capsys):
+    # a library blob (no ids line) restores, but detect cannot name its streams
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    det = restore_state(ck.read_text(), model)
+    det.ids = None
+    blob = checkpoint_state(det)
+    ck.write_text(blob)
+    code, _, err = _run(capsys, "detect", "--input", str(part2), "--out",
+                        str(tmp_path / "o.csv"), "--checkpoint", str(ck), *_IID, "--alpha", "0.05")
+    assert (code, err) == (2, "data error: the checkpoint holds no external stream ids\n")
+    assert ck.read_text() == blob and not (tmp_path / "o.csv").exists()
 
 
 def _wide(path, x, ids, times, bad_at=None):
@@ -705,23 +735,29 @@ def _blob_edits(blob):
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent",
                                   "threshold"])
 def test_every_byte_of_a_checkpoint_is_covered(tmp_path, capsys, kind):
+    # the file is one blob, the external ids included: an edit anywhere,
+    # such as stream 40 renamed 41 without a new hash, is refused
     flags, model, table = _kind_setup(tmp_path, capsys, kind)
-    ck, part2 = _checkpointed_half(tmp_path, capsys, *flags)
-    ids, blob = _split_file(ck)
+    ck, part2 = _checkpointed_half(tmp_path, capsys, *flags, ids=(10, 20, 30, 40))
+    blob = ck.read_text()
     mode = kind if kind in ("threshold", "dependent") else "adaptive"
-    assert ids == [1, 2, 3, 4] and _payload(blob)["mode"] == mode
-    assert restore_state(blob, model, 4, table).t == 7
+    payload = _payload(blob)
+    assert payload["mode"] == mode and list(payload["arrays"])[3] == "ids"
+    det = restore_state(blob, model, 4, table)
+    assert det.t == 7 and det.ids.tolist() == [10, 20, 30, 40]
     edits = _blob_edits(blob)
     assert len(edits) == len(blob.split("\n")) + 2
+    ids_line = payload["arrays"]["ids"]["data"]
+    edits["ids-40-to-41"] = blob.replace(ids_line, _pack(np.array([10, 20, 30, 41]))["data"])
+    assert edits["ids-40-to-41"] != blob
     for name, edited in edits.items():
         with pytest.raises(CheckpointError):
             restore_state(edited, model, 4, table)
-        text = json.dumps(ids) + "\n" + edited
-        ck.write_text(text)
+        ck.write_text(edited)
         code, _, err = _run(capsys, "detect", "--input", str(part2), "--out",
                             str(tmp_path / "o.csv"), "--checkpoint", str(ck), *flags)
         assert code == 2 and err.startswith("data error: "), name
-        assert ck.read_text() == text and not (tmp_path / "o.csv").exists(), name
+        assert ck.read_text() == edited and not (tmp_path / "o.csv").exists(), name
 
 
 @pytest.mark.parametrize("flags, saved, given", [
@@ -907,12 +943,15 @@ def test_detect_ids_and_times_must_fit_int64(tmp_path, capsys, name, text, row, 
 
 
 def test_detect_resume_refuses_checkpoint_ids_outside_int64(tmp_path, capsys):
+    # the ids line holds int64 bytes; an id past int64 fits only as a float,
+    # which is refused even under a valid hash
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
-    ids, blob = _split_file(ck)
-    ck.write_text(json.dumps(ids[:-1] + [_BIG]) + "\n" + blob)
+    _edit_state(ck, lambda state: state["arrays"].update(
+        ids=_pack(np.array([1.0, 2.0, 3.0, float(_BIG)]))))
     code, _, err = _run(capsys, "detect", "--input", str(part2), "--out", str(tmp_path / "o"),
                         "--checkpoint", str(ck), *_IID, "--alpha", "0.05")
-    assert code == 2 and "data error: unreadable checkpoint file" in err
+    assert (code, err) == (2, "data error: external ids must be 4 strictly increasing "
+                              "<i8 values\n")
 
 
 def test_detect_takes_ids_at_the_ends_of_int64(tmp_path, capsys):
@@ -1037,24 +1076,26 @@ def test_detect_wide_csv_then_ndjson_resume_matches_library(tmp_path, capsys):
     assert table[3:] == expected
     assert sum(notes) == discarded
 
-    # the file saved after the first call: the external ids, then a blob
-    # that restores the library run's bits
-    first_line, blob = saved.split("\n", 1)
-    assert json.loads(first_line) == ids.tolist()
-    restored = restore_state(blob, model, k)
+    # the file saved after the first call is one blob: it holds the external
+    # ids and restores the library run's bits
+    restored = restore_state(saved, model, k)
+    assert restored.ids.tolist() == ids.tolist()
     assert restored.w.tobytes() == w_half.tobytes()
     assert restored.trace().equals(trace_half)
     # the same state laid out as format 2 wrote it is refused, as a blob and
-    # as a file, and the file is left as it was
+    # as a file, and so is format 3's file (a JSON ids line before the
+    # blob); the file is left as it was
     with pytest.raises(CheckpointError, match="format 1 or 2"):
-        restore_state(_format2_blob(blob), model, k)
-    old = json.dumps({"external_ids": ids.tolist(), "state": _format2_blob(blob)})
-    ck.write_text(old)
-    code, _, err = _run(capsys, "detect", "--input", str(rest),
-                        "--out", str(tmp_path / "old.out"), "--checkpoint", str(ck), *flags)
-    assert code == 2 and "data error: unreadable checkpoint file" in err
-    assert "format 1 or 2" in err and ck.read_text() == old
-    assert not (tmp_path / "old.out").exists()
+        restore_state(_format2_blob(saved), model, k)
+    for old, named in ((json.dumps({"external_ids": ids.tolist(),
+                                    "state": _format2_blob(saved)}), "format 1 or 2"),
+                       (json.dumps(ids.tolist()) + "\n" + saved, "format-3")):
+        ck.write_text(old)
+        code, _, err = _run(capsys, "detect", "--input", str(rest), "--out",
+                            str(tmp_path / "old.out"), "--checkpoint", str(ck), *flags)
+        assert code == 2 and "data error: unsupported checkpoint version" in err
+        assert named in err and ck.read_text() == old
+        assert not (tmp_path / "old.out").exists()
 
 
 def test_simulate_writes_metrics_and_is_deterministic(tmp_path, capsys):

@@ -260,6 +260,7 @@ def test_trace_stop_times_match_active_sets():
     model = IIDModel(GeometricPrior(0.1), GaussianShift(1.5))
     det, _ = _run_adaptive(model, 0.1, 40, 30, seed=5)
     trace = det.trace()
+    assert trace.active_size.dtype == np.int64  # derived from t_stop, the bytes stored before
     for t in range(1, 31):
         active_t = np.count_nonzero((trace.t_stop >= t) | (trace.t_stop == -1))
         assert active_t == trace.active_size[t - 1]
@@ -499,12 +500,13 @@ def test_selection_record_matches_independent_derivations(name):
     assert det.last is None
     rng = np.random.default_rng(seed)
     tau = model.sample_change_points(det.k, rng)
-    emptied = False
+    emptied, cutoffs = False, [1.0]
     for t in range(1, horizon + 1):
         det.observe(model.sample_step(t, tau, rng)[det.active])
         w_before = np.sort(det.w[det.active])
         dropped = det.deactivate()
         rec = det.last
+        cutoffs.append(rec.cutoff)
         assert rec.t == det.t == t
         assert rec.n_active == len(det.active)
         assert rec.lfnr == det.trace().realized_lfnr[-1]
@@ -520,6 +522,8 @@ def test_selection_record_matches_independent_derivations(name):
                 assert rec.cutoff == w_before[rec.n_active - 1]
     # the jointly dependent run drops every stream: the empty retained set
     assert emptied or name != "dependent"
+    # the trace keeps each selection's cutoff bit for bit, after a 1.0 for the start
+    assert det.trace().cutoff.tobytes() == np.array(cutoffs).tobytes()
     assert restore_state(checkpoint_state(det), model, det.k,
                          getattr(det, "table", None)).last is None
 
@@ -528,11 +532,11 @@ def test_selection_record_matches_independent_derivations(name):
 # checkpointing
 # ---------------------------------------------------------------------------
 
-_HISTORY = ("t_stop", "active_size", "lfnr")
+_HISTORY = ("t_stop", "cutoff", "lfnr")
 
 
 def _pack(value):
-    """An array as ``{"dtype", "shape", "data"}``: what a format-3 header
+    """An array as ``{"dtype", "shape", "data"}``: what a format-4 header
     lists for it, and its base64 line."""
     a = np.asarray(value)
     dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
@@ -545,7 +549,7 @@ def _unpack(entry):
 
 
 def _payload(blob):
-    """A format-3 blob as its header, with ``arrays`` mapping each array's
+    """A format-4 blob as its header, with ``arrays`` mapping each array's
     name to its packed form, in the blob's order."""
     _, header, *lines = blob.split("\n")
     assert lines.pop() == ""
@@ -557,7 +561,7 @@ def _payload(blob):
 
 
 def _resigned(payload):
-    """``payload`` as a format-3 blob with a valid hash.  An array entry is
+    """``payload`` as a format-4 blob with a valid hash.  An array entry is
     written as far as it goes: a missing key leaves out its part, and an
     entry that is not a dict is listed as ``[name, entry]`` with no line."""
     header, lines = dict(payload), []
@@ -744,8 +748,8 @@ def test_checkpoint_rejects_corruption():
 
 
 def test_checkpoint_rejects_version_mismatch():
-    # only format 3 is read; "3" and True are not the integer 3
-    for version in [1, 2, 4, "3", True]:
+    # only format 4 is read; "4" is not the integer 4
+    for version in [1, 2, 3, 5, "4", True]:
         model, payload = _iid_checkpoint()
         payload["format_version"] = version
         with pytest.raises(CheckpointError, match=f"version {version!r}"):
@@ -768,7 +772,7 @@ def test_checkpoint_v2_derives_the_active_set():
     model, det = _seeded("adaptive")
     assert det.k == 6 and det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
     payload = _payload(checkpoint_state(det))
-    assert list(payload["arrays"]) == ["t_stop", "active_size", "lfnr", "log_odds"]
+    assert list(payload["arrays"]) == ["t_stop", "cutoff", "lfnr", "log_odds"]
     back = restore_state(_resigned(payload), model, 6)
     assert back.active.tolist() == [0, 1, 2, 4, 5]
     payload["arrays"]["active"] = _pack(back.active[::-1])
@@ -787,7 +791,7 @@ def _iid_checkpoint():
 # the header's fields and the history arrays; the tests named "v2" run at
 # t=1, the others mid-run (both on the current format)
 _V2_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
-              "n_streams", "t_stop", "active_size", "lfnr", "arrays"]
+              "n_streams", "t_stop", "cutoff", "lfnr", "arrays"]
 
 
 def _delete_or_retype(payload, field, change):
@@ -845,7 +849,7 @@ _NO_STOP = _pack(np.full(4, -1))
     ("t_stop", {**_NO_STOP, "shape": 4}),
     ("t_stop", {"dtype": "<i8", "shape": [4]}),
     ("t_stop", {**_NO_STOP, "data": 7}),
-    ("active_size", _pack(np.array([4.0]))),
+    ("cutoff", _pack(np.array([1]))),
     ("lfnr", _pack(np.array([5]))),
     ("lfnr", _pack(np.array([0.0, 0.0]))),
     ("arrays", {}),
@@ -859,7 +863,7 @@ _NO_STOP = _pack(np.full(4, -1))
 ], ids=["phase", "t", "t-zero-select", "t_stop-after-t", "t_stop-negative",
         "t_stop-float", "stopped-but-active", "t_stop-long", "t_stop-2d", "bad-base64",
         "size-disagrees-with-shape", "unknown-dtype", "negative-shape", "shape-type",
-        "no-data", "data-type", "active_size-float", "lfnr-int", "lfnr-long",
+        "no-data", "data-type", "cutoff-int", "lfnr-int", "lfnr-long",
         "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype",
         "alpha-above-one", "alpha-nan", "alpha-zero"])
 def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
@@ -875,15 +879,14 @@ def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
     ("t", -1, "time"),
     ("t_stop", "x", "mistyped"),
     ("t_stop", _pack(np.array([-1.0, -1.0, -1.0, 3.0, -1.0, -1.0])), "<i8"),
-    ("t_stop", _pack(np.array([3, -1, -1, 3, -1, -1])), "the last count"),
     ("lfnr", _pack(np.array([5, 5, 5, 5])), "malformed"),
     ("arrays", {}, "posterior state"),
     ("arrays", {"log_odds": _pack(np.full(5, -np.inf))}, "posterior state"),
     ("arrays", {"log_odds": _pack(np.full(6, -np.inf)), "acc": _pack(np.zeros(0))},
      "posterior state"),
     ("arrays", {"log_odds": 5}, "malformed"),
-], ids=["phase", "t", "t_stop", "t_stop-float", "stopped-but-active", "lfnr",
-        "no-arrays", "short-array", "unknown-array", "array-type"])
+], ids=["phase", "t", "t_stop", "t_stop-float", "lfnr", "no-arrays", "short-array",
+        "unknown-array", "array-type"])
 def test_checkpoint_bad_values_are_checkpoint_errors(field, value, match):
     # the same checks mid-run: K=6 at t=3 (phase observe), stream 3 stopped at t=3
     model, det = _seeded("adaptive")
@@ -925,7 +928,6 @@ def test_checkpoint_body_layout_errors_are_checkpoint_errors(edit, match):
     ("lengths-differ", "entries"),
     ("both-too-long", "entries"),
     ("both-too-short", "entries"),
-    ("last-count", "the last count"),
 ])
 def test_checkpoint_inconsistent_history_is_refused(case, match):
     # K=6 at t=3 (phase observe), stream 3 stopped at t=3
@@ -933,9 +935,9 @@ def test_checkpoint_inconsistent_history_is_refused(case, match):
     payload = _payload(checkpoint_state(det))
     assert payload["format_version"] == CHECKPOINT_VERSION
     trace = det.trace()
-    t_stop, sizes, lfnr = trace.t_stop, trace.active_size, trace.realized_lfnr
+    t_stop, cutoff, lfnr = trace.t_stop, trace.cutoff, trace.realized_lfnr
     stopped = t_stop >= 0
-    assert det.t == 3 and stopped.sum() == 1 and len(sizes) == 4
+    assert det.t == 3 and stopped.sum() == 1 and len(cutoff) == 4
     if case == "stop-after-t":
         t_stop = np.where(stopped, 99, -1)
     elif case == "stop-at-zero":
@@ -943,15 +945,13 @@ def test_checkpoint_inconsistent_history_is_refused(case, match):
     elif case == "stop-below-minus-one":
         t_stop = np.where(stopped, -2, -1)
     elif case == "lengths-differ":
-        sizes = np.full(7, 6)
+        cutoff = np.full(7, 0.5)
         lfnr = lfnr[:1]
     elif case == "both-too-long":
-        sizes, lfnr = np.append(sizes, sizes[-1]), np.append(lfnr, lfnr[-1])
-    elif case == "both-too-short":
-        sizes, lfnr = sizes[:-1], lfnr[:-1]
+        cutoff, lfnr = np.append(cutoff, cutoff[-1]), np.append(lfnr, lfnr[-1])
     else:
-        sizes = np.append(sizes[:-1], sizes[-1] + 1)
-    payload["arrays"].update(t_stop=_pack(t_stop), active_size=_pack(sizes), lfnr=_pack(lfnr))
+        cutoff, lfnr = cutoff[:-1], lfnr[:-1]
+    payload["arrays"].update(t_stop=_pack(t_stop), cutoff=_pack(cutoff), lfnr=_pack(lfnr))
     with pytest.raises(CheckpointError, match=match):
         restore_state(_resigned(payload), model, 6)
 
@@ -1027,3 +1027,18 @@ def test_checkpoint_round_trip_at_large_k_is_bit_exact():
     assert back.w.tobytes() == det.w.tobytes()
     assert back.trace().equals(det.trace())
     assert checkpoint_state(back) == blob
+
+
+def test_checkpoint_keeps_external_ids_inside_its_hash():
+    # the ids line follows the history arrays; read without a stream count,
+    # the blob restores the ids and re-encodes to itself
+    model, det = _seeded("adaptive")
+    det.ids = np.array([-7, 0, 10, 20, 30, 2**63 - 1])
+    blob = checkpoint_state(det)
+    assert list(_payload(blob)["arrays"]) == ["t_stop", "cutoff", "lfnr", "ids", "log_odds"]
+    back = restore_state(blob, model)
+    assert back.k == 6 and back.ids.tolist() == det.ids.tolist()
+    assert checkpoint_state(back) == blob
+    det.ids = None
+    assert restore_state(checkpoint_state(det), model, 6).ids is None
+
