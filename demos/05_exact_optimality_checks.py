@@ -3,11 +3,12 @@
 Two stories, both computed with rational arithmetic over the full
 observation tree:
 
-1. For a homogeneous two-stream Bernoulli instance, the one-step rule's
-   expected stream utilization equals the supremum over every procedure
-   that keeps the retained posterior mean within budget, at every time
-   point -- and the same holds for the pre-change run length and the
-   active count.
+1. For a homogeneous three-stream Bernoulli instance over four steps, the
+   one-step rule's expected stream utilization equals the supremum over
+   every procedure that keeps the retained posterior mean within budget,
+   at every time point -- and the same holds for the pre-change run length
+   and the active count.  The keep-under-budget baseline falls short from
+   t=2 on, so the match is not a property of every feasible rule.
 
 2. For a four-stream instance with conflicting finite priors, the best
    achievable utilization at time 2 and at time 4 require incompatible
@@ -20,15 +21,19 @@ from streamgate import conflicting_priors_enumeration, dp_optimality_report
 
 rows = dp_optimality_report(theta=Fraction(3, 10), p0=Fraction(1, 5),
                             p1=Fraction(4, 5), alpha=Fraction(3, 10),
-                            n_streams=2, horizon=3)
-print("homogeneous instance (2 streams, Bernoulli 0.2 -> 0.8, budget 0.3):")
-print("  t   supremum     proposed     switch@1     baseline")
+                            n_streams=3, horizon=4)
+print("homogeneous instance (3 streams, Bernoulli 0.2 -> 0.8, budget 0.3),")
+print("expected utilization:")
+print("  t   supremum   proposed   switch@1   baseline")
 for r in rows:
-    print(f"  {r.t}   {str(r.util_supremum):>9}   {str(r.util_proposed):>9}"
-          f"   {str(r.util_switch_after_one):>9}   {str(r.util_baseline):>9}")
+    print(f"  {r.t}   {float(r.util_supremum):>8.4f}   {float(r.util_proposed):>8.4f}"
+          f"   {float(r.util_switch_after_one):>8.4f}   {float(r.util_baseline):>8.4f}")
     assert r.util_proposed == r.util_supremum
     assert r.runlength_proposed == r.runlength_supremum
-print("  proposed == supremum at every t (utilization, run length, active)\n")
+    assert r.expected_active_proposed == r.max_expected_active
+assert any(r.util_baseline < r.util_supremum for r in rows)
+print("  proposed == supremum exactly at every t (utilization, run length, active);")
+print("  the baseline falls short\n")
 
 rep = conflicting_priors_enumeration()
 print("conflicting-priors instance (4 heterogeneous Bernoulli streams):")

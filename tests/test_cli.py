@@ -1275,7 +1275,8 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
         "PASS selection 200 random instances + one 2000-stream tie-heavy instance",
         "PASS ordering 200 monotonicity + axiom trials",
         "PASS counterexample U2=7 U4=10 coexist=false",
-        "PASS optimality proposed matches supremum at t=1..3",
+        "PASS optimality proposed matches supremum at t=1..4 on n=3 h=4 theta=3/10 p0=1/5 "
+        "p1=4/5 alpha=3/10; baseline short by up to 0.62",
     ]
 
 

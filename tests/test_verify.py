@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamgate.verify import (brute_force_max_subset, brute_force_posterior,
-                               _conflicting_streams,
+from streamgate.verify import (_GeomStream, _conflicting_streams, _exact_value,
+                               _feasible, _util, brute_force_max_subset,
+                               brute_force_posterior,
                                conflicting_priors_enumeration,
                                dp_optimality_report, feasible_prefix,
                                feasible_prefix_size, monotone_selection_check,
@@ -101,9 +102,11 @@ def test_dp_rejects_floats_and_big_instances():
     with pytest.raises(TypeError):
         dp_optimality_report(0.3, Fraction(1, 5), Fraction(4, 5),
                              Fraction(3, 10), 2, 3)
-    with pytest.raises(ValueError):
-        dp_optimality_report(Fraction(3, 10), Fraction(1, 5), Fraction(4, 5),
-                             Fraction(3, 10), 4, 3)
+    # size is bounded by the memo's node budget, not by n or the horizon
+    fresh = [_GeomStream(Fraction(3, 10), Fraction(1, 5), Fraction(4, 5))] * 4
+    with pytest.raises(ValueError, match="budget"):
+        _exact_value(fresh, Fraction(3, 10), 4, _util, _feasible, node_budget=50)
+    assert _exact_value(fresh, Fraction(3, 10), 2, _util, _feasible, node_budget=50) > 0
 
 
 def test_dp_proposed_sandwiched_by_switch_and_baseline():
@@ -121,6 +124,27 @@ def test_dp_optimality_holds_at_the_largest_allowed_instance():
         assert row.util_proposed == row.util_supremum
         assert row.runlength_proposed == row.runlength_supremum
         assert row.expected_active_proposed == row.max_expected_active
+
+
+# written down before the first run; every instance stays in the grid
+_GRID = [(theta, p0, p1, alpha, n, h)
+         for theta in ("1/10", "3/10")
+         for p0, p1 in (("1/5", "4/5"), ("1/4", "3/5"))
+         for alpha in ("1/10", "3/10")
+         for n, h in ((3, 4), (4, 4))]
+
+
+@pytest.mark.parametrize("instance", _GRID, ids=lambda instance:
+                         "theta={} p0={} p1={} alpha={} n={} h={}".format(*instance))
+def test_dp_proposed_attains_supremum_on_a_grid(instance):
+    rows = dp_optimality_report(*instance)
+    for row in rows:
+        assert row.util_proposed == row.util_supremum, (instance, row.t)
+        assert row.runlength_proposed == row.runlength_supremum, (instance, row.t)
+        assert row.expected_active_proposed == row.max_expected_active, (instance, row.t)
+    if instance[3] == "3/10":
+        # power: a rule that is not the paper's (keep every w <= alpha) falls short
+        assert any(row.util_baseline < row.util_supremum for row in rows), instance
 
 
 def conflicting_priors_w_ranges() -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
