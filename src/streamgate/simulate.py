@@ -193,14 +193,8 @@ def write_metrics_csv(frame: MetricsFrame, path, metadata: dict | None = None) -
     def fmt(x: float) -> str:
         return "" if math.isnan(x) else repr(float(x))
 
-    for i in range(len(frame.t)):
-        lines.append(",".join([
-            str(int(frame.t[i])),
-            fmt(frame.mean_fnp[i]), fmt(frame.se_fnp[i]),
-            fmt(frame.mean_lfnr[i]), fmt(frame.se_lfnr[i]),
-            fmt(frame.mean_active[i]), fmt(frame.mean_util[i]),
-            fmt(frame.mean_fdp[i]), fmt(frame.mean_lfdr[i]),
-            fmt(frame.mean_rl[i]), fmt(frame.mean_cd[i]),
-        ]))
+    columns = [getattr(frame, name) for name in CSV_COLUMNS.split(",")[1:]]
+    for i, t in enumerate(frame.t):
+        lines.append(",".join([str(int(t)), *(fmt(col[i]) for col in columns)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
