@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 
@@ -230,7 +230,9 @@ def partial_order_axioms_check(n_trials: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 class _State:
-    """A stream state that computes its next step once, not at every node."""
+    """A stream state that computes its next step and its hash once, not at
+    every node.  Subclasses keep this ``__hash__``: a dataclass would make
+    its own, which rehashes every Fraction field at each memo lookup."""
 
     @cached_property
     def step(self) -> tuple:
@@ -238,10 +240,19 @@ class _State:
         p = self.predictive_one()
         return p, {x: self.advance(x) for x, q in ((1, p), (0, 1 - p)) if q}
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))  # the dataclass hash
+
+    def __hash__(self) -> int:
+        return self._hash
+
 
 @dataclass(frozen=True, order=True)
 class _GeomStream(_State):
     """Exact posterior state of one stream under the geometric prior."""
+
+    __hash__ = _State.__hash__
 
     theta: Fraction
     p0: Fraction
@@ -263,6 +274,8 @@ class _GeomStream(_State):
 class _TableStream(_State):
     """Exact posterior state of one stream with a finite change-time prior.
     The id comes first, so streams never share a state and ties break by id."""
+
+    __hash__ = _State.__hash__
 
     sid: int
     support: tuple[int, ...]
