@@ -27,35 +27,51 @@ dropped.  Every detector selects on one path: ``deactivate()`` keeps the
 active streams with ``w <= cutoff``, and a detector supplies only the
 cutoff (``_cutoff``) -- lambda_t from one sort of the active posteriors
 (adaptive), the table's entry for t (threshold) or ``alpha`` on the
-pooled posterior (dependent).  The adaptive rule also names how many ties
-at lambda_t lie beyond N*; those are dropped from the largest positions,
-and only a tie group that straddles N* costs a second pass over w.
-:func:`one_step_rule` is the same cutoff over any posterior vector.
+pooled posterior (dependent).  The adaptive rule also names N*; the ties
+at lambda_t beyond it are dropped from the largest positions, and only a
+tie group that straddles N* costs a second pass over w.
+
+A detector may hold several independent ensembles of k streams, each a
+contiguous block of stream indices with its own alpha budget, cutoff and
+LFNR history (``simulate`` runs a batch of replications this way, one
+``observe`` and one ``deactivate`` per step for all of them).  The rule
+then runs row by row, one row per ensemble with active streams: one sort
+of the rows padded with +inf, one cumulative sum, the rounding windows
+over all rows at once, and the exact fallback for the undecided rows
+only.  The one-ensemble detector is the one-row case of the same code,
+and :func:`one_step_rule` is the same cutoff over any posterior vector.
+Every ensemble's bits equal those of a detector of its own: each row's
+sums are its own, and each ensemble's LFNR is summed over its own slice.
+Only a backend that treats streams on their own can carry several
+ensembles (:func:`lockstep`: the i.i.d. one); the others run one.
+
 Each selection's facts are derived once, in ``deactivate()``,
 into a :class:`Selection` record, ``det.last``: the time, the active
 count, the realized cutoff lambda_t, the realized LFNR and the dropped
 streams, which the CLI's per-step report reads (a restored detector has
-none until its next selection).  ``det.trace()`` keeps each selection's
-cutoff and LFNR and derives the active counts from the stop times.
+none until its next selection); with several ensembles the cutoff and
+LFNR are arrays, one entry per ensemble.  ``det.trace()`` keeps each
+selection's cutoff and LFNR and derives the active counts from the stop
+times; ``det.traces()`` gives one trace per ensemble.
 The detectors differ only in their cutoff: the posterior belongs to a
 backend from :mod:`streamgate.posterior`, picked once by model
-(:meth:`_DetectorBase._backend`), which the detector drives through the
+(:func:`_backend_spec`), which the detector drives through the
 backend protocol without knowing the model.  :func:`make_detector`
-builds a detector by kind name.  A detector can be checkpointed to a text
-blob and restored bit-exactly, so a resumed run reproduces the uninterrupted
-decision trace.  Format 4 is built in one pass, as lines: the sha256 (hex)
+builds a detector by kind name.  A one-ensemble detector can be
+checkpointed to a text blob and restored bit-exactly, so a resumed run
+reproduces the uninterrupted decision trace.  Format 4 is built in one pass, as lines: the sha256 (hex)
 of every byte after its own line; one JSON header of the scalar fields and
 the ordered ``[name, dtype, shape]`` of each array (dtype ``"<i8"`` or
 ``"<f8"``); then each array's little-endian bytes as one base64 line, in
 the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids`` (when the detector's
 external ids are set), then the backend's ``to_arrays()``; the active set
 and counts follow from the stop times.  :func:`restore_state` checks the
-hash before it parses anything, and refuses any other format version.
+hash before it parses anything, and refuses any other format version; it
+encodes the blob once and hashes and decodes slices of that one buffer.
 """
 
 from __future__ import annotations
 
-import base64
 import binascii
 import hashlib
 import json
@@ -83,38 +99,19 @@ class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
 
 
-def _settled(excess: np.ndarray, window) -> tuple[int, int]:
-    """(one past the last prefix that certainly fits, the first that certainly
-    fails), given each prefix's excess over its budget and rounding window."""
-    fits = (excess < -window).nonzero()[0]
-    fails = (excess > window).nonzero()[0]
-    return (int(fits[-1]) + 1 if fits.size else 0,
-            int(fails[0]) if fails.size else len(excess))
+def _settled(excess: np.ndarray, window, lengths: np.ndarray, lo, hi: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: (one past the last prefix that certainly fits, the first that
+    certainly fails), given each prefix's excess over its budget, rounding
+    window and length; at least ``lo`` and at most ``hi``, the bounds of the
+    prefixes left open (a NaN excess settles nothing)."""
+    return (np.maximum(lo, ((excess < -window) * lengths).max(axis=1)),
+            np.where(excess > window, lengths - 1, hi[:, None]).min(axis=1))
 
 
-def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float) -> int:
-    """Largest n with math.fsum(sorted_w[:n]) <= alpha * n (equality retains).
-
-    A vectorized cumulative sum settles every n outside its rounding window:
-    first one window that bounds every prefix (prefix sums and budgets only
-    grow with n), then, for the few it leaves open, each prefix's own.  The
-    undecided n between the last certain fit and the first certain failure
-    are tested longest first on exact integer prefix sums, since the rounded
-    test is not monotone within an ulp of the budget.
-    """
-    size = len(sorted_w)
-    if not size:
-        return 0
-    counts = np.arange(1.0, size + 1)
-    sums = np.cumsum(sorted_w)
-    excess = sums - alpha * counts
-    lo, hi = _settled(excess, (size + 2.0) * _EPS * max(float(sums[-1]), alpha * size))
-    if hi > lo:
-        n, part = counts[lo:hi], slice(lo, hi)
-        inner = _settled(excess[part], (n + 2.0) * _EPS * np.maximum(sums[part], alpha * n))
-        lo, hi = lo + inner[0], lo + inner[1]
-    if hi <= lo:
-        return lo
+def _exact_prefix(sorted_w: np.ndarray, lo: int, hi: int, alpha: float) -> int:
+    """Largest n in (lo, hi] with the exact sum of ``sorted_w[:n]``, rounded
+    once, at most alpha * n; ``lo`` if there is none."""
     # each w is an integer multiple of 2**-1074; int / int rounds correctly
     units = [num << (1075 - den.bit_length())
              for num, den in map(float.as_integer_ratio, sorted_w[:hi].tolist())]
@@ -126,30 +123,79 @@ def _largest_feasible_prefix(sorted_w: np.ndarray, alpha: float) -> int:
     return lo
 
 
-def _adaptive_cutoff(w: np.ndarray, alpha: float) -> tuple[float, int]:
-    """The one-step rule as a cutoff: lambda_t, the N*-th smallest posterior
-    (N* the longest feasible sorted prefix; -inf when N* = 0), and how many
-    entries equal to lambda_t lie beyond N* and are dropped."""
-    sorted_w = np.sort(w)  # NaN sorts last, so the two ends check every entry
-    if w.size and not (sorted_w[0] >= 0.0 and sorted_w[-1] <= 1.0):
+def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
+    retains), for sorted rows of ``sizes`` entries padded with +inf.
+
+    A vectorized cumulative sum settles every n outside its rounding window:
+    first one window per row that bounds every prefix (prefix sums and
+    budgets only grow with n), then, for the few rows it leaves open, each
+    prefix's own.  The undecided n between the last certain fit and the
+    first certain failure are tested longest first on exact integer prefix
+    sums, since the rounded test is not monotone within an ulp of the budget.
+    """
+    lengths = np.arange(1, rows.shape[1] + 1)
+    sums = np.cumsum(rows, axis=1)  # each row's sums are its own 1-d cumsum, bit for bit
+    excess = sums - alpha * lengths
+    total = sums[np.arange(len(sizes)), sizes - 1]
+    # the padding fails every test, so no prefix past a row's end settles as a fit
+    lo, hi = _settled(excess, ((sizes + 2.0) * _EPS * np.maximum(total, alpha * sizes))[:, None],
+                      lengths, 0, sizes)
+    open_ = (hi > lo).nonzero()[0]
+    if open_.size:
+        lo_o, hi_o = lo[open_, None], hi[open_, None]
+        window = (lengths + 2.0) * _EPS * np.maximum(sums[open_], alpha * lengths)
+        lo[open_], hi[open_] = _settled(
+            np.where((lengths > lo_o) & (lengths <= hi_o), excess[open_], np.nan), window,
+            lengths, lo_o[:, 0], hi_o[:, 0])
+    for i in (hi > lo).nonzero()[0]:
+        lo[i] = _exact_prefix(rows[i], lo[i], hi[i], alpha)
+    return lo
+
+
+def _adaptive_cutoff(w: np.ndarray, sizes: np.ndarray, alpha: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step rule as a cutoff, row by row: row i is the next
+    ``sizes[i]`` (at least one) entries of ``w``.  Returns each row's
+    lambda_t, its N*-th smallest posterior (N* the longest feasible sorted
+    prefix; -inf when N* = 0), and N*."""
+    if not sizes.size:
+        return np.empty(0), sizes
+    width = int(sizes.max())
+    # NaN sorts after the padding, so each row's ends check every entry
+    if w.size == width * len(sizes):
+        rows = np.sort(w.reshape(len(sizes), width), axis=1)
+    else:
+        rows = np.full((len(sizes), width), np.inf)
+        rows[np.arange(width) < sizes[:, None]] = w
+        rows.sort(axis=1)
+    r = np.arange(len(sizes))
+    if not (rows[:, 0].min() >= 0.0 and rows[r, sizes - 1].max() <= 1.0):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(sorted_w, alpha)
-    if not n:
-        return -math.inf, 0
-    lam = sorted_w[n - 1]
-    return float(lam), int(np.searchsorted(sorted_w, lam, side="right")) - n
+    n = _largest_feasible_prefix(rows, sizes, alpha)
+    return np.where(n > 0, rows[r, n - 1], -math.inf), n
 
 
-def _keep_mask(w: np.ndarray, cutoff: float, surplus: int, order=None) -> np.ndarray:
-    """Keep ``w <= cutoff``, less the last ``surplus`` entries equal to the
-    cutoff, last by position or, given ``order``, by that key."""
-    keep = w <= cutoff
-    if surplus:
-        tied = np.flatnonzero(w == cutoff)
+def _keep_mask(w: np.ndarray, sizes: np.ndarray, cutoff, n=None, order=None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Keep each ``w <= cutoff``, per row of ``sizes`` entries when the cutoff
+    is an array.  Given N* per row (``n``), a row keeps only n of them: its
+    surplus entries equal to the cutoff are dropped, last by position or,
+    given ``order``, by that key.  Returns the mask and each row's count kept."""
+    keep = w <= (np.repeat(cutoff, sizes) if np.ndim(cutoff) else cutoff)
+    if not sizes.size:
+        return keep, sizes
+    starts = np.cumsum(sizes) - sizes
+    kept = np.add.reduceat(keep, starts, dtype=np.int64)
+    if n is None:
+        return keep, kept
+    for i in (kept > n).nonzero()[0]:
+        row = slice(starts[i], starts[i] + sizes[i])
+        tied = np.flatnonzero(w[row] == cutoff[i])
         if order is not None:
-            tied = tied[np.argsort(order[tied], kind="stable")]
-        keep[tied[-surplus:]] = False
-    return keep
+            tied = tied[np.argsort(order[row][tied], kind="stable")]
+        keep[row][tied[n[i] - kept[i]:]] = False
+    return keep, n  # w <= lambda_t holds at least N* entries
 
 
 def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
@@ -164,7 +210,8 @@ def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
         indices = np.asarray(indices, dtype=int)
         if w.shape != indices.shape:
             raise ValueError("w and indices must align")
-    keep = _keep_mask(w, *_adaptive_cutoff(w, alpha), indices)
+    sizes = np.array([w.size] if w.size else [], dtype=np.int64)
+    keep, _ = _keep_mask(w, sizes, *_adaptive_cutoff(w, sizes, alpha), indices)
     return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
 
 
@@ -224,12 +271,14 @@ class Selection:
     for an empty set).  ``cutoff`` is the largest retained posterior: 1.0
     when nothing was dropped and 0.0 when nothing was kept.  Under the
     adaptive rule it is lambda_t whenever the step both drops and keeps.
+    A detector of several ensembles gives ``cutoff`` and ``lfnr`` as
+    arrays, one entry per ensemble, and ``n_active`` over all of them.
     """
 
     t: int
     n_active: int
-    cutoff: float
-    lfnr: float
+    cutoff: float | np.ndarray
+    lfnr: float | np.ndarray
     dropped: np.ndarray
 
 
@@ -257,33 +306,75 @@ class DecisionTrace:
                    for name, value in vars(self).items())
 
 
+def _backend_spec(kind: str, model: EnsembleModel, k: int, ensembles: int = 1
+                  ) -> tuple[type, tuple]:
+    """The posterior backend class for a detector kind and model, and its
+    constructor arguments for ``ensembles`` ensembles of ``k`` streams; more
+    than one ensemble needs a backend that runs in lockstep."""
+    if kind == "dependent":
+        if not isinstance(model, PartialDepModel) or model.eta != 1.0:
+            raise ValueError("dependent mode requires the fully dependent model (eta=1)")
+        cls, params = DependentPosteriorState, (model.tau0.theta, k)
+    elif isinstance(model, IIDModel):
+        cls, params = PosteriorState, (model.prior.theta, k * ensembles)
+    elif isinstance(model, TabularModel):
+        if k != model.n_streams:
+            raise ValueError("k must match the tabular model's stream count")
+        cls, params = TabularPosteriorState, (model.supports, model.masses)
+    elif isinstance(model, PartialDepModel):
+        cls, params = PartialDepPosterior, (model.tau0.theta, model.eta, k)
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    if ensembles > 1 and not cls.lockstep:
+        raise ValueError(f"the {cls.label} posterior runs one ensemble per detector")
+    return cls, params
+
+
+def lockstep(kind: str, model: EnsembleModel, k: int) -> bool:
+    """Whether one detector of ``kind`` can hold several independent
+    ensembles of ``k`` streams of ``model``: its backend must treat every
+    stream on its own."""
+    return _backend_spec(kind, model, k)[0].lockstep
+
+
 class _DetectorBase:
     """Shared observe/deactivate protocol; subclasses supply ``_cutoff``:
-    given the active posteriors, the cutoff to keep ``w <= cutoff`` and the
-    count of ties at it to drop from the largest positions (0 but for the
-    adaptive rule).
+    given the active posteriors, one row of ``sizes[i]`` entries per
+    ensemble with active streams, the cutoff to keep ``w <= cutoff`` (a
+    scalar, or one per row) and, for the adaptive rule, each row's N*, whose
+    surplus ties at the cutoff are dropped from the largest positions.
 
-    The posterior lives in a backend chosen by :meth:`_backend`.  ``w`` is
-    evaluated once per step and cached read-only until the next
-    observation; freezing pins posteriors at their current values, so the
-    cache survives a selection.
+    A detector holds ``ensembles`` independent ensembles of ``k`` streams,
+    ensemble e being streams ``e*k .. e*k + k - 1``; each has its own
+    selection, alpha budget and history, and one ``observe``/``deactivate``
+    pair advances them all.  ``active_counts`` holds each ensemble's active
+    count.  The posterior lives in a backend chosen by model
+    (:func:`_backend_spec`); several ensembles need one that treats streams
+    independently (:func:`lockstep`).  ``w`` is evaluated once per step and
+    cached read-only until the next observation; freezing pins posteriors
+    at their current values, so the cache survives a selection.
     """
 
     kind = "base"
 
-    def __init__(self, model: EnsembleModel, alpha: float, k: int):
+    def __init__(self, model: EnsembleModel, alpha: float, k: int, ensembles: int = 1):
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-        if k < 1:
+        if k < 1 or ensembles < 1:
             raise ValueError("need at least one stream")
-        self.model, self.alpha, self.k = model, float(alpha), int(k)
+        self.model, self.alpha, self.k, self.ensembles = model, float(alpha), int(k), ensembles
         self.ids: np.ndarray | None = None  # external stream ids, checkpointed when set
-        self._start(self._backend(), np.full(k, -1, dtype=int), "observe", [1.0], [0.0])
+        self._start(self._backend(), np.full(k * ensembles, -1, dtype=int), "observe",
+                    [np.ones(ensembles)], [np.zeros(ensembles)])
 
     def _start(self, state, t_stop: np.ndarray, phase: str, cutoffs, lfnr) -> None:
-        """Take up a run at the backend's time; stop times are -1 while active."""
+        """Take up a run at the backend's time; stop times are -1 while active.
+        ``cutoffs`` and ``lfnr`` hold one array of per-ensemble values per
+        selection, the start included."""
         self._state, self.t_stop, self._phase = state, t_stop, phase
         self.active = np.flatnonzero(t_stop < 0)
+        self.active_counts = np.diff(np.searchsorted(
+            self.active, np.arange(0, self.k * self.ensembles + 1, self.k)))
         self._cutoffs, self._lfnr = cutoffs, lfnr
         self._w = None
         self.last: Selection | None = None  # none until the first selection
@@ -291,21 +382,7 @@ class _DetectorBase:
     def _backend(self, t: int = 0, frozen=None, arrays: dict | None = None):
         """The posterior backend for the model: fresh, or rebuilt at time
         ``t`` from the frozen-stream mask and its ``to_arrays()``."""
-        model, k = self.model, self.k
-        if self.kind == "dependent":
-            if not isinstance(model, PartialDepModel) or model.eta != 1.0:
-                raise ValueError("dependent mode requires the fully dependent model (eta=1)")
-            cls, params = DependentPosteriorState, (model.tau0.theta, k)
-        elif isinstance(model, IIDModel):
-            cls, params = PosteriorState, (model.prior.theta, k)
-        elif isinstance(model, TabularModel):
-            if k != model.n_streams:
-                raise ValueError("k must match the tabular model's stream count")
-            cls, params = TabularPosteriorState, (model.supports, model.masses)
-        elif isinstance(model, PartialDepModel):
-            cls, params = PartialDepPosterior, (model.tau0.theta, model.eta, k)
-        else:
-            raise TypeError(f"unsupported model type {type(model).__name__}")
+        cls, params = _backend_spec(self.kind, self.model, self.k, self.ensembles)
         if arrays is None:
             return cls(*params)
         try:
@@ -346,12 +423,14 @@ class _DetectorBase:
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
-        """Select the next active set from current posteriors, record it as
-        :attr:`last`, and return the dropped indices."""
+        """Select each ensemble's next active set from current posteriors,
+        record it as :attr:`last`, and return the dropped indices."""
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
+        live = self.active_counts.nonzero()[0]
+        sizes = self.active_counts[live]
         w_active = self.w[self.active]
-        keep = _keep_mask(w_active, *self._cutoff(w_active))
+        keep, kept = _keep_mask(w_active, sizes, *self._cutoff(w_active, sizes))
         if keep.all():
             dropped, kept_w = self.active[:0], w_active
         else:
@@ -360,36 +439,59 @@ class _DetectorBase:
             self.active = self.active[keep]  # ``active`` stays in index order
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[drop])
-        n = self.n_active
-        cutoff = 1.0 if not dropped.size else float(kept_w.max()) if n else 0.0
-        # sum / n is the division ndarray.mean does: the same bits
-        self.last = Selection(self.t, n, cutoff, float(kept_w.sum()) / n if n else 0.0,
-                              dropped)
+            self.active_counts[live] = kept
+        # per ensemble: the cutoff is 1.0 when nothing was dropped, 0.0 when
+        # nothing was kept, else the largest kept posterior; the LFNR is the
+        # mean kept posterior, each over its own slice (the bits of a lone run)
+        cutoff, lfnr = np.ones(self.ensembles), np.zeros(self.ensembles)
+        start = 0
+        for e, n, size in zip(live.tolist(), kept.tolist(), sizes.tolist()):
+            part = kept_w[start:start + n]
+            start += n
+            if n < size:
+                cutoff[e] = part.max() if n else 0.0
+            if n:  # sum / n is the division ndarray.mean does: the same bits
+                lfnr[e] = float(part.sum()) / n
+        single = self.ensembles == 1
+        self.last = Selection(self.t, self.n_active, float(cutoff[0]) if single else cutoff,
+                              float(lfnr[0]) if single else lfnr, dropped)
         self._cutoffs.append(cutoff)
-        self._lfnr.append(self.last.lfnr)
+        self._lfnr.append(lfnr)
         self._phase = "observe"
         return dropped
 
     def step(self, x_full) -> None:
-        """Advance one period from a full K-row of observations.
+        """Advance one period from a full row of observations, one per stream.
 
         Runs the pending selection first, then ingests the surviving
         streams' entries; values for already-dropped streams are discarded.
         """
         x_full = np.asarray(x_full, dtype=float)
-        if x_full.shape != (self.k,):
-            raise ValueError(f"expected a length-{self.k} row, got shape {x_full.shape}")
+        if x_full.shape != self.t_stop.shape:
+            raise ValueError(f"expected a length-{len(self.t_stop)} row, "
+                             f"got shape {x_full.shape}")
         if self._phase == "select":
             self.deactivate()
         self.observe(x_full[self.active])
 
+    def traces(self) -> list[DecisionTrace]:
+        """One decision trace per ensemble, in ensemble order."""
+        cutoffs, lfnr = np.array(self._cutoffs), np.array(self._lfnr)  # (selections, ensembles)
+        out = []
+        for e, t_stop in enumerate(self.t_stop.reshape(self.ensembles, self.k)):
+            # entry s of the bincount is the number of streams stopped at time s
+            stops = np.bincount(t_stop[t_stop >= 1], minlength=len(lfnr))
+            out.append(DecisionTrace(n_streams=self.k, t_final=self.t, t_stop=t_stop.copy(),
+                                     active_size=self.k - np.cumsum(stops),
+                                     realized_lfnr=lfnr[:, e].copy(),
+                                     cutoff=cutoffs[:, e].copy()))
+        return out
+
     def trace(self) -> DecisionTrace:
-        # entry s of the bincount is the number of streams stopped at time s
-        stops = np.bincount(self.t_stop[self.t_stop >= 1], minlength=len(self._lfnr))
-        return DecisionTrace(n_streams=self.k, t_final=self.t, t_stop=self.t_stop.copy(),
-                             active_size=self.k - np.cumsum(stops),
-                             realized_lfnr=np.asarray(self._lfnr, dtype=float),
-                             cutoff=np.asarray(self._cutoffs, dtype=float))
+        """The decision trace of a one-ensemble detector."""
+        if self.ensembles != 1:
+            raise ValueError(f"this detector holds {self.ensembles} ensembles: use traces()")
+        return self.traces()[0]
 
 
 class AdaptiveDetector(_DetectorBase):
@@ -397,9 +499,9 @@ class AdaptiveDetector(_DetectorBase):
 
     kind = "adaptive"
 
-    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
+    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
         # ``active`` is in index order, so positions break ties like indices
-        return _adaptive_cutoff(w_active, self.alpha)
+        return _adaptive_cutoff(w_active, sizes, self.alpha)
 
 
 class ThresholdDetector(AdaptiveDetector):
@@ -408,13 +510,13 @@ class ThresholdDetector(AdaptiveDetector):
     kind = "threshold"
 
     def __init__(self, model: EnsembleModel, alpha: float, k: int,
-                 table: ThresholdTable):
-        super().__init__(model, alpha, k)
+                 table: ThresholdTable, ensembles: int = 1):
+        super().__init__(model, alpha, k, ensembles)
         table.check_compatible(model, alpha)
         self.table = table
 
-    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
-        return self.table.threshold_at(self.t), 0
+    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
+        return self.table.threshold_at(self.t), None
 
 
 class DependentDetector(_DetectorBase):
@@ -426,22 +528,23 @@ class DependentDetector(_DetectorBase):
 
     kind = "dependent"
 
-    def _cutoff(self, w_active: np.ndarray) -> tuple[float, int]:
-        return self.alpha, 0
+    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
+        return self.alpha, None
 
 
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
-                  table: ThresholdTable | None = None) -> _DetectorBase:
-    """The detector of ``kind`` (one of :data:`DETECTOR_KINDS`); threshold
+                  table: ThresholdTable | None = None, ensembles: int = 1) -> _DetectorBase:
+    """The detector of ``kind`` (one of :data:`DETECTOR_KINDS`) over
+    ``ensembles`` independent ensembles of ``k`` streams; threshold
     detectors need their calibrated ``table``."""
     if kind == "adaptive":
-        return AdaptiveDetector(model, alpha, k)
+        return AdaptiveDetector(model, alpha, k, ensembles)
     if kind == "threshold":
         if table is None:
             raise ValueError("threshold mode needs a calibrated threshold table")
-        return ThresholdDetector(model, alpha, k, table)
+        return ThresholdDetector(model, alpha, k, table, ensembles)
     if kind == "dependent":
-        return DependentDetector(model, alpha, k)
+        return DependentDetector(model, alpha, k, ensembles)
     raise ValueError(f"unknown mode {kind!r}")
 
 
@@ -456,10 +559,13 @@ _HISTORY = [["t_stop", "<i8"], ["cutoff", "<f8"], ["lfnr", "<f8"]]
 
 def checkpoint_state(det: _DetectorBase) -> str:
     """Serialize a detector, with its external ids when they are set, to a
-    self-checking text blob (format 4, bit-exact)."""
+    self-checking text blob (format 4, bit-exact).  A blob holds one
+    ensemble: a detector of several is refused."""
+    if det.ensembles != 1:
+        raise ValueError(f"a checkpoint holds one ensemble, this detector {det.ensembles}")
     ids = {} if det.ids is None else {"ids": det.ids}
-    arrays = {"t_stop": det.t_stop, "cutoff": det._cutoffs, "lfnr": det._lfnr, **ids,
-              **det._state.to_arrays()}
+    arrays = {"t_stop": det.t_stop, "cutoff": np.concatenate(det._cutoffs),
+              "lfnr": np.concatenate(det._lfnr), **ids, **det._state.to_arrays()}
     specs, lines = [], []
     for name, value in arrays.items():
         a = np.asarray(value)
@@ -475,7 +581,7 @@ def checkpoint_state(det: _DetectorBase) -> str:
     return hashlib.sha256(body).hexdigest() + "\n" + body.decode()
 
 
-def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
+def _decode_arrays(specs: list, lines: list[memoryview]) -> dict:
     """The arrays of a format-4 body, one per ``[name, dtype, shape]`` entry
     and line; refuses a mistyped entry, a line too many or too few, invalid
     base64, data whose size disagrees with its shape, a repeated name, and
@@ -494,7 +600,7 @@ def _decode_arrays(specs: list, lines: list[bytes]) -> dict:
         raise TypeError("the arrays must start with t_stop <i8, cutoff <f8 and lfnr <f8")
     arrays = {}
     for (name, dtype, shape), line in zip(specs, lines):
-        raw = base64.b64decode(line, validate=True)
+        raw = binascii.a2b_base64(line, strict_mode=True)  # b64decode(validate=True), uncopied
         if len(raw) != 8 * math.prod(shape):
             raise ValueError(f"{name}: {len(raw)} bytes do not fit shape {shape}")
         arrays[name] = np.frombuffer(raw, dtype).reshape(shape)
@@ -510,18 +616,23 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
     if blob.startswith(("{", "[")):
         raise CheckpointError("unsupported checkpoint version: a JSON first line is format 1 or "
                               f"2, or format-3 ids (this program reads {CHECKPOINT_VERSION})")
-    digest, _, body = blob.partition("\n")  # the hash covers every byte after its line
     try:
-        data = body.encode("ascii")
+        data = blob.encode("ascii")  # the one copy: every line below is a slice of it
     except UnicodeEncodeError as exc:
         raise CheckpointError(f"checkpoint is not ASCII text: {exc}") from exc
-    if hashlib.sha256(data).hexdigest() != digest:
+    view, end = memoryview(data), data.find(b"\n")
+    if end < 0:  # all digest, no body
+        end = len(data)
+    # the hash covers every byte after its line
+    if hashlib.sha256(view[end + 1:]).hexdigest().encode() != data[:end]:
         raise CheckpointError("checkpoint checksum mismatch (corrupted or truncated)")
-    head, *lines = data.split(b"\n")
-    if lines[-1:] != [b""]:
+    lines = []
+    while (start := end + 1) < len(data) and (end := data.find(b"\n", start)) >= 0:
+        lines.append(view[start:end])
+    if not lines or start != len(data):
         raise CheckpointError("checkpoint does not end with a newline")
     try:
-        header = json.loads(head)
+        header = json.loads(lines[0].tobytes())
     except ValueError as exc:
         raise CheckpointError(f"unparseable checkpoint header: {exc}") from exc
     version = header.get("format_version") if isinstance(header, dict) else None
@@ -548,7 +659,7 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
         raise CheckpointError(f"bad checkpoint phase {phase!r} or time {t}")
     try:
         alpha = float.fromhex(header["alpha"])
-        arrays = _decode_arrays(header["arrays"], lines[:-1])
+        arrays = _decode_arrays(header["arrays"], lines[1:])
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
     t_stop, cutoff, lfnr = (arrays.pop(name) for name, _ in _HISTORY)
@@ -567,10 +678,10 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
     # not the constructor, whose fresh backend and stop times would go unused
     det = object.__new__({"adaptive": AdaptiveDetector, "threshold": ThresholdDetector,
                           "dependent": DependentDetector}[kind])
-    det.model, det.alpha, det.k, det.ids = model, alpha, k, ids
+    det.model, det.alpha, det.k, det.ensembles, det.ids = model, alpha, k, 1, ids
     if kind == "threshold":
         table.check_compatible(model, alpha)
         det.table = table
     det._start(det._backend(t, t_stop >= 0, arrays), t_stop.astype(int), phase,
-               cutoff.tolist(), lfnr.tolist())
+               list(cutoff.reshape(-1, 1)), list(lfnr.reshape(-1, 1)))
     return det

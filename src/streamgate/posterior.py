@@ -36,7 +36,10 @@ active)`` ingests one log likelihood ratio per active stream in place,
 posterior (``w_idx``, when the caller holds it), the ``w`` property
 returns a fresh array of every stream's posterior, and ``to_arrays()`` /
 the ``from_arrays(..., t, frozen, **arrays)`` classmethod give and take
-its state as named arrays and scalars, for checkpoints.
+its state as named arrays and scalars, for checkpoints.  ``lockstep`` says
+whether one backend can carry several independent ensembles side by side:
+only the i.i.d. one can, whose streams share one prior and update on their
+own data alone.
 
 The module also gives reference paths of never-deactivated streams, whose
 distribution defines the large-ensemble deactivation thresholds.
@@ -123,6 +126,7 @@ class PosteriorState:
     """
 
     label = "i.i.d."
+    lockstep = True
 
     def __init__(self, theta: float, k: int):
         self.theta = theta
@@ -168,6 +172,7 @@ class DependentPosteriorState(PosteriorState):
     """
 
     label = "jointly dependent"
+    lockstep = False
 
     def __init__(self, theta: float, k: int):
         super().__init__(theta, 1)
@@ -226,6 +231,7 @@ class TabularPosteriorState:
     """
 
     label = "tabular"
+    lockstep = False
 
     def __init__(self, supports, masses):
         k = len(supports)
@@ -289,6 +295,7 @@ class PartialDepPosterior:
     """
 
     label = "partially dependent"
+    lockstep = False
 
     def __init__(self, theta: float, eta: float, k: int):
         self.theta = theta

@@ -9,20 +9,33 @@ aggregates, per time point,
 * active count, cumulative utilization (observations collected),
 * pre-change run length and cumulative detections.
 
-Each replication runs only the detector loop: deactivate, observe, and
-stop once nothing is active.  The loop records one number of its own,
-the dropped streams' mean ``1 - w`` for the LFDR, read from that step's
-posteriors.  Every other row is derived once per replication from the
-change times and the decision trace ``det.trace()``: the active counts,
-the realized LFNR and the stop times.
+Replications run in lockstep batches: one detector holds a batch of
+independent ensembles, one per replication (``_replicate``), and advances
+them all with one ``observe`` and one ``deactivate`` per time step.  A
+batch holds at most ``BATCH_STREAMS`` streams, and at most its share of
+the replications when several workers run; the process pool maps
+batches.  Only a posterior backend that treats streams on their own runs
+in lockstep (``detector.lockstep``: the i.i.d. model); the tabular and
+the partially or fully dependent models run one replication per detector.
+Each replication keeps its own generator and draw order: its change
+times, then one full-k draw per step while it has active streams.  An
+emptied replication draws no more, and its rows stay zero to the horizon.
+
+The loop records one number of its own, each replication's dropped
+streams' mean ``1 - w`` for the LFDR, read from that step's posteriors.
+Every other row is derived once per replication from its change times
+and decision trace (``det.traces()``): the active counts, the realized
+LFNR and the stop times.
 
 Time indexing matches the one-step-ahead convention: the FNP/LFNR row at
 time t is a property of the selection entering time t, i.e. of the active
 set S_t and posteriors from time t-1; the time-1 row is zero by
 convention.  The output CSV uses that convention in its ``t`` column.
 
-Replications use independent spawned RNG substreams and a fixed-order
-reduction, so results are bit-identical for any worker count.
+Replications use independent spawned RNG substreams, every ensemble of a
+batch gives the bits of a detector of its own, and the reduction runs in
+a fixed order, so results are bit-identical for any worker count and
+batch size.
 """
 
 from __future__ import annotations
@@ -32,8 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DETECTOR_KINDS, ThresholdTable, make_detector
+from .detector import DETECTOR_KINDS, DecisionTrace, ThresholdTable, lockstep, make_detector
 from .model import EnsembleModel
+
+# streams one lockstep batch may hold: enough replications per detector
+# step to spread its fixed cost, few enough that peak memory stays near
+# that of one replication (picked from the scan of pass time and peak RSS
+# at K=500 recorded in CHANGES.md)
+BATCH_STREAMS = 16_000
 
 CSV_COLUMNS = ("t,mean_fnp,se_fnp,mean_lfnr,se_lfnr,mean_active,mean_util,"
                "mean_fdp,mean_lfdr,mean_rl,mean_cd")
@@ -97,25 +116,12 @@ def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
 
 
-def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """One replication's rows (time x fnp, lfnr, fdp, lfdr, active, util, rl, cd)."""
-    rng = np.random.default_rng(seed_seq)
-    k, horizon = config.k, config.horizon
-    tau = config.model.sample_change_points(k, rng)
-    det = make_detector(config.procedure, config.model, config.alpha, k, config.table)
-    lfdr = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        if t > 1:
-            dropped = det.deactivate()
-            if dropped.size:
-                lfdr[t - 1] = (1.0 - det.w[dropped]).mean()
-            if not det.n_active:
-                break
-        x = config.model.sample_step(t, tau, rng)
-        det.observe(x[det.active])
+def _rows(horizon: int, tau: np.ndarray, trace: DecisionTrace, lfdr: np.ndarray) -> np.ndarray:
+    """One replication's rows (time x fnp, lfnr, fdp, lfdr, active, util, rl,
+    cd) from its change times, decision trace and per-step LFDR."""
+    k = trace.n_streams
     # row i holds the selection made at time i (none at 0) and the active
     # set it leaves for time i+1; past the trace's end nothing is active
-    trace = det.trace()
     n_rows = len(trace.active_size)
     active = np.zeros(horizon, dtype=int)
     active[:n_rows] = trace.active_size
@@ -139,6 +145,36 @@ def _replicate(config: SimConfig, seed_seq: np.random.SeedSequence) -> np.ndarra
         k - active])
 
 
+def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
+    """The rows of a batch of replications, one ensemble each of one detector
+    run in lockstep: (replications x time x metrics)."""
+    model, k, horizon = config.model, config.k, config.horizon
+    rngs = [np.random.default_rng(ss) for ss in seed_seqs]
+    taus = [model.sample_change_points(k, rng) for rng in rngs]
+    det = make_detector(config.procedure, model, config.alpha, k, config.table, len(rngs))
+    lfdr = np.zeros((len(rngs), horizon))
+    x = np.empty(k * len(rngs))
+    for t in range(1, horizon + 1):
+        if t > 1:
+            dropped = det.deactivate()
+            if dropped.size:
+                # each ensemble's mean over its own slice, the bits of its own
+                # run; sum / n is the division ndarray.mean does
+                gain = 1.0 - det.w[dropped]
+                owner = dropped // k
+                firsts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+                for e, a, b in zip(owner[firsts].tolist(), firsts, firsts[1:] + [len(gain)]):
+                    lfdr[e, t - 1] = float(gain[a:b].sum()) / (b - a)
+            if not det.n_active:
+                break
+        # an emptied ensemble draws no more: its replication has ended
+        for e in np.flatnonzero(det.active_counts).tolist():
+            x[e * k:(e + 1) * k] = model.sample_step(t, taus[e], rngs[e])
+        det.observe(x[det.active])
+    return np.stack([_rows(horizon, tau, trace, row)
+                     for tau, trace, row in zip(taus, det.traces(), lfdr)])
+
+
 def _replicate_packed(args) -> np.ndarray:
     return _replicate(*args)
 
@@ -147,17 +183,21 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
     """Run all replications and aggregate per-time means and standard errors."""
     reps = config.replications
     children = np.random.SeedSequence(config.seed).spawn(reps)
-    jobs = [(config, ss) for ss in children]
+    size = 1
+    if lockstep(config.procedure, config.model, config.k):
+        # at least one batch per worker, none over the cap
+        size = max(1, min(BATCH_STREAMS // config.k, -(-reps // config.threads)))
+    jobs = [(config, children[i:i + size]) for i in range(0, reps, size)]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         import scipy.special  # forked workers inherit it instead of each importing it
-        chunk = max(1, reps // (config.threads * 8))
+        chunk = max(1, len(jobs) // (config.threads * 8))
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(_replicate_packed, jobs, chunksize=chunk))
     else:
         results = [_replicate(*job) for job in jobs]
-    stack = np.stack(results)  # (reps, horizon, metrics)
+    stack = np.concatenate(results)  # (reps, horizon, metrics)
     mean = stack.mean(axis=0)
     if reps > 1:
         se = stack.std(axis=0, ddof=1) / math.sqrt(reps)
