@@ -55,19 +55,20 @@ selection's cutoff and LFNR and derives the active counts from the stop
 times; ``det.traces()`` gives one trace per ensemble.
 The detectors differ only in their cutoff: the posterior belongs to a
 backend from :mod:`streamgate.posterior`, picked once by model
-(:func:`_backend_spec`), which the detector drives through the
-backend protocol without knowing the model.  :func:`make_detector`
-builds a detector by kind name.  A one-ensemble detector can be
-checkpointed to a text blob and restored bit-exactly, so a resumed run
-reproduces the uninterrupted decision trace.  Format 4 is built in one pass, as lines: the sha256 (hex)
-of every byte after its own line; one JSON header of the scalar fields and
-the ordered ``[name, dtype, shape]`` of each array (dtype ``"<i8"`` or
-``"<f8"``); then each array's little-endian bytes as one base64 line, in
-the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids`` (when the detector's
-external ids are set), then the backend's ``to_arrays()``; the active set
-and counts follow from the stop times.  :func:`restore_state` checks the
-hash before it parses anything, and refuses any other format version; it
-encodes the blob once and hashes and decodes slices of that one buffer.
+(:func:`_backend_spec`), which the detector drives through the backend
+protocol without knowing the model.  :func:`make_detector` builds a
+detector by kind name.  A one-ensemble detector can be checkpointed to a
+text blob and restored bit-exactly, so a resumed run reproduces the
+uninterrupted decision trace.  Format 4 is built in one pass, as lines:
+the sha256 (hex) of every byte after its own line; one JSON header of
+the scalar fields and the ordered ``[name, dtype, shape]`` of each array
+(dtype ``"<i8"`` or ``"<f8"``); then each array's little-endian bytes as
+one base64 line, in the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids``
+(when the detector's external ids are set), then the backend's
+``to_arrays()``; the active set and counts follow from the stop times.
+:func:`restore_state` checks the hash before it parses anything, and
+refuses any other format version; it encodes the blob once and hashes
+and decodes slices of that one buffer.
 """
 
 from __future__ import annotations
