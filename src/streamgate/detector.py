@@ -24,12 +24,12 @@ stream, advancing the posteriors) and ``deactivate()`` (the
 F_t-measurable selection of the next active set).  ``step(x)`` wraps the
 pair for full-row feeds, discarding columns of streams that were just
 dropped.  Every detector selects on one path: ``deactivate()`` keeps the
-active streams with ``w <= cutoff``, and a detector supplies only the
-cutoff (``_cutoff``) -- lambda_t from one sort of the active posteriors
-(adaptive), the table's entry for t (threshold) or ``alpha`` on the
-pooled posterior (dependent).  The adaptive rule also names N*; the ties
-at lambda_t beyond it are dropped from the largest positions, and only a
-tie group that straddles N* costs a second pass over w.
+active streams with ``w <= cutoff``, and a detector supplies only that
+mask (``_select``) for its cutoff -- lambda_t from one sort of the active
+posteriors (adaptive), the table's entry for t (threshold) or ``alpha`` on
+the pooled posterior (dependent).  The adaptive rule keeps N* streams:
+the ties at lambda_t beyond N* are dropped from the largest positions,
+and only a tie group that straddles N* costs a second pass over w.
 
 A detector may hold several independent ensembles of k streams, each a
 contiguous block of stream indices with its own alpha budget, cutoff and
@@ -100,14 +100,13 @@ class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
 
 
-def _settled(excess: np.ndarray, window, lengths: np.ndarray, lo, hi: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
+def _settled(excess: np.ndarray, window, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Per row: (one past the last prefix that certainly fits, the first that
-    certainly fails), given each prefix's excess over its budget, rounding
-    window and length; at least ``lo`` and at most ``hi``, the bounds of the
-    prefixes left open (a NaN excess settles nothing)."""
-    return (np.maximum(lo, ((excess < -window) * lengths).max(axis=1)),
-            np.where(excess > window, lengths - 1, hi[:, None]).min(axis=1))
+    certainly fails), given each prefix's excess over its budget and rounding
+    window; ``lo`` and ``hi`` where none is certain (a NaN excess never is)."""
+    fits, fails = excess < -window, excess > window
+    return (np.where(fits.any(axis=1), excess.shape[1] - fits[:, ::-1].argmax(axis=1), lo),
+            np.where(fails.any(axis=1), fails.argmax(axis=1), hi))
 
 
 def _exact_prefix(sorted_w: np.ndarray, lo: int, hi: int, alpha: float) -> int:
@@ -124,9 +123,11 @@ def _exact_prefix(sorted_w: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
+def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, last: tuple,
+                             alpha: float) -> np.ndarray:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
-    retains), for sorted rows of ``sizes`` entries padded with +inf.
+    retains), for sorted rows of ``sizes`` entries padded with +inf; ``last``
+    indexes each row's last entry.
 
     A vectorized cumulative sum settles every n outside its rounding window:
     first one window per row that bounds every prefix (prefix sums and
@@ -135,33 +136,33 @@ def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) 
     first certain failure are tested longest first on exact integer prefix
     sums, since the rounded test is not monotone within an ulp of the budget.
     """
-    lengths = np.arange(1, rows.shape[1] + 1)
+    counts = np.arange(1.0, rows.shape[1] + 1)
     sums = np.cumsum(rows, axis=1)  # each row's sums are its own 1-d cumsum, bit for bit
-    excess = sums - alpha * lengths
-    total = sums[np.arange(len(sizes)), sizes - 1]
+    excess = sums - alpha * counts
     # the padding fails every test, so no prefix past a row's end settles as a fit
-    lo, hi = _settled(excess, ((sizes + 2.0) * _EPS * np.maximum(total, alpha * sizes))[:, None],
-                      lengths, 0, sizes)
+    window = (sizes + 2.0) * _EPS * np.maximum(sums[last], alpha * sizes)
+    lo, hi = _settled(excess, window[:, None], 0, sizes)
     open_ = (hi > lo).nonzero()[0]
     if open_.size:
-        lo_o, hi_o = lo[open_, None], hi[open_, None]
-        window = (lengths + 2.0) * _EPS * np.maximum(sums[open_], alpha * lengths)
-        lo[open_], hi[open_] = _settled(
-            np.where((lengths > lo_o) & (lengths <= hi_o), excess[open_], np.nan), window,
-            lengths, lo_o[:, 0], hi_o[:, 0])
-    for i in (hi > lo).nonzero()[0]:
-        lo[i] = _exact_prefix(rows[i], lo[i], hi[i], alpha)
+        lo_o, hi_o = lo[open_], hi[open_]
+        span = (counts > lo_o[:, None]) & (counts <= hi_o[:, None])
+        window = (counts + 2.0) * _EPS * np.maximum(sums[open_], alpha * counts)
+        lo[open_], hi[open_] = _settled(np.where(span, excess[open_], np.nan), window,
+                                        lo_o, hi_o)
+        for i in open_[hi[open_] > lo[open_]]:
+            lo[i] = _exact_prefix(rows[i], lo[i], hi[i], alpha)
     return lo
 
 
-def _adaptive_cutoff(w: np.ndarray, sizes: np.ndarray, alpha: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The one-step rule as a cutoff, row by row: row i is the next
-    ``sizes[i]`` (at least one) entries of ``w``.  Returns each row's
-    lambda_t, its N*-th smallest posterior (N* the longest feasible sorted
-    prefix; -inf when N* = 0), and N*."""
+def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step rule, row by row: row i is the next ``sizes[i]`` (at
+    least one) entries of ``w``.  Each row keeps its posteriors at most
+    lambda, its N*-th smallest (N* the longest feasible sorted prefix), less
+    the ties at lambda beyond N*: the last by position or, given ``order``,
+    by that key.  Returns the keep mask and each row's N*."""
     if not sizes.size:
-        return np.empty(0), sizes
+        return np.zeros(0, dtype=bool), sizes
     width = int(sizes.max())
     # NaN sorts after the padding, so each row's ends check every entry
     if w.size == width * len(sizes):
@@ -171,32 +172,32 @@ def _adaptive_cutoff(w: np.ndarray, sizes: np.ndarray, alpha: float
         rows[np.arange(width) < sizes[:, None]] = w
         rows.sort(axis=1)
     r = np.arange(len(sizes))
-    if not (rows[:, 0].min() >= 0.0 and rows[r, sizes - 1].max() <= 1.0):
+    last = (r, sizes - 1)
+    if not (rows[:, 0].min() >= 0.0 and rows[last].max() <= 1.0):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(rows, sizes, alpha)
-    return np.where(n > 0, rows[r, n - 1], -math.inf), n
-
-
-def _keep_mask(w: np.ndarray, sizes: np.ndarray, cutoff, n=None, order=None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep each ``w <= cutoff``, per row of ``sizes`` entries when the cutoff
-    is an array.  Given N* per row (``n``), a row keeps only n of them: its
-    surplus entries equal to the cutoff are dropped, last by position or,
-    given ``order``, by that key.  Returns the mask and each row's count kept."""
-    keep = w <= (np.repeat(cutoff, sizes) if np.ndim(cutoff) else cutoff)
-    if not sizes.size:
-        return keep, sizes
-    starts = np.cumsum(sizes) - sizes
-    kept = np.add.reduceat(keep, starts, dtype=np.int64)
-    if n is None:
-        return keep, kept
-    for i in (kept > n).nonzero()[0]:
-        row = slice(starts[i], starts[i] + sizes[i])
-        tied = np.flatnonzero(w[row] == cutoff[i])
+    n = _largest_feasible_prefix(rows, sizes, last, alpha)
+    lam = rows[r, n - 1]
+    lam[n == 0] = -math.inf
+    keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
+    # a tie group straddles N* where the next sorted posterior equals lambda
+    for i in ((n < sizes) & (rows[r, np.minimum(n, width - 1)] == lam)).nonzero()[0]:
+        start = int(sizes[:i].sum())
+        row = slice(start, start + sizes[i])
+        tied = np.flatnonzero(w[row] == lam[i])
         if order is not None:
             tied = tied[np.argsort(order[row][tied], kind="stable")]
-        keep[row][tied[n[i] - kept[i]:]] = False
-    return keep, n  # w <= lambda_t holds at least N* entries
+        keep[row][tied[n[i] - np.searchsorted(rows[i], lam[i]):]] = False
+    return keep, n
+
+
+def _cutoff_keep(w: np.ndarray, sizes: np.ndarray, cutoff: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Keep every ``w <= cutoff``; the mask and each row's count kept (row i
+    the next ``sizes[i]`` entries of ``w``)."""
+    keep = w <= cutoff
+    kept = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64) if sizes.size \
+        else sizes
+    return keep, kept
 
 
 def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
@@ -212,7 +213,7 @@ def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
         if w.shape != indices.shape:
             raise ValueError("w and indices must align")
     sizes = np.array([w.size] if w.size else [], dtype=np.int64)
-    keep, _ = _keep_mask(w, sizes, *_adaptive_cutoff(w, sizes, alpha), indices)
+    keep, _ = _adaptive_keep(w, sizes, alpha, indices)
     return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
 
 
@@ -339,11 +340,10 @@ def lockstep(kind: str, model: EnsembleModel, k: int) -> bool:
 
 
 class _DetectorBase:
-    """Shared observe/deactivate protocol; subclasses supply ``_cutoff``:
+    """Shared observe/deactivate protocol; subclasses supply ``_select``:
     given the active posteriors, one row of ``sizes[i]`` entries per
-    ensemble with active streams, the cutoff to keep ``w <= cutoff`` (a
-    scalar, or one per row) and, for the adaptive rule, each row's N*, whose
-    surplus ties at the cutoff are dropped from the largest positions.
+    ensemble with active streams, the mask of those kept under the
+    detector's cutoff and each row's count kept.
 
     A detector holds ``ensembles`` independent ensembles of ``k`` streams,
     ensemble e being streams ``e*k .. e*k + k - 1``; each has its own
@@ -366,11 +366,11 @@ class _DetectorBase:
         self.model, self.alpha, self.k, self.ensembles = model, float(alpha), int(k), ensembles
         self.ids: np.ndarray | None = None  # external stream ids, checkpointed when set
         self._start(self._backend(), np.full(k * ensembles, -1, dtype=int), "observe",
-                    [np.ones(ensembles)], [np.zeros(ensembles)])
+                    [[1.0] * ensembles], [[0.0] * ensembles])
 
     def _start(self, state, t_stop: np.ndarray, phase: str, cutoffs, lfnr) -> None:
         """Take up a run at the backend's time; stop times are -1 while active.
-        ``cutoffs`` and ``lfnr`` hold one array of per-ensemble values per
+        ``cutoffs`` and ``lfnr`` hold one list of per-ensemble values per
         selection, the start included."""
         self._state, self.t_stop, self._phase = state, t_stop, phase
         self.active = np.flatnonzero(t_stop < 0)
@@ -431,7 +431,7 @@ class _DetectorBase:
         live = self.active_counts.nonzero()[0]
         sizes = self.active_counts[live]
         w_active = self.w[self.active]
-        keep, kept = _keep_mask(w_active, sizes, *self._cutoff(w_active, sizes))
+        keep, kept = self._select(w_active, sizes)
         if keep.all():
             dropped, kept_w = self.active[:0], w_active
         else:
@@ -444,18 +444,18 @@ class _DetectorBase:
         # per ensemble: the cutoff is 1.0 when nothing was dropped, 0.0 when
         # nothing was kept, else the largest kept posterior; the LFNR is the
         # mean kept posterior, each over its own slice (the bits of a lone run)
-        cutoff, lfnr = np.ones(self.ensembles), np.zeros(self.ensembles)
+        cutoff, lfnr = [1.0] * self.ensembles, [0.0] * self.ensembles
         start = 0
         for e, n, size in zip(live.tolist(), kept.tolist(), sizes.tolist()):
             part = kept_w[start:start + n]
             start += n
             if n < size:
-                cutoff[e] = part.max() if n else 0.0
+                cutoff[e] = float(part.max()) if n else 0.0
             if n:  # sum / n is the division ndarray.mean does: the same bits
                 lfnr[e] = float(part.sum()) / n
         single = self.ensembles == 1
-        self.last = Selection(self.t, self.n_active, float(cutoff[0]) if single else cutoff,
-                              float(lfnr[0]) if single else lfnr, dropped)
+        self.last = Selection(self.t, self.n_active, cutoff[0] if single else np.array(cutoff),
+                              lfnr[0] if single else np.array(lfnr), dropped)
         self._cutoffs.append(cutoff)
         self._lfnr.append(lfnr)
         self._phase = "observe"
@@ -500,9 +500,9 @@ class AdaptiveDetector(_DetectorBase):
 
     kind = "adaptive"
 
-    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
         # ``active`` is in index order, so positions break ties like indices
-        return _adaptive_cutoff(w_active, sizes, self.alpha)
+        return _adaptive_keep(w_active, sizes, self.alpha)
 
 
 class ThresholdDetector(AdaptiveDetector):
@@ -516,8 +516,8 @@ class ThresholdDetector(AdaptiveDetector):
         table.check_compatible(model, alpha)
         self.table = table
 
-    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
-        return self.table.threshold_at(self.t), None
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
+        return _cutoff_keep(w_active, sizes, self.table.threshold_at(self.t))
 
 
 class DependentDetector(_DetectorBase):
@@ -529,8 +529,8 @@ class DependentDetector(_DetectorBase):
 
     kind = "dependent"
 
-    def _cutoff(self, w_active: np.ndarray, sizes: np.ndarray):
-        return self.alpha, None
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
+        return _cutoff_keep(w_active, sizes, self.alpha)
 
 
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
@@ -684,5 +684,5 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
         table.check_compatible(model, alpha)
         det.table = table
     det._start(det._backend(t, t_stop >= 0, arrays), t_stop.astype(int), phase,
-               list(cutoff.reshape(-1, 1)), list(lfnr.reshape(-1, 1)))
+               cutoff.reshape(-1, 1).tolist(), lfnr.reshape(-1, 1).tolist())
     return det

@@ -47,18 +47,15 @@ def test_row_wise_rule_matches_one_step_rule_per_row(monkeypatch):
         rows = _rows_of(rng, int(rng.integers(1, 9)))
         sizes = np.array([len(r) for r in rows])
         w = np.concatenate(rows)
-        lam, n = detector._adaptive_cutoff(w, sizes, ALPHA)
-        keep, kept = detector._keep_mask(w, sizes, lam, n)
-        assert kept.tolist() == n.tolist()
+        keep, n = detector._adaptive_keep(w, sizes, ALPHA)
         ends = np.cumsum(sizes)
         for i, row in enumerate(rows):
             mine = np.flatnonzero(keep[ends[i] - sizes[i]:ends[i]])
             assert np.array_equal(mine, one_step_rule(row, ALPHA))
-            assert n[i] == feasible_prefix_size(np.sort(row), ALPHA)
-            # the one-row case of the same code gives the same cutoff
-            one = detector._adaptive_cutoff(row, sizes[i:i + 1], ALPHA)
-            assert (one[0][0], one[1][0]) == (lam[i], n[i])
-            straddles += n[i] < np.count_nonzero(row <= lam[i])
+            assert n[i] == mine.size == feasible_prefix_size(np.sort(row), ALPHA)
+            if n[i]:
+                lam = np.sort(row)[n[i] - 1]
+                straddles += n[i] < np.count_nonzero(row <= lam)
     assert straddles >= 20          # the tie group at lambda_t is split that often
     assert len(exact_calls) >= 20   # and rows go to the exact fallback that often
 
@@ -70,7 +67,7 @@ def test_row_wise_rule_refuses_a_posterior_outside_the_unit_interval():
             w = np.array([0.01, 0.02, 0.01, 0.03, 0.04])
             w[pos] = bad
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                detector._adaptive_cutoff(w, sizes, ALPHA)
+                detector._adaptive_keep(w, sizes, ALPHA)
 
 
 def _table(model, horizon):
