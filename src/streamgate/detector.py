@@ -36,9 +36,9 @@ contiguous block of stream indices with its own alpha budget, cutoff and
 LFNR history (``simulate`` runs a batch of replications this way, one
 ``observe`` and one ``deactivate`` per step for all of them).  The rule
 then runs row by row, one row per ensemble with active streams: one sort
-of the rows padded with +inf, one cumulative sum, the rounding windows
-over all rows at once, and the exact fallback for the undecided rows
-only.  The one-ensemble detector is the one-row case of the same code,
+of the rows padded with +inf, one cumulative sum and one rounding window
+per row for all rows at once, then per-prefix windows and the exact
+fallback for the few undecided rows only.  The one-ensemble detector is the one-row case of the same code,
 and :func:`one_step_rule` is the same cutoff over any posterior vector.
 Every ensemble's bits equal those of a detector of its own: each row's
 sums are its own, and each ensemble's LFNR is summed over its own slice.
@@ -100,57 +100,57 @@ class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
 
 
-def _settled(excess: np.ndarray, window, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: (one past the last prefix that certainly fits, the first that
-    certainly fails), given each prefix's excess over its budget and rounding
-    window; ``lo`` and ``hi`` where none is certain (a NaN excess never is)."""
-    fits, fails = excess < -window, excess > window
-    return (np.where(fits.any(axis=1), excess.shape[1] - fits[:, ::-1].argmax(axis=1), lo),
-            np.where(fails.any(axis=1), fails.argmax(axis=1), hi))
+def _open_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
+    """The largest feasible prefix of one sorted row, given that the prefix
+    of length ``lo`` certainly fits and that of length ``hi + 1`` certainly
+    fails: each prefix in between is settled against its own rounding
+    window, and the exact sums decide those still open."""
+    n = np.arange(lo + 1.0, hi + 1)
+    sums = np.cumsum(row[:hi])[lo:]  # the row's own prefix sums, bit for bit
+    excess = sums - alpha * n
+    window = (n + 2.0) * _EPS * np.maximum(sums, alpha * n)
+    fits, fails = (excess < -window).nonzero()[0], (excess > window).nonzero()[0]
+    lo, hi = (lo + (int(fits[-1]) + 1 if fits.size else 0),
+              lo + (int(fails[0]) if fails.size else hi - lo))
+    return _exact_prefix(row, lo, hi, alpha) if hi > lo else lo
 
 
-def _exact_prefix(sorted_w: np.ndarray, lo: int, hi: int, alpha: float) -> int:
-    """Largest n in (lo, hi] with the exact sum of ``sorted_w[:n]``, rounded
-    once, at most alpha * n; ``lo`` if there is none."""
+def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
+    """Largest n in (lo, hi] with the exact sum of ``row[:n]``, rounded once,
+    at most alpha * n, tested longest first, since the rounded test is not
+    monotone within an ulp of the budget; ``lo`` if there is none."""
     # each w is an integer multiple of 2**-1074; int / int rounds correctly
     units = [num << (1075 - den.bit_length())
-             for num, den in map(float.as_integer_ratio, sorted_w[:hi].tolist())]
+             for num, den in map(float.as_integer_ratio, row[:hi].tolist())]
     exact = sum(units)
-    for n in range(hi, lo, -1):
-        if exact / (1 << 1074) <= alpha * n:
-            return n
-        exact -= units[n - 1]
+    for m in range(hi, lo, -1):
+        if exact / (1 << 1074) <= alpha * m:
+            return m
+        exact -= units[m - 1]
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, last: tuple,
-                             alpha: float) -> np.ndarray:
+def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
-    retains), for sorted rows of ``sizes`` entries padded with +inf; ``last``
-    indexes each row's last entry.
+    retains).  Row i holds -inf, its ``sizes[i]`` sorted posteriors, then
+    +inf to the end, so column j closes the prefix of length j.
 
-    A vectorized cumulative sum settles every n outside its rounding window:
-    first one window per row that bounds every prefix (prefix sums and
-    budgets only grow with n), then, for the few rows it leaves open, each
-    prefix's own.  The undecided n between the last certain fit and the
-    first certain failure are tested longest first on exact integer prefix
-    sums, since the rounded test is not monotone within an ulp of the budget.
+    A vectorized cumulative sum settles every n outside one rounding window
+    per row that bounds all its prefixes (prefix sums and budgets only grow
+    with n); the two infinite ends always settle, as a fit and a failure.
+    Only the rows left with undecided prefixes go on to :func:`_open_prefix`.
     """
-    counts = np.arange(1.0, rows.shape[1] + 1)
-    sums = np.cumsum(rows, axis=1)  # each row's sums are its own 1-d cumsum, bit for bit
-    excess = sums - alpha * counts
-    # the padding fails every test, so no prefix past a row's end settles as a fit
-    window = (sizes + 2.0) * _EPS * np.maximum(sums[last], alpha * sizes)
-    lo, hi = _settled(excess, window[:, None], 0, sizes)
-    open_ = (hi > lo).nonzero()[0]
-    if open_.size:
-        lo_o, hi_o = lo[open_], hi[open_]
-        span = (counts > lo_o[:, None]) & (counts <= hi_o[:, None])
-        window = (counts + 2.0) * _EPS * np.maximum(sums[open_], alpha * counts)
-        lo[open_], hi[open_] = _settled(np.where(span, excess[open_], np.nan), window,
-                                        lo_o, hi_o)
-        for i in open_[hi[open_] > lo[open_]]:
-            lo[i] = _exact_prefix(rows[i], lo[i], hi[i], alpha)
+    excess = np.empty_like(rows)
+    sums = np.cumsum(rows[:, 1:-1], axis=1, out=excess[:, 1:-1])  # row by row, bit for bit
+    window = (sizes + 2.0) * _EPS * np.maximum(excess[np.arange(len(sizes)), sizes],
+                                               alpha * sizes)
+    sums -= alpha * np.arange(1.0, rows.shape[1] - 1)
+    excess[:, 0], excess[:, -1] = -math.inf, math.inf
+    fits, fails = excess < -window[:, None], excess > window[:, None]
+    lo = excess.shape[1] - 1 - fits[:, ::-1].argmax(axis=1)  # the last certain fit
+    hi = fails.argmax(axis=1) - 1  # one short of the first certain failure
+    for i in (hi > lo).nonzero()[0]:
+        lo[i] = _open_prefix(rows[i, 1:], lo[i], hi[i], alpha)
     return lo
 
 
@@ -164,29 +164,28 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
     if not sizes.size:
         return np.zeros(0, dtype=bool), sizes
     width = int(sizes.max())
-    # NaN sorts after the padding, so each row's ends check every entry
+    rows = np.full((len(sizes), width + 2), math.inf)
+    rows[:, 0] = -math.inf
+    body = rows[:, 1:-1]
     if w.size == width * len(sizes):
-        rows = np.sort(w.reshape(len(sizes), width), axis=1)
+        body[:] = w.reshape(len(sizes), width)
     else:
-        rows = np.full((len(sizes), width), np.inf)
-        rows[np.arange(width) < sizes[:, None]] = w
-        rows.sort(axis=1)
+        body[np.arange(width) < sizes[:, None]] = w
+    body.sort(axis=1)  # NaN sorts after the padding, so each row's ends check every entry
     r = np.arange(len(sizes))
-    last = (r, sizes - 1)
-    if not (rows[:, 0].min() >= 0.0 and rows[last].max() <= 1.0):
+    if not (body[:, 0].min() >= 0.0 and rows[r, sizes].max() <= 1.0):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(rows, sizes, last, alpha)
-    lam = rows[r, n - 1]
-    lam[n == 0] = -math.inf
+    n = _largest_feasible_prefix(rows, sizes, alpha)
+    lam = rows[r, n]  # -inf where N* = 0
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
     # a tie group straddles N* where the next sorted posterior equals lambda
-    for i in ((n < sizes) & (rows[r, np.minimum(n, width - 1)] == lam)).nonzero()[0]:
+    for i in (rows[r, n + 1] == lam).nonzero()[0]:
         start = int(sizes[:i].sum())
         row = slice(start, start + sizes[i])
         tied = np.flatnonzero(w[row] == lam[i])
         if order is not None:
             tied = tied[np.argsort(order[row][tied], kind="stable")]
-        keep[row][tied[n[i] - np.searchsorted(rows[i], lam[i]):]] = False
+        keep[row][tied[n[i] - np.searchsorted(body[i], lam[i]):]] = False
     return keep, n
 
 
