@@ -130,10 +130,12 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) -> np.ndarray:
+def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, r: np.ndarray,
+                             alpha: float) -> np.ndarray:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
     retains).  Row i holds -inf, its ``sizes[i]`` sorted posteriors, then
-    +inf to the end, so column j closes the prefix of length j.
+    +inf to the end, so column j closes the prefix of length j; ``r``
+    numbers the rows.
 
     A vectorized cumulative sum settles every n outside one rounding window
     per row that bounds all its prefixes (prefix sums and budgets only grow
@@ -142,11 +144,12 @@ def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, alpha: float) 
     """
     excess = np.empty_like(rows)
     sums = np.cumsum(rows[:, 1:-1], axis=1, out=excess[:, 1:-1])  # row by row, bit for bit
-    window = (sizes + 2.0) * _EPS * np.maximum(excess[np.arange(len(sizes)), sizes],
-                                               alpha * sizes)
+    # Python floats: the same arithmetic as numpy's, without its per-call cost
+    window = np.array([[(size + 2.0) * _EPS * max(total, alpha * size)] for size, total
+                       in zip(sizes.tolist(), excess[r, sizes].tolist())])
     sums -= alpha * np.arange(1.0, rows.shape[1] - 1)
     excess[:, 0], excess[:, -1] = -math.inf, math.inf
-    fits, fails = excess < -window[:, None], excess > window[:, None]
+    fits, fails = excess < -window, excess > window
     lo = excess.shape[1] - 1 - fits[:, ::-1].argmax(axis=1)  # the last certain fit
     hi = fails.argmax(axis=1) - 1  # one short of the first certain failure
     for i in (hi > lo).nonzero()[0]:
@@ -175,7 +178,7 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
     r = np.arange(len(sizes))
     if not (body[:, 0].min() >= 0.0 and rows[r, sizes].max() <= 1.0):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(rows, sizes, alpha)
+    n = _largest_feasible_prefix(rows, sizes, r, alpha)
     lam = rows[r, n]  # -inf where N* = 0
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
     # a tie group straddles N* where the next sorted posterior equals lambda

@@ -156,19 +156,20 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
     x = np.empty(k * len(rngs))
     for t in range(1, horizon + 1):
         if t > 1:
+            before = det.active_counts.copy()
             dropped = det.deactivate()
             if dropped.size:
                 # each ensemble's mean over its own slice, the bits of its own
                 # run; sum / n is the division ndarray.mean does
-                gain = 1.0 - det.w[dropped]
-                owner = dropped // k
-                firsts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-                for e, a, b in zip(owner[firsts].tolist(), firsts, firsts[1:] + [len(gain)]):
-                    lfdr[e, t - 1] = float(gain[a:b].sum()) / (b - a)
+                gain, start = 1.0 - det.w[dropped], 0
+                for e, m in enumerate((before - det.active_counts).tolist()):
+                    if m:
+                        lfdr[e, t - 1] = float(gain[start:start + m].sum()) / m
+                        start += m
             if not det.n_active:
                 break
         # an emptied ensemble draws no more: its replication has ended
-        for e in np.flatnonzero(det.active_counts).tolist():
+        for e in det.active_counts.nonzero()[0].tolist():
             x[e * k:(e + 1) * k] = model.sample_step(t, taus[e], rngs[e])
         det.observe(x[det.active])
     return np.stack([_rows(horizon, tau, trace, row)
