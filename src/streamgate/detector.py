@@ -35,11 +35,12 @@ A detector may hold several independent ensembles of k streams, each a
 contiguous block of stream indices with its own alpha budget, cutoff and
 LFNR history (``simulate`` runs a batch of replications this way, one
 ``observe`` and one ``deactivate`` per step for all of them).  The rule
-then runs row by row, one row per ensemble with active streams: one sort
-of the rows padded with +inf, one cumulative sum and one rounding window
-per row for all rows at once, then per-prefix windows and the exact
-fallback for the few undecided rows only.  The one-ensemble detector is the one-row case of the same code,
-and :func:`one_step_rule` is the same cutoff over any posterior vector.
+then runs row by row, one row per ensemble (an emptied one's row is
+empty): one sort of the rows padded with +inf, one cumulative sum and one
+rounding window for all rows at once, then per-prefix windows and the
+exact fallback for the few undecided rows only.  The one-ensemble
+detector is the one-row case of the same code, and :func:`one_step_rule`
+is the same cutoff over any posterior vector.
 Every ensemble's bits equal those of a detector of its own: each row's
 sums are its own, and each ensemble's LFNR is summed over its own slice.
 Only a backend that treats streams on their own can carry several
@@ -49,10 +50,10 @@ Each selection's facts are derived once, in ``deactivate()``,
 into a :class:`Selection` record, ``det.last``: the time, the active
 count, the realized cutoff lambda_t, the realized LFNR and the dropped
 streams, which the CLI's per-step report reads (a restored detector has
-none until its next selection); with several ensembles the cutoff and
-LFNR are arrays, one entry per ensemble.  ``det.trace()`` keeps each
-selection's cutoff and LFNR and derives the active counts from the stop
-times; ``det.traces()`` gives one trace per ensemble.
+none until its next selection, and a detector of several ensembles none
+at all).  ``det.trace()`` keeps each selection's cutoff and LFNR and
+derives the active counts from the stop times; ``det.traces()`` gives
+one trace per ensemble.
 The detectors differ only in their cutoff: the posterior belongs to a
 backend from :mod:`streamgate.posterior`, picked once by model
 (:func:`_backend_spec`), which the detector drives through the backend
@@ -73,6 +74,7 @@ and decodes slices of that one buffer.
 
 from __future__ import annotations
 
+import base64
 import binascii
 import hashlib
 import json
@@ -130,28 +132,24 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, r: np.ndarray,
-                             alpha: float) -> np.ndarray:
+def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -> np.ndarray:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
-    retains).  Row i holds -inf, its ``sizes[i]`` sorted posteriors, then
-    +inf to the end, so column j closes the prefix of length j; ``r``
-    numbers the rows.
+    retains).  Row i holds 0, its sorted posteriors, then +inf to the end,
+    so column j closes the prefix of length j; ``last[i]`` is the flat
+    index of the row's largest posterior.
 
     A vectorized cumulative sum settles every n outside one rounding window
-    per row that bounds all its prefixes (prefix sums and budgets only grow
-    with n); the two infinite ends always settle, as a fit and a failure.
+    that bounds every prefix of every row (prefix sums and budgets only grow
+    with n); the empty prefix always fits and the +inf end always fails.
     Only the rows left with undecided prefixes go on to :func:`_open_prefix`.
     """
-    excess = np.empty_like(rows)
-    sums = np.cumsum(rows[:, 1:-1], axis=1, out=excess[:, 1:-1])  # row by row, bit for bit
-    # Python floats: the same arithmetic as numpy's, without its per-call cost
-    window = np.array([[(size + 2.0) * _EPS * max(total, alpha * size)] for size, total
-                       in zip(sizes.tolist(), excess[r, sizes].tolist())])
-    sums -= alpha * np.arange(1.0, rows.shape[1] - 1)
-    excess[:, 0], excess[:, -1] = -math.inf, math.inf
-    fits, fails = excess < -window, excess > window
-    lo = excess.shape[1] - 1 - fits[:, ::-1].argmax(axis=1)  # the last certain fit
-    hi = fails.argmax(axis=1) - 1  # one short of the first certain failure
+    excess = np.cumsum(rows, axis=1)  # row by row, bit for bit: 0 + w is w
+    width = rows.shape[1] - 2
+    window = (width + 2.0) * _EPS * max(max(excess.take(last).tolist()), alpha * width)
+    excess -= alpha * np.arange(width + 2.0)
+    excess[:, 0] = -math.inf  # the empty prefix fits
+    lo = width + 1 - (excess < -window)[:, ::-1].argmax(axis=1)  # the last certain fit
+    hi = (excess > window).argmax(axis=1) - 1  # one short of the first certain failure
     for i in (hi > lo).nonzero()[0]:
         lo[i] = _open_prefix(rows[i, 1:], lo[i], hi[i], alpha)
     return lo
@@ -159,30 +157,34 @@ def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, r: np.ndarray,
 
 def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The one-step rule, row by row: row i is the next ``sizes[i]`` (at
-    least one) entries of ``w``.  Each row keeps its posteriors at most
-    lambda, its N*-th smallest (N* the longest feasible sorted prefix), less
-    the ties at lambda beyond N*: the last by position or, given ``order``,
-    by that key.  Returns the keep mask and each row's N*."""
-    if not sizes.size:
-        return np.zeros(0, dtype=bool), sizes
-    width = int(sizes.max())
-    rows = np.full((len(sizes), width + 2), math.inf)
-    rows[:, 0] = -math.inf
+    """The one-step rule, row by row: row i is the next ``sizes[i]`` entries
+    of ``w`` (none or more).  Each row keeps its posteriors at most lambda,
+    its N*-th smallest (N* the longest feasible sorted prefix), less the
+    ties at lambda beyond N*: the last by position or, given ``order``, by
+    that key.  Returns the keep mask and each row's N*."""
+    width = max(sizes.tolist())
+    rows = np.empty((len(sizes), width + 2))
+    rows[:, 0], rows[:, -1] = 0.0, math.inf
     body = rows[:, 1:-1]
-    if w.size == width * len(sizes):
-        body[:] = w.reshape(len(sizes), width)
+    if w.size == body.size:
+        body[:] = w.reshape(body.shape)
     else:
+        body.fill(math.inf)
         body[np.arange(width) < sizes[:, None]] = w
-    body.sort(axis=1)  # NaN sorts after the padding, so each row's ends check every entry
-    r = np.arange(len(sizes))
-    if not (body[:, 0].min() >= 0.0 and rows[r, sizes].max() <= 1.0):
+    body.sort(axis=1)  # NaN sorts after the padding
+    starts = np.arange(0, rows.size, width + 2)  # the flat index of each row
+    last = starts + sizes  # of each row's largest posterior: NaN or +inf where it has a NaN
+    if not all(0.0 <= low and high <= 1.0  # NaN fails too
+               for low, high in zip(rows[:, 1].tolist(), rows.take(last).tolist())):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(rows, sizes, r, alpha)
-    lam = rows[r, n]  # -inf where N* = 0
+    n = _largest_feasible_prefix(rows, last, alpha)
+    # lambda, or 0 where N* = 0 (every posterior of the row exceeds alpha
+    # then), and the next sorted posterior: equal where a tie group
+    # straddles N*
+    at = starts + n
+    lam, after = rows.take(at), rows.take(at + 1)
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
-    # a tie group straddles N* where the next sorted posterior equals lambda
-    for i in (rows[r, n + 1] == lam).nonzero()[0]:
+    for i in (after == lam).nonzero()[0]:
         start = int(sizes[:i].sum())
         row = slice(start, start + sizes[i])
         tied = np.flatnonzero(w[row] == lam[i])
@@ -190,16 +192,6 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
             tied = tied[np.argsort(order[row][tied], kind="stable")]
         keep[row][tied[n[i] - np.searchsorted(body[i], lam[i]):]] = False
     return keep, n
-
-
-def _cutoff_keep(w: np.ndarray, sizes: np.ndarray, cutoff: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keep every ``w <= cutoff``; the mask and each row's count kept (row i
-    the next ``sizes[i]`` entries of ``w``)."""
-    keep = w <= cutoff
-    kept = np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64) if sizes.size \
-        else sizes
-    return keep, kept
 
 
 def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
@@ -214,8 +206,7 @@ def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
         indices = np.asarray(indices, dtype=int)
         if w.shape != indices.shape:
             raise ValueError("w and indices must align")
-    sizes = np.array([w.size] if w.size else [], dtype=np.int64)
-    keep, _ = _adaptive_keep(w, sizes, alpha, indices)
+    keep, _ = _adaptive_keep(w, np.array([w.size]), alpha, indices)
     return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
 
 
@@ -275,14 +266,14 @@ class Selection:
     for an empty set).  ``cutoff`` is the largest retained posterior: 1.0
     when nothing was dropped and 0.0 when nothing was kept.  Under the
     adaptive rule it is lambda_t whenever the step both drops and keeps.
-    A detector of several ensembles gives ``cutoff`` and ``lfnr`` as
-    arrays, one entry per ensemble, and ``n_active`` over all of them.
+    Only a one-ensemble detector records it; a batch's per-ensemble
+    cutoffs and LFNRs are in its ``traces()``.
     """
 
     t: int
     n_active: int
-    cutoff: float | np.ndarray
-    lfnr: float | np.ndarray
+    cutoff: float
+    lfnr: float
     dropped: np.ndarray
 
 
@@ -344,14 +335,14 @@ def lockstep(kind: str, model: EnsembleModel, k: int) -> bool:
 class _DetectorBase:
     """Shared observe/deactivate protocol; subclasses supply ``_select``:
     given the active posteriors, one row of ``sizes[i]`` entries per
-    ensemble with active streams, the mask of those kept under the
-    detector's cutoff and each row's count kept.
+    ensemble (none for an emptied one), the mask of those kept under the
+    detector's cutoff.
 
     A detector holds ``ensembles`` independent ensembles of ``k`` streams,
     ensemble e being streams ``e*k .. e*k + k - 1``; each has its own
     selection, alpha budget and history, and one ``observe``/``deactivate``
     pair advances them all.  ``active_counts`` holds each ensemble's active
-    count.  The posterior lives in a backend chosen by model
+    count, a new array after each selection that drops streams.  The posterior lives in a backend chosen by model
     (:func:`_backend_spec`); several ensembles need one that treats streams
     independently (:func:`lockstep`).  ``w`` is evaluated once per step and
     cached read-only until the next observation; freezing pins posteriors
@@ -376,11 +367,15 @@ class _DetectorBase:
         selection, the start included."""
         self._state, self.t_stop, self._phase = state, t_stop, phase
         self.active = np.flatnonzero(t_stop < 0)
-        self.active_counts = np.diff(np.searchsorted(
-            self.active, np.arange(0, self.k * self.ensembles + 1, self.k)))
+        self._bounds = np.arange(0, len(t_stop) + 1, self.k)  # each ensemble's first stream, and the end
+        self._count_active()
         self._cutoffs, self._lfnr = cutoffs, lfnr
         self._w = None
-        self.last: Selection | None = None  # none until the first selection
+        self.last: Selection | None = None  # none until the first selection, and in a batch
+
+    def _count_active(self) -> None:
+        ends = self.active.searchsorted(self._bounds)
+        self.active_counts = ends[1:] - ends[:-1]
 
     def _backend(self, t: int = 0, frozen=None, arrays: dict | None = None):
         """The posterior backend for the model: fresh, or rebuilt at time
@@ -430,10 +425,9 @@ class _DetectorBase:
         record it as :attr:`last`, and return the dropped indices."""
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
-        live = self.active_counts.nonzero()[0]
-        sizes = self.active_counts[live]
+        sizes = self.active_counts
         w_active = self.w[self.active]
-        keep, kept = self._select(w_active, sizes)
+        keep = self._select(w_active, sizes)
         if keep.all():
             dropped, kept_w = self.active[:0], w_active
         else:
@@ -442,22 +436,19 @@ class _DetectorBase:
             self.active = self.active[keep]  # ``active`` stays in index order
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[drop])
-            self.active_counts[live] = kept
+            self._count_active()
         # per ensemble: the cutoff is 1.0 when nothing was dropped, 0.0 when
         # nothing was kept, else the largest kept posterior; the LFNR is the
-        # mean kept posterior, each over its own slice (the bits of a lone run)
-        cutoff, lfnr = [1.0] * self.ensembles, [0.0] * self.ensembles
-        start = 0
-        for e, n, size in zip(live.tolist(), kept.tolist(), sizes.tolist()):
+        # mean kept posterior (sum / n, the division ndarray.mean does), each
+        # over its own slice: the bits of a lone run
+        cutoff, lfnr, start = [], [], 0
+        for n, size in zip(self.active_counts.tolist(), sizes.tolist()):
             part = kept_w[start:start + n]
             start += n
-            if n < size:
-                cutoff[e] = float(part.max()) if n else 0.0
-            if n:  # sum / n is the division ndarray.mean does: the same bits
-                lfnr[e] = float(part.sum()) / n
-        single = self.ensembles == 1
-        self.last = Selection(self.t, self.n_active, cutoff[0] if single else np.array(cutoff),
-                              lfnr[0] if single else np.array(lfnr), dropped)
+            cutoff.append(1.0 if n == size else float(part.max()) if n else 0.0)
+            lfnr.append(float(part.sum()) / n if n else 0.0)
+        if self.ensembles == 1:  # a batch's per-ensemble facts are in traces()
+            self.last = Selection(self.t, self.n_active, cutoff[0], lfnr[0], dropped)
         self._cutoffs.append(cutoff)
         self._lfnr.append(lfnr)
         self._phase = "observe"
@@ -502,9 +493,9 @@ class AdaptiveDetector(_DetectorBase):
 
     kind = "adaptive"
 
-    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         # ``active`` is in index order, so positions break ties like indices
-        return _adaptive_keep(w_active, sizes, self.alpha)
+        return _adaptive_keep(w_active, sizes, self.alpha)[0]
 
 
 class ThresholdDetector(AdaptiveDetector):
@@ -518,8 +509,8 @@ class ThresholdDetector(AdaptiveDetector):
         table.check_compatible(model, alpha)
         self.table = table
 
-    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
-        return _cutoff_keep(w_active, sizes, self.table.threshold_at(self.t))
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return w_active <= self.table.threshold_at(self.t)
 
 
 class DependentDetector(_DetectorBase):
@@ -531,8 +522,8 @@ class DependentDetector(_DetectorBase):
 
     kind = "dependent"
 
-    def _select(self, w_active: np.ndarray, sizes: np.ndarray):
-        return _cutoff_keep(w_active, sizes, self.alpha)
+    def _select(self, w_active: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return w_active <= self.alpha
 
 
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
@@ -603,7 +594,7 @@ def _decode_arrays(specs: list, lines: list[memoryview]) -> dict:
         raise TypeError("the arrays must start with t_stop <i8, cutoff <f8 and lfnr <f8")
     arrays = {}
     for (name, dtype, shape), line in zip(specs, lines):
-        raw = binascii.a2b_base64(line, strict_mode=True)  # b64decode(validate=True), uncopied
+        raw = base64.b64decode(line, validate=True)
         if len(raw) != 8 * math.prod(shape):
             raise ValueError(f"{name}: {len(raw)} bytes do not fit shape {shape}")
         arrays[name] = np.frombuffer(raw, dtype).reshape(shape)

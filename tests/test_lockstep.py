@@ -22,12 +22,13 @@ ALPHA = 0.05
 
 
 def _rows_of(rng, n_rows):
-    """Posterior rows of mixed lengths, with runs of exact copies of alpha:
-    ties that straddle N* and prefixes within an ulp of their budget."""
+    """Posterior rows of mixed lengths, the empty rows of emptied ensembles
+    among them, with runs of exact copies of alpha: ties that straddle N*
+    and prefixes within an ulp of their budget."""
     levels = np.array([0.0, 0.02, ALPHA, 0.2, 0.6])
     rows = []
     for _ in range(n_rows):
-        size = int(rng.choice([1, 2, 7, 40, 150]))
+        size = int(rng.choice([0, 1, 2, 7, 40, 150]))
         w = rng.choice(levels, size=size, p=rng.dirichlet(np.ones(len(levels))))
         if size > 2:
             start = int(rng.integers(0, size))
@@ -92,13 +93,14 @@ def test_an_ensemble_of_a_batch_equals_its_lone_detector(kind):
             mine = [d.deactivate() for d in lone]
             assert np.array_equal(dropped, np.concatenate(
                 [ids + e * k for e, ids in enumerate(mine)]).astype(dropped.dtype))
-            for e, d in enumerate(lone):
-                assert batch.last.cutoff[e] == d.last.cutoff
-                assert batch.last.lfnr[e] == d.last.lfnr
+            for e, (d, trace) in enumerate(zip(lone, batch.traces())):
+                assert trace.cutoff[-1] == d.last.cutoff
+                assert trace.realized_lfnr[-1] == d.last.lfnr
                 assert batch.active_counts[e] == d.n_active
                 if not d.n_active:
                     emptied.setdefault(e, t)
-            assert batch.last.n_active == sum(d.n_active for d in lone)
+            assert batch.last is None   # a batch keeps no one-ensemble record
+            assert batch.n_active == sum(d.n_active for d in lone)
         x = [model.sample_step(t, tau, rng) for tau in taus]
         batch.observe(np.concatenate(x)[batch.active])
         for d, row in zip(lone, x):
