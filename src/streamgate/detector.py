@@ -132,7 +132,7 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -> np.ndarray:
+def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -> list[int]:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
     retains).  Row i holds 0, its sorted posteriors, then +inf to the end,
     so column j closes the prefix of length j; ``last[i]`` is the flat
@@ -148,10 +148,11 @@ def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -
     window = (width + 2.0) * _EPS * max(max(excess.take(last).tolist()), alpha * width)
     excess -= alpha * np.arange(width + 2.0)
     excess[:, 0] = -math.inf  # the empty prefix fits
-    lo = width + 1 - (excess < -window)[:, ::-1].argmax(axis=1)  # the last certain fit
-    hi = (excess > window).argmax(axis=1) - 1  # one short of the first certain failure
-    for i in (hi > lo).nonzero()[0]:
-        lo[i] = _open_prefix(rows[i, 1:], lo[i], hi[i], alpha)
+    lo = (width + 1 - (excess < -window)[:, ::-1].argmax(axis=1)).tolist()  # the last certain fit
+    fail = (excess > window).argmax(axis=1).tolist()  # the first certain failure
+    for i, (fit, hi) in enumerate(zip(lo, fail)):
+        if hi - 1 > fit:
+            lo[i] = _open_prefix(rows[i, 1:], fit, hi - 1, alpha)
     return lo
 
 
@@ -162,7 +163,7 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
     its N*-th smallest (N* the longest feasible sorted prefix), less the
     ties at lambda beyond N*: the last by position or, given ``order``, by
     that key.  Returns the keep mask and each row's N*."""
-    width = max(sizes.tolist())
+    width = w.size if len(sizes) == 1 else max(sizes.tolist())
     rows = np.empty((len(sizes), width + 2))
     rows[:, 0], rows[:, -1] = 0.0, math.inf
     body = rows[:, 1:-1]
@@ -177,20 +178,21 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
     if not all(0.0 <= low and high <= 1.0  # NaN fails too
                for low, high in zip(rows[:, 1].tolist(), rows.take(last).tolist())):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = _largest_feasible_prefix(rows, last, alpha)
+    n = np.array(_largest_feasible_prefix(rows, last, alpha))
     # lambda, or 0 where N* = 0 (every posterior of the row exceeds alpha
     # then), and the next sorted posterior: equal where a tie group
     # straddles N*
     at = starts + n
     lam, after = rows.take(at), rows.take(at + 1)
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
-    for i in (after == lam).nonzero()[0]:
-        start = int(sizes[:i].sum())
-        row = slice(start, start + sizes[i])
-        tied = np.flatnonzero(w[row] == lam[i])
-        if order is not None:
-            tied = tied[np.argsort(order[row][tied], kind="stable")]
-        keep[row][tied[n[i] - np.searchsorted(body[i], lam[i]):]] = False
+    for i, (cut, following) in enumerate(zip(lam.tolist(), after.tolist())):
+        if cut == following:
+            start = int(sizes[:i].sum())
+            row = slice(start, start + sizes[i])
+            tied = np.flatnonzero(w[row] == cut)
+            if order is not None:
+                tied = tied[np.argsort(order[row][tied], kind="stable")]
+            keep[row][tied[n[i] - np.searchsorted(body[i], cut):]] = False
     return keep, n
 
 

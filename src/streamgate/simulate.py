@@ -156,7 +156,7 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
     x = np.empty(k * len(rngs))
     for t in range(1, horizon + 1):
         if t > 1:
-            before = det.active_counts.copy()
+            before = det.active_counts  # a selection that drops streams replaces it
             dropped = det.deactivate()
             if dropped.size:
                 # each ensemble's mean over its own slice, the bits of its own
@@ -169,8 +169,9 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
             if not det.n_active:
                 break
         # an emptied ensemble draws no more: its replication has ended
-        for e in det.active_counts.nonzero()[0].tolist():
-            x[e * k:(e + 1) * k] = model.sample_step(t, taus[e], rngs[e])
+        for e, m in enumerate(det.active_counts.tolist()):
+            if m:
+                x[e * k:(e + 1) * k] = model.sample_step(t, taus[e], rngs[e])
         det.observe(x[det.active])
     return np.stack([_rows(horizon, tau, trace, row)
                      for tau, trace, row in zip(taus, det.traces(), lfdr)])
