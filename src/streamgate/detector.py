@@ -67,6 +67,8 @@ the scalar fields and the ordered ``[name, dtype, shape]`` of each array
 one base64 line, in the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids``
 (when the detector's external ids are set), then the backend's
 ``to_arrays()``; the active set and counts follow from the stop times.
+The ids line is encoded at the first save after ``det.ids`` is assigned
+and kept for every later save.
 :func:`restore_state` checks the hash before it parses anything, and
 refuses any other format version; it encodes the blob once and hashes
 and decodes slices of that one buffer.
@@ -359,7 +361,7 @@ class _DetectorBase:
         if k < 1 or ensembles < 1:
             raise ValueError("need at least one stream")
         self.model, self.alpha, self.k, self.ensembles = model, float(alpha), int(k), ensembles
-        self.ids: np.ndarray | None = None  # external stream ids, checkpointed when set
+        self.ids = None
         self._start(self._backend(), np.full(k * ensembles, -1, dtype=int), "observe",
                     [[1.0] * ensembles], [[0.0] * ensembles])
 
@@ -389,6 +391,19 @@ class _DetectorBase:
             return cls.from_arrays(*params, t, frozen, **arrays)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"bad {cls.label} posterior state: {exc}") from exc
+
+    @property
+    def ids(self) -> np.ndarray | None:
+        """External stream ids, checkpointed when set: a read-only copy of
+        the array assigned, whose checkpoint line is encoded once."""
+        return self._ids
+
+    @ids.setter
+    def ids(self, value) -> None:
+        if value is not None:
+            value = np.array(value)
+            value.flags.writeable = False
+        self._ids, self._ids_entry = value, None
 
     @property
     def t(self) -> int:
@@ -553,22 +568,29 @@ _FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": 
 _HISTORY = [["t_stop", "<i8"], ["cutoff", "<f8"], ["lfnr", "<f8"]]
 
 
+def _encoded(name: str, value) -> tuple[list, bytes]:
+    """An array's ``[name, dtype, shape]`` entry and its line: little-endian
+    int64 or float64 bytes as one base64 line, "\\n" included."""
+    a = np.asarray(value)
+    dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
+    return [name, dtype, list(a.shape)], binascii.b2a_base64(np.ascontiguousarray(a, dtype))
+
+
 def checkpoint_state(det: _DetectorBase) -> str:
     """Serialize a detector, with its external ids when they are set, to a
     self-checking text blob (format 4, bit-exact).  A blob holds one
     ensemble: a detector of several is refused."""
     if det.ensembles != 1:
         raise ValueError(f"a checkpoint holds one ensemble, this detector {det.ensembles}")
-    ids = {} if det.ids is None else {"ids": det.ids}
-    arrays = {"t_stop": det.t_stop, "cutoff": np.concatenate(det._cutoffs),
-              "lfnr": np.concatenate(det._lfnr), **ids, **det._state.to_arrays()}
-    specs, lines = [], []
-    for name, value in arrays.items():
-        a = np.asarray(value)
-        dtype = "<i8" if a.dtype.kind in "iu" else "<f8"
-        specs.append([name, dtype, list(a.shape)])
-        # little-endian int64 or float64 bytes as one base64 line, "\n" included
-        lines.append(binascii.b2a_base64(np.ascontiguousarray(a, dtype)))
+    if det.ids is not None and det._ids_entry is None:  # the ids never change in a run
+        det._ids_entry = _encoded("ids", det.ids)
+    entries = [_encoded(name, value) for name, value in (
+        ("t_stop", det.t_stop), ("cutoff", np.concatenate(det._cutoffs)),
+        ("lfnr", np.concatenate(det._lfnr)))]
+    if det.ids is not None:
+        entries.append(det._ids_entry)
+    entries += [_encoded(name, value) for name, value in det._state.to_arrays().items()]
+    specs, lines = zip(*entries)
     header = {"format_version": CHECKPOINT_VERSION, "mode": det.kind, "t": det.t,
               "alpha": float.hex(det.alpha), "phase": det._phase,
               "model_fingerprint": det.model.fingerprint(), "n_streams": det.k,
@@ -674,7 +696,8 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
     # not the constructor, whose fresh backend and stop times would go unused
     det = object.__new__({"adaptive": AdaptiveDetector, "threshold": ThresholdDetector,
                           "dependent": DependentDetector}[kind])
-    det.model, det.alpha, det.k, det.ensembles, det.ids = model, alpha, k, 1, ids
+    det.model, det.alpha, det.k, det.ensembles = model, alpha, k, 1
+    det._ids, det._ids_entry = ids, None  # read-only already, over the blob's own bytes
     if kind == "threshold":
         table.check_compatible(model, alpha)
         det.table = table

@@ -21,7 +21,10 @@ Three ensemble variants are provided:
   per-stream observation models (heterogeneous streams).
 
 Model objects are immutable after construction and safe to share across
-threads; all sampling takes an explicit ``numpy.random.Generator``.
+threads; all sampling takes an explicit ``numpy.random.Generator``.  A
+step is sampled in two pieces, ``draw`` then ``observations`` (see
+``_Sampler``), which a lockstep batch of replications calls apart: one
+draw per replication into one buffer, then one transform of the batch.
 """
 
 from __future__ import annotations
@@ -74,11 +77,18 @@ class GaussianShift:
             raise ValueError(f"sigma must be positive with a finite, nonzero square, "
                              f"got {self.sigma!r}")
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with raw noise, standard normals, and return it."""
+        return rng.standard_normal(out=out)
+
+    def transform(self, z: np.ndarray, post: np.ndarray) -> np.ndarray:
+        """Observations from raw noise ``z`` and the boolean post-change mask."""
+        return self.sigma * z + self.mu * post
+
     def sample(self, post: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Draw one observation per entry of the boolean post-change mask."""
         post = np.asarray(post, dtype=bool)
-        z = rng.standard_normal(post.shape)
-        return self.sigma * z + self.mu * post
+        return self.transform(self.draw(rng, np.empty(post.shape)), post)
 
     def log_lr(self, x) -> np.ndarray | float:
         """log q(x)/p(x) = (mu*x - mu^2/2) / sigma^2."""
@@ -105,10 +115,17 @@ class BernoulliPair:
         if self.p0 == self.p1:
             raise ValueError("p0 and p1 must differ")
 
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with raw noise, uniforms on [0, 1), and return it."""
+        return rng.random(out=out)
+
+    def transform(self, u: np.ndarray, post: np.ndarray) -> np.ndarray:
+        """Observations from raw uniforms ``u`` and the boolean post-change mask."""
+        return (u < np.where(post, self.p1, self.p0)).astype(float)
+
     def sample(self, post: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         post = np.asarray(post, dtype=bool)
-        u = rng.random(post.shape)
-        return (u < np.where(post, self.p1, self.p0)).astype(float)
+        return self.transform(self.draw(rng, np.empty(post.shape)), post)
 
     def log_lr(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)
@@ -126,8 +143,36 @@ class BernoulliPair:
         return f"bern(p0={self.p0!r},p1={self.p1!r})"
 
 
+class _Sampler:
+    """A model's step sampler, in two pieces: ``draw(rng, out)`` fills
+    ``out`` with one step's raw noise for every stream of an ensemble, in
+    the generator's order, and ``observations(t, tau, noise, streams)``
+    turns the noise of ``streams`` (change times ``tau``, both aligned with
+    them) into their observations at time t.  ``sample_step`` is the one
+    composition of the two, so every caller shares one formula."""
+
+    def sample_step(self, t: int, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One observation per stream at time t (full row, fixed stream order)."""
+        noise = self.draw(rng, np.empty(len(tau)))
+        return self.observations(t, tau, noise, np.arange(len(tau)))
+
+
+class _SharedObs(_Sampler):
+    """The models whose streams share one observation model ``obs``."""
+
+    def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
+        return self.obs.log_lr(x)
+
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return self.obs.draw(rng, out)
+
+    def observations(self, t: int, tau: np.ndarray, noise: np.ndarray,
+                     streams: np.ndarray) -> np.ndarray:
+        return self.obs.transform(noise, tau < t)
+
+
 @dataclass(frozen=True)
-class IIDModel:
+class IIDModel(_SharedObs):
     """Homogeneous ensemble: i.i.d. geometric change points, common densities."""
 
     prior: GeometricPrior
@@ -138,19 +183,12 @@ class IIDModel:
             raise ValueError("need at least one stream")
         return self.prior.sample(k, rng)
 
-    def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
-        return self.obs.log_lr(x)
-
-    def sample_step(self, t: int, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One observation per stream at time t (full row, fixed stream order)."""
-        return self.obs.sample(tau < t, rng)
-
     def fingerprint(self) -> str:
         return f"iid(theta={self.prior.theta!r},obs={self.obs.fingerprint()})"
 
 
 @dataclass(frozen=True)
-class PartialDepModel:
+class PartialDepModel(_SharedObs):
     """Shared change time tau0; streams change with it w.p. eta, else never."""
 
     tau0: GeometricPrior
@@ -167,19 +205,13 @@ class PartialDepModel:
         follows = rng.random(k) < self.eta
         return np.where(follows, tau0, INF)
 
-    def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
-        return self.obs.log_lr(x)
-
-    def sample_step(self, t: int, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.obs.sample(tau < t, rng)
-
     def fingerprint(self) -> str:
         return (f"partial(theta={self.tau0.theta!r},eta={self.eta!r},"
                 f"obs={self.obs.fingerprint()})")
 
 
 @dataclass(frozen=True)
-class TabularModel:
+class TabularModel(_Sampler):
     """Heterogeneous ensemble: finite-support prior table and observation model per stream."""
 
     supports: tuple[tuple[int, ...], ...]
@@ -226,17 +258,20 @@ class TabularModel:
             out[j] = self.obs[int(k)].log_lr(x[j])
         return out
 
-    def sample_step(self, t: int, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        post = tau < t
-        u = rng.random(self.n_streams)
-        x = np.empty(self.n_streams)
-        for k, om in enumerate(self.obs):
+    def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """One uniform per stream, whatever its observation model."""
+        return rng.random(out=out)
+
+    def observations(self, t: int, tau: np.ndarray, u: np.ndarray,
+                     streams: np.ndarray) -> np.ndarray:
+        x = np.empty(len(streams))
+        for j, k in enumerate(streams):
+            om, post = self.obs[int(k)], tau[j] < t
             if isinstance(om, BernoulliPair):
-                p = om.p1 if post[k] else om.p0
-                x[k] = 1.0 if u[k] < p else 0.0
+                x[j] = 1.0 if u[j] < (om.p1 if post else om.p0) else 0.0
             else:
                 # uniform -> normal via inverse CDF keeps one innovation per (t, k)
-                x[k] = om.sigma * _special.ndtri(u[k]) + (om.mu if post[k] else 0.0)
+                x[j] = om.sigma * _special.ndtri(u[j]) + (om.mu if post else 0.0)
         return x
 
     def fingerprint(self) -> str:

@@ -34,12 +34,16 @@ A backend is a mutable object with a time ``t``; ``advance(log_lr,
 active)`` ingests one log likelihood ratio per active stream in place,
 ``freeze(idx, w_idx)`` pins deactivated streams at their current
 posterior (``w_idx``, when the caller holds it), the ``w`` property
-returns a fresh array of every stream's posterior, and ``to_arrays()`` /
+returns a fresh array of every stream's posterior (a frozen stream's is
+the value pinned at its freeze), and ``to_arrays()`` /
 the ``from_arrays(..., t, frozen, **arrays)`` classmethod give and take
 its state as named arrays and scalars, for checkpoints.  ``lockstep`` says
 whether one backend can carry several independent ensembles side by side:
 only the i.i.d. one can, whose streams share one prior and update on their
-own data alone.
+own data alone.  Its ``w`` evaluates ``expit`` on the live streams only
+once at least half of all streams are frozen (late in a lockstep batch,
+most are), and on every stream before that, which costs less than a
+gather and a scatter and gives a frozen stream its pinned bits as well.
 
 The module also gives reference paths of never-deactivated streams, whose
 distribution defines the large-ensemble deactivation thresholds.
@@ -122,7 +126,10 @@ class PosteriorState:
     """Per-stream posteriors of independently changing streams.
 
     ``log_odds[k]`` carries w_k as log odds; ``frozen[k]`` marks streams
-    whose posterior is pinned (deactivated streams keep their last value).
+    whose posterior is pinned (deactivated streams keep their last value,
+    ``frozen_w[k]``).  A frozen stream's log odds no longer move, so its
+    pinned value is ``expit(log_odds[k])`` bit for bit, and ``from_arrays``
+    rebuilds it from them: a checkpoint holds the log odds alone.
     """
 
     label = "i.i.d."
@@ -133,6 +140,7 @@ class PosteriorState:
         self.t = 0
         self.log_odds = np.full(k, NEG_INF)
         self.frozen = np.zeros(k, dtype=bool)
+        self.frozen_w = np.zeros(k)
 
     @classmethod
     def from_arrays(cls, theta: float, k: int, t: int, frozen,
@@ -141,6 +149,8 @@ class PosteriorState:
         st.theta, st.t = theta, t
         st.frozen = _shaped("frozen", frozen, (k,), bool)
         st.log_odds = _shaped("log_odds", log_odds, (k,))
+        st.frozen_w = np.zeros(k)
+        st.frozen_w[st.frozen] = _special.expit(st.log_odds[st.frozen])
         return st
 
     def to_arrays(self) -> dict:
@@ -154,11 +164,19 @@ class PosteriorState:
         self.t += 1
 
     def freeze(self, idx, w_idx=None) -> None:
+        self.frozen_w[idx] = _special.expit(self.log_odds[idx]) if w_idx is None else w_idx
         self.frozen[idx] = True
 
     @property
     def w(self) -> np.ndarray:
-        return _special.expit(self.log_odds)
+        if 2 * np.count_nonzero(self.frozen) < self.frozen.size:
+            # mostly live: one pass over every stream costs less than a gather
+            # and a scatter, and gives the frozen ones their pinned bits
+            return _special.expit(self.log_odds)
+        live = np.flatnonzero(~self.frozen)
+        w = self.frozen_w.copy()
+        w[live] = _special.expit(self.log_odds[live])
+        return w
 
 
 class DependentPosteriorState(PosteriorState):
@@ -210,7 +228,7 @@ class DependentPosteriorState(PosteriorState):
         if len(idx) != self.k:
             raise ValueError("dependent streams are deactivated jointly")
         self.frozen_w = float(_special.expit(self.log_odds[0]))
-        super().freeze([0])
+        self.frozen[0] = True
 
     @property
     def w(self) -> np.ndarray:

@@ -20,12 +20,18 @@ the partially or fully dependent models run one replication per detector.
 Each replication keeps its own generator and draw order: its change
 times, then one full-k draw per step while it has active streams.  An
 emptied replication draws no more, and its rows stay zero to the horizon.
+Every live replication draws its raw noise (``model.draw``) straight into
+one batch buffer, and one transform over the batch's active streams
+(``model.observations``) gives the step's observations: the same two
+pieces as ``model.sample_step``, so the batch, ``calibrate`` and a lone
+run share one formula.
 
 The loop records one number of its own, each replication's dropped
 streams' mean ``1 - w`` for the LFDR, read from that step's posteriors.
-Every other row is derived once per replication from its change times
-and decision trace (``det.traces()``): the active counts, the realized
-LFNR and the stop times.
+Every other row is derived once per batch (``_rows``) from the change
+times, the stop times and the realized LFNR of each selection, by exact
+integer counts over the whole batch, so every row keeps the bits of a
+replication computed on its own.
 
 Time indexing matches the one-step-ahead convention: the FNP/LFNR row at
 time t is a property of the selection entering time t, i.e. of the active
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DETECTOR_KINDS, DecisionTrace, ThresholdTable, lockstep, make_detector
+from .detector import DETECTOR_KINDS, ThresholdTable, lockstep, make_detector
 from .model import EnsembleModel
 
 # streams one lockstep batch may hold: enough replications per detector
@@ -101,59 +107,68 @@ class MetricsFrame:
     replications: int
 
 
-def _run_lengths(m: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_k min(m_k, s) for each s in ``times``, from one sort of ``m``:
-    the m_k below s, plus s for every other stream.  Every term is an
-    integer, so each sum is exact in float64 whatever its order."""
-    m = np.sort(m)
-    below = np.searchsorted(m, times)  # count of m_k < s
-    prefix = np.concatenate(([0.0], np.cumsum(m)))
-    return prefix[below] + times * (m.size - below)
-
-
 def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
     """count / total as floats, 0 where total is 0."""
-    return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
+    return np.divide(count, total, out=np.zeros(total.shape), where=total > 0)
 
 
-def _rows(horizon: int, tau: np.ndarray, trace: DecisionTrace, lfdr: np.ndarray) -> np.ndarray:
-    """One replication's rows (time x fnp, lfnr, fdp, lfdr, active, util, rl,
-    cd) from its change times, decision trace and per-step LFDR."""
-    k = trace.n_streams
-    # row i holds the selection made at time i (none at 0) and the active
-    # set it leaves for time i+1; past the trace's end nothing is active
-    n_rows = len(trace.active_size)
-    active = np.zeros(horizon, dtype=int)
-    active[:n_rows] = trace.active_size
-    lfnr = np.zeros(horizon)
-    lfnr[:n_rows] = trace.realized_lfnr
-    t_stop = trace.t_stop
+def _rows(horizon: int, tau: np.ndarray, t_stop: np.ndarray, lfnr: np.ndarray,
+          lfdr: np.ndarray) -> np.ndarray:
+    """The rows of a batch of replications (replications x time x fnp, lfnr,
+    fdp, lfdr, active, util, rl, cd) from their (replications x k) change
+    times and stop times, the realized LFNR of each selection made (one
+    column per selection, the start included) and the per-step LFDR.
+
+    Every count is a bincount over all replications at once, replication e
+    offset by ``e * (horizon + 1)``: integers, so every sum is exact and
+    the shares are the same divisions a replication of its own makes."""
+    reps, k = tau.shape
+    width = horizon + 1
+    offset = np.arange(0, reps * width, width)[:, None]
+
+    def counts(times: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+        """Per replication, the number of entries of ``times`` (those
+        ``where`` holds) at each time 0..horizon."""
+        at = times + offset
+        return np.bincount((at if where is None else at[where]).astype(int).ravel(),
+                           minlength=reps * width).reshape(reps, width)
+
     stopped = t_stop >= 0
+    stops = counts(t_stop, stopped)
+    # row i holds the selection made at time i (none at 0) and the active
+    # set it leaves for time i+1; a batch stops early only once every
+    # stream has stopped, so past its last selection nothing is active
+    active = k - np.cumsum(stops, axis=1)[:, :horizon]
+    lfnr = np.pad(lfnr, ((0, 0), (0, horizon - lfnr.shape[1])))
     # stream k is retained and already changed at the selections i with
     # tau_k < i < end_k, i.e. from i = floor(tau_k) + 1
     end = np.where(stopped, t_stop, horizon)
     first = np.floor(tau) + 1
     counted = first < end
-    changed_kept = np.cumsum(np.bincount(first[counted].astype(int), minlength=horizon + 1)
-                             - np.bincount(end[counted], minlength=horizon + 1))[:horizon]
-    drops = np.bincount(t_stop[stopped], minlength=horizon)
-    false_drops = np.bincount(t_stop[stopped & (tau >= t_stop)], minlength=horizon)
-    stop = np.minimum(tau, np.where(stopped, t_stop, math.inf))
-    return np.column_stack([
-        _share(changed_kept, active), lfnr, _share(false_drops, drops), lfdr,
-        active, np.cumsum(active), _run_lengths(stop, np.arange(1.0, horizon + 1)),
-        k - active])
+    changed_kept = np.cumsum(counts(first, counted) - counts(end, counted), axis=1)[:, :horizon]
+    false_drops = counts(t_stop, stopped & (tau >= t_stop))[:, :horizon]
+    # run lengths: sum_k min(m_k, s) = sum_{j <= s} #{m_k >= j}, with m_k =
+    # min(tau_k, t_stop_k) the stream's pre-change observations
+    m = np.minimum(np.minimum(tau, np.where(stopped, t_stop, math.inf)), horizon)
+    at_least = k - np.cumsum(counts(m), axis=1)[:, :horizon]
+    return np.stack([
+        _share(changed_kept, active), lfnr, _share(false_drops, stops[:, :horizon]), lfdr,
+        active, np.cumsum(active, axis=1), np.cumsum(at_least, axis=1), k - active], axis=-1,
+        dtype=float)
 
 
 def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
     """The rows of a batch of replications, one ensemble each of one detector
-    run in lockstep: (replications x time x metrics)."""
+    run in lockstep: (replications x time x metrics).  Each step, every live
+    replication draws its raw noise into one batch buffer, one transform
+    over the batch's active streams gives their observations, and the rows
+    are built once, at the end."""
     model, k, horizon = config.model, config.k, config.horizon
     rngs = [np.random.default_rng(ss) for ss in seed_seqs]
-    taus = [model.sample_change_points(k, rng) for rng in rngs]
+    tau = np.concatenate([model.sample_change_points(k, rng) for rng in rngs])
     det = make_detector(config.procedure, model, config.alpha, k, config.table, len(rngs))
     lfdr = np.zeros((len(rngs), horizon))
-    x = np.empty(k * len(rngs))
+    noise = np.empty(k * len(rngs))
     for t in range(1, horizon + 1):
         if t > 1:
             before = det.active_counts  # a selection that drops streams replaces it
@@ -168,13 +183,15 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
                         start += m
             if not det.n_active:
                 break
-        # an emptied ensemble draws no more: its replication has ended
+        # each live replication draws one full-k step from its own generator;
+        # an emptied one draws no more: its replication has ended
         for e, m in enumerate(det.active_counts.tolist()):
             if m:
-                x[e * k:(e + 1) * k] = model.sample_step(t, taus[e], rngs[e])
-        det.observe(x[det.active])
-    return np.stack([_rows(horizon, tau, trace, row)
-                     for tau, trace, row in zip(taus, det.traces(), lfdr)])
+                model.draw(rngs[e], noise[e * k:(e + 1) * k])
+        active = det.active
+        det.observe(model.observations(t, tau[active], noise[active], active))
+    lfnr = np.array([trace.realized_lfnr for trace in det.traces()])
+    return _rows(horizon, tau.reshape(-1, k), det.t_stop.reshape(-1, k), lfnr, lfdr)
 
 
 def _replicate_packed(args) -> np.ndarray:

@@ -1042,3 +1042,23 @@ def test_checkpoint_keeps_external_ids_inside_its_hash():
     det.ids = None
     assert restore_state(checkpoint_state(det), model, 6).ids is None
 
+
+
+def test_checkpoint_never_writes_a_stale_ids_line():
+    # the ids line is encoded once per assignment: a reassigned det.ids is
+    # written as assigned, the assigned array is copied, and the copy cannot
+    # be changed in place
+    model, det = _seeded("adaptive")
+    given = np.array([1, 2, 3, 4, 5, 6])
+    det.ids = given
+    first = checkpoint_state(det)
+    given[0] = -1
+    assert checkpoint_state(det) == first
+    with pytest.raises(ValueError, match="read-only"):
+        det.ids[0] = -1
+    for ids in ([10, 20, 30, 40, 50, 60], np.arange(6, dtype=np.int32), None):
+        det.ids = ids
+        blob = checkpoint_state(det)
+        back = restore_state(blob, model)
+        assert (back.ids is None if ids is None else back.ids.tolist() == list(ids))
+        assert checkpoint_state(back) == blob

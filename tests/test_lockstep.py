@@ -10,9 +10,9 @@ import pytest
 
 from streamgate import detector
 from streamgate import simulate
-from streamgate.detector import (AdaptiveDetector, DependentDetector, ThresholdDetector,
-                                 ThresholdTable, checkpoint_state, lockstep, make_detector,
-                                 one_step_rule)
+from streamgate.detector import (AdaptiveDetector, DecisionTrace, DependentDetector,
+                                 ThresholdDetector, ThresholdTable, checkpoint_state, lockstep,
+                                 make_detector, one_step_rule)
 from streamgate.model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                               PartialDepModel, conflicting_priors_model)
 from streamgate.simulate import SimConfig, run_experiment, write_metrics_csv
@@ -161,3 +161,160 @@ def test_metrics_csv_bytes_do_not_depend_on_the_batch(procedure, model, tmp_path
         write_metrics_csv(run_experiment(config), path)
         texts.append(path.read_bytes())
     assert texts[0] == texts[1] == texts[2]
+
+
+# -- one batch step: its draws and its rows ---------------------------------
+
+class _Recording:
+    """A model that records what a batch draws and observes: the generator
+    of each draw, and the streams and observations of each step."""
+
+    def __init__(self, model):
+        self.model, self.draws, self.steps = model, [], []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def draw(self, rng, out):
+        self.draws.append(rng)
+        return self.model.draw(rng, out)
+
+    def observations(self, t, tau, noise, streams):
+        x = self.model.observations(t, tau, noise, streams)
+        self.steps.append((t, streams.copy(), x.copy()))
+        return x
+
+
+@pytest.mark.parametrize("model", [IIDModel(GeometricPrior(0.3), GaussianShift(1.5)),
+                                   IIDModel(GeometricPrior(0.05), BernoulliPair(0.4, 0.8))],
+                         ids=["gauss", "bernoulli"])
+def test_batch_draws_equal_sample_step_replication_by_replication(model, monkeypatch):
+    # replications empty at different steps, and from then on draw nothing
+    k, horizon, reps, seed = 25, 40, 8, 17
+    spy = _Recording(model)
+    monkeypatch.setattr(simulate, "make_detector",
+                        lambda kind, _, *args: make_detector(kind, model, *args))
+    children = np.random.SeedSequence(seed).spawn(reps)
+    config = SimConfig(model=spy, k=k, alpha=ALPHA, horizon=horizon, replications=reps,
+                       seed=seed)
+    simulate._replicate(config, children)
+    gens = list({id(r): r for r in spy.draws}.values())  # replication order: all draw at t=1
+    assert len(gens) == reps
+    ends = []
+    for e, child in enumerate(children):
+        rng = np.random.default_rng(child)   # the replication on its own
+        tau = model.sample_change_points(k, rng)
+        det = AdaptiveDetector(model, ALPHA, k)
+        steps = []
+        for t in range(1, horizon + 1):
+            if t > 1:
+                det.deactivate()
+                if not det.n_active:
+                    break
+            x = model.sample_step(t, tau, rng)[det.active]
+            steps.append((t, det.active + e * k, x))
+            det.observe(x)
+        mine = [(t, streams[streams // k == e], x[streams // k == e])
+                for t, streams, x in spy.steps]
+        mine = [step for step in mine if step[1].size]
+        assert len(mine) == len(steps)
+        for (t0, s0, x0), (t1, s1, x1) in zip(mine, steps):
+            assert t0 == t1 and np.array_equal(s0, s1) and x0.tobytes() == x1.tobytes()
+        # one draw per step while the replication runs, none after: its
+        # generator ends where the lone one does
+        assert sum(r is gens[e] for r in spy.draws) == len(steps)
+        assert gens[e].bit_generator.state == rng.bit_generator.state
+        ends.append(len(steps))
+    assert min(ends) < horizon and len(set(ends)) >= 3
+
+
+def _rows_per_replication(horizon, tau, trace, lfdr):
+    """One replication's rows as the engine built them before its batch
+    computed them at once: the reference for ``simulate._rows``."""
+    k = trace.n_streams
+    n_rows = len(trace.active_size)
+    active = np.zeros(horizon, dtype=int)
+    active[:n_rows] = trace.active_size
+    lfnr = np.zeros(horizon)
+    lfnr[:n_rows] = trace.realized_lfnr
+    t_stop = trace.t_stop
+    stopped = t_stop >= 0
+    end = np.where(stopped, t_stop, horizon)
+    first = np.floor(tau) + 1
+    counted = first < end
+    changed_kept = np.cumsum(np.bincount(first[counted].astype(int), minlength=horizon + 1)
+                             - np.bincount(end[counted], minlength=horizon + 1))[:horizon]
+    drops = np.bincount(t_stop[stopped], minlength=horizon)
+    false_drops = np.bincount(t_stop[stopped & (tau >= t_stop)], minlength=horizon)
+    m = np.sort(np.minimum(tau, np.where(stopped, t_stop, np.inf)))
+    times = np.arange(1.0, horizon + 1)
+    below = np.searchsorted(m, times)
+    run_lengths = np.concatenate(([0.0], np.cumsum(m)))[below] + times * (m.size - below)
+
+    def share(count, total):
+        return np.divide(count, total, out=np.zeros(len(total)), where=total > 0)
+
+    return np.column_stack([
+        share(changed_kept, active), lfnr, share(false_drops, drops), lfdr,
+        active, np.cumsum(active), run_lengths, k - active])
+
+
+def _batches(model, k, horizon, reps, seed):
+    """(change times, traces, random LFDR rows) of each batch of a run that
+    steps as ``simulate`` does: one batch, or lone runs where the model has
+    no lockstep."""
+    rng = np.random.default_rng(seed)
+    n_det = reps if lockstep("adaptive", model, k) else 1
+    out = []
+    for _ in range(reps // n_det):
+        det = AdaptiveDetector(model, ALPHA, k, n_det)
+        tau = np.concatenate([model.sample_change_points(k, rng) for _ in range(n_det)])
+        for t in range(1, horizon + 1):
+            if t > 1:
+                det.deactivate()
+                if not det.n_active:
+                    break
+            x = np.concatenate([model.sample_step(t, tau[e * k:(e + 1) * k], rng)
+                                for e in range(n_det)])
+            det.observe(x[det.active])
+        out.append((tau.reshape(n_det, k), det.traces(), rng.random((n_det, horizon))))
+    return out
+
+
+def test_batch_rows_equal_the_rows_of_each_replication():
+    horizon = 30
+    # emptied replications beside ones still running at the horizon; tau = inf
+    # for the partial model's streams that never change; replications that
+    # all empty before the horizon
+    batches = (_batches(IIDModel(GeometricPrior(0.15), GaussianShift(1.2)), 20, horizon, 6, 1)
+               + _batches(PartialDepModel(GeometricPrior(0.1), 0.5, GaussianShift(1.5)),
+                          20, horizon, 3, 2)
+               + _batches(IIDModel(GeometricPrior(0.5), GaussianShift(2.0)), 10, horizon, 4, 3))
+    # and drawn at random: stops at the last selection, at the first, censored
+    # streams, change times at and past the horizon and at infinity
+    rng = np.random.default_rng(4)
+    tau = rng.choice([0.0, 1.0, 5.0, horizon - 1.0, horizon, horizon + 3.0, np.inf],
+                     size=(5, 12))
+    t_stop = rng.choice([-1, 1, 2, horizon // 2, horizon - 1], size=(5, 12))
+    t_stop[0] = -1
+    t_stop[1] = horizon - 1
+    traces = []
+    for stops in t_stop:
+        per_time = np.bincount(stops[stops >= 1], minlength=horizon)
+        traces.append(DecisionTrace(12, horizon, stops, 12 - np.cumsum(per_time),
+                                    rng.random(horizon), np.ones(horizon)))
+    batches.append((tau, traces, rng.random((5, horizon))))
+    seen = set()
+    for tau, traces, lfdr in batches:
+        t_stop = np.array([trace.t_stop for trace in traces])
+        lfnr = np.array([trace.realized_lfnr for trace in traces])
+        rows = simulate._rows(horizon, tau, t_stop, lfnr, lfdr)
+        expected = np.stack([_rows_per_replication(horizon, *args)
+                             for args in zip(tau, traces, lfdr)])
+        assert rows.tobytes() == expected.tobytes()
+        seen |= {"censored" for stops in t_stop if (stops < 0).any()}
+        seen |= {"never changes" for row in tau if np.isinf(row).any()}
+        seen |= {"last selection" for stops in t_stop if (stops == horizon - 1).any()}
+        seen |= {"emptied" for trace in traces if trace.active_size[-1] == 0}
+        seen |= {"short trace" for trace in traces if len(trace.active_size) < horizon}
+    assert seen == {"censored", "never changes", "last selection", "emptied", "short trace"}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from streamgate.detector import (AdaptiveDetector, CheckpointError, DependentDetector,
                                  checkpoint_state, restore_state)
@@ -85,6 +85,45 @@ def test_frozen_streams_never_change():
     with pytest.raises(ValueError):
         state.advance([0.0], [3])
     assert state.t == 6
+
+
+@pytest.mark.parametrize("live", [0.95, 0.6, 0.4, 0.05])
+def test_iid_w_after_freeze_is_expit_of_the_log_odds(live):
+    # frozen streams report their pinned value, and w evaluates expit on the
+    # live ones only once at least half are frozen: either way every bit is
+    # expit(log_odds), whether freeze was handed the values or read them
+    k = 400
+    rng = np.random.default_rng(8)
+    state = PosteriorState(0.05, k)
+    active = np.arange(k)
+    for t in range(1, 6):
+        state.advance(rng.normal(1.0, 3.0, size=len(active)), active)
+        assert state.w.tobytes() == expit(state.log_odds).tobytes()
+        dropped = np.sort(rng.choice(active, size=(len(active) - int(live * k)) // (6 - t),
+                                     replace=False))
+        state.freeze(dropped, state.w[dropped] if t % 2 else None)
+        active = np.setdiff1d(active, dropped)
+        assert state.w.tobytes() == expit(state.log_odds).tobytes()
+    assert len(active) == int(live * k)
+    back = PosteriorState.from_arrays(0.05, k, state.t, state.frozen, **state.to_arrays())
+    assert back.w.tobytes() == expit(state.log_odds).tobytes()
+
+
+def test_iid_w_after_restore_state_is_expit_of_the_log_odds():
+    # a detector restored from its checkpoint at every step, while most of
+    # its streams are live and while most are frozen
+    model, k = IIDModel(GeometricPrior(0.05), GaussianShift(1.0)), 300
+    rng = np.random.default_rng(9)
+    tau = model.sample_change_points(k, rng)
+    det = AdaptiveDetector(model, 0.05, k)
+    fractions = set()
+    for t in range(1, 60):
+        det.observe(model.sample_step(t, tau, rng)[det.active])
+        det.deactivate()
+        det = restore_state(checkpoint_state(det), model, k)
+        assert det.w.tobytes() == expit(det._state.log_odds).tobytes(), f"t={t}"
+        fractions.add(det.n_active > k // 2)
+    assert fractions == {True, False}
 
 
 def _six_tabular_streams():
