@@ -40,10 +40,7 @@ the ``from_arrays(..., t, frozen, **arrays)`` classmethod give and take
 its state as named arrays and scalars, for checkpoints.  ``lockstep`` says
 whether one backend can carry several independent ensembles side by side:
 only the i.i.d. one can, whose streams share one prior and update on their
-own data alone.  Its ``w`` evaluates ``expit`` on the live streams only
-once at least half of all streams are frozen (late in a lockstep batch,
-most are), and on every stream before that, which costs less than a
-gather and a scatter and gives a frozen stream its pinned bits as well.
+own data alone.
 
 The module also gives reference paths of never-deactivated streams, whose
 distribution defines the large-ensemble deactivation thresholds.
@@ -171,7 +168,8 @@ class PosteriorState:
     def w(self) -> np.ndarray:
         if 2 * np.count_nonzero(self.frozen) < self.frozen.size:
             # mostly live: one pass over every stream costs less than a gather
-            # and a scatter, and gives the frozen ones their pinned bits
+            # and a scatter, and gives the frozen ones their pinned bits; late
+            # in a lockstep batch most streams are frozen
             return _special.expit(self.log_odds)
         live = np.flatnonzero(~self.frozen)
         w = self.frozen_w.copy()

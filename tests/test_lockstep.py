@@ -229,8 +229,8 @@ def test_batch_draws_equal_sample_step_replication_by_replication(model, monkeyp
 
 
 def _rows_per_replication(horizon, tau, trace, lfdr):
-    """One replication's rows as the engine built them before its batch
-    computed them at once: the reference for ``simulate._rows``."""
+    """One replication's rows from its own trace, by a sort and bincounts of
+    its own: the reference for the batch's ``simulate._rows``."""
     k = trace.n_streams
     n_rows = len(trace.active_size)
     active = np.zeros(horizon, dtype=int)
