@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .detector import AdaptiveDetector, ThresholdTable
+from .detector import AdaptiveDetector, ThresholdTable, write_atomic
 from .model import GeometricPrior, IIDModel
 
 CSV_HEADER = "t,lambda,survival_frac,retained_mean"
@@ -90,8 +90,7 @@ def write_threshold_table(table: ThresholdTable, path) -> None:
         surv = "" if table.survival_frac is None else repr(float(table.survival_frac[i]))
         rmean = "" if table.retained_mean is None else repr(float(table.retained_mean[i]))
         lines.append(f"{i + 1},{float(table.thresholds[i])!r},{surv},{rmean}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_threshold_table(path) -> ThresholdTable:

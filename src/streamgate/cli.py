@@ -1,74 +1,27 @@
 """Command-line surface: detect, simulate, calibrate, verify.
 
-Subcommands
------------
-detect      run a detector over observation rows from a file or stdin
-simulate    replication study of a configured ensemble, metrics CSV out
-calibrate   Monte Carlo estimation of the non-adaptive threshold table
-verify      run the brute-force oracle suites, machine-readable report
+README's Command line section documents the flags, config keys, input
+formats, outputs and exit codes.  Three rules shape the code below:
 
-Configuration may come from an INI-style file (``--config``) of flat
-``key=value`` entries in a ``[model]`` section and the subcommand's own
-section, which wins over ``[model]``; a flag wins over both, and other
-sections are ignored.  Either section may hold any key its subcommand reads:
-  model keys   ``model`` (iid | partial | tabular), ``theta`` (iid, partial),
-               ``eta`` (partial), ``mu`` and ``sigma`` or ``p0`` and ``p1``, and
-               ``prior.<stream>`` rows (tabular), e.g. ``prior.1 = 0:0.1,3:0.9``
-  detect       ``alpha``, ``mode``, ``table`` (threshold mode only)
-  simulate     ``k``, ``alpha``, ``horizon``, ``reps``, ``seed``, ``procedure``,
-               ``table`` (threshold procedure only)
-  calibrate    ``alpha``, ``n``, ``horizon``, ``seed``; the model must be iid
-``--input``, ``--out``, ``--report``, ``--checkpoint`` and ``--threads`` are
-flags only.  A flag or config key that the chosen subcommand and model do
-not read is a usage error naming it, raised before any file is opened; a
-config file that does not parse is a usage error too.
-
-Observation input for ``detect`` is NDJSON (``{"t":1,"stream":1,"x":0.3}``
-per line), long CSV (``t,stream,x`` header), or wide CSV (``t`` column
-followed by one column per stream id).  Rows must be sorted by time with
-no gaps; observations for deactivated streams are discarded with a note.
-Times and stream ids must fit int64.  A step runs once the next step's
-first row is read, so a bad row at the start of step t stops the run
-with t-2 as its last completed step, and one later in step t with t-1.
-``detect`` writes the per-stream stopping-time table (``--out``;
-``censored=1`` marks streams still active when input ended) and
-optionally a per-step report (``--report``) with columns
-``t,n_active,lfnr,w_min,w_max,dropped``: the active set at any time is
-recoverable from the initial universe and the cumulative ``dropped``
-ids.  ``n_active``, ``lfnr`` and ``dropped`` come from the detector's
-selection record (``det.last``); ``w_min``/``w_max`` span the active
-set's posteriors before the selection.  ``--out`` is written only when a
-run ends cleanly.  The report is also written when a run fails after at
-least one completed step: it then holds the bytes a clean run over
-exactly those steps writes, its ``t_final`` the last completed step.
-
-``--checkpoint`` is resumed from, and saved after every selection, so a
-run that fails mid-way keeps the state of its last complete step.  The
-file is the detector's format-4 blob (``checkpoint_state``) with the
-external stream ids inside it, so one sha256 covers every byte.  It is
-replaced atomically (``<path>.tmp``, then renamed): a failed write leaves
-the previous one intact.  A file of an older format, or a blob without
-ids, is refused.
+* a flag or config key that the chosen subcommand and model do not read
+  is a usage error naming it, raised before any file is opened
+  (``_Inputs.refuse_unread``);
+* ``detect`` runs a step once the next step's first row is read, so a bad
+  row at the start of step t stops the run with t-2 as its last completed
+  step, and one later in step t with t-1;
+* every output file is replaced whole through ``<path>.tmp`` and a rename
+  (``write_atomic``), so a failed write leaves the previous file intact.
+  The checkpoint is saved after every selection, and a failed ``detect``
+  still writes its ``--report`` of the steps it completed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
-failure.  A corrupt or truncated checkpoint, one of another format
-version or with an alpha outside (0, 1], a bad or non-finite cell,
-input running past a threshold table's horizon, and a malformed threshold
-table (missing metadata, a row of the wrong width, a bad cell, a ``t``
-column other than 1..n) are data errors; resuming with an alpha or mode
-other than the checkpoint's is a usage error.
-All randomness flows from ``--seed``; per-replication substreams
-are spawned from it.  ``--threads`` caps worker parallelism (the
-``STREAMGATE_THREADS`` environment variable overrides the default of 1);
-a count below 1, from either, is a usage error.  Outputs are
-byte-identical for every thread count.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import itertools
 import json
 import math
@@ -81,7 +34,7 @@ import numpy as np
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
 from .detector import (CheckpointError, TableExhaustedError, checkpoint_state,
-                       make_detector, restore_state)
+                       make_detector, restore_state, write_atomic)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
 from .verify import SUITES
@@ -410,19 +363,6 @@ def _steps(chunks):
         yield step()
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` whole, or leave it untouched on failure."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -504,7 +444,7 @@ def _cmd_detect(args) -> int:
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if ckpt:
-            _write_atomic(ckpt, checkpoint_state(det))
+            write_atomic(ckpt, checkpoint_state(det))
 
     def header(t_final):
         return (f"# mode={det.kind} alpha={det.alpha!r} k={det.k} t_final={t_final}\n"
@@ -517,15 +457,14 @@ def _cmd_detect(args) -> int:
         # a failed run still reports the steps it completed, as a clean run
         # over exactly those steps would; a restored detector has no record yet
         if report and det.last is not None:
-            with open(report, "w") as fh:
-                fh.write(header(det.last.t) + "t,n_active,lfnr,w_min,w_max,dropped\n")
-                fh.writelines(report_rows)
+            write_atomic(report, "".join([header(det.last.t),
+                                           "t,n_active,lfnr,w_min,w_max,dropped\n",
+                                           *report_rows]))
 
     trace = det.trace()
     rows = [f"{sid},{trace.t_final},1\n" if stopped < 0 else f"{sid},{stopped},0\n"
             for sid, stopped in zip(ids, trace.t_stop.tolist())]
-    with open(out, "w") as fh:
-        fh.writelines([header(det.t), "stream,t_stop,censored\n", *rows])
+    write_atomic(out, "".join([header(det.t), "stream,t_stop,censored\n", *rows]))
     if discarded:
         print(f"note: discarded {discarded} observation(s) for deactivated streams",
               file=sys.stderr)

@@ -1,86 +1,58 @@
 """Deactivation procedures for parallel stream monitoring.
 
 A detector watches K streams, and at each time step decides which streams
-stay active; deactivation is permanent.  The selection rules all control
-the local false non-discovery rate (LFNR): the posterior-expected fraction
-of already-changed streams among those kept active.
+stay active; deactivation is permanent.  Every rule controls the local
+false non-discovery rate (LFNR): the posterior-expected fraction of
+already-changed streams among those kept active.  Detectors alternate
+``observe(x)`` (one observation per active stream) and ``deactivate()``
+(the F_t-measurable selection of the next active set), which keeps the
+active streams with ``w <= cutoff``; the detectors differ only in the
+cutoff:
 
-* :func:`one_step_rule` -- the core selection: the largest set whose mean
-  posterior is at most ``alpha``.  Sorted prefix means never decrease, so
-  it is a cutoff rule: keep posteriors at most lambda_t, the N*-th smallest
-  one, less the largest-index ties at lambda_t beyond N*.
-* :class:`AdaptiveDetector` -- applies the one-step rule every period on
-  the current posteriors (the procedure whose stream utilization is
-  maximal among all LFNR-controlling procedures under the homogeneous
-  model).
-* :class:`ThresholdDetector` -- the large-ensemble limit: the same cutoff
-  rule with lambda_t read from a precomputed per-time table.
+* :class:`AdaptiveDetector` -- lambda_t of :func:`one_step_rule`, the
+  largest set whose mean posterior is at most ``alpha``.  Sorted prefix
+  means never decrease, so it is a cutoff rule: lambda_t is the N*-th
+  smallest posterior, and the ties at lambda_t beyond N* are dropped from
+  the largest positions (only a tie group that straddles N* costs a
+  second pass over w).  Its stream utilization is maximal among all
+  LFNR-controlling procedures under the homogeneous model.
+* :class:`ThresholdDetector` -- the large-ensemble limit: lambda_t read
+  from a calibrated per-time table.
 * :class:`DependentDetector` -- all streams share one change time; the
-  ensemble is deactivated jointly once the aggregated posterior exceeds
+  ensemble is deactivated jointly once the pooled posterior exceeds
   ``alpha``.
 
-Detectors alternate ``observe(x)`` (ingest one observation per active
-stream, advancing the posteriors) and ``deactivate()`` (the
-F_t-measurable selection of the next active set).  ``step(x)`` wraps the
-pair for full-row feeds, discarding columns of streams that were just
-dropped.  Every detector selects on one path: ``deactivate()`` keeps the
-active streams with ``w <= cutoff``, and a detector supplies only that
-mask (``_select``) for its cutoff -- lambda_t from one sort of the active
-posteriors (adaptive), the table's entry for t (threshold) or ``alpha`` on
-the pooled posterior (dependent).  The adaptive rule keeps N* streams:
-the ties at lambda_t beyond N* are dropped from the largest positions,
-and only a tie group that straddles N* costs a second pass over w.
+The posterior belongs to a backend from :mod:`streamgate.posterior`,
+picked once by model (:func:`_backend_spec`), which the detector drives
+through the backend protocol without knowing the model.
 
 A detector may hold several independent ensembles of k streams, each a
 contiguous block of stream indices with its own alpha budget, cutoff and
-LFNR history (``simulate`` runs a batch of replications this way, one
-``observe`` and one ``deactivate`` per step for all of them).  The rule
-then runs row by row, one row per ensemble (an emptied one's row is
-empty): one sort of the rows padded with +inf, one cumulative sum and one
-rounding window for all rows at once, then per-prefix windows and the
-exact fallback for the few undecided rows only.  The one-ensemble
-detector is the one-row case of the same code, and :func:`one_step_rule`
-is the same cutoff over any posterior vector.
-Every ensemble's bits equal those of a detector of its own: each row's
-sums are its own, and each ensemble's LFNR is summed over its own slice.
-Only a backend that treats streams on their own can carry several
-ensembles (:func:`lockstep`: the i.i.d. one); the others run one.
+LFNR history (``simulate`` runs a batch of replications this way).  The
+rule then runs row by row, one row per ensemble: one sort of the rows
+padded with +inf, one cumulative sum and one rounding window for all rows
+at once, then the exact fallback for the few undecided rows only.  Every
+ensemble's bits equal those of a detector of its own: each row's sums are
+its own, and each ensemble's LFNR is summed over its own slice.  Only a
+backend that treats streams on their own can carry several ensembles
+(:func:`lockstep`: the i.i.d. one).
 
-Each selection's facts are derived once, in ``deactivate()``,
-into a :class:`Selection` record, ``det.last``: the time, the active
-count, the realized cutoff lambda_t, the realized LFNR and the dropped
-streams, which the CLI's per-step report reads (a restored detector has
-none until its next selection, and a detector of several ensembles none
-at all).  ``det.trace()`` keeps each selection's cutoff and LFNR and
-derives the active counts from the stop times; ``det.traces()`` gives
-one trace per ensemble.
-The detectors differ only in their cutoff: the posterior belongs to a
-backend from :mod:`streamgate.posterior`, picked once by model
-(:func:`_backend_spec`), which the detector drives through the backend
-protocol without knowing the model.  :func:`make_detector` builds a
-detector by kind name.  A one-ensemble detector can be checkpointed to a
-text blob and restored bit-exactly, so a resumed run reproduces the
-uninterrupted decision trace.  Format 4 is built in one pass, as lines:
-the sha256 (hex) of every byte after its own line; one JSON header of
-the scalar fields and the ordered ``[name, dtype, shape]`` of each array
-(dtype ``"<i8"`` or ``"<f8"``); then each array's little-endian bytes as
-one base64 line, in the order ``t_stop``, ``cutoff``, ``lfnr``, ``ids``
-(when the detector's external ids are set), then the backend's
-``to_arrays()``; the active set and counts follow from the stop times.
-The ids line is encoded at the first save after ``det.ids`` is assigned
-and kept for every later save.
-:func:`restore_state` checks the hash before it parses anything, and
-refuses any other format version; it encodes the blob once and hashes
-and decodes slices of that one buffer.
+A one-ensemble detector can be checkpointed to a text blob (format 4,
+laid out in README) and restored bit-exactly, so a resumed run reproduces
+the uninterrupted decision trace.  :func:`restore_state` checks the hash
+before it parses anything; it encodes the blob once and hashes and
+decodes slices of that one buffer.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,13 +130,13 @@ def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -
     return lo
 
 
-def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
+def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The one-step rule, row by row: row i is the next ``sizes[i]`` entries
     of ``w`` (none or more).  Each row keeps its posteriors at most lambda,
     its N*-th smallest (N* the longest feasible sorted prefix), less the
-    ties at lambda beyond N*: the last by position or, given ``order``, by
-    that key.  Returns the keep mask and each row's N*."""
+    ties at lambda beyond N*, the last by position.  Returns the keep mask
+    and each row's N*."""
     width = w.size if len(sizes) == 1 else max(sizes.tolist())
     rows = np.empty((len(sizes), width + 2))
     rows[:, 0], rows[:, -1] = 0.0, math.inf
@@ -192,26 +164,21 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float, order=None
             start = int(sizes[:i].sum())
             row = slice(start, start + sizes[i])
             tied = np.flatnonzero(w[row] == cut)
-            if order is not None:
-                tied = tied[np.argsort(order[row][tied], kind="stable")]
             keep[row][tied[n[i] - np.searchsorted(body[i], cut):]] = False
     return keep, n
 
 
-def one_step_rule(w, alpha: float, indices=None) -> np.ndarray:
+def one_step_rule(w, alpha: float) -> np.ndarray:
     """Largest retained index set whose mean posterior is <= alpha.
 
     A cutoff rule: with lambda the N*-th smallest posterior (N* the longest
     feasible sorted prefix), keep every w < lambda plus the smallest-index
     entries equal to lambda, N* in all.  Returns indices in index order.
+    Streams that carry ids break ties by id once sorted by it: with
+    ``perm = np.argsort(ids)``, keep ``ids[perm][one_step_rule(w[perm], alpha)]``.
     """
     w = np.asarray(w, dtype=float)
-    if indices is not None:
-        indices = np.asarray(indices, dtype=int)
-        if w.shape != indices.shape:
-            raise ValueError("w and indices must align")
-    keep, _ = _adaptive_keep(w, np.array([w.size]), alpha, indices)
-    return np.flatnonzero(keep) if indices is None else np.sort(indices[keep])
+    return np.flatnonzero(_adaptive_keep(w, np.array([w.size]), alpha)[0])
 
 
 @dataclass(frozen=True)
@@ -271,7 +238,7 @@ class Selection:
     when nothing was dropped and 0.0 when nothing was kept.  Under the
     adaptive rule it is lambda_t whenever the step both drops and keeps.
     Only a one-ensemble detector records it; a batch's per-ensemble
-    cutoffs and LFNRs are in its ``traces()``.
+    cutoffs and LFNRs are in its ``traces()`` and ``realized_lfnr``.
     """
 
     t: int
@@ -342,15 +309,11 @@ class _DetectorBase:
     ensemble (none for an emptied one), the mask of those kept under the
     detector's cutoff.
 
-    A detector holds ``ensembles`` independent ensembles of ``k`` streams,
-    ensemble e being streams ``e*k .. e*k + k - 1``; each has its own
-    selection, alpha budget and history, and one ``observe``/``deactivate``
-    pair advances them all.  ``active_counts`` holds each ensemble's active
-    count, a new array after each selection that drops streams.  The posterior lives in a backend chosen by model
-    (:func:`_backend_spec`); several ensembles need one that treats streams
-    independently (:func:`lockstep`).  ``w`` is evaluated once per step and
-    cached read-only until the next observation; freezing pins posteriors
-    at their current values, so the cache survives a selection.
+    Ensemble e is streams ``e*k .. e*k + k - 1``, and ``active_counts``
+    holds each ensemble's active count, a new array after each selection
+    that drops streams.  ``w`` is evaluated once per step and cached
+    read-only until the next observation; freezing pins posteriors at
+    their current values, so the cache survives a selection.
     """
 
     kind = "base"
@@ -471,23 +434,15 @@ class _DetectorBase:
         self._phase = "observe"
         return dropped
 
-    def step(self, x_full) -> None:
-        """Advance one period from a full row of observations, one per stream.
-
-        Runs the pending selection first, then ingests the surviving
-        streams' entries; values for already-dropped streams are discarded.
-        """
-        x_full = np.asarray(x_full, dtype=float)
-        if x_full.shape != self.t_stop.shape:
-            raise ValueError(f"expected a length-{len(self.t_stop)} row, "
-                             f"got shape {x_full.shape}")
-        if self._phase == "select":
-            self.deactivate()
-        self.observe(x_full[self.active])
+    @property
+    def realized_lfnr(self) -> np.ndarray:
+        """Each selection's realized LFNR, the start included: one row per
+        selection, one column per ensemble."""
+        return np.array(self._lfnr)
 
     def traces(self) -> list[DecisionTrace]:
         """One decision trace per ensemble, in ensemble order."""
-        cutoffs, lfnr = np.array(self._cutoffs), np.array(self._lfnr)  # (selections, ensembles)
+        cutoffs, lfnr = np.array(self._cutoffs), self.realized_lfnr  # (selections, ensembles)
         out = []
         for e, t_stop in enumerate(self.t_stop.reshape(self.ensembles, self.k)):
             # entry s of the bincount is the number of streams stopped at time s
@@ -515,7 +470,7 @@ class AdaptiveDetector(_DetectorBase):
         return _adaptive_keep(w_active, sizes, self.alpha)[0]
 
 
-class ThresholdDetector(AdaptiveDetector):
+class ThresholdDetector(_DetectorBase):
     """Non-adaptive rule: the same cutoff rule with lambda_t from a calibrated table."""
 
     kind = "threshold"
@@ -559,7 +514,21 @@ def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
     raise ValueError(f"unknown mode {kind!r}")
 
 
-# -- checkpointing -------------------------------------------------------
+# -- checkpointing and output files ---------------------------------------
+
+def write_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` whole, through ``<path>.tmp``, or leave
+    it untouched and no ``.tmp`` behind on failure."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
 
 # the header's fields, with their JSON types
 _FIELDS = {"format_version": int, "mode": str, "t": int, "alpha": str, "phase": str,

@@ -30,20 +30,15 @@ One posterior backend per model, all with the same protocol:
   time, carried as one log-odds scalar of the summed log likelihood
   ratios.
 
-A backend is a mutable object with a time ``t``; ``advance(log_lr,
-active)`` ingests one log likelihood ratio per active stream in place,
-``freeze(idx, w_idx)`` pins deactivated streams at their current
-posterior (``w_idx``, when the caller holds it), the ``w`` property
-returns a fresh array of every stream's posterior (a frozen stream's is
-the value pinned at its freeze), and ``to_arrays()`` /
-the ``from_arrays(..., t, frozen, **arrays)`` classmethod give and take
-its state as named arrays and scalars, for checkpoints.  ``lockstep`` says
-whether one backend can carry several independent ensembles side by side:
-only the i.i.d. one can, whose streams share one prior and update on their
-own data alone.
-
-The module also gives reference paths of never-deactivated streams, whose
-distribution defines the large-ensemble deactivation thresholds.
+A backend is mutable, with a time ``t``: ``advance(log_lr, active)``
+updates it in place, ``freeze(idx, w_idx)`` pins deactivated streams, so
+that ``w`` (a fresh array) gives a frozen stream the value pinned at its
+freeze, and ``to_arrays()``/``from_arrays(..., t, frozen, **arrays)``
+give and take its state for checkpoints.  ``lockstep`` says whether one
+backend can carry several independent ensembles side by side: only the
+i.i.d. one can, whose streams share one prior and update on their own
+data alone.  The module also gives reference paths of never-deactivated
+streams, whose distribution defines the large-ensemble thresholds.
 """
 
 from __future__ import annotations

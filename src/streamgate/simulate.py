@@ -1,47 +1,26 @@
 """Replication engine and per-time performance metrics.
 
 Runs many independent detection campaigns on simulated ensembles and
-aggregates, per time point,
+aggregates, per time point, FNP (the fraction of retained streams that
+have already changed), the realized LFNR (the mean retained posterior,
+which the detector controls), FDP and LFDR over the streams dropped at
+that step, the active count, cumulative utilization, the pre-change run
+length and cumulative detections.
 
-* FNP -- fraction of retained streams that have already changed,
-* realized LFNR -- mean retained posterior (what the detector controls),
-* FDP / LFDR -- the dual quantities over streams dropped at that step,
-* active count, cumulative utilization (observations collected),
-* pre-change run length and cumulative detections.
-
-Replications run in lockstep batches: one detector holds a batch of
-independent ensembles, one per replication (``_replicate``), and advances
-them all with one ``observe`` and one ``deactivate`` per time step.  A
-batch holds at most ``BATCH_STREAMS`` streams, and at most its share of
-the replications when several workers run; the process pool maps
-batches.  Only a posterior backend that treats streams on their own runs
-in lockstep (``detector.lockstep``: the i.i.d. model); the tabular and
-the partially or fully dependent models run one replication per detector.
-Each replication keeps its own generator and draw order: its change
-times, then one full-k draw per step while it has active streams.  An
-emptied replication draws no more, and its rows stay zero to the horizon.
-Every live replication draws its raw noise (``model.draw``) straight into
-one batch buffer, and one transform over the batch's active streams
-(``model.observations``) gives the step's observations: the same two
-pieces as ``model.sample_step``, so the batch, ``calibrate`` and a lone
-run share one formula.
-
-The loop records one number of its own, each replication's dropped
-streams' mean ``1 - w`` for the LFDR, read from that step's posteriors.
-Every other row is derived once per batch (``_rows``) from the change
-times, the stop times and the realized LFNR of each selection, by exact
-integer counts over the whole batch, so every row keeps the bits of a
-replication computed on its own.
+Under the i.i.d. model one detector holds a batch of replications, one
+ensemble each, and advances them all with one ``observe`` and one
+``deactivate`` per time step (``_replicate``); the other models run one
+replication per detector.  Each replication keeps its own generator and
+draw order: its change times, then one full-k draw per step while it has
+active streams.  The rows are derived once per batch (``_rows``) by exact
+integer counts, so every row keeps the bits of a replication computed on
+its own, and results are bit-identical for any worker count and batch
+size.
 
 Time indexing matches the one-step-ahead convention: the FNP/LFNR row at
 time t is a property of the selection entering time t, i.e. of the active
 set S_t and posteriors from time t-1; the time-1 row is zero by
 convention.  The output CSV uses that convention in its ``t`` column.
-
-Replications use independent spawned RNG substreams, every ensemble of a
-batch gives the bits of a detector of its own, and the reduction runs in
-a fixed order, so results are bit-identical for any worker count and
-batch size.
 """
 
 from __future__ import annotations
@@ -51,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DETECTOR_KINDS, ThresholdTable, lockstep, make_detector
+from .detector import DETECTOR_KINDS, ThresholdTable, lockstep, make_detector, write_atomic
 from .model import EnsembleModel
 
 # streams one lockstep batch may hold: enough replications per detector
@@ -190,12 +169,8 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
                 model.draw(rngs[e], noise[e * k:(e + 1) * k])
         active = det.active
         det.observe(model.observations(t, tau[active], noise[active], active))
-    lfnr = np.array([trace.realized_lfnr for trace in det.traces()])
+    lfnr = det.realized_lfnr.T  # replications x selections
     return _rows(horizon, tau.reshape(-1, k), det.t_stop.reshape(-1, k), lfnr, lfdr)
-
-
-def _replicate_packed(args) -> np.ndarray:
-    return _replicate(*args)
 
 
 def run_experiment(config: SimConfig) -> MetricsFrame:
@@ -206,16 +181,17 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
     if lockstep(config.procedure, config.model, config.k):
         # at least one batch per worker, none over the cap
         size = max(1, min(BATCH_STREAMS // config.k, -(-reps // config.threads)))
-    jobs = [(config, children[i:i + size]) for i in range(0, reps, size)]
+    batches = [children[i:i + size] for i in range(0, reps, size)]
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         import scipy.special  # forked workers inherit it instead of each importing it
-        chunk = max(1, len(jobs) // (config.threads * 8))
+        chunk = max(1, len(batches) // (config.threads * 8))
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_replicate_packed, jobs, chunksize=chunk))
+            results = list(pool.map(_replicate, [config] * len(batches), batches,
+                                    chunksize=chunk))
     else:
-        results = [_replicate(*job) for job in jobs]
+        results = [_replicate(config, batch) for batch in batches]
     stack = np.concatenate(results)  # (reps, horizon, metrics)
     mean = stack.mean(axis=0)
     if reps > 1:
@@ -255,5 +231,4 @@ def write_metrics_csv(frame: MetricsFrame, path, metadata: dict | None = None) -
     columns = [getattr(frame, name) for name in CSV_COLUMNS.split(",")[1:]]
     for i, t in enumerate(frame.t):
         lines.append(",".join([str(int(t)), *(fmt(col[i]) for col in columns)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

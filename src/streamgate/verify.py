@@ -577,12 +577,14 @@ def _selection_suite(trials: int, rng) -> tuple[bool, str]:
         if len(kept) != feasible_prefix_size(np.sort(w), alpha):
             return False, f"prefix mismatch for w={w!r} alpha={alpha!r}"
     # large tie-heavy instance: few posterior levels, shuffled stream ids, so
-    # the cutoff falls inside a block of ties broken by the smaller id
+    # the cutoff falls inside a block of ties broken by the smaller id once
+    # the posteriors are put in id order
     n = 2000
     w = rng.integers(0, 16, size=n) / 32.0
     ids = rng.permutation(4 * n)[:n]
     alpha = float(np.sort(w)[:7 * n // 10].mean())
-    kept = one_step_rule(w, alpha, ids)
+    perm = np.argsort(ids)
+    kept = ids[perm][one_step_rule(w[perm], alpha)]
     size = feasible_prefix_size(np.sort(w), alpha)
     order = np.lexsort((ids, w))
     if not np.array_equal(kept, np.sort(ids[order[:size]])):

@@ -277,16 +277,20 @@ def test_10_determinism_and_checkpointing(tmp_path):
     rng = np.random.default_rng(SEED)
     tau = model.sample_change_points(200, rng)
     data = [model.sample_step(t, tau, rng) for t in range(1, 41)]
+
+    def feed(det, rows):
+        for x in rows:
+            if det.t:  # the selection pending since the last observation
+                det.deactivate()
+            det.observe(x[det.active])
+
     full = AdaptiveDetector(model, 0.05, 200)
-    for x in data:
-        full.step(x)
+    feed(full, data)
     full.deactivate()
     half = AdaptiveDetector(model, 0.05, 200)
-    for x in data[:20]:
-        half.step(x)
+    feed(half, data[:20])
     resumed = restore_state(checkpoint_state(half), model, 200)
-    for x in data[20:]:
-        resumed.step(x)
+    feed(resumed, data[20:])
     resumed.deactivate()
     trace_ok = resumed.trace().equals(full.trace())
     _gate("criterion 10 (determinism and checkpoint resume)",

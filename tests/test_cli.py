@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import sys
 
@@ -801,7 +802,7 @@ def test_detect_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
         fh = real_open(path, mode, *args, **kwargs)
         return HalfWriter(fh) if str(path).startswith(str(ck)) and "w" in mode else fh
 
-    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr("streamgate.detector.open", fake_open, raising=False)  # write_atomic's
     code, _, err = _run(capsys, "detect", "--input", str(part2),
                         "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
                         *_IID, "--alpha", "0.05")
@@ -809,6 +810,41 @@ def test_detect_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
     assert ck.read_bytes() == blob
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("ck")) == [
         "ck.json"]
+
+
+def test_every_output_file_is_replaced_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    data, bad = tmp_path / "obs.ndjson", tmp_path / "bad.ndjson"
+    _write_ndjson(data, _jump_rows(horizon=4))
+    bad.write_text(data.read_text() + '{"t": 5, "stream": 1, "x": "oops"}\n')
+    names = ("o.csv", "r.csv", "m.csv", "th.csv")
+    for name in names:
+        (tmp_path / name).write_text("previous\n")
+
+    def replace(src, dst):
+        raise OSError("rename failed")
+
+    # detect's --report (written first) and --out, simulate's CSV, calibrate's table
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["detect", "--input", str(data), "--out", "o.csv", "--report", "r.csv",
+                  *_IID_ALPHA],
+                 ["detect", "--input", str(data), "--out", "o.csv", *_IID_ALPHA],
+                 ["simulate", *_IID_ALPHA, "--k", "20", "--horizon", "5", "--reps", "2",
+                  "--out", "m.csv"],
+                 ["calibrate", *_IID_ALPHA, "--n", "1000", "--horizon", "3", "--out",
+                  "th.csv"]):
+        code, _, err = _run(capsys, *argv)
+        assert (code, err) == (2, "data error: rename failed\n")
+    assert [(tmp_path / name).read_text() for name in names] == ["previous\n"] * 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, data.name, bad.name])
+    # a failed run still writes the report of the steps it completed
+    monkeypatch.undo()
+    code, _, _ = _run(capsys, "detect", "--input", str(bad), "--out", str(tmp_path / "o.csv"),
+                      "--report", str(tmp_path / "r.csv"), *_IID_ALPHA)
+    # the bad row opens t=5, which leaves t=3 as the last completed step
+    assert code == 2 and "t_final=3" in (tmp_path / "r.csv").read_text()
+    assert (tmp_path / "o.csv").read_text() == "previous\n"
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
 
 class _LineStream:
@@ -880,11 +916,11 @@ def test_detect_runs_a_stdin_step_once_the_next_one_starts(tmp_path, capsys, mon
     stream = _CountingStream("".join(_nd(t, sid, -0.5) + "\n" for t in (1, 2, 3)
                                      for sid in (1, 2)))
     monkeypatch.setattr(sys, "stdin", stream)
-    saved, write = [], cli._write_atomic
-    monkeypatch.setattr(cli, "_write_atomic",
-                        lambda path, text: saved.append(stream.read) or write(path, text))
+    saved, write, ckpt = [], cli.write_atomic, str(tmp_path / "ck")
+    monkeypatch.setattr(cli, "write_atomic", lambda path, text: (
+        path == ckpt and saved.append(stream.read)) or write(path, text))
     code, _, _ = _run(capsys, "detect", "--input", "-", "--out", str(tmp_path / "o"),
-                      "--checkpoint", str(tmp_path / "ck"), *_IID_ALPHA)
+                      "--checkpoint", ckpt, *_IID_ALPHA)
     assert code == 0 and saved == [3, 5, 7]  # the 7th read finds the end of input
 
 

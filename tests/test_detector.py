@@ -105,6 +105,12 @@ def _lexsort_rule(w, indices, size):
     return np.sort(indices[order[:size]])
 
 
+def _rule_by_id(w, ids, alpha):
+    """The kept ids when ties break by id: the rule on w in id order."""
+    perm = np.argsort(ids)
+    return ids[perm][one_step_rule(w[perm], alpha)]
+
+
 def test_one_step_rule_tie_break_matches_lexsort_reference():
     rng = np.random.default_rng(21)
     cut_inside_ties = 0
@@ -114,7 +120,7 @@ def test_one_step_rule_tie_break_matches_lexsort_reference():
         alpha = float(rng.random()) * 0.6
         indices = rng.permutation(3 * n)[:n]    # unsorted, non-contiguous ids
         size = feasible_prefix_size(np.sort(w), alpha)
-        kept = one_step_rule(w, alpha, indices)
+        kept = _rule_by_id(w, indices, alpha)
         assert np.array_equal(kept, _lexsort_rule(w, indices, size))
         assert np.array_equal(one_step_rule(w, alpha),
                               _lexsort_rule(w, np.arange(n), size))
@@ -133,7 +139,7 @@ def test_one_step_rule_tie_break_at_large_k(shuffled):
     s = np.sort(w)
     alpha = float(s[:12_345].mean())
     indices = rng.permutation(k) if shuffled else np.arange(k)
-    kept = one_step_rule(w, alpha, indices)
+    kept = _rule_by_id(w, indices, alpha)
     size = len(kept)
     # sums of multiples of 1/64 are exact; feasibility is monotone in n
     assert Fraction(float(s[:size].sum())) <= Fraction(alpha) * size
@@ -244,16 +250,18 @@ def test_observe_validations():
         det.deactivate()
 
 
-def test_step_discards_dropped_columns():
-    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
-    det = AdaptiveDetector(model, 0.05, 4)
-    # stream 0 screams post-change, the rest scream pre-change
-    row = np.array([10.0, -10.0, -10.0, -10.0])
-    for _ in range(6):
-        det.step(row)   # full rows accepted even after stream 0 is dropped
-    assert det.t_stop[0] == 1
-    assert np.all(det.t_stop[1:] == -1)
-    assert det.w[0] > 0.99 and np.all(det.w[1:] < 0.01)
+def test_realized_lfnr_holds_each_selection_of_each_ensemble():
+    model = IIDModel(GeometricPrior(0.2), GaussianShift(1.5))
+    det = AdaptiveDetector(model, 0.1, 20, ensembles=3)
+    rng = np.random.default_rng(4)
+    for t in range(1, 9):
+        if t > 1:
+            det.deactivate()
+        det.observe(rng.normal(1.0, 1.0, det.n_active))
+    det.deactivate()
+    assert det.realized_lfnr.shape == (9, 3)   # the start and 8 selections
+    assert det.realized_lfnr.tobytes() == np.column_stack(
+        [trace.realized_lfnr for trace in det.traces()]).tobytes()
 
 
 def test_trace_stop_times_match_active_sets():
