@@ -8,7 +8,8 @@ NAME --seed N --seconds S --trace 0`` runs once in the parent checkout and
 once in the change checkout (default: this repository), the parent first in
 even pairs and the change first in odd ones, so that a drift of the
 machine's speed falls on both sides.  ``S`` defaults to the benchmark's own
-``run_seconds``.
+``run_seconds``.  Each checkout's ``src/streamgate/__pycache__`` is removed
+before the first run (``bench_record.clear_bytecode``).
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` it prints each
 pair's change/parent ratio, in how many pairs the change is better, both
@@ -26,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_record import REPO, run_once, summarize
+from bench_record import REPO, clear_bytecode, run_once, summarize
 
 
 def run_pairs(roots: dict, workload: str, seeds: list[int], seconds: int) -> list[dict]:
@@ -75,6 +76,8 @@ def main() -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
+    for root in roots.values():
+        clear_bytecode(root)
     code, runs = 0, {}
     for workload in args.workloads:
         try:

@@ -11,6 +11,10 @@ and source hash, the python, numpy and scipy versions, the seeds, the median
 and quartiles of each end-to-end metric, the failed and attempted operation
 counts, and the result digest of every run.
 
+Before a checkout's first run, its ``src/streamgate/__pycache__`` is removed
+(and the removal printed), so that ``setup_s`` never compares bytecode cached
+by an earlier run with source that has changed since.
+
 The file is a JSON list of entries, oldest first.  To compare two commits,
 run this once in each checkout on the same seeds.  Exit code: 0 when every
 run printed a result, 1 otherwise (entries for the workloads that did run
@@ -22,12 +26,23 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def clear_bytecode(root: Path) -> None:
+    """Remove the checkout's package bytecode cache, and say so."""
+    cache = root / "src" / "streamgate" / "__pycache__"
+    if cache.is_dir():
+        shutil.rmtree(cache)
+        print(f"bench_record: removed {cache}", file=sys.stderr)
+    else:
+        print(f"bench_record: no bytecode cache at {cache}", file=sys.stderr)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -90,6 +105,7 @@ def main() -> int:
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     metric_names = [m["name"] for m in spec["end_to_end"]]
+    clear_bytecode(root)
     code = 0
     for workload in (w["name"] for w in spec["workloads"]):
         try:
