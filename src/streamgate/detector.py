@@ -470,7 +470,7 @@ class AdaptiveDetector(_DetectorBase):
         return _adaptive_keep(w_active, sizes, self.alpha)[0]
 
 
-class ThresholdDetector(_DetectorBase):
+class ThresholdDetector(AdaptiveDetector):
     """Non-adaptive rule: the same cutoff rule with lambda_t from a calibrated table."""
 
     kind = "threshold"

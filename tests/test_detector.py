@@ -253,15 +253,26 @@ def test_observe_validations():
 def test_realized_lfnr_holds_each_selection_of_each_ensemble():
     model = IIDModel(GeometricPrior(0.2), GaussianShift(1.5))
     det = AdaptiveDetector(model, 0.1, 20, ensembles=3)
+    lone = [AdaptiveDetector(model, 0.1, 20) for _ in range(3)]
     rng = np.random.default_rng(4)
-    for t in range(1, 9):
-        if t > 1:
-            det.deactivate()
-        det.observe(rng.normal(1.0, 1.0, det.n_active))
-    det.deactivate()
+    expected = [[0.0] * 3]   # the start
+    for _ in range(8):
+        x = rng.normal(1.0, 1.0, det.n_active)
+        det.observe(x)
+        for part, one in zip(np.split(x, np.cumsum(det.active_counts)[:-1]), lone):
+            one.observe(part)
+            one.deactivate()
+        det.deactivate()
+        # the mean kept posterior of each ensemble, recomputed from w
+        row = []
+        for e in range(3):
+            kept = det.active[(det.active >= 20 * e) & (det.active < 20 * (e + 1))]
+            row.append(float(det.w[kept].sum()) / len(kept) if len(kept) else 0.0)
+        expected.append(row)
     assert det.realized_lfnr.shape == (9, 3)   # the start and 8 selections
-    assert det.realized_lfnr.tobytes() == np.column_stack(
-        [trace.realized_lfnr for trace in det.traces()]).tobytes()
+    assert det.realized_lfnr.tobytes() == np.array(expected).tobytes()
+    for e, one in enumerate(lone):
+        assert det.realized_lfnr[:, e].tobytes() == one.realized_lfnr[:, 0].tobytes()
 
 
 def test_trace_stop_times_match_active_sets():
