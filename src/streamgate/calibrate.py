@@ -67,8 +67,12 @@ def calibrate_thresholds(theta: float, obs_model, alpha: float, n_streams: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tau = model.sample_change_points(n_streams, rng)
     det = AdaptiveDetector(model, alpha, n_streams)
+    noise = np.empty(n_streams)
     for t in range(1, horizon + 1):
-        det.observe(model.sample_step(t, tau, rng)[det.active])
+        # every stream draws, in order; only the active ones are transformed
+        model.draw(rng, noise)
+        active = det.active
+        det.observe(model.observations(t, tau[active], noise[active], active))
         det.deactivate()
     trace = det.trace()  # entry 0 is the start, before any selection
     return ThresholdTable(

@@ -62,9 +62,6 @@ from .posterior import (DependentPosteriorState, PartialDepPosterior,
                         PosteriorState, TabularPosteriorState)
 
 CHECKPOINT_VERSION = 4
-DETECTOR_KINDS = ("adaptive", "threshold", "dependent")
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -74,21 +71,6 @@ class CheckpointError(ValueError):
 
 class TableExhaustedError(LookupError):
     """Threshold table does not cover the requested time."""
-
-
-def _open_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
-    """The largest feasible prefix of one sorted row, given that the prefix
-    of length ``lo`` certainly fits and that of length ``hi + 1`` certainly
-    fails: each prefix in between is settled against its own rounding
-    window, and the exact sums decide those still open."""
-    n = np.arange(lo + 1.0, hi + 1)
-    sums = np.cumsum(row[:hi])[lo:]  # the row's own prefix sums, bit for bit
-    excess = sums - alpha * n
-    window = (n + 2.0) * _EPS * np.maximum(sums, alpha * n)
-    fits, fails = (excess < -window).nonzero()[0], (excess > window).nonzero()[0]
-    lo, hi = (lo + (int(fits[-1]) + 1 if fits.size else 0),
-              lo + (int(fails[0]) if fails.size else hi - lo))
-    return _exact_prefix(row, lo, hi, alpha) if hi > lo else lo
 
 
 def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
@@ -115,7 +97,7 @@ def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -
     A vectorized cumulative sum settles every n outside one rounding window
     that bounds every prefix of every row (prefix sums and budgets only grow
     with n); the empty prefix always fits and the +inf end always fails.
-    Only the rows left with undecided prefixes go on to :func:`_open_prefix`.
+    Only the rows left with undecided prefixes go on to :func:`_exact_prefix`.
     """
     excess = np.cumsum(rows, axis=1)  # row by row, bit for bit: 0 + w is w
     width = rows.shape[1] - 2
@@ -126,7 +108,7 @@ def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -
     fail = (excess > window).argmax(axis=1).tolist()  # the first certain failure
     for i, (fit, hi) in enumerate(zip(lo, fail)):
         if hi - 1 > fit:
-            lo[i] = _open_prefix(rows[i, 1:], fit, hi - 1, alpha)
+            lo[i] = _exact_prefix(rows[i, 1:], fit, hi - 1, alpha)
     return lo
 
 
@@ -498,20 +480,23 @@ class DependentDetector(_DetectorBase):
         return w_active <= self.alpha
 
 
+# each detector kind, as a checkpoint names it, and its class
+_KINDS = {cls.kind: cls for cls in (AdaptiveDetector, ThresholdDetector, DependentDetector)}
+DETECTOR_KINDS = tuple(_KINDS)
+
+
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
                   table: ThresholdTable | None = None, ensembles: int = 1) -> _DetectorBase:
     """The detector of ``kind`` (one of :data:`DETECTOR_KINDS`) over
     ``ensembles`` independent ensembles of ``k`` streams; threshold
     detectors need their calibrated ``table``."""
-    if kind == "adaptive":
-        return AdaptiveDetector(model, alpha, k, ensembles)
-    if kind == "threshold":
-        if table is None:
-            raise ValueError("threshold mode needs a calibrated threshold table")
-        return ThresholdDetector(model, alpha, k, table, ensembles)
-    if kind == "dependent":
-        return DependentDetector(model, alpha, k, ensembles)
-    raise ValueError(f"unknown mode {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown mode {kind!r}")
+    if kind != "threshold":
+        return _KINDS[kind](model, alpha, k, ensembles)
+    if table is None:
+        raise ValueError("threshold mode needs a calibrated threshold table")
+    return ThresholdDetector(model, alpha, k, table, ensembles)
 
 
 # -- checkpointing and output files ---------------------------------------
@@ -638,7 +623,7 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
     k = header["n_streams"] if k is None else k
     if header["n_streams"] != k or k < 1:
         raise CheckpointError(f"stream count mismatch: {header['n_streams']} vs {k}")
-    if kind not in DETECTOR_KINDS:
+    if kind not in _KINDS:
         raise CheckpointError(f"unknown detector kind {kind!r}")
     if kind == "threshold" and table is None:
         raise CheckpointError("threshold checkpoints need their threshold table")
@@ -663,8 +648,7 @@ def restore_state(blob: str, model: EnsembleModel, k: int | None = None,
                             or np.any(ids[1:] <= ids[:-1])):
         raise CheckpointError(f"external ids must be {k} strictly increasing <i8 values")
     # not the constructor, whose fresh backend and stop times would go unused
-    det = object.__new__({"adaptive": AdaptiveDetector, "threshold": ThresholdDetector,
-                          "dependent": DependentDetector}[kind])
+    det = object.__new__(_KINDS[kind])
     det.model, det.alpha, det.k, det.ensembles = model, alpha, k, 1
     det._ids, det._ids_entry = ids, None  # read-only already, over the blob's own bytes
     if kind == "threshold":

@@ -67,14 +67,15 @@ def _shaped(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
 
 def _advance_args(log_lr_values, active, frozen: np.ndarray):
     """Aligned float log LRs and int stream ids; frozen or out-of-range
-    streams are refused."""
+    streams are refused, and so are ids not strictly increasing (a stream
+    given twice)."""
     active = np.asarray(active, dtype=int)
     log_lr_values = np.asarray(log_lr_values, dtype=float)
     if log_lr_values.shape != active.shape:
         raise ValueError("log_lr_values must align with the active index set")
-    if active.size and (active.min() < 0 or active.max() >= len(frozen)
-                        or frozen[active].any()):
-        raise ValueError("cannot advance a frozen or unknown stream")
+    if active.size and (active[0] < 0 or active[-1] >= len(frozen)
+                        or np.any(active[1:] <= active[:-1]) or frozen[active].any()):
+        raise ValueError("cannot advance a frozen or unknown stream (ids must increase)")
     return log_lr_values, active
 
 
@@ -314,7 +315,6 @@ class PartialDepPosterior:
         self.k = k
         self.t = 0
         self._ids = np.arange(k)              # stream id per buffer row, increasing
-        self._row = np.arange(k)              # buffer row per stream id, -1 once folded
         self._hist = np.zeros((k, 8))         # columns 0..t: cumulative log LR
         self._acc = np.zeros(8)               # [m]: sum of frozen streams' log Lam(m)
         self._stopped_at = np.full(k, -1)     # observation time after which frozen
@@ -347,8 +347,6 @@ class PartialDepPosterior:
     def _set_rows(self, ids: np.ndarray, history: np.ndarray, capacity: int) -> None:
         """Reallocate the buffer (and accumulator) with rows ``ids``."""
         self._ids = ids
-        self._row = np.full(self.k, -1)
-        self._row[ids] = np.arange(len(ids))
         self._hist = np.zeros((len(ids), capacity))
         self._hist[:, :history.shape[1]] = history
         acc = np.zeros(capacity)
@@ -374,7 +372,8 @@ class PartialDepPosterior:
             self._set_rows(self._ids, self._hist[:, :t + 1], 2 * (t + 2))
         col = self._hist[:, t + 1]
         col[:] = self._hist[:, t]
-        col[self._row[active]] += log_lr_values
+        # past the fold the rows are the live streams, in increasing id
+        col[self._ids.searchsorted(active)] += log_lr_values
         self.t = t + 1
 
     def freeze(self, idx, w_idx=None) -> None:

@@ -26,7 +26,7 @@ convention.  The output CSV uses that convention in its ``t`` column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .model import EnsembleModel
 # at K=500 recorded in CHANGES.md)
 BATCH_STREAMS = 16_000
 
-CSV_COLUMNS = ("t,mean_fnp,se_fnp,mean_lfnr,se_lfnr,mean_active,mean_util,"
-               "mean_fdp,mean_lfdr,mean_rl,mean_cd")
+# the metrics of a replication's rows, in the order ``_rows`` stacks them
+_ROW_METRICS = ("fnp", "lfnr", "fdp", "lfdr", "active", "util", "rl", "cd")
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,10 @@ class MetricsFrame:
     replications: int
 
 
+# the CSV header: "t", then each mean_<metric> and se_<metric> column
+CSV_COLUMNS = ",".join(f.name for f in fields(MetricsFrame) if f.name != "replications")
+
+
 def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
     """count / total as floats, 0 where total is 0."""
     return np.divide(count, total, out=np.zeros(total.shape), where=total > 0)
@@ -93,10 +97,10 @@ def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 def _rows(horizon: int, tau: np.ndarray, t_stop: np.ndarray, lfnr: np.ndarray,
           lfdr: np.ndarray) -> np.ndarray:
-    """The rows of a batch of replications (replications x time x fnp, lfnr,
-    fdp, lfdr, active, util, rl, cd) from their (replications x k) change
-    times and stop times, the realized LFNR of each selection made (one
-    column per selection, the start included) and the per-step LFDR.
+    """The rows of a batch of replications (replications x time x
+    ``_ROW_METRICS``) from their (replications x k) change times and stop
+    times, the realized LFNR of each selection made (one column per
+    selection, the start included) and the per-step LFDR.
 
     Every count is a bincount over all replications at once, replication e
     offset by ``e * (horizon + 1)``: integers, so every sum is exact and
@@ -130,10 +134,11 @@ def _rows(horizon: int, tau: np.ndarray, t_stop: np.ndarray, lfnr: np.ndarray,
     # min(tau_k, t_stop_k) the stream's pre-change observations
     m = np.minimum(np.minimum(tau, np.where(stopped, t_stop, math.inf)), horizon)
     at_least = k - np.cumsum(counts(m), axis=1)[:, :horizon]
-    return np.stack([
-        _share(changed_kept, active), lfnr, _share(false_drops, stops[:, :horizon]), lfdr,
-        active, np.cumsum(active, axis=1), np.cumsum(at_least, axis=1), k - active], axis=-1,
-        dtype=float)
+    metrics = {"fnp": _share(changed_kept, active), "lfnr": lfnr,
+               "fdp": _share(false_drops, stops[:, :horizon]), "lfdr": lfdr,
+               "active": active, "util": np.cumsum(active, axis=1),
+               "rl": np.cumsum(at_least, axis=1), "cd": k - active}
+    return np.stack([metrics[name] for name in _ROW_METRICS], axis=-1, dtype=float)
 
 
 def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
@@ -198,18 +203,11 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
         se = stack.std(axis=0, ddof=1) / math.sqrt(reps)
     else:
         se = np.full_like(mean, math.nan)
-    return MetricsFrame(
-        t=np.arange(1, config.horizon + 1),
-        mean_fnp=mean[:, 0], se_fnp=se[:, 0],
-        mean_lfnr=mean[:, 1], se_lfnr=se[:, 1],
-        mean_fdp=mean[:, 2],
-        mean_lfdr=mean[:, 3],
-        mean_active=mean[:, 4],
-        mean_util=mean[:, 5],
-        mean_rl=mean[:, 6],
-        mean_cd=mean[:, 7],
-        replications=reps,
-    )
+    columns = {}
+    for name in CSV_COLUMNS.split(",")[1:]:
+        stat, metric = name.split("_", 1)
+        columns[name] = {"mean": mean, "se": se}[stat][:, _ROW_METRICS.index(metric)]
+    return MetricsFrame(t=np.arange(1, config.horizon + 1), replications=reps, **columns)
 
 
 def write_metrics_csv(frame: MetricsFrame, path, metadata: dict | None = None) -> None:

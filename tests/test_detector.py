@@ -879,12 +879,13 @@ _NO_STOP = _pack(np.full(4, -1))
     ("alpha", float.hex(1.5)),
     ("alpha", "nan"),
     ("alpha", float.hex(0.0)),
+    ("mode", "bogus"),
 ], ids=["phase", "t", "t-zero-select", "t_stop-after-t", "t_stop-negative",
         "t_stop-float", "stopped-but-active", "t_stop-long", "t_stop-2d", "bad-base64",
         "size-disagrees-with-shape", "unknown-dtype", "negative-shape", "shape-type",
         "no-data", "data-type", "cutoff-int", "lfnr-int", "lfnr-long",
         "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype",
-        "alpha-above-one", "alpha-nan", "alpha-zero"])
+        "alpha-above-one", "alpha-nan", "alpha-zero", "mode"])
 def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
     # "no-data" lists an array with no line, "data-type" puts a number where
     # its base64 goes, and "array-type" lists a bare number as the entry
@@ -904,8 +905,9 @@ def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
     ("arrays", {"log_odds": _pack(np.full(6, -np.inf)), "acc": _pack(np.zeros(0))},
      "posterior state"),
     ("arrays", {"log_odds": 5}, "malformed"),
+    ("mode", "bogus", "unknown detector kind"),
 ], ids=["phase", "t", "t_stop", "t_stop-float", "lfnr", "no-arrays", "short-array",
-        "unknown-array", "array-type"])
+        "unknown-array", "array-type", "mode"])
 def test_checkpoint_bad_values_are_checkpoint_errors(field, value, match):
     # the same checks mid-run: K=6 at t=3 (phase observe), stream 3 stopped at t=3
     model, det = _seeded("adaptive")

@@ -416,7 +416,7 @@ def test_advance_rejects_frozen_or_unknown_streams(backend):
             "partial": lambda: PartialDepPosterior(0.1, 0.5, 4)}[backend]()
     post.advance([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3])
     post.freeze([2])
-    for bad in ([0, 2], [0, 4], [-1, 0]):
+    for bad in ([0, 2], [0, 4], [-1, 0], [0, 0], [1, 0]):
         with pytest.raises(ValueError, match="frozen or unknown"):
             post.advance([0.1, 0.1], bad)
     if backend == "partial":
