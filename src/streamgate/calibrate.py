@@ -9,8 +9,8 @@ simulated homogeneous ensemble and reading, for each step, from its
 decision trace (:meth:`~streamgate.detector.AdaptiveDetector.trace`)
 
 * ``cutoff``, the largest retained posterior (the plug-in threshold
-  estimate: 1.0 at steps where nothing was deactivated, 0.0 once nothing
-  is retained),
+  estimate: 1.0 at steps where nothing was deactivated, 0.0 at the step
+  that retains nothing, and 1.0 again at every step after it),
 * ``active_size`` as the surviving fraction of streams, and
 * ``realized_lfnr``, the mean retained posterior (the realized LFNR).
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
-from .detector import (CheckpointError, TableExhaustedError, checkpoint_state,
-                       make_detector, restore_state, write_atomic)
+from .detector import (DETECTOR_KINDS, CheckpointError, TableExhaustedError,
+                       checkpoint_state, make_detector, restore_state, write_atomic)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
 from .verify import SUITES
@@ -145,17 +145,6 @@ def _build_model(inp: _Inputs):
     if kind == "partial":
         return PartialDepModel(GeometricPrior(theta), eta, obs)
     return TabularModel(supports=supports, masses=masses, obs=tuple(obs for _ in supports))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("STREAMGATE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"STREAMGATE_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +373,8 @@ def _cmd_detect(args) -> int:
     mode = inp.get("mode", str, "adaptive")
     table_path = inp.get("table") if mode == "threshold" else None
     model = _build_model(inp)
+    if mode not in DETECTOR_KINDS:
+        raise UsageError(f"unknown mode {mode!r}")
     if alpha is None:
         raise UsageError("detect needs alpha")
     table = _read_table(table_path, "mode") if mode == "threshold" else None
@@ -484,10 +475,6 @@ def _cmd_simulate(args) -> int:
     procedure = inp.get("procedure", str, "adaptive")
     table_path = inp.get("table") if procedure == "threshold" else None
     model = _build_model(inp)
-    threads = _default_threads() if threads is None else threads
-    if horizon is None and isinstance(model, IIDModel):
-        # long enough to cover the full decay of the active count
-        horizon = 200 if model.prior.theta >= 0.05 else 600
     if None in (k, alpha, horizon, reps):
         raise UsageError("simulate needs k, alpha, horizon, and reps")
     table = _read_table(table_path, "procedure") if procedure == "threshold" else None
@@ -583,7 +570,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed")
     sim.add_argument("--procedure", help="adaptive | threshold | dependent")
     sim.add_argument("--table", help="threshold table CSV (threshold procedure)")
-    sim.add_argument("--threads", type=int)
+    sim.add_argument("--threads", type=int, default=1)
     _add_model_flags(sim)
     sim.set_defaults(func=_cmd_simulate)
 

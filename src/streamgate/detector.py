@@ -216,8 +216,9 @@ class Selection:
 
     At time ``t``, ``n_active`` streams are kept and ``dropped`` (stream
     indices) are deactivated.  ``lfnr`` is the mean retained posterior (0
-    for an empty set).  ``cutoff`` is the largest retained posterior: 1.0
-    when nothing was dropped and 0.0 when nothing was kept.  Under the
+    for an empty set).  ``cutoff`` is the largest retained posterior: 0.0
+    at the selection that empties the ensemble, and 1.0 when nothing was
+    dropped, so at every selection after that one.  Under the
     adaptive rule it is lambda_t whenever the step both drops and keeps.
     Only a one-ensemble detector records it; a batch's per-ensemble
     cutoffs and LFNRs are in its ``traces()`` and ``realized_lfnr``.
@@ -399,10 +400,11 @@ class _DetectorBase:
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[drop])
             self._count_active()
-        # per ensemble: the cutoff is 1.0 when nothing was dropped, 0.0 when
-        # nothing was kept, else the largest kept posterior; the LFNR is the
-        # mean kept posterior (sum / n, the division ndarray.mean does), each
-        # over its own slice: the bits of a lone run
+        # per ensemble: the cutoff is 1.0 when nothing was dropped (so once
+        # the ensemble is empty), 0.0 when the selection empties it, else the
+        # largest kept posterior; the LFNR is the mean kept posterior (sum / n,
+        # the division ndarray.mean does), each over its own slice: the bits
+        # of a lone run
         cutoff, lfnr, start = [], [], 0
         for n, size in zip(self.active_counts.tolist(), sizes.tolist()):
             part = kept_w[start:start + n]

@@ -85,11 +85,6 @@ class GaussianShift:
         """Observations from raw noise ``z`` and the boolean post-change mask."""
         return self.sigma * z + self.mu * post
 
-    def sample(self, post: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw one observation per entry of the boolean post-change mask."""
-        post = np.asarray(post, dtype=bool)
-        return self.transform(self.draw(rng, np.empty(post.shape)), post)
-
     def log_lr(self, x) -> np.ndarray | float:
         """log q(x)/p(x) = (mu*x - mu^2/2) / sigma^2."""
         x = np.asarray(x, dtype=float)
@@ -122,10 +117,6 @@ class BernoulliPair:
     def transform(self, u: np.ndarray, post: np.ndarray) -> np.ndarray:
         """Observations from raw uniforms ``u`` and the boolean post-change mask."""
         return (u < np.where(post, self.p1, self.p0)).astype(float)
-
-    def sample(self, post: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        post = np.asarray(post, dtype=bool)
-        return self.transform(self.draw(rng, np.empty(post.shape)), post)
 
     def log_lr(self, x) -> np.ndarray | float:
         x = np.asarray(x, dtype=float)

@@ -427,7 +427,7 @@ def reference_posterior_paths(theta: float, obs_model, horizon: int, n_paths: in
     log_odds = np.full(n_paths, NEG_INF)
     lt, l1t = math.log(theta), math.log1p(-theta)
     for t in range(1, horizon + 1):
-        x = obs_model.sample(tau < t, rng)
+        x = obs_model.transform(obs_model.draw(rng, np.empty(n_paths)), tau < t)
         log_odds = obs_model.log_lr(x) + np.logaddexp(lt, log_odds) - l1t
         out[:, t] = _special.expit(log_odds)
     return out

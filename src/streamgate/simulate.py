@@ -11,11 +11,11 @@ Under the i.i.d. model one detector holds a batch of replications, one
 ensemble each, and advances them all with one ``observe`` and one
 ``deactivate`` per time step (``_replicate``); the other models run one
 replication per detector.  Each replication keeps its own generator and
-draw order: its change times, then one full-k draw per step while it has
-active streams.  The rows are derived once per batch (``_rows``) by exact
-integer counts, so every row keeps the bits of a replication computed on
-its own, and results are bit-identical for any worker count and batch
-size.
+draw order: its change times, then one full-k draw per step before the
+horizon while it has active streams.  The rows are derived once per batch
+(``_rows``) by exact integer counts, so every row keeps the bits of a
+replication computed on its own, and results are bit-identical for any
+worker count and batch size.
 
 Time indexing matches the one-step-ahead convention: the FNP/LFNR row at
 time t is a property of the selection entering time t, i.e. of the active
@@ -153,27 +153,28 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
     det = make_detector(config.procedure, model, config.alpha, k, config.table, len(rngs))
     lfdr = np.zeros((len(rngs), horizon))
     noise = np.empty(k * len(rngs))
-    for t in range(1, horizon + 1):
-        if t > 1:
-            before = det.active_counts  # a selection that drops streams replaces it
-            dropped = det.deactivate()
-            if dropped.size:
-                # each ensemble's mean over its own slice, the bits of its own
-                # run; sum / n is the division ndarray.mean does
-                gain, start = 1.0 - det.w[dropped], 0
-                for e, m in enumerate((before - det.active_counts).tolist()):
-                    if m:
-                        lfdr[e, t - 1] = float(gain[start:start + m].sum()) / m
-                        start += m
-            if not det.n_active:
-                break
+    # the selection at t enters row t+1, so the last row needs no observation
+    # at the horizon
+    for t in range(1, horizon):
         # each live replication draws one full-k step from its own generator;
         # an emptied one draws no more: its replication has ended
-        for e, m in enumerate(det.active_counts.tolist()):
+        before = det.active_counts  # a selection that drops streams replaces it
+        for e, m in enumerate(before.tolist()):
             if m:
                 model.draw(rngs[e], noise[e * k:(e + 1) * k])
         active = det.active
         det.observe(model.observations(t, tau[active], noise[active], active))
+        dropped = det.deactivate()
+        if dropped.size:
+            # each ensemble's mean over its own slice, the bits of its own
+            # run; sum / n is the division ndarray.mean does
+            gain, start = 1.0 - det.w[dropped], 0
+            for e, m in enumerate((before - det.active_counts).tolist()):
+                if m:
+                    lfdr[e, t] = float(gain[start:start + m].sum()) / m
+                    start += m
+        if not det.n_active:
+            break
     lfnr = det.realized_lfnr.T  # replications x selections
     return _rows(horizon, tau.reshape(-1, k), det.t_stop.reshape(-1, k), lfnr, lfdr)
 

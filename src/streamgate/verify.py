@@ -12,9 +12,9 @@ independent route:
   largest one whose mean posterior fits the budget, instead of sorting
   and scanning prefixes.
 * The ordered-vector utilities (:func:`ordered_leq`,
-  :func:`feasible_prefix_size`, :func:`feasible_prefix`) mirror the
-  selection rule on sorted vectors, together with randomized checks of
-  the monotonicity property that drives the optimality theory.
+  :func:`feasible_prefix_size`) mirror the selection rule on sorted
+  vectors, together with randomized checks that :func:`one_step_rule`
+  has the monotonicity property that drives the optimality theory.
 * One exact recursion (`fractions.Fraction`) over the observation tree of
   small Bernoulli instances, streams of equal state grouped and a node
   budget as its only size limit, gives the expected performance of the
@@ -164,12 +164,6 @@ def feasible_prefix_size(u, alpha: float) -> int:
     return best
 
 
-def feasible_prefix(u, alpha: float) -> np.ndarray:
-    """The retained prefix itself (empty array when nothing fits)."""
-    u = _check_sorted(u)
-    return u[: feasible_prefix_size(u, alpha)].copy()
-
-
 def random_ordered_pair(rng: np.random.Generator, max_dim: int = 8
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Sample (u, v) with u <= v in the partial order.
@@ -188,14 +182,16 @@ def random_ordered_pair(rng: np.random.Generator, max_dim: int = 8
 
 def monotone_selection_check(n_trials: int, alpha: float,
                              rng: np.random.Generator):
-    """Randomized check that the retained-prefix map is order preserving.
+    """Randomized check that the selection rule is order preserving.
 
-    Samples pairs u <= v and asserts feasible_prefix(u) <= feasible_prefix(v);
-    returns (True, None) or (False, (u, v)) with the first counterexample.
+    Samples pairs u <= v and asserts that what :func:`one_step_rule` keeps
+    of u precedes what it keeps of v (on a sorted vector it keeps the first
+    N*); returns (True, None) or (False, (u, v)) with the first
+    counterexample.
     """
     for _ in range(n_trials):
         u, v = random_ordered_pair(rng)
-        if not ordered_leq(feasible_prefix(u, alpha), feasible_prefix(v, alpha)):
+        if not ordered_leq(u[one_step_rule(u, alpha)], v[one_step_rule(v, alpha)]):
             return False, (u, v)
     return True, None
 

@@ -56,7 +56,7 @@ def test_01_posterior_oracle_equivalence():
         t = int(rng.integers(1, 26))
         tau = GeometricPrior(theta).sample(1, rng)[0]
         obs = GaussianShift(1.0)
-        x = obs.sample(np.arange(1, t + 1) > tau, rng)
+        x = obs.transform(obs.draw(rng, np.empty(t)), np.arange(1, t + 1) > tau)
         llr = obs.log_lr(x)
         state = PosteriorState(theta, 1)
         for value in np.atleast_1d(llr):

@@ -114,7 +114,9 @@ _IID_ALPHA = "--model iid --theta 0.05 --mu 1.0 --alpha 0.05".split()
 @pytest.mark.parametrize("text, where", [
     ("t,1,2\n1,0.1,0.2\n2,0.1,abc\n", "row 3"),   # a bad observation cell
     ("t,1,2\n1,0.1,0.2\nx,0.1,0.2\n", "row 3"),   # a bad time cell
-], ids=["value", "time"])
+    ("s,1,2\n1,0.1,0.2\n", "unrecognized input header; expected NDJSON"),
+    ("t,1,a\n1,0.1,0.2\n", "bad stream id 'a' in wide header"),
+], ids=["value", "time", "header-without-t", "header-id"])
 def test_detect_bad_wide_csv_cell_is_a_data_error(tmp_path, capsys, text, where):
     data = tmp_path / "wide.csv"
     data.write_text(text)
@@ -934,7 +936,9 @@ def test_detect_runs_a_stdin_step_once_the_next_one_starts(tmp_path, capsys, mon
     ("long.csv", "t,stream,x\n1,1,0.1\n1,2,1e400\n",
      "row 3: non-finite observation inf for stream 2 at t=1"),
     ("wide.csv", "t,1,2\n1,0.1,1e400\n", "row 2: non-finite observation inf for stream 2 at t=1"),
-], ids=["joined-lines", "ndjson-1e400", "long-1e400", "wide-1e400"])
+    ("obs.ndjson", '{"t":1,"stream":1,"x":0.5} 7\n',
+     "row 1: bad NDJSON record (Extra data: line 1 column 28 (char 27))"),
+], ids=["joined-lines", "ndjson-1e400", "long-1e400", "wide-1e400", "ndjson-extra-data"])
 def test_detect_reads_each_line_on_its_own(tmp_path, capsys, name, text, message):
     data = tmp_path / name
     data.write_text(text)
@@ -1164,14 +1168,21 @@ def test_simulate_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-def test_simulate_refuses_a_bad_threads_variable(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("STREAMGATE_THREADS", raw)
-    code, _, err = _run(capsys, *_SIM, "--out", str(tmp_path / "x.csv"))
-    assert code == 1 and "usage error" in err
-    assert "STREAMGATE_THREADS" in err and repr(raw) in err
-    monkeypatch.setenv("STREAMGATE_THREADS", "2")
-    assert _run(capsys, *_SIM, "--out", str(tmp_path / "x.csv"))[0] == 0
+@pytest.mark.parametrize("argv, message", [
+    (["detect", "--input", "missing.ndjson", *_IID_ALPHA, "--mode", "bogus"],
+     "unknown mode 'bogus'"),
+    (["simulate", *_IID_ALPHA, "--k", "10", "--reps", "2"],
+     "simulate needs k, alpha, horizon, and reps"),
+    (["calibrate", "--model", "partial", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.05",
+      "--n", "1000", "--horizon", "3"], "calibrate needs an iid model"),
+], ids=["detect-unknown-mode", "simulate-no-horizon", "calibrate-partial"])
+def test_a_setting_the_command_cannot_run_is_refused_before_any_file(tmp_path, capsys,
+                                                                    monkeypatch, argv,
+                                                                    message):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *argv, "--out", "o.csv")
+    assert (code, err) == (1, f"usage error: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_rejects_bad_combo(tmp_path, capsys):

@@ -547,6 +547,17 @@ def test_selection_record_matches_independent_derivations(name):
                          getattr(det, "table", None)).last is None
 
 
+def test_selection_after_the_ensemble_empties_records_cutoff_one():
+    # the selection that empties the ensemble records 0.0; a later one drops
+    # nothing, so it records 1.0
+    det = AdaptiveDetector(IIDModel(GeometricPrior(0.3), GaussianShift(1.0)), 1e-9, 5)
+    det.observe([3.0] * 5)
+    assert det.deactivate().size == 5
+    det.observe([])
+    assert det.deactivate().size == 0
+    assert det.trace().cutoff.tolist() == [1.0, 0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
@@ -782,6 +793,18 @@ def test_checkpoint_refuses_a_format_2_blob():
     assert json.loads(blob)["format_version"] == 2
     with pytest.raises(CheckpointError, match="unsupported checkpoint version.*format 1 or 2"):
         restore_state(blob, model, det.k)
+
+
+@pytest.mark.parametrize("kind, edit, k, match", [
+    ("adaptive", str, 7, "stream count mismatch: 6 vs 7"),
+    ("threshold", str, 6, "threshold checkpoints need their threshold table"),
+    ("adaptive", lambda blob: blob.partition("\n")[0], 6, "checksum mismatch"),
+], ids=["other-k", "threshold-without-table", "digest-line-only"])
+def test_checkpoint_refuses_a_restore_it_cannot_match(kind, edit, k, match):
+    # restored with no table, and a blob cut to its digest line
+    model, det = _seeded(kind)
+    with pytest.raises(CheckpointError, match=match):
+        restore_state(edit(checkpoint_state(det)), model, k)
 
 
 def test_checkpoint_v2_derives_the_active_set():

@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from streamgate.detector import one_step_rule
 from streamgate.verify import (_GeomStream, _conflicting_streams, _exact_value,
                                _feasible, _util, brute_force_max_subset,
                                brute_force_posterior,
                                conflicting_priors_enumeration,
-                               dp_optimality_report, feasible_prefix,
-                               feasible_prefix_size, monotone_selection_check,
-                               ordered_leq, partial_order_axioms_check,
-                               random_ordered_pair)
+                               dp_optimality_report, feasible_prefix_size,
+                               monotone_selection_check, ordered_leq,
+                               partial_order_axioms_check, random_ordered_pair)
 
 
 def test_brute_force_posterior_basics():
@@ -31,10 +31,7 @@ def test_brute_force_max_subset_examples():
 
 def test_feasible_prefix_examples():
     assert feasible_prefix_size([0.01, 0.03, 0.20], 0.05) == 2
-    assert np.array_equal(feasible_prefix([0.01, 0.03, 0.20], 0.05),
-                          [0.01, 0.03])
     assert feasible_prefix_size([], 0.05) == 0
-    assert feasible_prefix([], 0.05).size == 0
     u = np.sort(np.random.default_rng(0).random(7))
     assert feasible_prefix_size(u, 1.0) == 7
     with pytest.raises(ValueError):
@@ -73,8 +70,8 @@ def test_monotone_selection_randomized():
 def test_monotone_selection_hand_case():
     u = np.array([0.01, 0.02, 0.9])
     v = np.array([0.02, 0.05])
-    hu = feasible_prefix(u, 0.05)
-    hv = feasible_prefix(v, 0.05)
+    hu = u[one_step_rule(u, 0.05)]
+    hv = v[one_step_rule(v, 0.05)]
     assert np.array_equal(hu, [0.01, 0.02])
     assert np.array_equal(hv, [0.02, 0.05])
     assert ordered_leq(hu, hv)
