@@ -33,8 +33,8 @@ import numpy as np
 
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
-from .detector import (DETECTOR_KINDS, CheckpointError, TableExhaustedError,
-                       checkpoint_state, make_detector, restore_state, write_atomic)
+from .detector import (CheckpointError, TableExhaustedError, check_kind, checkpoint_state,
+                       make_detector, restore_state, write_atomic)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
                     PartialDepModel, TabularModel)
 from .verify import SUITES
@@ -373,8 +373,8 @@ def _cmd_detect(args) -> int:
     mode = inp.get("mode", str, "adaptive")
     table_path = inp.get("table") if mode == "threshold" else None
     model = _build_model(inp)
-    if mode not in DETECTOR_KINDS:
-        raise UsageError(f"unknown mode {mode!r}")
+    # before the input is read; main() reports its ValueError as a usage error
+    check_kind(mode)
     if alpha is None:
         raise UsageError("detect needs alpha")
     table = _read_table(table_path, "mode") if mode == "threshold" else None

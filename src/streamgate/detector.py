@@ -487,13 +487,18 @@ _KINDS = {cls.kind: cls for cls in (AdaptiveDetector, ThresholdDetector, Depende
 DETECTOR_KINDS = tuple(_KINDS)
 
 
+def check_kind(kind: str) -> None:
+    """Refuse a ``kind`` that is not one of :data:`DETECTOR_KINDS`."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown mode {kind!r}")
+
+
 def make_detector(kind: str, model: EnsembleModel, alpha: float, k: int,
                   table: ThresholdTable | None = None, ensembles: int = 1) -> _DetectorBase:
     """The detector of ``kind`` (one of :data:`DETECTOR_KINDS`) over
     ``ensembles`` independent ensembles of ``k`` streams; threshold
     detectors need their calibrated ``table``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown mode {kind!r}")
+    check_kind(kind)
     if kind != "threshold":
         return _KINDS[kind](model, alpha, k, ensembles)
     if table is None:

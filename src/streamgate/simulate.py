@@ -217,12 +217,9 @@ def write_metrics_csv(frame: MetricsFrame, path, metadata: dict | None = None) -
     SE columns are left empty when undefined (single replication).  Output
     bytes depend only on the frame, never on worker count.
     """
-    lines = []
     meta = dict(metadata or {})
     meta.setdefault("replications", frame.replications)
-    for key, val in meta.items():
-        lines.append(f"# {key}={val}")
-    lines.append(CSV_COLUMNS)
+    lines = [f"# {key}={val}" for key, val in meta.items()] + [CSV_COLUMNS]
 
     def fmt(x: float) -> str:
         return "" if math.isnan(x) else repr(float(x))

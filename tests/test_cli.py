@@ -1168,20 +1168,11 @@ def test_simulate_refuses_a_bad_thread_count(tmp_path, capsys, threads):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["detect", "--input", "missing.ndjson", *_IID_ALPHA, "--mode", "bogus"],
-     "unknown mode 'bogus'"),
-    (["simulate", *_IID_ALPHA, "--k", "10", "--reps", "2"],
-     "simulate needs k, alpha, horizon, and reps"),
-    (["calibrate", "--model", "partial", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.05",
-      "--n", "1000", "--horizon", "3"], "calibrate needs an iid model"),
-], ids=["detect-unknown-mode", "simulate-no-horizon", "calibrate-partial"])
-def test_a_setting_the_command_cannot_run_is_refused_before_any_file(tmp_path, capsys,
-                                                                    monkeypatch, argv,
-                                                                    message):
+def test_an_unknown_mode_is_refused_before_the_input_is_read(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, _, err = _run(capsys, *argv, "--out", "o.csv")
-    assert (code, err) == (1, f"usage error: {message}\n")
+    code, _, err = _run(capsys, "detect", "--input", "missing.ndjson", *_IID_ALPHA,
+                        "--mode", "bogus", "--out", "o.csv")
+    assert (code, err) == (1, "usage error: unknown mode 'bogus'\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -1341,8 +1332,12 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
     ("detect", ["--theta", "0.7", "--alpha", "0.05"],
      "[model]\nmodel = tabular\nbuiltin = conflicting\np0 = 0.5\np1 = 0.51\n",
      ["[model] builtin", "--theta"]),
+    ("simulate", [*_IID_ALPHA, "--k", "10", "--reps", "2"], None, ["horizon"]),
+    ("calibrate", ["--model", "partial", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.05",
+                   "--n", "1000", "--horizon", "3"], None, ["iid model"]),
 ], ids=["eta-with-iid", "table-in-adaptive-mode", "calibrate-partial-typo-threads",
-        "prior-row-with-iid", "report-in-config", "model-alias-ms", "tabular-builtin"])
+        "prior-row-with-iid", "report-in-config", "model-alias-ms", "tabular-builtin",
+        "simulate-no-horizon", "calibrate-partial"])
 def test_an_input_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch,
                                                       command, flags, config, names):
     monkeypatch.chdir(tmp_path)

@@ -1,14 +1,14 @@
 """Which statements of ``src/streamgate`` tier-1 and the workloads reach.
 
-    python3 tools/line_reach.py [--root CHECKOUT] [--seed N] [--skip-tests]
+    python3 tools/line_reach.py [--root CHECKOUT]
 
 Runs, in this one process and under a ``sys.settrace`` line tracer limited
 to ``CHECKOUT/src/streamgate/`` (default: this repository):
 
 * tier-1, as ``pytest -q --continue-on-collection-errors`` from the
-  checkout's root (through ``pytest.main``), unless ``--skip-tests``;
+  checkout's root (through ``pytest.main``);
 * one untimed pass of each workload of ``perfbench/workloads.py``
-  (imported, never edited) at its fixed sizes, on ``--seed`` (default 1).
+  (imported, never edited) at its fixed sizes, on seed 1.
 
 Then it prints, per module, ``wc -l``, the code lines (not blank, comment
 or docstring, found with ``ast`` and ``tokenize``) and each statement
@@ -31,7 +31,6 @@ import io
 import os
 import sys
 import tempfile
-import threading
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -120,12 +119,10 @@ class LineTracer:
         return self._local
 
     def start(self) -> None:
-        threading.settrace(self._global)
         sys.settrace(self._global)
 
     def stop(self) -> None:
         sys.settrace(None)
-        threading.settrace(None)
 
 
 def run_tests(root: Path) -> int:
@@ -135,8 +132,12 @@ def run_tests(root: Path) -> int:
                             "-p", "no:cacheprovider", f"--rootdir={root}"]))
 
 
-def run_workloads(seed: int) -> int:
-    """One untimed pass of each workload; the number of failed operations."""
+SEED = 1
+
+
+def run_workloads() -> int:
+    """One untimed pass of each workload on ``SEED``; the number of failed
+    operations."""
     import workloads
     from tracing import NullTracer
 
@@ -144,7 +145,7 @@ def run_workloads(seed: int) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for name, cls in workloads.WORKLOADS.items():
             extra = {"workdir": workdir} if cls is workloads.DetectCli else {}
-            work = cls(seed, **extra)
+            work = cls(SEED, **extra)
             work.prepare()
             ledger = workloads.Ledger()
             work.run_pass(ledger, {}, NullTracer(), lambda: None)
@@ -183,8 +184,6 @@ def report(package: Path, hits: set) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", type=Path, default=REPO, help="checkout to trace")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the workload passes")
-    ap.add_argument("--skip-tests", action="store_true", help="trace the workloads only")
     args = ap.parse_args()
     root = args.root.resolve()
     package = root / "src" / "streamgate"
@@ -194,12 +193,11 @@ def main() -> int:
     tracer = LineTracer(str(package) + os.sep)
     tracer.start()
     try:
-        tests_exit = 0 if args.skip_tests else run_tests(root)
-        failed = run_workloads(args.seed)
+        tests_exit = run_tests(root)
+        failed = run_workloads()
     finally:
         tracer.stop()
-    tests = "skipped" if args.skip_tests else f"exit {tests_exit}"
-    print(f"line_reach: tier-1 {tests}; not seen: the subprocesses of "
+    print(f"line_reach: tier-1 exit {tests_exit}; not seen: the subprocesses of "
           f"test_demos and test_lazy_import, and simulate --threads workers")
     report(package, tracer.hits)
     return 1 if tests_exit or failed else 0
