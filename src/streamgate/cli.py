@@ -111,16 +111,28 @@ def _build_obs(mu, sigma, p0, p1):
     raise UsageError("observation model missing: set mu (gaussian) or p0 and p1")
 
 
+def _prior_row(text: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """One ``prior.<stream>`` row: comma-separated ``m:p`` cells, mass p at time m."""
+    cells = [cell.split(":") for cell in text.split(",")]
+    if any(len(cell) != 2 for cell in cells):
+        raise ValueError("each cell must be <change time>:<mass>")
+    return tuple(int(m) for m, _ in cells), tuple(float(p) for _, p in cells)
+
+
 def _prior_rows(inp: _Inputs) -> tuple[tuple, tuple]:
     """The ``prior.<stream>`` rows of the config file, in stream order."""
-    rows = sorted((key for key in inp.cfg if key.startswith("prior.")),
-                  key=lambda key: int(key.split(".", 1)[1]))
-    supports, masses = [], []
-    for key in rows:
-        cells = [cell.split(":") for cell in inp.get(key).split(",")]
-        supports.append(tuple(int(m) for m, _ in cells))
-        masses.append(tuple(float(p) for _, p in cells))
-    return tuple(supports), tuple(masses)
+    keys: dict[int, str] = {}
+    for key in (key for key in inp.cfg if key.startswith("prior.")):
+        try:
+            stream = int(key.split(".", 1)[1])
+        except ValueError:
+            raise UsageError(f"bad config key {key}: prior.<stream> needs an integer "
+                             f"stream number") from None
+        if stream in keys:
+            raise UsageError(f"{keys[stream]} and {key} both give stream {stream}'s prior")
+        keys[stream] = key
+    rows = [inp.get(keys[stream], _prior_row) for stream in sorted(keys)]
+    return tuple(sup for sup, _ in rows), tuple(mas for _, mas in rows)
 
 
 def _build_model(inp: _Inputs):
@@ -144,7 +156,7 @@ def _build_model(inp: _Inputs):
         return IIDModel(GeometricPrior(theta), obs)
     if kind == "partial":
         return PartialDepModel(GeometricPrior(theta), eta, obs)
-    return TabularModel(supports=supports, masses=masses, obs=tuple(obs for _ in supports))
+    return TabularModel(supports=supports, masses=masses, obs=obs)
 
 
 # ---------------------------------------------------------------------------

@@ -378,8 +378,7 @@ class _DetectorBase:
             raise ValueError(
                 f"expected {self.n_active} observations for the active set, "
                 f"got shape {x.shape}")
-        self._state.advance(self.model.log_lr_rows(x, self.active) if x.size else x,
-                            self.active)
+        self._state.advance(self.model.log_lr_rows(x), self.active)
         self._w = None
         self._phase = "select"
 

@@ -17,13 +17,13 @@ Three ensemble variants are provided:
   each stream independently changes at ``tau0`` with probability ``eta``
   and otherwise never changes.  ``eta = 1`` makes all streams change
   together.
-* :class:`TabularModel` -- per-stream finite-support priors and
-  per-stream observation models (heterogeneous streams).
+* :class:`TabularModel` -- per-stream finite-support priors (heterogeneous
+  streams) with a common observation model.
 
 Model objects are immutable after construction and safe to share across
 threads; all sampling takes an explicit ``numpy.random.Generator``.  A
 step is sampled in two pieces, ``draw`` then ``observations`` (see
-``_Sampler``), which a lockstep batch of replications calls apart: one
+``_SharedObs``), which a lockstep batch of replications calls apart: one
 draw per replication into one buffer, then one transform of the batch.
 """
 
@@ -134,24 +134,21 @@ class BernoulliPair:
         return f"bern(p0={self.p0!r},p1={self.p1!r})"
 
 
-class _Sampler:
-    """A model's step sampler, in two pieces: ``draw(rng, out)`` fills
-    ``out`` with one step's raw noise for every stream of an ensemble, in
-    the generator's order, and ``observations(t, tau, noise, streams)``
-    turns the noise of ``streams`` (change times ``tau``, both aligned with
-    them) into their observations at time t.  ``sample_step`` is the one
-    composition of the two, so every caller shares one formula."""
+class _SharedObs:
+    """A model whose streams share one observation model ``obs``.  A step is
+    sampled in two pieces: ``draw(rng, out)`` fills ``out`` with one step's
+    raw noise for every stream of an ensemble, in the generator's order, and
+    ``observations(t, tau, noise, streams)`` turns the noise of ``streams``
+    (change times ``tau``, both aligned with them) into their observations
+    at time t.  ``sample_step`` is the one composition of the two, so every
+    caller shares one formula."""
 
     def sample_step(self, t: int, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One observation per stream at time t (full row, fixed stream order)."""
         noise = self.draw(rng, np.empty(len(tau)))
         return self.observations(t, tau, noise, np.arange(len(tau)))
 
-
-class _SharedObs(_Sampler):
-    """The models whose streams share one observation model ``obs``."""
-
-    def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    def log_lr_rows(self, x: np.ndarray) -> np.ndarray:
         return self.obs.log_lr(x)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -202,16 +199,16 @@ class PartialDepModel(_SharedObs):
 
 
 @dataclass(frozen=True)
-class TabularModel(_Sampler):
-    """Heterogeneous ensemble: finite-support prior table and observation model per stream."""
+class TabularModel(_SharedObs):
+    """Heterogeneous ensemble: a finite-support prior table per stream, common densities."""
 
     supports: tuple[tuple[int, ...], ...]
     masses: tuple[tuple[float, ...], ...]
-    obs: tuple[GaussianShift | BernoulliPair, ...]
+    obs: GaussianShift | BernoulliPair
 
     def __post_init__(self) -> None:
-        if not (len(self.supports) == len(self.masses) == len(self.obs) >= 1):
-            raise ValueError("supports, masses and obs must align, one entry per stream")
+        if not (len(self.supports) == len(self.masses) >= 1):
+            raise ValueError("supports and masses must align, one entry per stream")
         for k, (sup, mas) in enumerate(zip(self.supports, self.masses)):
             if len(sup) != len(mas) or len(sup) == 0:
                 raise ValueError(f"stream {k}: support/mass length mismatch")
@@ -243,32 +240,20 @@ class TabularModel(_Sampler):
                     break
         return tau
 
-    def log_lr_rows(self, x: np.ndarray, streams: np.ndarray) -> np.ndarray:
-        out = np.empty(len(streams))
-        for j, k in enumerate(streams):
-            out[j] = self.obs[int(k)].log_lr(x[j])
-        return out
-
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """One uniform per stream, whatever its observation model."""
+        """One uniform per stream, whatever the observation model."""
         return rng.random(out=out)
 
     def observations(self, t: int, tau: np.ndarray, u: np.ndarray,
                      streams: np.ndarray) -> np.ndarray:
-        x = np.empty(len(streams))
-        for j, k in enumerate(streams):
-            om, post = self.obs[int(k)], tau[j] < t
-            if isinstance(om, BernoulliPair):
-                x[j] = 1.0 if u[j] < (om.p1 if post else om.p0) else 0.0
-            else:
-                # uniform -> normal via inverse CDF keeps one innovation per (t, k)
-                x[j] = om.sigma * _special.ndtri(u[j]) + (om.mu if post else 0.0)
-        return x
+        # uniform -> normal via inverse CDF keeps one innovation per (t, k)
+        z = u if isinstance(self.obs, BernoulliPair) else _special.ndtri(u)
+        return self.obs.transform(z, tau < t)
 
     def fingerprint(self) -> str:
         rows = ";".join(
-            ",".join(f"{m}:{p!r}" for m, p in zip(sup, mas)) + "|" + om.fingerprint()
-            for sup, mas, om in zip(self.supports, self.masses, self.obs)
+            ",".join(f"{m}:{p!r}" for m, p in zip(sup, mas)) + "|" + self.obs.fingerprint()
+            for sup, mas in zip(self.supports, self.masses)
         )
         return f"tabular({rows})"
 
@@ -283,5 +268,5 @@ def conflicting_priors_model() -> TabularModel:
     return TabularModel(
         supports=((0, 3), (0, 1), (0, 1), (0, 3)),
         masses=((0.1, 0.9), (0.4, 0.6), (0.43, 0.57), (0.55, 0.45)),
-        obs=tuple(BernoulliPair(0.5, 0.51) for _ in range(4)),
+        obs=BernoulliPair(0.5, 0.51),
     )

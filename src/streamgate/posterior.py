@@ -37,8 +37,7 @@ freeze, and ``to_arrays()``/``from_arrays(..., t, frozen, **arrays)``
 give and take its state for checkpoints.  ``lockstep`` says whether one
 backend can carry several independent ensembles side by side: only the
 i.i.d. one can, whose streams share one prior and update on their own
-data alone.  The module also gives reference paths of never-deactivated
-streams, whose distribution defines the large-ensemble thresholds.
+data alone.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import math
 import numpy as np
 
 from . import _special
-from .model import GeometricPrior
 
 NEG_INF = -math.inf
 
@@ -410,24 +408,3 @@ class PartialDepPosterior:
         out[self._ids[live]] = np.minimum(w_rows[live], 1.0)
         return out
 
-
-def reference_posterior_paths(theta: float, obs_model, horizon: int, n_paths: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    """Posterior paths of never-deactivated streams under the i.i.d. model.
-
-    Returns an (n_paths, horizon+1) array; column 0 is the prior value 0.
-    The marginal mean at time t is 1 - (1-theta)^t.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    prior = GeometricPrior(theta)
-    tau = prior.sample(n_paths, rng)
-    out = np.empty((n_paths, horizon + 1))
-    out[:, 0] = 0.0
-    log_odds = np.full(n_paths, NEG_INF)
-    lt, l1t = math.log(theta), math.log1p(-theta)
-    for t in range(1, horizon + 1):
-        x = obs_model.transform(obs_model.draw(rng, np.empty(n_paths)), tau < t)
-        log_odds = obs_model.log_lr(x) + np.logaddexp(lt, log_odds) - l1t
-        out[:, t] = _special.expit(log_odds)
-    return out

@@ -460,11 +460,9 @@ def _conflicting_streams() -> dict:
     """The streams of ``conflicting_priors_model()``, its decimal floats read
     as the exact fractions they were written as."""
     model = conflicting_priors_model()
-    return {
-        k: _TableStream(k, sup, tuple(Fraction(str(p)) for p in mas),
-                        Fraction(str(obs.p0)), Fraction(str(obs.p1)))
-        for k, (sup, mas, obs) in enumerate(zip(model.supports, model.masses, model.obs))
-    }
+    p0, p1 = Fraction(str(model.obs.p0)), Fraction(str(model.obs.p1))
+    return {k: _TableStream(k, sup, tuple(Fraction(str(p)) for p in mas), p0, p1)
+            for k, (sup, mas) in enumerate(zip(model.supports, model.masses))}
 
 
 @dataclass(frozen=True)

@@ -702,7 +702,7 @@ def _kind_setup(tmp_path, capsys, kind):
         supports = ((0, 3), (0, 1), (0, 1), (0, 3))
         masses = ((0.1, 0.9), (0.4, 0.6), (0.43, 0.57), (0.55, 0.45))
         flags, model = ["--config", str(cfg), "--alpha", "0.34"], TabularModel(
-            supports=supports, masses=masses, obs=(gauss,) * 4)
+            supports=supports, masses=masses, obs=gauss)
     else:
         eta = "0.5" if kind == "partial" else "1"
         flags = ["--model", "partial", "--theta", "0.05", "--eta", eta, "--mu", "1.0",
@@ -1335,9 +1335,16 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
     ("simulate", [*_IID_ALPHA, "--k", "10", "--reps", "2"], None, ["horizon"]),
     ("calibrate", ["--model", "partial", "--theta", "0.05", "--mu", "1.0", "--alpha", "0.05",
                    "--n", "1000", "--horizon", "3"], None, ["iid model"]),
+    ("detect", ["--alpha", "0.3"], "[model]\nmodel = tabular\nmu = 1.0\n"
+     "prior.1 = 0:0.1,3:0.9\nprior.x = 0:0.4,1:0.6\n", ["prior.x"]),
+    ("detect", ["--alpha", "0.3"], "[model]\nmodel = tabular\nmu = 1.0\n"
+     "prior.1 = 0:0.1,3\n", ["bad value for prior.1"]),
+    ("detect", ["--alpha", "0.3"], "[model]\nmodel = tabular\nmu = 1.0\n"
+     "prior.1 = 0:0.1,3:0.9\nprior.01 = 0:0.4,1:0.6\n", ["prior.1", "prior.01"]),
 ], ids=["eta-with-iid", "table-in-adaptive-mode", "calibrate-partial-typo-threads",
         "prior-row-with-iid", "report-in-config", "model-alias-ms", "tabular-builtin",
-        "simulate-no-horizon", "calibrate-partial"])
+        "simulate-no-horizon", "calibrate-partial", "prior-key-not-a-number",
+        "prior-cell-without-colon", "prior-stream-twice"])
 def test_an_input_the_command_does_not_read_is_refused(tmp_path, capsys, monkeypatch,
                                                       command, flags, config, names):
     monkeypatch.chdir(tmp_path)

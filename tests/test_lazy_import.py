@@ -40,6 +40,14 @@ _SCRIPT = textwrap.dedent("""
                                 "--alpha", "0.3"])
     assert code == 0, code
     assert not loaded("scipy.special"), "a partial-model detect imported scipy.special"
+    cfg = obs + ".ini"
+    with open(cfg, "w") as fh:
+        fh.write("[model]\\nmodel = tabular\\nmu = 1.0\\nprior.1 = 0:0.1,3:0.9\\n"
+                 "prior.2 = 0:0.4,1:0.6\\nprior.3 = 0:0.5,2:0.5\\n")
+    code = streamgate.cli.main(["detect", "--input", obs, "--out", out, "--config", cfg,
+                                "--alpha", "0.3"])
+    assert code == 0, code
+    assert not loaded("scipy.special"), "a tabular-model detect imported scipy.special"
 
     iid.observe([0.2, 1.5, -0.4])
     w = iid.w

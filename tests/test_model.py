@@ -63,7 +63,7 @@ def test_tabular_sampling_support_and_mass():
 def test_tabular_masses_must_sum_to_one():
     with pytest.raises(ValueError):
         TabularModel(supports=((0, 1),), masses=((0.5, 0.4),),
-                     obs=(BernoulliPair(0.5, 0.51),))
+                     obs=BernoulliPair(0.5, 0.51))
 
 
 def test_sample_step_pre_and_post_means():
@@ -94,6 +94,18 @@ def test_sample_step_respects_change_points():
     assert x2[0] > 4.0 and x2[1] < 4.0 and x2[2] < 4.0
     x3 = model.sample_step(3, tau, rng)
     assert x3[1] > 4.0
+
+
+def test_tabular_gaussian_sample_step_is_the_inverse_cdf_of_one_uniform_per_stream():
+    from scipy.special import ndtri
+    model = TabularModel(((0, 2, 5),) * 4, ((0.2, 0.3, 0.5),) * 4,
+                         GaussianShift(mu=0.7, sigma=1.3))
+    tau = np.array([0.0, 2.0, 5.0, 2.0])
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    for t in range(1, 8):
+        x = model.sample_step(t, tau, rng)
+        u = twin.random(4)
+        assert x.tobytes() == (1.3 * ndtri(u) + 0.7 * (tau < t)).tobytes()
 
 
 def test_gaussian_log_lr_exact():

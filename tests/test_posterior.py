@@ -9,8 +9,7 @@ from streamgate.detector import (AdaptiveDetector, CheckpointError, DependentDet
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
                               TabularModel)
 from streamgate.posterior import (DependentPosteriorState, PartialDepPosterior,
-                                  PosteriorState, TabularPosteriorState,
-                                  reference_posterior_paths)
+                                  PosteriorState, TabularPosteriorState)
 from streamgate.verify import brute_force_posterior, posterior_partial_dep
 from test_detector import _pack, _payload, _resigned, _unpack
 
@@ -128,7 +127,7 @@ def test_iid_w_after_restore_state_is_expit_of_the_log_odds():
 
 def _six_tabular_streams():
     """Six Gaussian streams whose change time is 0, 5 or 10."""
-    return TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6, (GaussianShift(1.0),) * 6)
+    return TabularModel(((0, 5, 10),) * 6, ((0.2, 0.3, 0.5),) * 6, GaussianShift(1.0))
 
 
 @pytest.mark.parametrize("backend", ["iid", "tabular", "partial", "dependent"])
@@ -538,26 +537,6 @@ def test_partial_dep_checkpoint_with_float_stop_times_is_refused():
     arrays["stopped_at"] = _pack(np.where(stopped_at >= 2, stopped_at + 0.5, stopped_at))
     with pytest.raises(CheckpointError, match="integers"):
         restore_state(_resigned(payload), model, 30)
-
-
-# ---------------------------------------------------------------------------
-# reference (never-deactivated) posterior paths
-# ---------------------------------------------------------------------------
-
-def test_reference_path_starts_at_zero():
-    path = reference_posterior_paths(0.05, GaussianShift(1.0), 5, 1,
-                                     np.random.default_rng(9))[0]
-    assert path[0] == 0.0
-    assert np.all((path >= 0.0) & (path <= 1.0))
-
-
-def test_reference_paths_mean_matches_prior():
-    rng = np.random.default_rng(10)
-    paths = reference_posterior_paths(0.05, GaussianShift(1.0), 1, 100_000, rng)
-    assert abs(paths[:, 1].mean() - 0.05) <= 0.003
-    rng = np.random.default_rng(11)
-    paths = reference_posterior_paths(0.01, GaussianShift(1.0), 3, 100_000, rng)
-    assert abs(paths[:, 3].mean() - 0.029701) <= 0.003
 
 
 # ---------------------------------------------------------------------------
