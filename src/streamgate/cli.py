@@ -301,12 +301,13 @@ def _wide_chunks(fh, header: list[str]):
 
 
 def _chunks(path: str):
-    """Observation chunks of NDJSON, long CSV or wide CSV."""
+    """Observation chunks of NDJSON, long CSV or wide CSV; none of an empty
+    input."""
     fh = sys.stdin if path == "-" else open(path)
     try:
         first = fh.readline()
-        if not first.strip():
-            raise DataError("no observations")
+        if not first:
+            return
         header = [h.strip() for h in first.strip().split(",")]
         if first.lstrip().startswith("{"):
             form = itertools.chain([first], fh), 1, _ndjson_row, _ndjson_columns
@@ -393,11 +394,12 @@ def _cmd_detect(args) -> int:
 
     steps = _steps(_chunks(source))
     first = next(steps, None)
-    if first is None:
+    resume = ckpt and os.path.exists(ckpt)
+    if first is None and not resume:
         raise DataError("no observations")
 
     discarded = 0
-    if ckpt and os.path.exists(ckpt):
+    if resume:
         # newline="" keeps a stray carriage return, and surrogateescape a
         # byte that is not UTF-8, in the text that is hashed
         with open(ckpt, newline="", errors="surrogateescape") as fh:
@@ -454,7 +456,8 @@ def _cmd_detect(args) -> int:
                 f"# model={model.fingerprint()}\n")
 
     try:
-        for obs in itertools.chain([first], steps):
+        # a resume with no rows after the checkpoint's t only writes --out
+        for obs in itertools.chain([] if first is None else [first], steps):
             process(*obs)
     finally:
         # a failed run still reports the steps it completed, as a clean run

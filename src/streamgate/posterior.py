@@ -88,26 +88,36 @@ def _log_lam(eta: float, l_km: np.ndarray) -> np.ndarray:
     return np.logaddexp(math.log(eta) + l_km, math.log1p(-eta))
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, work=None) -> np.ndarray:
     """log sum exp along axis 1 of a 2-d array of finite or -inf entries.
 
     The operations of ``scipy.special.logsumexp`` (the row maxima are
     summed apart and re-added with ``log1p``), so results are bit-identical
     to it, without its array-API dispatch and copies.  A row of -inf gives
-    -inf.
+    -inf.  ``work`` is (float, bool, bool) scratch of ``a``'s shape: given
+    it, the call makes no array of that size and overwrites ``a``; without
+    it, ``a`` is left alone and the scratch is made afresh.
     """
+    if work is None:
+        a, work = a.copy(), (np.empty(a.shape), np.empty(a.shape, bool),
+                             np.empty(a.shape, bool))
+    e, top, tiny = work
     with np.errstate(invalid="ignore"):  # -inf - -inf in rows of -inf
         a_max = a.max(axis=1, keepdims=True)
-        top = a == a_max
-        d = a - a_max
+        np.equal(a, a_max, out=top)
+        d = np.subtract(a, a_max, out=a)
         # exp is slow wherever its result is subnormal or zero, which is most
         # of an array of long-run posteriors; below -746 the result is exactly 0
-        tiny = d < -708.0
-        e = np.exp(np.where(tiny, 0.0, d))
-        e[top | tiny] = 0.0
-        sub = tiny & (d >= -746.0)
+        np.less(d, -708.0, out=tiny)
+        np.copyto(e, d)
+        np.copyto(e, 0.0, where=tiny)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=top)
+        np.copyto(e, 0.0, where=tiny)
+        n_top = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
+        sub = np.greater_equal(d, -746.0, out=top)
+        sub &= tiny
         e[sub] = np.exp(d[sub])
-    n_top = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
     s = e.sum(axis=1, keepdims=True)
     s = np.where(s == 0, s, s / n_top)
     return (np.log1p(s) + np.log(n_top) + a_max)[:, 0]
@@ -317,6 +327,8 @@ class PartialDepPosterior:
         self._acc = np.zeros(8)               # [m]: sum of frozen streams' log Lam(m)
         self._stopped_at = np.full(k, -1)     # observation time after which frozen
         self._frozen_w = np.zeros(k)
+        self._work = np.empty(0)              # scratch of ``w``, never checkpointed
+        self._mask = np.empty(0, bool)
 
     @classmethod
     def from_arrays(cls, theta: float, eta: float, k: int, t: int, frozen,
@@ -385,6 +397,16 @@ class PartialDepPosterior:
         self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self._stopped_at[idx] = self.t
 
+    def _scratch(self, t: int) -> tuple:
+        """Two float and two bool (rows, t) arrays for ``w``, views of
+        buffers kept across steps and grown by doubling, as the history is."""
+        n = len(self._ids) * t
+        if self._work.size < 2 * n:
+            self._work = np.empty(max(2 * n, 2 * self._work.size))
+            self._mask = np.empty(self._work.size, bool)
+        return (*self._work[:2 * n].reshape(2, -1, t),
+                *self._mask[:2 * n].reshape(2, -1, t))
+
     @property
     def w(self) -> np.ndarray:
         t = self.t
@@ -393,17 +415,21 @@ class PartialDepPosterior:
         if t == 0 or self.eta == 0.0 or not live.any():
             return out
         h = self._hist[:, :t + 1]
+        l_km, log_pk, top, tiny = self._scratch(t)
         # every buffered row is observed through t: l[k, m] is stream k's
         # log LR for the data after a change at m
-        l_km = h[:, t:t + 1] - h[:, :t]
-        log_lam = _log_lam(self.eta, l_km)
-        log_pk = math.log(self.eta) + l_km - log_lam
+        np.subtract(h[:, t:t + 1], h[:, :t], out=l_km)
+        np.add(l_km, math.log(self.eta), out=log_pk)
+        log_lam = (l_km if self.eta == 1.0
+                   else np.logaddexp(log_pk, math.log1p(-self.eta), out=l_km))
+        log_pk -= log_lam
         m = np.arange(t)
         log_joint = (math.log(self.theta) + m * math.log1p(-self.theta)
                      + (self._acc[:t] + log_lam.sum(axis=0)))
         log_tail = t * math.log1p(-self.theta)
         log_z = _logsumexp_rows(np.append(log_joint, log_tail)[None, :])[0]
-        w_rows = np.exp(_logsumexp_rows(log_joint[None, :] - log_z + log_pk))
+        log_pk += log_joint - log_z
+        w_rows = np.exp(_logsumexp_rows(log_pk, (l_km, top, tiny)))
         # a probability can round to just above 1; in-range values keep their bits
         out[self._ids[live]] = np.minimum(w_rows[live], 1.0)
         return out

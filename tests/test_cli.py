@@ -116,7 +116,8 @@ _IID_ALPHA = "--model iid --theta 0.05 --mu 1.0 --alpha 0.05".split()
     ("t,1,2\n1,0.1,0.2\nx,0.1,0.2\n", "row 3"),   # a bad time cell
     ("s,1,2\n1,0.1,0.2\n", "unrecognized input header; expected NDJSON"),
     ("t,1,a\n1,0.1,0.2\n", "bad stream id 'a' in wide header"),
-], ids=["value", "time", "header-without-t", "header-id"])
+    ('\n{"t": 1, "stream": 1, "x": 0.1}\n', "unrecognized input header; expected NDJSON"),
+], ids=["value", "time", "header-without-t", "header-id", "blank-first-line"])
 def test_detect_bad_wide_csv_cell_is_a_data_error(tmp_path, capsys, text, where):
     data = tmp_path / "wide.csv"
     data.write_text(text)
@@ -272,6 +273,32 @@ def test_detect_checkpoint_resume_matches_uninterrupted(tmp_path, capsys):
                       "--out", str(resumed_out), "--checkpoint", str(ck), *base)
     assert code == 0
     assert resumed_out.read_bytes() == full_out.read_bytes()
+
+
+@pytest.mark.parametrize("empty", ["", "t,stream,x\n", "t,1,2,3,4\n"],
+                         ids=["empty-file", "long-header", "wide-header"])
+def test_detect_resume_with_no_rows_left_writes_the_out_file(tmp_path, capsys, empty):
+    # a run stopped after its last checkpoint save but before --out is
+    # finished on an input that holds no observation
+    flags = ["--model", "iid", "--theta", "0.05", "--mu", "1.0"]
+    full_in, ck = tmp_path / "full.ndjson", tmp_path / "ck.json"
+    _write_ndjson(full_in, _jump_rows(horizon=14))
+    full_out = tmp_path / "full.csv"
+    code, _, _ = _run(capsys, "detect", "--input", str(full_in), "--out", str(full_out),
+                      "--checkpoint", str(ck), *flags, "--alpha", "0.05")
+    assert code == 0 and _saved_t(ck) == 14
+    blob = ck.read_bytes()
+    rest = tmp_path / "rest.csv"
+    rest.write_text(empty)
+    out = tmp_path / "resumed.csv"
+    for alpha, mode, want in (("0.5", "adaptive", 1), ("0.05", "dependent", 1),
+                              ("0.05", "adaptive", 0)):
+        code, _, err = _run(capsys, "detect", "--input", str(rest), "--out", str(out),
+                            "--checkpoint", str(ck), *flags, "--alpha", alpha,
+                            "--mode", mode)
+        assert code == want, err
+    assert out.read_bytes() == full_out.read_bytes()
+    assert ck.read_bytes() == blob
 
 
 def _checkpointed_half(tmp_path, capsys, *flags, ids=(1, 2, 3, 4)):

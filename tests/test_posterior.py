@@ -322,31 +322,44 @@ def _full_history_w(theta, eta, cum, stopped_at, frozen_w):
     return np.where(frozen, frozen_w, np.minimum(live, 1.0))
 
 
-def test_logsumexp_rows_is_bit_identical_to_scipy():
+def _assert_rows_match_scipy(a):
+    """``_logsumexp_rows`` gives scipy's bits on ``a``, leaving ``a`` alone,
+    and so does its workspace path, run twice on one workspace that starts
+    as junk: first on ``a`` with its columns reversed, then on ``a``."""
     from streamgate.posterior import _logsumexp_rows
 
+    kept = a.copy()
+    with np.errstate(invalid="raise", divide="raise"):
+        got = _logsumexp_rows(a)
+        assert a.tobytes() == kept.tobytes()
+        assert got.tobytes() == logsumexp(a, axis=1).tobytes()
+        work = (np.full(a.shape, np.nan), np.ones(a.shape, bool), np.ones(a.shape, bool))
+        for x in (a[:, ::-1], a):
+            got = _logsumexp_rows(x.copy(), work)
+            assert got.tobytes() == logsumexp(x, axis=1).tobytes()
+
+
+def test_logsumexp_rows_is_bit_identical_to_scipy():
     rng = np.random.default_rng(17)
     a = rng.normal(0.0, 30.0, size=(300, 40))
     a[::7, 3] = a[::7, 5] = a[::7].max(axis=1) + 1.0   # tied row maxima
     a[1] = -800.0                         # every term is a maximum
     a[2] = np.linspace(-760.0, 0.0, 40)   # subnormal and zero terms
     a[3:40] *= 40.0                       # most terms underflow
-    want = logsumexp(a, axis=1)
-    assert _logsumexp_rows(a).tobytes() == want.tobytes()
+    _assert_rows_match_scipy(a)
     # the tabular backend's rows: -inf padding, and rows that are all -inf
     for _ in range(2000):
         rows, width = rng.integers(1, 8), rng.integers(1, 6)
         b = rng.normal(0.0, rng.choice([1.0, 30.0, 400.0]), size=(rows, width))
         b[rng.random(b.shape) < 0.4] = -math.inf
         b[rng.random(rows) < 0.2] = -math.inf
-        with np.errstate(invalid="raise", divide="raise"):
-            got = _logsumexp_rows(b)
-        assert got.tobytes() == logsumexp(b, axis=1).tobytes()
+        _assert_rows_match_scipy(b)
 
 
-def _drive_with_freezes(eta, k=200, steps=60, seed=14):
+def _drive_with_freezes(eta, k=200, steps=60, seed=14, restore_at=None):
     """Yield (posterior, cum, stopped_at, frozen_w) after every advance of a
-    run that freezes streams at several times, some of them in batches."""
+    run that freezes streams at several times, some of them in batches; at
+    step ``restore_at`` the run goes on from ``to_arrays``/``from_arrays``."""
     rng = np.random.default_rng(seed)
     post = PartialDepPosterior(0.05, eta, k)
     cum = np.zeros((k, 1))
@@ -356,6 +369,9 @@ def _drive_with_freezes(eta, k=200, steps=60, seed=14):
     for s in range(1, steps + 1):
         llr = rng.normal(0.4, 1.2, size=live.size)
         post.advance(llr, live)
+        if s == restore_at:
+            post = PartialDepPosterior.from_arrays(0.05, eta, k, s, stopped_at >= 0,
+                                                   **post.to_arrays())
         col = cum[:, -1].copy()
         col[live] += llr
         cum = np.column_stack([cum, col])
@@ -366,6 +382,44 @@ def _drive_with_freezes(eta, k=200, steps=60, seed=14):
             post.freeze(drop)
             stopped_at[drop] = s
             live = np.setdiff1d(live, drop)
+
+
+def _fresh_w(post):
+    """``PartialDepPosterior.w`` with every live x t intermediate a fresh
+    array and scipy's row sums, as it was before the backend kept scratch
+    buffers."""
+    t, eta, theta = post.t, post.eta, post.theta
+    out = post._frozen_w.copy()
+    live = post._stopped_at[post._ids] < 0
+    if t == 0 or eta == 0.0 or not live.any():
+        return out
+    h = post._hist[:, :t + 1]
+    l_km = h[:, t:t + 1] - h[:, :t]
+    log_lam = l_km if eta == 1.0 else np.logaddexp(math.log(eta) + l_km, math.log1p(-eta))
+    log_pk = math.log(eta) + l_km - log_lam
+    m = np.arange(t)
+    log_joint = (math.log(theta) + m * math.log1p(-theta)
+                 + (post._acc[:t] + log_lam.sum(axis=0)))
+    log_z = logsumexp(np.append(log_joint, t * math.log1p(-theta))[None, :], axis=1)[0]
+    w_rows = np.exp(logsumexp(log_joint[None, :] - log_z + log_pk, axis=1))
+    out[post._ids[live]] = np.minimum(w_rows[live], 1.0)
+    return out
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5, 1.0])  # at 1, log Lam is l_km itself
+def test_partial_dep_w_keeps_the_bits_of_fresh_temporaries(eta):
+    # every step of a run with freezes and a mid-run checkpoint round trip;
+    # a returned ``w`` shares nothing with the scratch the next steps reuse
+    grown, before = 0, None
+    for post, *_ in _drive_with_freezes(eta, restore_at=30):
+        work = post._work
+        got = post.w
+        grown += post._work is not work
+        assert got.tobytes() == _fresh_w(post).tobytes()
+        if before is not None:
+            assert before[0].tobytes() == before[1]
+        before = got, got.tobytes()
+    assert post.t == 60 and grown > 2
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.5, 1.0])
