@@ -370,7 +370,7 @@ def test_detect_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
         assert code == 2 and "data error" in err and named in err
 
 
-def test_detect_v2_checkpoint_missing_a_field_is_a_data_error(tmp_path, capsys):
+def test_detect_checkpoint_missing_its_arrays_is_a_data_error(tmp_path, capsys):
     code, err = _resume_edited(tmp_path, capsys, lambda state: state.pop("arrays"))
     assert code == 2 and "data error" in err and "arrays" in err
 

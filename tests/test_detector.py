@@ -807,10 +807,9 @@ def test_checkpoint_refuses_a_restore_it_cannot_match(kind, edit, k, match):
         restore_state(edit(checkpoint_state(det)), model, k)
 
 
-def test_checkpoint_v2_derives_the_active_set():
-    # the checkpoint (format 2 before it, hence the name) stores no active
-    # set: it is the streams without a stop time, in index order, and a blob
-    # that carries one anyway is refused
+def test_checkpoint_derives_the_active_set():
+    # the checkpoint stores no active set: it is the streams without a stop
+    # time, in index order, and a blob that carries one anyway is refused
     model, det = _seeded("adaptive")
     assert det.k == 6 and det.t_stop.tolist() == [-1, -1, -1, 3, -1, -1]
     payload = _payload(checkpoint_state(det))
@@ -830,9 +829,9 @@ def _iid_checkpoint():
     return model, _payload(checkpoint_state(det))
 
 
-# the header's fields and the history arrays; the tests named "v2" run at
-# t=1, the others mid-run (both on the current format)
-_V2_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
+# the header's fields and the history arrays; the tests named "at_t1" run
+# at t=1, the others mid-run
+_SCHEMA_FIELDS = ["format_version", "mode", "t", "alpha", "phase", "model_fingerprint",
               "n_streams", "t_stop", "cutoff", "lfnr", "arrays"]
 
 
@@ -846,8 +845,8 @@ def _delete_or_retype(payload, field, change):
 
 
 @pytest.mark.parametrize("change", ["delete", "retype"])
-@pytest.mark.parametrize("field", _V2_FIELDS)
-def test_checkpoint_v2_schema_errors_are_checkpoint_errors(field, change):
+@pytest.mark.parametrize("field", _SCHEMA_FIELDS)
+def test_checkpoint_schema_errors_at_t1_are_checkpoint_errors(field, change):
     model, payload = _iid_checkpoint()
     assert restore_state(_resigned(payload), model, 4).t == 1
     with pytest.raises(CheckpointError):
@@ -858,7 +857,7 @@ _KINDS = ["adaptive", "tabular", "partial", "dependent", "threshold"]
 
 
 @pytest.mark.parametrize("change", ["delete", "retype"])
-@pytest.mark.parametrize("field", _V2_FIELDS)
+@pytest.mark.parametrize("field", _SCHEMA_FIELDS)
 def test_checkpoint_schema_errors_are_checkpoint_errors(field, change):
     # the same checks mid-run (t=3, phase observe), for every detector kind
     for kind in _KINDS:
@@ -909,7 +908,7 @@ _NO_STOP = _pack(np.full(4, -1))
         "no-data", "data-type", "cutoff-int", "lfnr-int", "lfnr-long",
         "no-arrays", "short-array", "unknown-array", "array-type", "array-dtype",
         "alpha-above-one", "alpha-nan", "alpha-zero", "mode"])
-def test_checkpoint_v2_bad_values_are_checkpoint_errors(field, value):
+def test_checkpoint_bad_values_at_t1_are_checkpoint_errors(field, value):
     # "no-data" lists an array with no line, "data-type" puts a number where
     # its base64 goes, and "array-type" lists a bare number as the entry
     model, payload = _iid_checkpoint()
@@ -1022,7 +1021,7 @@ def _refuses_misshapen_arrays(model, det):
 
 
 @pytest.mark.parametrize("kind", ["adaptive", "tabular", "partial", "dependent"])
-def test_checkpoint_v2_refuses_misshapen_backend_arrays(kind):
+def test_checkpoint_after_selection_refuses_misshapen_backend_arrays(kind):
     model, det = _seeded(kind)
     assert det.n_active < det.k  # the arrays hold frozen streams' state too
     _refuses_misshapen_arrays(model, det)
@@ -1038,7 +1037,7 @@ def test_checkpoint_refuses_misshapen_backend_arrays(kind):
     _refuses_misshapen_arrays(model, det)
 
 
-def test_checkpoint_v2_stays_under_32_bytes_per_stream():
+def test_checkpoint_stays_under_32_bytes_per_stream():
     # K=20 000 after 10 steps; format 1 took about 107 bytes per stream, so
     # a per-stream record creeping back shows here
     model = IIDModel(GeometricPrior(0.01), GaussianShift(1.0))

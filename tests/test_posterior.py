@@ -560,8 +560,8 @@ def test_partial_dep_checkpoint_with_a_missing_row_is_refused(field):
 
 
 @pytest.mark.parametrize("field", ["history", "acc"])
-def test_partial_dep_v2_checkpoint_with_a_missing_row_is_refused(field):
-    # the same, taken after the observation at t=14 (the name dates from format 2)
+def test_partial_dep_checkpoint_after_observation_with_a_missing_row_is_refused(field):
+    # the same, taken after the observation at t=14
     model, data = _partial_run()
     det = AdaptiveDetector(model, 0.2, 30)
     for x in data[:14]:
