@@ -7,8 +7,11 @@ observation tree:
    one-step rule's expected stream utilization equals the supremum over
    every procedure that keeps the retained posterior mean within budget,
    at every time point -- and the same holds for the pre-change run length
-   and the active count.  The keep-under-budget baseline falls short from
-   t=2 on, so the match is not a property of every feasible rule.
+   and the active count.  The "proposed" column is the shipped
+   ``one_step_rule`` itself, fed the float images of the exact posteriors
+   at every node of the tree; only the values are rational.  The
+   keep-under-budget baseline falls short from t=2 on, so the match is not
+   a property of every feasible rule.
 
 2. For a four-stream instance with conflicting finite priors, the best
    achievable utilization at time 2 and at time 4 require incompatible

@@ -19,7 +19,8 @@ independent route:
   small Bernoulli instances, streams of equal state grouped and a node
   budget as its only size limit, gives the expected performance of the
   best procedure a retention rule allows: the supremum over *all*
-  LFNR-controlling procedures, the one-step rule, or a baseline.
+  LFNR-controlling procedures, the shipped :func:`one_step_rule` (fed the
+  float images of the exact posteriors), or a baseline.
   :func:`conflicting_priors_enumeration` reproduces the four-stream
   instance whose time-2 and time-4 optima are incompatible.
 * :data:`SUITES` is what ``streamgate verify`` runs: each suite takes
@@ -117,15 +118,11 @@ def brute_force_max_subset(w, alpha: float) -> int:
     n = w.size
     if n > MAX_SUBSET_DIM:
         raise ValueError(f"exhaustive search capped at {MAX_SUBSET_DIM} streams, got {n}")
-    best = 0
     for size in range(n, 0, -1):
-        for combo in itertools.combinations(range(n), size):
-            if math.fsum(w[list(combo)]) <= alpha * size:
-                best = size
-                break
-        if best:
-            break
-    return best
+        if any(math.fsum(w[list(combo)]) <= alpha * size
+               for combo in itertools.combinations(range(n), size)):
+            return size
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +144,7 @@ def ordered_leq(u, v) -> bool:
     the empty vector."""
     u = _check_sorted(u)
     v = _check_sorted(v)
-    if v.size == 0:
-        return True
-    if u.size < v.size:
-        return False
-    return bool(np.all(u[:v.size] <= v))
+    return u.size >= v.size and bool(np.all(u[:v.size] <= v))
 
 
 def feasible_prefix_size(u, alpha: float) -> int:
@@ -318,18 +311,6 @@ def _outcomes(groups: tuple, keep) -> list:
     return [(p, _groups(parts)) for p, parts in out]
 
 
-def _proposed_retention(items: list[tuple[int, Fraction]], alpha: Fraction
-                        ) -> tuple[int, ...]:
-    """One-step rule on (stream id, w) pairs with index tie-breaking, exact."""
-    ranked = sorted(items, key=lambda kv: (kv[1], kv[0]))
-    best, acc = 0, Fraction(0)
-    for n, (_, w) in enumerate(ranked, start=1):
-        acc += w
-        if acc <= alpha * n:
-            best = n
-    return tuple(sorted(k for k, _ in ranked[:best]))
-
-
 # A retention rule maps (groups, t, alpha) to the retentions it may choose
 # at selection t, each a tuple of kept counts per group; the recursion
 # maximizes over them.
@@ -342,10 +323,13 @@ def _feasible(groups: tuple, t: int, alpha: Fraction) -> list:
 
 
 def _proposed(groups: tuple, t: int, alpha: Fraction) -> list:
-    """The one-step rule, on the groups expanded to one stream each."""
-    owner = [i for i, (_, n) in enumerate(groups) for _ in range(n)]
-    kept = _proposed_retention([(k, groups[i][0].w) for k, i in enumerate(owner)], alpha)
-    return [tuple(sum(owner[k] == i for k in kept) for i in range(len(groups)))]
+    """The shipped :func:`one_step_rule` on the float images of the exact
+    posteriors, the groups expanded to one stream each in group order (so
+    ties break as by group), its kept positions counted back per group."""
+    sizes = [n for _, n in groups]
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    kept = one_step_rule(np.repeat([float(s.w) for s, _ in groups], sizes), float(alpha))
+    return [tuple(np.bincount(owner[kept], minlength=len(groups)).tolist())]
 
 
 def _baseline(groups: tuple, t: int, alpha: Fraction) -> list:
@@ -363,9 +347,6 @@ def _largest(groups: tuple, t: int, alpha: Fraction) -> list:
 def _then(first, rest):
     """The rule that plays ``first`` at the first selection, ``rest`` after."""
     return lambda groups, t, alpha: (first if t == 1 else rest)(groups, t, alpha)
-
-
-_switch_after_one = _then(_baseline, _proposed)
 
 
 # An objective scores a node's active streams at time t of a run scored at
@@ -446,7 +427,7 @@ def dp_optimality_report(theta, p0, p1, alpha, n_streams: int,
         raise TypeError("theta, p0, p1 and alpha must be exact (Fraction, int, or string)")
     theta, p0, p1, alpha = map(Fraction, (theta, p0, p1, alpha))
     fresh = [_GeomStream(theta, p0, p1)] * n_streams
-    columns = ((_util, _feasible), (_util, _proposed), (_util, _switch_after_one),
+    columns = ((_util, _feasible), (_util, _proposed), (_util, _then(_baseline, _proposed)),
                (_util, _baseline), (_runlength, _feasible), (_runlength, _proposed),
                (_active, _feasible), (_active, _proposed))   # OptimalityRow's order
     return [OptimalityRow(t, *(_exact_value(fresh, alpha, t, *col) for col in columns))
@@ -603,18 +584,40 @@ def _counterexample_suite(*_args) -> tuple[bool, str]:
                 f"coexist={'true' if rep.jointly_attainable else 'false'}")
 
 
+# The optimality grid, fixed before its first run: each (theta, p0, p1,
+# alpha) at each n of OPTIMALITY_SIZES and horizon 4, mapped to whether it
+# is power-checked (the keep-under-alpha baseline short of the supremum at
+# some n and t, so that a rule that is not the paper's cannot pass).  Not
+# checked where the baseline cannot fall short at n <= 6: at theta=3/10 and
+# alpha=1/10 every posterior exceeds alpha from t=2 on (from t=1 with
+# p0=1/4, p1=3/5), and (1/4, 1/10, 9/10, 1/10) needs ten streams under
+# alpha to carry one above it.
+OPTIMALITY_SETS = {(theta, p0, p1, alpha): (theta, alpha) != ("3/10", "1/10")
+                   for theta in ("1/10", "3/10")
+                   for p0, p1 in (("1/5", "4/5"), ("1/4", "3/5"))
+                   for alpha in ("1/10", "3/10")} | {("1/4", "1/10", "9/10", "1/10"): False}
+OPTIMALITY_SIZES = (3, 4, 5, 6)
+
+
 def _optimality_suite(*_args) -> tuple[bool, str]:
-    # an instance where the keep-under-alpha baseline falls short of the
-    # supremum, so a rule that is not the paper's cannot pass
-    name = "n=3 h=4 theta=3/10 p0=1/5 p1=4/5 alpha=3/10"
-    rows = dp_optimality_report("3/10", "1/5", "4/5", "3/10", n_streams=3, horizon=4)
-    for row in rows:
-        if (row.util_proposed, row.runlength_proposed, row.expected_active_proposed) != (
-                row.util_supremum, row.runlength_supremum, row.max_expected_active):
-            return False, f"proposed misses the supremum at t={row.t} on {name}"
-    gap = max(row.util_supremum - row.util_baseline for row in rows)
-    return gap > 0, (f"proposed matches supremum at t=1..{len(rows)} on {name}; "
-                     f"baseline short by up to {float(gap):.2f}")
+    # every grid instance; reported are the (set, n, t) where proposed misses
+    # the supremum in utilization, run length or active count, and the
+    # power-checked sets where the baseline attains it at every n and t
+    misses, short = [], {}
+    for params in OPTIMALITY_SETS:
+        rows = [(n, row) for n in OPTIMALITY_SIZES
+                for row in dp_optimality_report(*params, n_streams=n, horizon=4)]
+        misses += [(params, n, row.t) for n, row in rows if (
+            row.util_proposed, row.runlength_proposed, row.expected_active_proposed) != (
+            row.util_supremum, row.runlength_supremum, row.max_expected_active)]
+        short[params] = any(row.util_baseline < row.util_supremum for _, row in rows)
+    flat = [params for params, power in OPTIMALITY_SETS.items() if power and not short[params]]
+    grid = f"grid (sets={len(OPTIMALITY_SETS)}, n={OPTIMALITY_SIZES}, h=4)"
+    if misses or flat:
+        return False, (f"on the {grid}: proposed misses the supremum at (set, n, t) "
+                       f"{misses}; baseline attains it on {flat}")
+    return True, (f"proposed matches supremum on the {grid}; baseline short of it on "
+                  f"every power-checked set ({sum(OPTIMALITY_SETS.values())})")
 
 
 SUITES = {

@@ -1,7 +1,9 @@
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from streamgate.detector import (AdaptiveDetector, CheckpointError, checkpoint_s
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel, PartialDepModel,
                               TabularModel)
 from test_detector import _format2_blob, _pack, _payload, _resigned, _unpack
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -299,6 +303,45 @@ def test_detect_resume_with_no_rows_left_writes_the_out_file(tmp_path, capsys, e
         assert code == want, err
     assert out.read_bytes() == full_out.read_bytes()
     assert ck.read_bytes() == blob
+
+
+# (n, when, the checkpoint's t after the kill), fixed before the first run:
+# a 12-step run makes write_atomic calls 1-12 for its checkpoint saves and
+# call 13 for --out
+_KILLS = [(1, "before", 0), (6, "after", 6), (12, "after", 12), (13, "during", 12)]
+
+
+@pytest.mark.parametrize("n, when, saved", _KILLS, ids=[
+    "before-the-first-save", "mid-run", "after-the-last-save", "during-the-out-write"])
+def test_detect_killed_at_a_write_resumes_to_the_same_out(tmp_path, capsys, n, when, saved):
+    # the process dies at its n-th file write (tests/kill_at_write.py); a
+    # resume on the rows after the checkpoint's t writes the --out bytes of
+    # a run that was never killed
+    rows = _jump_rows(horizon=12)
+    full_in, ck, out = tmp_path / "full.ndjson", tmp_path / "ck.json", tmp_path / "out.csv"
+    _write_ndjson(full_in, rows)
+    flags = [*_IID, "--alpha", "0.05"]
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    code, _, _ = _run(capsys, "detect", "--input", str(full_in), "--out", str(whole / "out.csv"),
+                      "--checkpoint", str(whole / "ck.json"), *flags)
+    assert code == 0 and _saved_t(whole / "ck.json") == 12
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"),
+                                         *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "kill_at_write.py"), str(n),
+                           when, "--", "detect", "--input", str(full_in), "--out", str(out),
+                           "--checkpoint", str(ck), *flags],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 137, proc.stderr
+    assert not out.exists() and (_saved_t(ck) if ck.exists() else 0) == saved
+    rest = tmp_path / "rest.ndjson"
+    _write_ndjson(rest, [row for row in rows if row[0] > saved])
+    code, _, err = _run(capsys, "detect", "--input", str(rest), "--out", str(out),
+                        "--checkpoint", str(ck), *flags)
+    assert code == 0, err
+    assert out.read_bytes() == (whole / "out.csv").read_bytes()
+    assert not (tmp_path / "out.csv.tmp").exists()
 
 
 def _checkpointed_half(tmp_path, capsys, *flags, ids=(1, 2, 3, 4)):
@@ -1332,7 +1375,13 @@ def test_tabular_model_from_config(tmp_path, capsys):
     assert out.exists()
 
 
-def test_verify_all_prints_one_pass_line_per_suite(capsys):
+def test_verify_all_prints_one_pass_line_per_suite(capsys, monkeypatch):
+    # the optimality suite on the one instance it ran before its grid (which
+    # takes about 50 s); tests/test_verify.py runs the grid's instances that
+    # fit tier-1
+    monkeypatch.setattr("streamgate.verify.OPTIMALITY_SETS",
+                        {("3/10", "1/5", "4/5", "3/10"): True})
+    monkeypatch.setattr("streamgate.verify.OPTIMALITY_SIZES", (3,))
     code, out, _ = _run(capsys, "verify")
     assert code == 0
     assert out.splitlines() == [
@@ -1340,8 +1389,8 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys):
         "PASS selection 200 random instances + one 2000-stream tie-heavy instance",
         "PASS ordering 200 monotonicity + axiom trials",
         "PASS counterexample U2=7 U4=10 coexist=false",
-        "PASS optimality proposed matches supremum at t=1..4 on n=3 h=4 theta=3/10 p0=1/5 "
-        "p1=4/5 alpha=3/10; baseline short by up to 0.62",
+        "PASS optimality proposed matches supremum on the grid (sets=1, n=(3,), h=4); "
+        "baseline short of it on every power-checked set (1)",
     ]
 
 

@@ -10,16 +10,18 @@ to ``CHECKOUT/src/streamgate/`` (default: this repository):
 * one untimed pass of each workload of ``perfbench/workloads.py``
   (imported, never edited) at its fixed sizes, on seed 1.
 
-Then it prints, per module, ``wc -l``, the code lines (not blank, comment
-or docstring, found with ``ast`` and ``tokenize``) and each statement
-that neither tier-1 nor a workload reached, and a total line.  Each unreached statement is
-marked by kind: ``raise`` (a refusal), ``fail`` (a ``return False, ...``
+Every module's source is read before the run starts, so an edit made
+during the run shifts no reported line.  Then it prints, per module,
+``wc -l``, the code lines (not blank, comment or docstring, found with
+``ast`` and ``tokenize``) and each statement that neither tier-1 nor a
+workload reached, and a total line.  Each unreached statement is marked
+by kind: ``raise`` (a refusal), ``fail`` (a ``return False, ...``
 that reports a failed check), ``main`` (under ``if __name__ ==
 "__main__"``) or ``OTHER``.
 
 It cannot see code that runs in another process: the subprocesses of
-``tests/test_demos.py`` and ``tests/test_lazy_import.py``, and the
-``simulate --threads`` workers.  A statement reached only there is listed
+``tests/test_demos.py``, ``tests/test_lazy_import.py`` and the kill test
+of ``tests/test_cli.py``, and the ``simulate --threads`` workers.  A statement reached only there is listed
 as unreached.  Exit code: 0, or 1 when tier-1 or a workload pass failed.
 """
 
@@ -157,11 +159,12 @@ def run_workloads() -> int:
     return failed
 
 
-def report(package: Path, hits: set) -> None:
+def report(sources: dict, hits: set) -> None:
+    """Print the counts and unreached statements of ``sources``, each
+    module's path mapped to its text as read before the run."""
     total_wc = total_code = 0
     total_kinds: Counter = Counter()
-    for path in sorted(package.glob("*.py")):
-        source = path.read_text()
+    for path, source in sources.items():
         tree = ast.parse(source)
         main_lines = {line for node in ast.walk(tree) if _is_main_guard(node)
                       for line in range(node.body[0].lineno, node.end_lineno + 1)}
@@ -190,6 +193,7 @@ def main() -> int:
     # this checkout's package and benchmark, before anything imports them
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     os.chdir(root)
+    sources = {path: path.read_text() for path in sorted(package.glob("*.py"))}
     tracer = LineTracer(str(package) + os.sep)
     tracer.start()
     try:
@@ -198,8 +202,9 @@ def main() -> int:
     finally:
         tracer.stop()
     print(f"line_reach: tier-1 exit {tests_exit}; not seen: the subprocesses of "
-          f"test_demos and test_lazy_import, and simulate --threads workers")
-    report(package, tracer.hits)
+          f"test_demos, test_lazy_import and the test_cli kill test, and simulate "
+          f"--threads workers")
+    report(sources, tracer.hits)
     return 1 if tests_exit or failed else 0
 
 
