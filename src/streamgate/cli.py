@@ -175,6 +175,11 @@ def _int64(value: int, row_no: int) -> int:
     raise DataError(f"row {row_no}: {value} does not fit in int64")
 
 
+def _non_finite(row_no: int, x: float, sid: int, t: int) -> DataError:
+    return DataError(f"row {row_no}: non-finite observation {float(x)!r} "
+                     f"for stream {sid} at t={t}")
+
+
 def _ndjson_row(line: str, row_no: int) -> tuple[int, int, float]:
     try:
         try:
@@ -296,6 +301,12 @@ def _wide_chunks(fh, header: list[str]):
             x = np.fromiter(map(float, cells), np.float64, len(cells))
         except ValueError as exc:
             raise DataError(f"row {row_no}: {exc}") from exc
+        # a wide row is its step's first row: refused here, before the step
+        # before it runs, as a cell that is not a number is
+        finite = np.isfinite(x)
+        if not finite.all():
+            i = finite.argmin()  # the first non-finite cell
+            raise _non_finite(row_no, x[i], sid[i], t)
         if x.size:
             yield np.full(x.size, t), sid, x, np.full(x.size, row_no)
 
@@ -352,8 +363,7 @@ def _steps(chunks):
                 t_now, cut = int(t[s]), s
             held.append((sid[cut:end], x[cut:end], rows[cut:end]))
             if end < t.size and not np.isfinite(x[end]):
-                raise DataError(f"row {rows[end]}: non-finite observation {float(x[end])!r} "
-                                f"for stream {sid[end]} at t={t[end]}")
+                raise _non_finite(rows[end], x[end], sid[end], t[end])
             if end < t.size:
                 raise DataError(f"row {rows[end]}: input not sorted by time "
                                 f"({t[end]} after {prev[end]})")
@@ -414,6 +424,9 @@ def _cmd_detect(args) -> int:
         first_t, first_ids, _, first_rows = first
         if first_t != 1:
             raise DataError(f"row {first_rows[0]}: input must start at t=1, got t={first_t}")
+        if isinstance(model, TabularModel) and len(first_ids) != model.n_streams:
+            raise DataError(f"row {first_rows[0]}: stream count mismatch: {len(first_ids)} "
+                            f"streams at t=1 vs {model.n_streams} prior.<stream> rows")
         det = make_detector(mode, model, alpha, len(first_ids), table)
         det.ids = np.sort(first_ids)
     universe, ids = det.ids, det.ids.tolist()

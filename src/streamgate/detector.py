@@ -268,7 +268,8 @@ def _backend_spec(kind: str, model: EnsembleModel, k: int, ensembles: int = 1
         cls, params = PosteriorState, (model.prior.theta, k * ensembles)
     elif isinstance(model, TabularModel):
         if k != model.n_streams:
-            raise ValueError("k must match the tabular model's stream count")
+            raise ValueError(f"the tabular model defines {model.n_streams} stream(s), "
+                             f"got k={k}")
         cls, params = TabularPosteriorState, (model.supports, model.masses)
     elif isinstance(model, PartialDepModel):
         cls, params = PartialDepPosterior, (model.tau0.theta, model.eta, k)

@@ -212,7 +212,7 @@ class TabularModel(_SharedObs):
         for k, (sup, mas) in enumerate(zip(self.supports, self.masses)):
             if len(sup) != len(mas) or len(sup) == 0:
                 raise ValueError(f"stream {k}: support/mass length mismatch")
-            if any(m < sup[i] for i, m in enumerate(sup[1:])) or len(set(sup)) != len(sup):
+            if any(b <= a for a, b in zip(sup, sup[1:])):
                 raise ValueError(f"stream {k}: support must be strictly increasing")
             if any(s < 0 for s in sup):
                 raise ValueError(f"stream {k}: change times must be >= 0")
@@ -228,17 +228,10 @@ class TabularModel(_SharedObs):
     def sample_change_points(self, k: int, rng: np.random.Generator) -> np.ndarray:
         if k != self.n_streams:
             raise ValueError(f"model defines {self.n_streams} streams, got k={k}")
-        tau = np.empty(k)
-        for i in range(k):
-            u = rng.random()
-            acc = 0.0
-            tau[i] = self.supports[i][-1]
-            for m, p in zip(self.supports[i], self.masses[i]):
-                acc += p
-                if u < acc:
-                    tau[i] = m
-                    break
-        return tau
+        # the first point whose running mass exceeds u, else the last point
+        return np.array([sup[min(np.searchsorted(np.cumsum(mas), u, side="right"), len(sup) - 1)]
+                         for sup, mas, u in zip(self.supports, self.masses, rng.random(k))],
+                        dtype=float)
 
     def draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """One uniform per stream, whatever the observation model."""

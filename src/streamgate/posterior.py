@@ -188,7 +188,9 @@ class DependentPosteriorState(PosteriorState):
     the sum over all K streams: ``log_rho`` is the log posterior odds of
     the shared change having happened strictly before the current time,
     and every stream reports w = rho / (1 + rho).  The streams are
-    deactivated jointly, after which ``w`` stays at ``frozen_w``.
+    deactivated jointly, after which ``log_rho`` no longer moves, so the
+    pinned w is ``expit(log_rho)``; a checkpoint's ``frozen_w`` is that
+    image (0.0 before the freeze), and ``from_arrays`` refuses any other.
     """
 
     label = "jointly dependent"
@@ -197,7 +199,6 @@ class DependentPosteriorState(PosteriorState):
     def __init__(self, theta: float, k: int):
         super().__init__(theta, 1)
         self.k = k
-        self.frozen_w = 0.0
 
     @classmethod
     def from_arrays(cls, theta: float, k: int, t: int, frozen, log_rho,
@@ -208,7 +209,9 @@ class DependentPosteriorState(PosteriorState):
         st = cls(theta, k)
         st.t, st.frozen[0] = t, frozen.all()
         st.log_odds[0] = float(_shaped("log_rho", log_rho, ()))
-        st.frozen_w = float(_shaped("frozen_w", frozen_w, ()))
+        if not np.array_equal(_shaped("frozen_w", frozen_w, ()), st.to_arrays()["frozen_w"],
+                              equal_nan=True):
+            raise ValueError("frozen_w must be expit(log_rho) once frozen, 0.0 before")
         return st
 
     @property
@@ -216,7 +219,8 @@ class DependentPosteriorState(PosteriorState):
         return float(self.log_odds[0])
 
     def to_arrays(self) -> dict:
-        return {"log_rho": self.log_rho, "frozen_w": self.frozen_w}
+        pinned = float(_special.expit(self.log_odds[0])) if self.frozen[0] else 0.0
+        return {"log_rho": self.log_rho, "frozen_w": pinned}
 
     def advance(self, log_lr_values, active) -> None:
         if not self.frozen[0] and (len(active) != self.k or len(log_lr_values) != self.k):
@@ -229,13 +233,11 @@ class DependentPosteriorState(PosteriorState):
     def freeze(self, idx, w_idx=None) -> None:
         if len(idx) != self.k:
             raise ValueError("dependent streams are deactivated jointly")
-        self.frozen_w = float(_special.expit(self.log_odds[0]))
         self.frozen[0] = True
 
     @property
     def w(self) -> np.ndarray:
-        pooled = self.frozen_w if self.frozen[0] else float(_special.expit(self.log_odds[0]))
-        return np.full(self.k, pooled)
+        return np.full(self.k, float(_special.expit(self.log_odds[0])))
 
 
 class TabularPosteriorState:

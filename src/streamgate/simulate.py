@@ -56,6 +56,8 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("need at least one stream")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.horizon < 1:

@@ -34,7 +34,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property, wraps
 from fractions import Fraction
 
 import numpy as np
@@ -157,20 +157,22 @@ def feasible_prefix_size(u, alpha: float) -> int:
     return best
 
 
-def random_ordered_pair(rng: np.random.Generator, max_dim: int = 8
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (u, v) with u <= v in the partial order.
+def _below(v: np.ndarray, max_extra: int, rng: np.random.Generator) -> np.ndarray:
+    """A sorted u <= v: v's entries lowered, plus up to ``max_extra`` extras.
 
-    Draw v first, then lower its entries and append extras: order
-    statistics preserve the entrywise domination, and added entries only
-    shift early order statistics down.
+    Order statistics preserve the entrywise domination, and added entries
+    only shift early order statistics down.
     """
-    dim_v = int(rng.integers(0, max_dim + 1))
-    v = np.sort(rng.random(dim_v))
-    lowered = v * rng.random(dim_v)
-    extras = rng.random(int(rng.integers(0, max_dim + 1)))
-    u = np.sort(np.concatenate([lowered, extras]))
-    return u, v
+    lowered = v * rng.random(v.size)
+    extras = rng.random(int(rng.integers(0, max_extra + 1)))
+    return np.sort(np.concatenate([lowered, extras]))
+
+
+def random_ordered_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (u, v) with u <= v in the partial order, v of at most 8
+    entries and u of at most 16."""
+    v = np.sort(rng.random(int(rng.integers(0, 9))))
+    return _below(v, 8, rng), v
 
 
 def monotone_selection_check(n_trials: int, alpha: float,
@@ -198,10 +200,7 @@ def partial_order_axioms_check(n_trials: int, rng: np.random.Generator):
     """
     for _ in range(n_trials):
         v, w = random_ordered_pair(rng)
-        # build u <= v by lowering v and padding, as in random_ordered_pair
-        lowered = v * rng.random(v.size)
-        extras = rng.random(int(rng.integers(0, 4)))
-        u = np.sort(np.concatenate([lowered, extras]))
+        u = _below(v, 3, rng)
         if not ordered_leq(v, v):
             return False, f"reflexivity failed for {v}"
         if not (ordered_leq(u, v) and ordered_leq(v, w)):
@@ -294,9 +293,11 @@ def _groups(states) -> tuple:
     return tuple(sorted(Counter(states).items()))
 
 
-def _outcomes(groups: tuple, keep) -> list:
+@cache
+def _outcomes(groups: tuple, keep: tuple) -> list:
     """``(probability, next node)`` for every number of streams in each kept
-    group (``keep[i]`` streams of group i) that see a 1, binomially weighted."""
+    group (``keep[i]`` streams of group i) that see a 1, binomially weighted.
+    Cached for the span of one report (``_frees_outcomes``)."""
     out = [(Fraction(1), ())]
     for (s, _), c in zip(groups, keep):
         if not c:
@@ -387,13 +388,25 @@ def _exact_value(fresh, alpha: Fraction, tstar: int, objective, rule,
         return here
 
     root = _groups(fresh)
-    return sum((p * value(1, nxt) for p, nxt in _outcomes(root, [n for _, n in root])),
+    return sum((p * value(1, nxt) for p, nxt in _outcomes(root, tuple(n for _, n in root))),
                Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # desk-scale optimality reports
 # ---------------------------------------------------------------------------
+
+def _frees_outcomes(report):
+    """``report``, with the ``_outcomes`` cache its recursions share freed
+    when it returns."""
+    @wraps(report)
+    def run(*args, **kwargs):
+        try:
+            return report(*args, **kwargs)
+        finally:
+            _outcomes.cache_clear()
+    return run
+
 
 @dataclass(frozen=True)
 class OptimalityRow:
@@ -410,6 +423,7 @@ class OptimalityRow:
     expected_active_proposed: Fraction
 
 
+@_frees_outcomes
 def dp_optimality_report(theta, p0, p1, alpha, n_streams: int,
                          horizon: int) -> list[OptimalityRow]:
     """Exact comparison of the proposed procedure against the supremum over
@@ -471,13 +485,14 @@ def _optimal_first_choices(fresh, alpha: Fraction, tstar: int, best: Fraction) -
     so a retention's counts line up with the ids."""
     root = _groups(fresh)
     candidates = set.intersection(*(set(_feasible(nxt, 1, alpha))
-                                    for _, nxt in _outcomes(root, [1] * len(root))))
+                                    for _, nxt in _outcomes(root, (1,) * len(root))))
     return tuple(sorted(
         tuple(s.sid for (s, _), c in zip(root, first) if c) for first in candidates
         if _exact_value(fresh, alpha, tstar, _util,
                         _then(lambda *_, first=first: [first], _feasible)) == best))
 
 
+@_frees_outcomes
 def conflicting_priors_enumeration() -> ConflictingPriorsReport:
     """Exhaustively enumerate the four-stream counterexample instance.
 

@@ -700,11 +700,9 @@ _REFUSALS = {
     "wide-non-finite-first-cell": (
         "wide", 3, 5, {4: "3,nan,0.2,0.3"},
         "row 4: non-finite observation nan for stream 1 at t=3", 1),
-    # cells are met in column order, and the step before runs once the
-    # row's first cell has passed
     "wide-non-finite-later-cell": (
         "wide", 3, 5, {4: "3,0.1,0.2,inf"},
-        "row 4: non-finite observation inf for stream 3 at t=3", 2),
+        "row 4: non-finite observation inf for stream 3 at t=3", 1),
     "wide-repeated-time": (
         "wide", 3, 5, {4: "2,0.1,0.2,0.3"},
         "row 4: duplicate observation for stream 1 at t=2", 1),
@@ -712,7 +710,7 @@ _REFUSALS = {
         "wide", 3, 5, {2: "1,0.1,0.2,"}, "row 3: unknown stream id(s) [3]", 1),
     "wide-unknown-id-then-non-finite": (
         "wide", 3, 5, {2: "1,0.1,0.2,", 3: "2,0.1,0.2,nan"},
-        "row 3: non-finite observation nan for stream 3 at t=2", 1),
+        "row 3: non-finite observation nan for stream 3 at t=2", None),
     "wide-missing-id": (
         "wide", 3, 5, {4: "3,0.1,,0.3"},
         "row 4: missing observation for active stream(s) [2] at t=3", 2),
@@ -1377,7 +1375,7 @@ def test_tabular_model_from_config(tmp_path, capsys):
 
 def test_verify_all_prints_one_pass_line_per_suite(capsys, monkeypatch):
     # the optimality suite on the one instance it ran before its grid (which
-    # takes about 50 s); tests/test_verify.py runs the grid's instances that
+    # takes about 30 s); tests/test_verify.py runs the grid's instances that
     # fit tier-1
     monkeypatch.setattr("streamgate.verify.OPTIMALITY_SETS",
                         {("3/10", "1/5", "4/5", "3/10"): True})
@@ -1447,3 +1445,161 @@ def test_a_malformed_config_file_is_a_usage_error(tmp_path, capsys, text):
     code, _, err = _run(capsys, *_SIM, "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
     assert code == 1 and err.startswith("usage error")
     assert not (tmp_path / "x.csv").exists()
+
+
+_TABLE_HEAD = ("# theta=0.05 alpha=0.05 n=1000 seed=1\n"
+               "# model=iid(theta=0.05,obs=gauss(mu=1.0,sigma=1.0))\n"
+               "t,lambda,survival_frac,retained_mean\n")
+_SIM_ALPHA = ["simulate", "--alpha", "0.05", "--horizon", "3", "--reps", "2"]
+_TABULAR_SIM = [*_SIM_ALPHA, "--k", "1", "--config", "run.ini"]
+
+
+def _tabular_ini(row):
+    return {"run.ini": f"[model]\nmodel = tabular\nmu = 1.0\nprior.1 = {row}\n"}
+
+
+# (argv, files written first, exit code, the whole stderr line), each run
+# with --out o.csv in a folder that holds obs.ndjson (two streams, t=1..3)
+_CLI_REFUSALS = {
+    "config-file-missing": ([*_SIM, "--config", "missing.ini"], {}, 1,
+                            "usage error: config file not found: missing.ini"),
+    "no-observation-model": ([*_SIM_ALPHA, "--k", "3", "--theta", "0.05"], {}, 1,
+                             "usage error: observation model missing: set mu (gaussian) "
+                             "or p0 and p1"),
+    "tabular-without-prior-rows": ([*_SIM_ALPHA, "--k", "3", "--model", "tabular", "--mu", "1"],
+                                   {}, 1, "usage error: tabular model needs prior.<stream> "
+                                   "rows in the config file"),
+    "no-theta": ([*_SIM_ALPHA, "--k", "3", "--mu", "1"], {}, 1,
+                 "usage error: iid model needs theta"),
+    "detect-threshold-without-table": (
+        ["detect", "--input", "obs.ndjson", *_IID_ALPHA, "--mode", "threshold"], {}, 1,
+        "usage error: threshold mode needs --table"),
+    "simulate-threshold-without-table": ([*_SIM, "--procedure", "threshold"], {}, 1,
+                                         "usage error: threshold procedure needs --table"),
+    "detect-without-alpha": (["detect", "--input", "obs.ndjson", *_IID], {}, 1,
+                             "usage error: detect needs alpha"),
+    "calibrate-without-alpha": (["calibrate", *_IID, "--n", "1000", "--horizon", "3"], {}, 1,
+                                "usage error: calibrate needs alpha, n, and horizon"),
+    "calibrate-without-n": (["calibrate", *_IID, "--alpha", "0.05", "--horizon", "3"], {}, 1,
+                            "usage error: calibrate needs alpha, n, and horizon"),
+    "calibrate-without-horizon": (["calibrate", *_IID, "--alpha", "0.05", "--n", "1000"], {},
+                                  1, "usage error: calibrate needs alpha, n, and horizon"),
+    "simulate-zero-streams": ([*_SIM_ALPHA, *_IID, "--k", "0"], {}, 1,
+                              "usage error: need at least one stream"),
+    "simulate-negative-streams": ([*_SIM_ALPHA, *_IID, "--k", "-3"], {}, 1,
+                                  "usage error: need at least one stream"),
+    "simulate-zero-reps": ([*_SIM, "--reps", "0"], {}, 1,
+                           "usage error: replications must be >= 1"),
+    "simulate-zero-horizon": ([*_SIM[:-4], "--horizon", "0", "--reps", "2"], {}, 1,
+                              "usage error: horizon must be >= 1"),
+    "prior-support-not-increasing": (_TABULAR_SIM, _tabular_ini("3:0.5,1:0.5"), 1,
+                                     "usage error: stream 0: support must be strictly "
+                                     "increasing"),
+    "prior-negative-change-time": (_TABULAR_SIM, _tabular_ini("-1:0.5,2:0.5"), 1,
+                                   "usage error: stream 0: change times must be >= 0"),
+    "prior-negative-mass": (_TABULAR_SIM, _tabular_ini("0:-0.5,2:1.5"), 1,
+                            "usage error: stream 0: negative prior mass"),
+    # the first step of obs.ndjson holds two streams
+    "detect-tabular-fewer-rows": (["detect", "--input", "obs.ndjson", "--alpha", "0.3",
+                                   "--config", "run.ini"], _tabular_ini("0:0.5,2:0.5"), 2,
+                                  "data error: row 1: stream count mismatch: 2 streams at t=1 "
+                                  "vs 1 prior.<stream> rows"),
+    "detect-tabular-more-rows": (["detect", "--input", "obs.ndjson", "--alpha", "0.3",
+                                  "--config", "run.ini"],
+                                 {"run.ini": "[model]\nmodel = tabular\nmu = 1.0\n"
+                                  + _TABULAR_PRIORS}, 2,
+                                 "data error: row 1: stream count mismatch: 2 streams at t=1 "
+                                 "vs 4 prior.<stream> rows"),
+    "simulate-tabular-k-mismatch": ([*_SIM_ALPHA, "--k", "2", "--config", "run.ini"],
+                                    _tabular_ini("0:0.5,2:0.5"), 1,
+                                    "usage error: the tabular model defines 1 stream(s), "
+                                    "got k=2"),
+    "table-survival-blank-in-some-rows": (
+        ["detect", "--input", "obs.ndjson", *_IID_ALPHA, "--mode", "threshold",
+         "--table", "table.csv"], {"table.csv": _TABLE_HEAD + "1,1.0,1.0,0.05\n2,1.0,,\n"}, 2,
+        "data error: table.csv row 5: survival_frac and retained_mean must be given in "
+        "every row or in none"),
+    "table-without-rows": (
+        ["detect", "--input", "obs.ndjson", *_IID_ALPHA, "--mode", "threshold",
+         "--table", "table.csv"], {"table.csv": _TABLE_HEAD}, 2,
+        "data error: no threshold rows found in table.csv"),
+    "table-metadata-not-a-number": (
+        ["detect", "--input", "obs.ndjson", *_IID_ALPHA, "--mode", "threshold",
+         "--table", "table.csv"],
+        {"table.csv": _TABLE_HEAD.replace("theta=0.05", "theta=abc") + "1,1.0,1.0,0.05\n"}, 2,
+        "data error: table.csv: could not convert string to float: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLI_REFUSALS))
+def test_a_refused_command_names_its_fault_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              case):
+    argv, files, code, line = _CLI_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    _write_ndjson(tmp_path / "obs.ndjson", _jump_rows(k=2, horizon=3))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert _run(capsys, *argv, "--out", "o.csv")[::2] == (code, line + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["obs.ndjson", *files])
+
+
+def _set_array(name, value):
+    def edit(payload):
+        payload["arrays"][name] = _pack(value)
+    return edit
+
+
+def _stop_first_only(payload):
+    t_stop = np.full(4, -1)
+    t_stop[0] = 1
+    payload["arrays"]["t_stop"] = _pack(t_stop)
+
+
+def _partial_stop_signs_flipped(payload):
+    stopped_at = _unpack(payload["arrays"]["stopped_at"])
+    payload["arrays"]["stopped_at"] = _pack(np.where(stopped_at >= 0, -1, 0))
+
+
+# (detector kind, steps run, edit, the bad posterior state's message); the
+# dependent streams of _jump_rows are all active at t=1 and all stopped by t=7
+_STATE_REFUSALS = {
+    "dependent-some-streams-stopped": (
+        "dependent", 1, _stop_first_only,
+        "bad jointly dependent posterior state: dependent streams are deactivated jointly"),
+    "dependent-frozen-w-before-the-freeze": (
+        "dependent", 1, _set_array("frozen_w", np.float64(0.25)),
+        "bad jointly dependent posterior state: frozen_w must be expit(log_rho) once "
+        "frozen, 0.0 before"),
+    "dependent-frozen-w-after-the-freeze": (
+        "dependent", 7, _set_array("frozen_w", np.float64(0.5)),
+        "bad jointly dependent posterior state: frozen_w must be expit(log_rho) once "
+        "frozen, 0.0 before"),
+    "partial-stop-signs-disagree": (
+        "partial", 7, _partial_stop_signs_flipped,
+        "bad partially dependent posterior state: stop times disagree with the frozen streams"),
+}
+
+
+@pytest.mark.parametrize("case", list(_STATE_REFUSALS))
+def test_detect_refuses_a_resigned_posterior_state_that_disagrees(tmp_path, capsys, case):
+    kind, steps, edit, message = _STATE_REFUSALS[case]
+    flags, _, _ = _kind_setup(tmp_path, capsys, kind)
+    rows = _jump_rows(horizon=steps + 2)
+    part1, part2 = tmp_path / "part1.ndjson", tmp_path / "part2.ndjson"
+    _write_ndjson(part1, [r for r in rows if r[0] <= steps])
+    _write_ndjson(part2, [r for r in rows if r[0] > steps])
+    ck, ck_as_written = tmp_path / "ck", tmp_path / "ck-as-written"
+    assert _run(capsys, "detect", "--input", str(part1), "--out", str(tmp_path / "o1"),
+                "--checkpoint", str(ck), *flags)[0] == 0
+    ck_as_written.write_text(ck.read_text())
+    if kind == "dependent":
+        frozen = _unpack(_payload(ck.read_text())["arrays"]["t_stop"]) >= 0
+        assert frozen.all() if steps > 1 else not frozen.any()
+    assert _run(capsys, "detect", "--input", str(part2), "--out", str(tmp_path / "o2"),
+                "--checkpoint", str(ck_as_written), *flags)[0] == 0
+    _edit_state(ck, edit)
+    edited = ck.read_text()
+    code, _, err = _run(capsys, "detect", "--input", str(part2), "--out", str(tmp_path / "o3"),
+                        "--checkpoint", str(ck), *flags)
+    assert (code, err) == (2, f"data error: {message}\n")
+    assert ck.read_text() == edited and not (tmp_path / "o3").exists()

@@ -437,6 +437,20 @@ def test_dependent_stops_jointly():
     assert np.all(det.t_stop == stop)
 
 
+def test_dependent_checkpoint_with_a_nan_posterior_resumes():
+    # a finite x can overflow the Gaussian log LR to +-inf, so the pooled sum
+    # of +inf and -inf is NaN; the frozen NaN is expit(log_rho) and resumes
+    model = PartialDepModel(GeometricPrior(0.05), 1.0, GaussianShift(10.0))
+    det = DependentDetector(model, 0.3, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det.observe([1e308, -1e308])
+    det.deactivate()
+    assert det.n_active == 0 and np.isnan(det.w).all()
+    blob = checkpoint_state(det)
+    back = restore_state(blob, model, 2)
+    assert np.isnan(back.w).all() and checkpoint_state(back) == blob
+
+
 def test_dependent_partial_observations_rejected():
     model = PartialDepModel(GeometricPrior(0.1), 1.0, GaussianShift(1.0))
     det = DependentDetector(model, 0.05, 4)

@@ -127,11 +127,13 @@ def test_dp_optimality_holds_at_the_largest_allowed_instance():
 
 # the tier-1 part of verify's optimality grid, written down before the
 # first run: every parameter set at every size, except that the two sets
-# with (theta, alpha) = (1/10, 3/10), which take 4-8 s at n=5 and 19-22 s
-# at n=6, stop at n=4 here; `streamgate verify optimality` runs the full
-# grid.  No instance is dropped for its result.
+# with (theta, alpha) = (1/10, 3/10), which take 2-3 s at n=5 and 10-12 s
+# at n=6, stop at n=5 here (34 of the 36 instances);
+# `streamgate verify optimality` runs the full grid.  No instance is
+# dropped for its result.
 _GRID = [(*params, n, 4) for params in OPTIMALITY_SETS
-         for n in ((3, 4) if (params[0], params[3]) == ("1/10", "3/10") else OPTIMALITY_SIZES)]
+         for n in ((3, 4, 5) if (params[0], params[3]) == ("1/10", "3/10")
+                   else OPTIMALITY_SIZES)]
 
 
 @functools.cache
