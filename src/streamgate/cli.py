@@ -35,8 +35,9 @@ from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
 from .detector import (CheckpointError, TableExhaustedError, check_kind, checkpoint_state,
                        make_detector, restore_state, write_atomic)
-from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel,
-                    PartialDepModel, TabularModel)
+from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel, LogLRError,
+                    PartialDepModel, TabularModel, check_prior_table)
+from .posterior import PooledLogLRError
 from .verify import SUITES
 
 
@@ -116,7 +117,9 @@ def _prior_row(text: str) -> tuple[tuple[int, ...], tuple[float, ...]]:
     cells = [cell.split(":") for cell in text.split(",")]
     if any(len(cell) != 2 for cell in cells):
         raise ValueError("each cell must be <change time>:<mass>")
-    return tuple(int(m) for m, _ in cells), tuple(float(p) for _, p in cells)
+    support, masses = tuple(int(m) for m, _ in cells), tuple(float(p) for _, p in cells)
+    check_prior_table(support, masses)
+    return support, masses
 
 
 def _prior_rows(inp: _Inputs) -> tuple[tuple, tuple]:
@@ -452,13 +455,22 @@ def _cmd_detect(args) -> int:
             raise DataError(f"row {rows[0]}: missing observation for active "
                             f"stream(s) {universe[missing].tolist()} at t={t}")
         discarded += sid.size - det.n_active
-        det.observe(x_active)
-        w_active = det.w[det.active]
+        try:
+            det.observe(x_active)
+        except LogLRError as exc:
+            j = pos.searchsorted(det.active[exc.index])  # sid (and pos) are sorted
+            raise DataError(f"row {rows[order[j]]}: observation {float(x[j])!r} for stream "
+                            f"{sid[j]} at t={t} overflows its log likelihood ratio") from None
+        except PooledLogLRError:
+            raise DataError(f"row {rows[0]}: the observations at t={t} overflow their "
+                            "pooled log likelihood ratio") from None
+        if report:  # the range of the posteriors the selection reads
+            w_active = det.w_active
+            w_min, w_max = ((float(w_active.min()), float(w_active.max()))
+                            if w_active.size else (math.nan, math.nan))
         det.deactivate()
         if report:
             step = det.last
-            w_min, w_max = ((float(w_active.min()), float(w_active.max()))
-                            if w_active.size else (math.nan, math.nan))
             report_rows.append(f"{step.t},{step.n_active},{step.lfnr!r},{w_min!r},"
                                f"{w_max!r},{' '.join(str(ids[i]) for i in step.dropped)}\n")
         if ckpt:

@@ -30,12 +30,13 @@ A detector may hold several independent ensembles of k streams, each a
 contiguous block of stream indices with its own alpha budget, cutoff and
 LFNR history (``simulate`` runs a batch of replications this way).  The
 rule then runs row by row, one row per ensemble: one sort of the rows
-padded with +inf, one cumulative sum and one rounding window for all rows
-at once, then the exact fallback for the few undecided rows only.  Every
-ensemble's bits equal those of a detector of its own: each row's sums are
-its own, and each ensemble's LFNR is summed over its own slice.  Only a
-backend that treats streams on their own can carry several ensembles
-(:func:`lockstep`: the i.i.d. one).
+padded with +inf, then one prefix search for all rows at once (a
+pairwise total of whole blocks, a running sum over the columns after
+them, one rounding window), then the exact fallback for the few
+undecided rows only.  Every ensemble's bits equal those of a detector
+of its own: each row's sums are its own, and each ensemble's LFNR is
+summed over its own slice.  Only a backend that treats streams on their
+own can carry several ensembles (:func:`lockstep`: the i.i.d. one).
 
 A one-ensemble detector can be checkpointed to a text blob (format 4,
 laid out in README) and restored bit-exactly, so a resumed run reproduces
@@ -63,6 +64,7 @@ from .posterior import (DependentPosteriorState, PartialDepPosterior,
 
 CHECKPOINT_VERSION = 4
 _EPS = float(np.finfo(float).eps)
+_BLOCK = 1024  # columns per block sum of the prefix search
 
 
 class CheckpointError(ValueError):
@@ -88,27 +90,54 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, last: np.ndarray, alpha: float) -> list[int]:
+def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, last: np.ndarray,
+                             alpha: float) -> list[int]:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
-    retains).  Row i holds 0, its sorted posteriors, then +inf to the end,
-    so column j closes the prefix of length j; ``last[i]`` is the flat
-    index of the row's largest posterior.
+    retains).  Row i holds 0, its ``sizes[i]`` sorted posteriors, then +inf
+    to the end, so column j closes the prefix of length j; ``last[i]`` is
+    the flat index of the row's largest posterior.
 
-    A vectorized cumulative sum settles every n outside one rounding window
-    that bounds every prefix of every row (prefix sums and budgets only grow
-    with n); the empty prefix always fits and the +inf end always fails.
-    Only the rows left with undecided prefixes go on to :func:`_exact_prefix`.
+    Prefix sums come by blocks: the pairwise total of the ``_BLOCK``-column
+    blocks that are finite in every row, then a running sum over the
+    columns after them (the whole row when a row is shorter than a block).
+    As in a cumulative sum over the whole row, no entry goes through more
+    roundings than the row is wide, so that sum's rounding window bounds
+    these sums too, and settles every n outside it (prefix sums and budgets
+    only grow with n; the empty prefix always fits and the +inf end always
+    fails).  A row with no certain fit in the running sum takes the
+    cumulative sum over its whole row.  Only the rows left with undecided
+    prefixes go on to :func:`_exact_prefix`.
     """
-    excess = np.cumsum(rows, axis=1)  # row by row, bit for bit: 0 + w is w
-    width = rows.shape[1] - 2
-    window = (width + 2.0) * _EPS * max(max(excess.take(last).tolist()), alpha * width)
-    excess -= alpha * np.arange(width + 2.0)
-    excess[:, 0] = -math.inf  # the empty prefix fits
-    lo = (width + 1 - (excess < -window)[:, ::-1].argmax(axis=1)).tolist()  # the last certain fit
-    fail = (excess > window).argmax(axis=1).tolist()  # the first certain failure
-    for i, (fit, hi) in enumerate(zip(lo, fail)):
-        if hi - 1 > fit:
-            lo[i] = _exact_prefix(rows[i, 1:], fit, hi - 1, alpha)
+    n_rows, width = rows.shape[0], rows.shape[1] - 2
+    nb = min(sizes.tolist()) // _BLOCK
+    split = nb * _BLOCK
+    tail = rows[:, split:]
+    if nb:
+        blocks = rows[:, 1:split + 1].reshape(n_rows, nb, _BLOCK)
+        tail = tail.copy()
+        tail[:, 0] = np.add.reduce(blocks, axis=2).sum(axis=1)  # the prefix sum at split
+        last = last - split * np.arange(1, n_rows + 1)
+    tail = np.cumsum(tail, axis=1)  # row by row, bit for bit: 0 + w is w
+    window = (width + 2.0) * _EPS * max(max(tail.take(last).tolist()), alpha * width)
+    tail -= alpha * np.arange(split, width + 2.0)
+    if not nb:
+        tail[:, 0] = -math.inf  # the empty prefix fits
+    # the last certain fit of each row (width + 1, the +inf end, where there
+    # is none), and its first certain failure
+    lo = (width + 1 - (tail < -window)[:, ::-1].argmax(axis=1)).tolist()
+    hi = (tail > window).argmax(axis=1).tolist()
+    for i, (fit, fail) in enumerate(zip(lo, hi)):
+        fail += split
+        if fail - 1 <= fit <= width:  # decided
+            continue
+        if fit == width + 1:  # no certain fit from split on: sum the whole row
+            excess = np.cumsum(rows[i]) - alpha * np.arange(width + 2.0)
+            excess[0] = -math.inf  # the empty prefix fits
+            fit = width + 1 - int((excess < -window)[::-1].argmax())
+            fail = int((excess > window).argmax())
+        if fail - 1 > fit:
+            fit = _exact_prefix(rows[i, 1:], fit, fail - 1, alpha)
+        lo[i] = fit
     return lo
 
 
@@ -134,7 +163,7 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     if not all(0.0 <= low and high <= 1.0  # NaN fails too
                for low, high in zip(rows[:, 1].tolist(), rows.take(last).tolist())):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = np.array(_largest_feasible_prefix(rows, last, alpha))
+    n = np.array(_largest_feasible_prefix(rows, sizes, last, alpha))
     # lambda, or 0 where N* = 0 (every posterior of the row exceeds alpha
     # then), and the next sorted posterior: equal where a tie group
     # straddles N*
@@ -295,9 +324,11 @@ class _DetectorBase:
 
     Ensemble e is streams ``e*k .. e*k + k - 1``, and ``active_counts``
     holds each ensemble's active count, a new array after each selection
-    that drops streams.  ``w`` is evaluated once per step and cached
-    read-only until the next observation; freezing pins posteriors at
-    their current values, so the cache survives a selection.
+    that drops streams.  ``active`` is the backend's read-only ``live``
+    array itself.  The active posteriors are evaluated once per step
+    (``w_active``), and ``w`` is built from them once, both cached
+    read-only until the next observation; freezing pins posteriors at their
+    current values, so both survive a selection.
     """
 
     kind = "base"
@@ -317,11 +348,11 @@ class _DetectorBase:
         ``cutoffs`` and ``lfnr`` hold one list of per-ensemble values per
         selection, the start included."""
         self._state, self.t_stop, self._phase = state, t_stop, phase
-        self.active = np.flatnonzero(t_stop < 0)
+        self.active = state.live
         self._bounds = np.arange(0, len(t_stop) + 1, self.k)  # each ensemble's first stream, and the end
         self._count_active()
         self._cutoffs, self._lfnr = cutoffs, lfnr
-        self._w = None
+        self._w = self._w_live = None
         self.last: Selection | None = None  # none until the first selection, and in a batch
 
     def _count_active(self) -> None:
@@ -360,9 +391,19 @@ class _DetectorBase:
     def w(self) -> np.ndarray:
         """Posterior change probability per stream (frozen streams pinned)."""
         if self._w is None:
-            self._w = np.asarray(self._state.w, dtype=float)
+            self._w = self._state.full_w(self.w_active)
             self._w.flags.writeable = False
         return self._w
+
+    @property
+    def w_active(self) -> np.ndarray:
+        """The active streams' posteriors, in ``active`` order: the one
+        evaluation of a step, which ``w`` shares; read it rather than
+        ``w[active]`` to skip assembling every stream's.  Read-only."""
+        if self._w_live is None:
+            self._w_live = self._state.w_live
+        self._w_live.flags.writeable = False  # also the kept slice after a selection
+        return self._w_live
 
     @property
     def n_active(self) -> int:
@@ -370,8 +411,9 @@ class _DetectorBase:
 
     def observe(self, x) -> None:
         """Ingest one observation per active stream (aligned with .active).
-        The model's log likelihood ratio refuses a missing or non-finite
-        value, before anything changes."""
+        The model refuses a value with no finite log likelihood ratio (a
+        missing or non-finite one, or a finite one that overflows it),
+        before anything changes."""
         if self._phase != "observe":
             raise RuntimeError("deactivate() must run before the next observe()")
         x = np.asarray(x, dtype=float)
@@ -380,7 +422,7 @@ class _DetectorBase:
                 f"expected {self.n_active} observations for the active set, "
                 f"got shape {x.shape}")
         self._state.advance(self.model.log_lr_rows(x), self.active)
-        self._w = None
+        self._w = self._w_live = None
         self._phase = "select"
 
     def deactivate(self) -> np.ndarray:
@@ -389,16 +431,18 @@ class _DetectorBase:
         if self._phase != "select":
             raise RuntimeError("observe() must run before deactivate()")
         sizes = self.active_counts
-        w_active = self.w[self.active]
+        w_active = self.w_active
         keep = self._select(w_active, sizes)
-        if keep.all():
+        drop = np.flatnonzero(~keep)
+        if not drop.size:
             dropped, kept_w = self.active[:0], w_active
         else:
-            drop = ~keep
             dropped, kept_w = self.active[drop], w_active[keep]
-            self.active = self.active[keep]  # ``active`` stays in index order
             self.t_stop[dropped] = self.t
             self._state.freeze(dropped, w_active[drop])
+            # the backend's live ids, still in index order; the kept
+            # posteriors stay this step's
+            self.active, self._w_live = self._state.live, kept_w
             self._count_active()
         # per ensemble: the cutoff is 1.0 when nothing was dropped (so once
         # the ensemble is empty), 0.0 when the selection empties it, else the

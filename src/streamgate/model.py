@@ -39,6 +39,32 @@ from . import _special
 INF = math.inf
 
 
+class LogLRError(ValueError):
+    """An observation with no finite log likelihood ratio: a missing or
+    non-finite value, or a finite one far enough out to overflow it.
+    ``index`` is the flat position of the first such observation."""
+
+    def __init__(self, x: float, index: int):
+        super().__init__(f"observation {x!r} has no finite log likelihood ratio")
+        self.index = index
+
+
+def check_prior_table(support, masses) -> None:
+    """Refuse a finite-support change-time prior that is not one: support
+    and masses must align, the support must be increasing change times >=
+    0, and the masses nonnegative, summing to 1."""
+    if len(support) != len(masses) or len(support) == 0:
+        raise ValueError("support/mass length mismatch")
+    if any(b <= a for a, b in zip(support, support[1:])):
+        raise ValueError("support must be strictly increasing")
+    if any(s < 0 for s in support):
+        raise ValueError("change times must be >= 0")
+    if any(p < 0.0 for p in masses):
+        raise ValueError("negative prior mass")
+    if abs(math.fsum(masses) - 1.0) > 1e-12:
+        raise ValueError("prior masses must sum to 1")
+
+
 def _check_prob(value: float, name: str, *, open_left: bool = False,
                 open_right: bool = False) -> None:
     lo_ok = value > 0.0 if open_left else value >= 0.0
@@ -86,11 +112,17 @@ class GaussianShift:
         return self.sigma * z + self.mu * post
 
     def log_lr(self, x) -> np.ndarray | float:
-        """log q(x)/p(x) = (mu*x - mu^2/2) / sigma^2."""
+        """log q(x)/p(x) = (mu*x - mu^2/2) / sigma^2, refused (:class:`LogLRError`)
+        unless finite: a finite x can overflow it."""
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError("log_lr requires finite observations")
-        out = (self.mu * x - 0.5 * self.mu * self.mu) / (self.sigma * self.sigma)
+        with np.errstate(over="ignore"):
+            out = self.mu * x  # then in place: the bits of (mu*x - mu^2/2) / sigma^2
+            out -= 0.5 * self.mu * self.mu
+            out /= self.sigma * self.sigma
+        finite = np.isfinite(out)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise LogLRError(float(x.flat[i]), i)
         return out if out.ndim else float(out)
 
     def fingerprint(self) -> str:
@@ -210,16 +242,10 @@ class TabularModel(_SharedObs):
         if not (len(self.supports) == len(self.masses) >= 1):
             raise ValueError("supports and masses must align, one entry per stream")
         for k, (sup, mas) in enumerate(zip(self.supports, self.masses)):
-            if len(sup) != len(mas) or len(sup) == 0:
-                raise ValueError(f"stream {k}: support/mass length mismatch")
-            if any(b <= a for a, b in zip(sup, sup[1:])):
-                raise ValueError(f"stream {k}: support must be strictly increasing")
-            if any(s < 0 for s in sup):
-                raise ValueError(f"stream {k}: change times must be >= 0")
-            if any(p < 0.0 for p in mas):
-                raise ValueError(f"stream {k}: negative prior mass")
-            if abs(math.fsum(mas) - 1.0) > 1e-12:
-                raise ValueError(f"stream {k}: prior masses must sum to 1")
+            try:
+                check_prior_table(sup, mas)
+            except ValueError as exc:
+                raise ValueError(f"stream {k}: {exc}") from None
 
     @property
     def n_streams(self) -> int:

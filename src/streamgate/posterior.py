@@ -31,13 +31,15 @@ One posterior backend per model, all with the same protocol:
   ratios.
 
 A backend is mutable, with a time ``t``: ``advance(log_lr, active)``
-updates it in place, ``freeze(idx, w_idx)`` pins deactivated streams, so
-that ``w`` (a fresh array) gives a frozen stream the value pinned at its
-freeze, and ``to_arrays()``/``from_arrays(..., t, frozen, **arrays)``
-give and take its state for checkpoints.  ``lockstep`` says whether one
-backend can carry several independent ensembles side by side: only the
-i.i.d. one can, whose streams share one prior and update on their own
-data alone.
+updates it in place, ``freeze(idx, w_idx)`` pins deactivated streams,
+``live`` holds the ids of the others (increasing; a new array after each
+freeze), ``w_live`` evaluates their posteriors, in ``live`` order, and
+``full_w(w_live)`` adds the values pinned at each freeze to give every
+stream's, which ``w`` (a fresh array) is; ``to_arrays()``/
+``from_arrays(..., t, frozen, **arrays)`` give and take the state for
+checkpoints.  ``lockstep`` says whether one backend can carry several
+independent ensembles side by side: only the i.i.d. one can, whose
+streams share one prior and update on their own data alone.
 """
 
 from __future__ import annotations
@@ -123,14 +125,43 @@ def _logsumexp_rows(a: np.ndarray, work=None) -> np.ndarray:
     return (np.log1p(s) + np.log(n_top) + a_max)[:, 0]
 
 
-class PosteriorState:
+class _Backend:
+    """What the backends share: ``w`` is ``full_w(w_live)``, and by default
+    ``full_w`` puts the live posteriors among the pinned ``_frozen_w``."""
+
+    lockstep = False
+
+    @property
+    def live(self) -> np.ndarray:
+        return self._live
+
+    def _set_live(self, ids: np.ndarray) -> None:
+        # read-only: a detector's ``active`` is this array itself
+        ids.flags.writeable = False
+        self._live = ids
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.full_w(self.w_live)
+
+    def full_w(self, w_live: np.ndarray) -> np.ndarray:
+        if w_live.size == self._frozen_w.size:  # no stream is frozen
+            return w_live
+        w = self._frozen_w.copy()
+        w[self.live] = w_live
+        return w
+
+
+class PosteriorState(_Backend):
     """Per-stream posteriors of independently changing streams.
 
-    ``log_odds[k]`` carries w_k as log odds; ``frozen[k]`` marks streams
-    whose posterior is pinned (deactivated streams keep their last value,
-    ``frozen_w[k]``).  A frozen stream's log odds no longer move, so its
-    pinned value is ``expit(log_odds[k])`` bit for bit, and ``from_arrays``
-    rebuilds it from them: a checkpoint holds the log odds alone.
+    The live streams' log odds are one dense array ``_l``, entry j for
+    stream ``live[j]``; ``advance`` updates it in place and takes exactly
+    the live set.  A frozen stream's log odds and posterior are pinned once,
+    at its freeze, in ``_pinned`` and ``_frozen_w``; ``log_odds`` assembles
+    the full vector for callers.  The pinned posterior is
+    ``expit(log_odds[k])`` bit for bit, so ``from_arrays`` rebuilds it: a
+    checkpoint holds the log odds alone.
     """
 
     label = "i.i.d."
@@ -139,9 +170,11 @@ class PosteriorState:
     def __init__(self, theta: float, k: int):
         self.theta = theta
         self.t = 0
-        self.log_odds = np.full(k, NEG_INF)
         self.frozen = np.zeros(k, dtype=bool)
-        self.frozen_w = np.zeros(k)
+        self._set_live(np.arange(k))
+        self._l = np.full(k, NEG_INF)
+        self._pinned = np.full(k, NEG_INF)
+        self._frozen_w = np.zeros(k)
 
     @classmethod
     def from_arrays(cls, theta: float, k: int, t: int, frozen,
@@ -149,36 +182,58 @@ class PosteriorState:
         st = cls.__new__(cls)  # not the constructor: its fresh arrays would go unused
         st.theta, st.t = theta, t
         st.frozen = _shaped("frozen", frozen, (k,), bool)
-        st.log_odds = _shaped("log_odds", log_odds, (k,))
-        st.frozen_w = np.zeros(k)
-        st.frozen_w[st.frozen] = _special.expit(st.log_odds[st.frozen])
+        st._pinned = _shaped("log_odds", log_odds, (k,))
+        st._set_live(np.flatnonzero(~st.frozen))
+        st._l = st._pinned[st._live]
+        st._frozen_w = np.zeros(k)
+        st._frozen_w[st.frozen] = _special.expit(st._pinned[st.frozen])
         return st
+
+    @property
+    def log_odds(self) -> np.ndarray:
+        """Every stream's log odds, a fresh array."""
+        out = self._pinned.copy()
+        out[self._live] = self._l
+        return out
 
     def to_arrays(self) -> dict:
         return {"log_odds": self.log_odds}
 
     def advance(self, log_lr_values, active) -> None:
-        log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
-        self.log_odds[active] = (log_lr_values
-                                 + np.logaddexp(math.log(self.theta), self.log_odds[active])
-                                 - math.log1p(-self.theta))
+        if active is not self._live and not np.array_equal(active, self._live):
+            raise ValueError("cannot advance a frozen or unknown stream: advance takes "
+                             "exactly the live streams, in increasing order")
+        log_lr_values = np.asarray(log_lr_values, dtype=float)
+        if log_lr_values.shape != self._l.shape:
+            raise ValueError("log_lr_values must align with the active index set")
+        # log_lr + logaddexp(log theta, l) - log(1-theta), in place
+        l = np.logaddexp(math.log(self.theta), self._l, out=self._l)
+        l += log_lr_values
+        l -= math.log1p(-self.theta)
         self.t += 1
 
     def freeze(self, idx, w_idx=None) -> None:
-        self.frozen_w[idx] = _special.expit(self.log_odds[idx]) if w_idx is None else w_idx
+        idx = np.asarray(idx, dtype=int)
+        pos = self._live.searchsorted(idx)
+        if idx.size and (not self._live.size or (self._live.take(pos, mode="clip") != idx).any()):
+            raise ValueError("cannot freeze a frozen or unknown stream")
+        l = self._l[pos]
+        self._pinned[idx] = l
+        self._frozen_w[idx] = _special.expit(l) if w_idx is None else w_idx
         self.frozen[idx] = True
+        keep = np.ones(self._live.size, dtype=bool)
+        keep[pos] = False
+        self._set_live(self._live[keep])
+        self._l = self._l[keep]
 
     @property
-    def w(self) -> np.ndarray:
-        if 2 * np.count_nonzero(self.frozen) < self.frozen.size:
-            # mostly live: one pass over every stream costs less than a gather
-            # and a scatter, and gives the frozen ones their pinned bits; late
-            # in a lockstep batch most streams are frozen
-            return _special.expit(self.log_odds)
-        live = np.flatnonzero(~self.frozen)
-        w = self.frozen_w.copy()
-        w[live] = _special.expit(self.log_odds[live])
-        return w
+    def w_live(self) -> np.ndarray:
+        return _special.expit(self._l)
+
+
+class PooledLogLRError(ValueError):
+    """Finite log likelihood ratios whose pooled sum is not finite: it
+    overflows one way, or both ways into NaN."""
 
 
 class DependentPosteriorState(PosteriorState):
@@ -191,6 +246,8 @@ class DependentPosteriorState(PosteriorState):
     deactivated jointly, after which ``log_rho`` no longer moves, so the
     pinned w is ``expit(log_rho)``; a checkpoint's ``frozen_w`` is that
     image (0.0 before the freeze), and ``from_arrays`` refuses any other.
+    ``advance`` refuses a pooled sum that is not finite
+    (:class:`PooledLogLRError`) before anything moves.
     """
 
     label = "jointly dependent"
@@ -206,54 +263,65 @@ class DependentPosteriorState(PosteriorState):
         frozen = _shaped("frozen", frozen, (k,), bool)
         if frozen.any() != frozen.all():
             raise ValueError("dependent streams are deactivated jointly")
-        st = cls(theta, k)
-        st.t, st.frozen[0] = t, frozen.all()
-        st.log_odds[0] = float(_shaped("log_rho", log_rho, ()))
+        st = super().from_arrays(theta, 1, t, [frozen.all()],
+                                 [float(_shaped("log_rho", log_rho, ()))])
+        st.k = k
         if not np.array_equal(_shaped("frozen_w", frozen_w, ()), st.to_arrays()["frozen_w"],
                               equal_nan=True):
             raise ValueError("frozen_w must be expit(log_rho) once frozen, 0.0 before")
         return st
 
     @property
+    def live(self) -> np.ndarray:
+        ids = np.arange(self.k if self._live.size else 0)
+        ids.flags.writeable = False
+        return ids
+
+    @property
     def log_rho(self) -> float:
         return float(self.log_odds[0])
 
     def to_arrays(self) -> dict:
-        pinned = float(_special.expit(self.log_odds[0])) if self.frozen[0] else 0.0
-        return {"log_rho": self.log_rho, "frozen_w": pinned}
+        return {"log_rho": self.log_rho, "frozen_w": float(self._frozen_w[0])}
 
     def advance(self, log_lr_values, active) -> None:
         if not self.frozen[0] and (len(active) != self.k or len(log_lr_values) != self.k):
             raise ValueError("dependent mode deactivates jointly: observations must "
                              "cover every stream while any is active")
         if len(active):
-            log_lr_values, active = [float(np.sum(log_lr_values))], [0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                pooled = float(np.sum(log_lr_values))
+            if not math.isfinite(pooled):
+                raise PooledLogLRError(f"the pooled log likelihood ratio is {pooled!r}")
+            log_lr_values, active = [pooled], [0]
         super().advance(log_lr_values, active)
 
     def freeze(self, idx, w_idx=None) -> None:
         if len(idx) != self.k:
             raise ValueError("dependent streams are deactivated jointly")
-        self.frozen[0] = True
+        super().freeze([0])
 
     @property
-    def w(self) -> np.ndarray:
-        return np.full(self.k, float(_special.expit(self.log_odds[0])))
+    def w_live(self) -> np.ndarray:
+        return np.full(self.live.size, float(_special.expit(self.log_odds[0])))
+
+    def full_w(self, w_live: np.ndarray) -> np.ndarray:
+        return w_live if w_live.size else np.full(self.k, self._frozen_w[0])
 
 
-class TabularPosteriorState:
+class TabularPosteriorState(_Backend):
     """Per-stream posteriors over finite-support change-time tables.
 
     ``log_post[k, j]`` is the log posterior mass of support point j of
     stream k (padded entries carry -inf).  w_k sums the mass of support
     points < t.  An observation at time t+1 is post-change for support
     point m exactly when m <= t, so those entries pick up its log
-    likelihood ratio.  A frozen stream reports ``frozen_w``, its posterior
+    likelihood ratio.  A frozen stream reports ``_frozen_w``, its posterior
     when it was frozen: its mass no longer moves, but more of its support
     would fall below t.
     """
 
     label = "tabular"
-    lockstep = False
 
     def __init__(self, supports, masses):
         k = len(supports)
@@ -266,7 +334,8 @@ class TabularPosteriorState:
             with np.errstate(divide="ignore"):
                 self.log_post[i, :len(mas)] = np.log(mas)
         self.frozen = np.zeros(k, dtype=bool)
-        self.frozen_w = np.zeros(k)
+        self._set_live(np.arange(k))
+        self._frozen_w = np.zeros(k)
 
     @classmethod
     def from_arrays(cls, supports, masses, t: int, frozen, log_post,
@@ -274,12 +343,13 @@ class TabularPosteriorState:
         st = cls(supports, masses)
         st.t = t
         st.frozen = _shaped("frozen", frozen, st.frozen.shape, bool)
+        st._set_live(np.flatnonzero(~st.frozen))
         st.log_post = _shaped("log_post", log_post, st.log_post.shape)
-        st.frozen_w = _shaped("frozen_w", frozen_w, st.frozen_w.shape)
+        st._frozen_w = _shaped("frozen_w", frozen_w, st._frozen_w.shape)
         return st
 
     def to_arrays(self) -> dict:
-        return {"log_post": self.log_post, "frozen_w": self.frozen_w}
+        return {"log_post": self.log_post, "frozen_w": self._frozen_w}
 
     def advance(self, log_lr_values, active) -> None:
         log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
@@ -289,18 +359,19 @@ class TabularPosteriorState:
         self.log_post[active] = rows - _logsumexp_rows(rows)[:, None]
 
     def freeze(self, idx, w_idx=None) -> None:
-        self.frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
+        self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self.frozen[idx] = True
+        self._set_live(np.flatnonzero(~self.frozen))
 
     @property
-    def w(self) -> np.ndarray:
+    def w_live(self) -> np.ndarray:
         changed = self.support < self.t
         w = np.exp(_logsumexp_rows(np.where(changed, self.log_post, NEG_INF)))
         # a probability can round to just above 1; in-range values keep their bits
-        return np.where(self.frozen, self.frozen_w, np.minimum(w, 1.0))
+        return np.minimum(w[self.live], 1.0)
 
 
-class PartialDepPosterior:
+class PartialDepPosterior(_Backend):
     """Streaming per-stream posteriors under the partially dependent model,
     tolerating deactivated streams.
 
@@ -317,7 +388,6 @@ class PartialDepPosterior:
     """
 
     label = "partially dependent"
-    lockstep = False
 
     def __init__(self, theta: float, eta: float, k: int):
         self.theta = theta
@@ -328,6 +398,7 @@ class PartialDepPosterior:
         self._hist = np.zeros((k, 8))         # columns 0..t: cumulative log LR
         self._acc = np.zeros(8)               # [m]: sum of frozen streams' log Lam(m)
         self._stopped_at = np.full(k, -1)     # observation time after which frozen
+        self._set_live(np.arange(k))
         self._frozen_w = np.zeros(k)
         self._work = np.empty(0)              # scratch of ``w``, never checkpointed
         self._mask = np.empty(0, bool)
@@ -346,6 +417,7 @@ class PartialDepPosterior:
         st = cls(theta, eta, k)
         st.t = t
         st._stopped_at, st._frozen_w = stopped_at, frozen_w
+        st._set_live(np.flatnonzero(stopped_at < 0))
         st._set_rows(np.flatnonzero(live), history, max(8, 2 * (t + 1)))
         st._acc[:t] = _shaped("acc", acc, (t,))
         return st
@@ -398,6 +470,7 @@ class PartialDepPosterior:
             raise ValueError("cannot freeze a frozen or unknown stream")
         self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
         self._stopped_at[idx] = self.t
+        self._set_live(np.flatnonzero(self._stopped_at < 0))
 
     def _scratch(self, t: int) -> tuple:
         """Two float and two bool (rows, t) arrays for ``w``, views of
@@ -410,12 +483,11 @@ class PartialDepPosterior:
                 *self._mask[:2 * n].reshape(2, -1, t))
 
     @property
-    def w(self) -> np.ndarray:
+    def w_live(self) -> np.ndarray:
         t = self.t
-        out = self._frozen_w.copy()  # live streams hold 0 here
         live = self._stopped_at[self._ids] < 0
         if t == 0 or self.eta == 0.0 or not live.any():
-            return out
+            return np.zeros(self.live.size)
         h = self._hist[:, :t + 1]
         l_km, log_pk, top, tiny = self._scratch(t)
         # every buffered row is observed through t: l[k, m] is stream k's
@@ -433,6 +505,5 @@ class PartialDepPosterior:
         log_pk += log_joint - log_z
         w_rows = np.exp(_logsumexp_rows(log_pk, (l_km, top, tiny)))
         # a probability can round to just above 1; in-range values keep their bits
-        out[self._ids[live]] = np.minimum(w_rows[live], 1.0)
-        return out
+        return np.minimum(w_rows[live], 1.0)
 

@@ -166,11 +166,12 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
                 model.draw(rngs[e], noise[e * k:(e + 1) * k])
         active = det.active
         det.observe(model.observations(t, tau[active], noise[active], active))
+        w_active = det.w_active
         dropped = det.deactivate()
         if dropped.size:
             # each ensemble's mean over its own slice, the bits of its own
             # run; sum / n is the division ndarray.mean does
-            gain, start = 1.0 - det.w[dropped], 0
+            gain, start = 1.0 - w_active[active.searchsorted(dropped)], 0
             for e, m in enumerate((before - det.active_counts).tolist()):
                 if m:
                     lfdr[e, t] = float(gain[start:start + m].sum()) / m

@@ -1493,12 +1493,35 @@ _CLI_REFUSALS = {
     "simulate-zero-horizon": ([*_SIM[:-4], "--horizon", "0", "--reps", "2"], {}, 1,
                               "usage error: horizon must be >= 1"),
     "prior-support-not-increasing": (_TABULAR_SIM, _tabular_ini("3:0.5,1:0.5"), 1,
-                                     "usage error: stream 0: support must be strictly "
-                                     "increasing"),
+                                     "usage error: bad value for prior.1: '3:0.5,1:0.5' "
+                                     "(support must be strictly increasing)"),
     "prior-negative-change-time": (_TABULAR_SIM, _tabular_ini("-1:0.5,2:0.5"), 1,
-                                   "usage error: stream 0: change times must be >= 0"),
+                                   "usage error: bad value for prior.1: '-1:0.5,2:0.5' "
+                                   "(change times must be >= 0)"),
     "prior-negative-mass": (_TABULAR_SIM, _tabular_ini("0:-0.5,2:1.5"), 1,
-                            "usage error: stream 0: negative prior mass"),
+                            "usage error: bad value for prior.1: '0:-0.5,2:1.5' "
+                            "(negative prior mass)"),
+    "prior-masses-not-summing-to-one": (_TABULAR_SIM, _tabular_ini("0:0.5,2:0.6"), 1,
+                                        "usage error: bad value for prior.1: '0:0.5,2:0.6' "
+                                        "(prior masses must sum to 1)"),
+    # finite, but mu * x overflows the log likelihood ratio
+    "detect-log-lr-overflows": (
+        ["detect", "--input", "big.ndjson", "--model", "iid", "--theta", "0.05", "--mu", "10",
+         "--alpha", "0.05"],
+        {"big.ndjson": '{"t":1,"stream":5,"x":0.1}\n{"t":1,"stream":3,"x":0.2}\n'
+                       '{"t":2,"stream":3,"x":0.3}\n{"t":2,"stream":5,"x":-1e308}\n'
+                       '{"t":3,"stream":3,"x":0.3}\n'}, 2,
+        "data error: row 4: observation -1e+308 for stream 5 at t=2 overflows its log "
+        "likelihood ratio"),
+    # each log LR is finite, but their pooled sum adds +inf to -inf
+    "detect-pooled-log-lr-overflows": (
+        ["detect", "--input", "big.csv", "--model", "partial", "--theta", "0.05", "--eta", "1",
+         "--mu", "1", "--alpha", "0.05", "--mode", "dependent"],
+        {"big.csv": "t," + ",".join(str(i) for i in range(16)) + "\n"
+                    "1," + ",".join(["0"] * 16) + "\n"
+                    "2," + ",".join(["1e308", "-1e308"] * 8) + "\n"}, 2,
+        "data error: row 3: the observations at t=2 overflow their pooled log likelihood "
+        "ratio"),
     # the first step of obs.ndjson holds two streams
     "detect-tabular-fewer-rows": (["detect", "--input", "obs.ndjson", "--alpha", "0.3",
                                    "--config", "run.ini"], _tabular_ini("0:0.5,2:0.5"), 2,

@@ -3,10 +3,12 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from streamgate import detector
 from streamgate.detector import (CHECKPOINT_VERSION, AdaptiveDetector,
                                  CheckpointError, DependentDetector,
                                  TableExhaustedError, ThresholdDetector,
@@ -14,6 +16,7 @@ from streamgate.detector import (CHECKPOINT_VERSION, AdaptiveDetector,
                                  restore_state)
 from streamgate.model import (GaussianShift, GeometricPrior, IIDModel,
                               PartialDepModel, conflicting_priors_model)
+from streamgate.posterior import PooledLogLRError
 from streamgate.verify import brute_force_max_subset, feasible_prefix_size
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _case as _golden_case
@@ -96,6 +99,59 @@ def test_one_step_rule_exact_at_the_boundary():
     a = 0.05
     for w in (np.full(4000, np.nextafter(a, 1.0)), np.full(4000, a + 4 * np.spacing(a))):
         assert len(one_step_rule(w, a)) == feasible_prefix_size(w, a)
+
+
+def _exact_largest_prefix(row, alpha):
+    """Oracle: over the whole sorted ``row``, the largest n whose exact
+    rational prefix sum, rounded once to a float, is at most alpha * n."""
+    total, best = Fraction(0), 0
+    for n, value in enumerate(row.tolist(), start=1):
+        total += Fraction(value)
+        if float(total) <= alpha * n:
+            best = n
+    return best
+
+
+def _wide_row(rng, size, alpha):
+    """A shuffled row of ``size`` posteriors: mostly small, some above alpha;
+    or mostly exact copies of alpha, whose prefixes sit on their budget; or
+    with the first prefix over budget moved to within an ulp of it."""
+    n_high = int(size * rng.choice([0.0, 0.01, 0.1, 0.3, 0.6]))
+    w = np.sort(np.concatenate([rng.beta(0.3, 30.0, size - n_high),
+                                rng.uniform(alpha, 1.0, n_high)]))
+    shape = rng.integers(3)
+    if shape == 1:
+        w[int(rng.integers(0, 8)):size - n_high] = alpha
+    elif shape == 2:
+        # the entry after N* takes the value that puts prefix N*+1 on its
+        # budget, give or take an ulp; that prefix keeps its sum however it sorts
+        n = _exact_largest_prefix(w, alpha)
+        if n < size:
+            gap = float(Fraction(alpha * (n + 1)) - sum(map(Fraction, w[:n].tolist())))
+            w[n] = np.nextafter(gap, [0.0, 1.0][int(rng.integers(2))])
+    return rng.permutation(w)
+
+
+def test_block_prefix_search_matches_an_exact_oracle(monkeypatch):
+    # lone rows and padded batches of rows 4096 to 30000 wide, N* in the
+    # first blocks, in the middle, in the last partial block or at the end
+    exact_calls = []
+    exact = detector._exact_prefix
+    monkeypatch.setattr(detector, "_exact_prefix", lambda *a: exact_calls.append(a) or exact(*a))
+    rng, alpha = np.random.default_rng(29), 0.05
+    whole_row = 0
+    for trial in range(24):
+        n_rows = 1 if trial % 2 else int(rng.integers(2, 4))
+        sizes = rng.integers(4096, 30001 if n_rows == 1 else 12001, size=n_rows)
+        rows = [_wide_row(rng, int(size), alpha) for size in sizes]
+        keep, n = detector._adaptive_keep(np.concatenate(rows), sizes, alpha)
+        for i, row in enumerate(rows):
+            want = _exact_largest_prefix(np.sort(row), alpha)
+            assert n[i] == want, f"trial {trial}, row {i}"
+            whole_row += want < sizes.min() // 1024 * 1024
+        assert np.count_nonzero(keep) == n.sum()
+    assert whole_row >= 5          # N* before the running sum starts (a whole-row sum) that often
+    assert len(exact_calls) >= 5   # and rows go to the exact fallback that often
 
 
 def _lexsort_rule(w, indices, size):
@@ -206,7 +262,7 @@ def test_adaptive_selection_matches_one_step_rule_on_ties():
                 w[start:start + rng.integers(5, 60)] = alpha
             active = det.active
             want = active[one_step_rule(w[active], alpha)]
-            det._w, det._phase = w, "select"
+            det._w_live, det._phase = w[active], "select"
             det.deactivate()
             assert np.array_equal(det.active, want)
             if want.size:
@@ -437,17 +493,35 @@ def test_dependent_stops_jointly():
     assert np.all(det.t_stop == stop)
 
 
+@pytest.mark.parametrize("x", [np.tile([1e308, -1e308], 8), np.full(16, 1e308)],
+                         ids=["both-ways", "one-way"])
+def test_dependent_refuses_a_pooled_log_lr_that_overflows(x):
+    # each log LR is finite, but their sum is not: numpy's pairwise sum of
+    # 16 alternating +-1e308 adds +inf to -inf (NaN), 16 copies of 1e308 give
+    # +inf; nothing moves
+    model = PartialDepModel(GeometricPrior(0.05), 1.0, GaussianShift(1.0))
+    det = DependentDetector(model, 0.3, 16)
+    det.observe(np.zeros(16))
+    det.deactivate()
+    blob = checkpoint_state(det)
+    with pytest.raises(PooledLogLRError, match="pooled log likelihood ratio is (nan|inf)"):
+        det.observe(x)
+    assert checkpoint_state(det) == blob
+    det.observe(np.zeros(16))  # still in the observe phase
+
+
 def test_dependent_checkpoint_with_a_nan_posterior_resumes():
-    # a finite x can overflow the Gaussian log LR to +-inf, so the pooled sum
-    # of +inf and -inf is NaN; the frozen NaN is expit(log_rho) and resumes
-    model = PartialDepModel(GeometricPrior(0.05), 1.0, GaussianShift(10.0))
-    det = DependentDetector(model, 0.3, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det.observe([1e308, -1e308])
+    # earlier versions pooled an overflowing sum into a NaN log_rho and
+    # checkpointed it; the frozen NaN is expit(log_rho) and resumes
+    model = PartialDepModel(GeometricPrior(0.05), 1.0, GaussianShift(1.0))
+    det = DependentDetector(model, 0.3, 16)
+    det.observe(np.zeros(16))
+    det._state._l[0] = math.nan  # the log_rho such a sum left
+    det._w = det._w_live = None
     det.deactivate()
     assert det.n_active == 0 and np.isnan(det.w).all()
     blob = checkpoint_state(det)
-    back = restore_state(blob, model, 2)
+    back = restore_state(blob, model, 16)
     assert np.isnan(back.w).all() and checkpoint_state(back) == blob
 
 
@@ -472,10 +546,13 @@ def _cached_detector(kind):
     if kind == "partial":
         model = PartialDepModel(GeometricPrior(0.3), 0.5, GaussianShift(2.0))
         return model, AdaptiveDetector(model, 0.3, 12)
+    if kind == "dependent":
+        model = PartialDepModel(GeometricPrior(0.3), 1.0, GaussianShift(2.0))
+        return model, DependentDetector(model, 0.3, 12)
     return iid, AdaptiveDetector(iid, 0.3, 12)
 
 
-@pytest.mark.parametrize("kind", ["adaptive", "threshold", "tabular", "partial"])
+@pytest.mark.parametrize("kind", ["adaptive", "threshold", "tabular", "partial", "dependent"])
 def test_w_cache_is_read_only_and_survives_deactivate(kind):
     model, det = _cached_detector(kind)
     rng = np.random.default_rng(31)
@@ -490,12 +567,17 @@ def test_w_cache_is_read_only_and_survives_deactivate(kind):
         with pytest.raises(ValueError):
             w[0] = 0.5
         assert w.tobytes() == np.asarray(det._state.w, dtype=float).tobytes()
+        # the active set is the backend's own live array: writes are refused
+        for shared in (det.active, det.w_active):
+            with pytest.raises(ValueError):
+                shared[0] = shared[0]
         before = w.copy()
         dropped = det.deactivate()
         dropped_any |= dropped.size > 0
         # kept and dropped streams alike: the cache equals a fresh evaluation
         assert det.w is w and w.tobytes() == before.tobytes()
         assert w.tobytes() == np.asarray(det._state.w, dtype=float).tobytes()
+        assert det.w_active.tobytes() == w[det.active].tobytes()
     assert dropped_any
 
 
@@ -504,14 +586,14 @@ def test_w_evaluated_once_per_step(kind, monkeypatch):
     from streamgate.posterior import PartialDepPosterior, PosteriorState
 
     owner = PartialDepPosterior if kind == "partial" else PosteriorState
-    fget = owner.w.fget
+    fget = owner.w_live.fget
     calls = []
 
     def counted(self):
         calls.append(1)
         return fget(self)
 
-    monkeypatch.setattr(owner, "w", property(counted))
+    monkeypatch.setattr(owner, "w_live", property(counted))
     model, det = _cached_detector(kind)
     rng = np.random.default_rng(32)
     tau = model.sample_change_points(det.k, rng)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from streamgate.model import (INF, BernoulliPair, GaussianShift,
-                              GeometricPrior, IIDModel, PartialDepModel,
-                              TabularModel, conflicting_priors_model)
+from streamgate.model import (INF, BernoulliPair, GaussianShift, GeometricPrior,
+                              IIDModel, LogLRError, PartialDepModel, TabularModel,
+                              conflicting_priors_model)
 
 
 def test_geometric_prior_rejects_bad_theta():
@@ -128,6 +128,16 @@ def test_log_lr_rejects_non_finite():
         GaussianShift(1.0).log_lr(math.nan)
     with pytest.raises(ValueError):
         GaussianShift(1.0).log_lr(math.inf)
+
+
+def test_log_lr_refuses_a_finite_observation_that_overflows_it():
+    # mu * x overflows at mu=10, x=+-1e308; the first such entry is named
+    obs = GaussianShift(10.0)
+    for x in (1e308, -1e308):
+        with pytest.raises(LogLRError, match="no finite log likelihood ratio") as err:
+            obs.log_lr(np.array([0.5, 1e300, x, -x]))
+        assert err.value.index == 2
+    assert np.isfinite(obs.log_lr(np.array([1e306, -1e306]))).all()
 
 
 def test_model_validation():

@@ -89,8 +89,8 @@ def test_frozen_streams_never_change():
 @pytest.mark.parametrize("live", [0.95, 0.6, 0.4, 0.05])
 def test_iid_w_after_freeze_is_expit_of_the_log_odds(live):
     # frozen streams report their pinned value, and w evaluates expit on the
-    # live ones only once at least half are frozen: either way every bit is
-    # expit(log_odds), whether freeze was handed the values or read them
+    # live ones only: every bit is expit(log_odds), whether freeze was handed
+    # the values or read them, however many streams are frozen
     k = 400
     rng = np.random.default_rng(8)
     state = PosteriorState(0.05, k)
@@ -478,6 +478,40 @@ def test_advance_rejects_frozen_or_unknown_streams(backend):
     assert post.t == 1
     post.advance([0.1, 0.1, 0.1], [0, 1, 3])
     assert post.t == 2
+
+
+@pytest.mark.parametrize("backend", ["iid", "tabular", "partial"])
+def test_advance_refuses_log_lrs_that_do_not_align_with_the_streams(backend):
+    post = {"iid": lambda: PosteriorState(0.1, 3),
+            "tabular": lambda: TabularPosteriorState(((0, 2),) * 3, ((0.3, 0.7),) * 3),
+            "partial": lambda: PartialDepPosterior(0.1, 0.5, 3)}[backend]()
+    for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
+        with pytest.raises(ValueError, match="align"):
+            post.advance(bad, [0, 1, 2])
+    assert post.t == 0
+
+
+def test_iid_advance_takes_exactly_its_live_set():
+    # the live streams are 0, 2 and 4: a subset of them, a frozen id, an
+    # unknown id, a repeat or the wrong order are refused before anything
+    # moves, and so is freezing a frozen or unknown stream
+    state = PosteriorState(0.1, 5)
+    state.advance(np.arange(5) / 10, np.arange(5))
+    state.freeze([1, 3])
+    before = state.log_odds
+    for bad in ([0, 2], [2, 4], [0, 1, 2, 4], [0, 2, 4, 5], [0, 2, 2, 4], [0, 4, 2]):
+        with pytest.raises(ValueError, match="frozen or unknown"):
+            state.advance(np.zeros(len(bad)), bad)
+    for bad in ([1], [5], [-1], [0, 3]):
+        with pytest.raises(ValueError, match="frozen or unknown"):
+            state.freeze(bad)
+    with pytest.raises(ValueError, match="align"):
+        state.advance([0.1, 0.2], state.live)
+    assert state.t == 1 and state.log_odds.tobytes() == before.tobytes()
+    assert state.live.tolist() == [0, 2, 4]
+    state.advance([0.1, 0.2, 0.3], [0, 2, 4])   # a list holding the live set
+    state.advance([0.1, 0.2, 0.3], state.live)  # the live array itself
+    assert state.t == 3 and state.log_odds[[1, 3]].tobytes() == before[[1, 3]].tobytes()
 
 
 def _partial_run(k=30, steps=24, seed=17):
