@@ -33,8 +33,8 @@ import numpy as np
 
 from . import calibrate as calibrate_mod
 from . import simulate as simulate_mod
-from .detector import (CheckpointError, TableExhaustedError, check_kind, checkpoint_state,
-                       make_detector, restore_state, write_atomic)
+from .detector import (CheckpointError, TableExhaustedError, _backend_spec, check_kind,
+                       checkpoint_state, make_detector, restore_state, write_atomic)
 from .model import (BernoulliPair, GaussianShift, GeometricPrior, IIDModel, LogLRError,
                     PartialDepModel, TabularModel, check_prior_table)
 from .posterior import PooledLogLRError
@@ -404,10 +404,15 @@ def _cmd_detect(args) -> int:
     if alpha is None:
         raise UsageError("detect needs alpha")
     table = _read_table(table_path, "mode") if mode == "threshold" else None
+    resume = ckpt and os.path.exists(ckpt)
+    if not resume:  # a resume checks its flags against the checkpoint
+        # before the input is opened; k is a tabular model's own count, any other's 1
+        _backend_spec(mode, model, getattr(model, "n_streams", 1))
+        if table is not None:
+            table.check_compatible(model, alpha)
 
     steps = _steps(_chunks(source))
     first = next(steps, None)
-    resume = ckpt and os.path.exists(ckpt)
     if first is None and not resume:
         raise DataError("no observations")
 

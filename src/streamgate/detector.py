@@ -421,7 +421,7 @@ class _DetectorBase:
             raise ValueError(
                 f"expected {self.n_active} observations for the active set, "
                 f"got shape {x.shape}")
-        self._state.advance(self.model.log_lr_rows(x), self.active)
+        self._state.advance(self.model.log_lr_rows(x))
         self._w = self._w_live = None
         self._phase = "select"
 
@@ -439,7 +439,7 @@ class _DetectorBase:
         else:
             dropped, kept_w = self.active[drop], w_active[keep]
             self.t_stop[dropped] = self.t
-            self._state.freeze(dropped, w_active[drop])
+            self._state.freeze(keep, w_active)
             # the backend's live ids, still in index order; the kept
             # posteriors stay this step's
             self.active, self._w_live = self._state.live, kept_w

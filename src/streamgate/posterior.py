@@ -30,15 +30,17 @@ One posterior backend per model, all with the same protocol:
   time, carried as one log-odds scalar of the summed log likelihood
   ratios.
 
-A backend is mutable, with a time ``t``: ``advance(log_lr, active)``
-updates it in place, ``freeze(idx, w_idx)`` pins deactivated streams,
-``live`` holds the ids of the others (increasing; a new array after each
-freeze), ``w_live`` evaluates their posteriors, in ``live`` order, and
-``full_w(w_live)`` adds the values pinned at each freeze to give every
-stream's, which ``w`` (a fresh array) is; ``to_arrays()``/
-``from_arrays(..., t, frozen, **arrays)`` give and take the state for
-checkpoints.  ``lockstep`` says whether one backend can carry several
-independent ensembles side by side: only the i.i.d. one can, whose
+A backend is mutable, with a time ``t``, and owns its live set: ``live``
+holds the ids of the streams not yet deactivated (increasing; a new array
+after each freeze), and everything else crosses in ``live`` order.
+``advance(log_lr)`` takes one log likelihood ratio per live stream and
+updates in place; ``freeze(keep, w_live)`` keeps the live streams where the
+mask ``keep`` is true and pins each other one at its ``w_live`` value;
+``w_live`` evaluates the live posteriors, and ``full_w(w_live)`` adds the
+pinned values to give every stream's, which ``w`` (a fresh array) is;
+``to_arrays()``/``from_arrays(..., t, frozen, **arrays)`` give and take the
+state for checkpoints.  ``lockstep`` says whether one backend can carry
+several independent ensembles side by side: only the i.i.d. one can, whose
 streams share one prior and update on their own data alone.
 """
 
@@ -63,20 +65,6 @@ def _shaped(name: str, value, shape: tuple, dtype=float) -> np.ndarray:
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     return a
-
-
-def _advance_args(log_lr_values, active, frozen: np.ndarray):
-    """Aligned float log LRs and int stream ids; frozen or out-of-range
-    streams are refused, and so are ids not strictly increasing (a stream
-    given twice)."""
-    active = np.asarray(active, dtype=int)
-    log_lr_values = np.asarray(log_lr_values, dtype=float)
-    if log_lr_values.shape != active.shape:
-        raise ValueError("log_lr_values must align with the active index set")
-    if active.size and (active[0] < 0 or active[-1] >= len(frozen)
-                        or np.any(active[1:] <= active[:-1]) or frozen[active].any()):
-        raise ValueError("cannot advance a frozen or unknown stream (ids must increase)")
-    return log_lr_values, active
 
 
 def _log_lam(eta: float, l_km: np.ndarray) -> np.ndarray:
@@ -126,8 +114,10 @@ def _logsumexp_rows(a: np.ndarray, work=None) -> np.ndarray:
 
 
 class _Backend:
-    """What the backends share: ``w`` is ``full_w(w_live)``, and by default
-    ``full_w`` puts the live posteriors among the pinned ``_frozen_w``."""
+    """What the backends share: the time step and the freeze bookkeeping,
+    around the hooks ``_advance`` and ``_pin``; ``w`` is ``full_w(w_live)``,
+    and by default ``full_w`` puts the live posteriors among the pinned
+    ``_frozen_w``."""
 
     lockstep = False
 
@@ -139,6 +129,28 @@ class _Backend:
         # read-only: a detector's ``active`` is this array itself
         ids.flags.writeable = False
         self._live = ids
+
+    def advance(self, log_lr) -> None:
+        """One step on one log likelihood ratio per live stream, in ``live`` order."""
+        log_lr = np.asarray(log_lr, dtype=float)
+        if log_lr.shape != self.live.shape:
+            raise ValueError(f"log_lr must align with the live streams: shape {log_lr.shape}, "
+                             f"expected {self.live.shape}")
+        self._advance(log_lr)
+        self.t += 1
+
+    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> None:
+        """Keep the live streams where the mask ``keep`` is true; pin each
+        other one at its ``w_live`` value, this step's posterior."""
+        drop = ~keep
+        gone = self._live[drop]
+        self._frozen_w[gone] = w_live[drop]
+        self._pin(gone, keep)
+        self._set_live(self._live[keep])
+
+    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
+        """A backend's own part of freezing streams ``gone``, while ``live``
+        still holds them."""
 
     @property
     def w(self) -> np.ndarray:
@@ -156,12 +168,11 @@ class PosteriorState(_Backend):
     """Per-stream posteriors of independently changing streams.
 
     The live streams' log odds are one dense array ``_l``, entry j for
-    stream ``live[j]``; ``advance`` updates it in place and takes exactly
-    the live set.  A frozen stream's log odds and posterior are pinned once,
-    at its freeze, in ``_pinned`` and ``_frozen_w``; ``log_odds`` assembles
-    the full vector for callers.  The pinned posterior is
-    ``expit(log_odds[k])`` bit for bit, so ``from_arrays`` rebuilds it: a
-    checkpoint holds the log odds alone.
+    stream ``live[j]``, which ``advance`` updates in place.  A frozen
+    stream's log odds and posterior are pinned once, at its freeze, in
+    ``_pinned`` and ``_frozen_w``; ``log_odds`` assembles the full vector for
+    callers.  The pinned posterior is ``expit(log_odds[k])`` bit for bit, so
+    ``from_arrays`` rebuilds it: a checkpoint holds the log odds alone.
     """
 
     label = "i.i.d."
@@ -170,7 +181,6 @@ class PosteriorState(_Backend):
     def __init__(self, theta: float, k: int):
         self.theta = theta
         self.t = 0
-        self.frozen = np.zeros(k, dtype=bool)
         self._set_live(np.arange(k))
         self._l = np.full(k, NEG_INF)
         self._pinned = np.full(k, NEG_INF)
@@ -181,12 +191,12 @@ class PosteriorState(_Backend):
                     log_odds) -> "PosteriorState":
         st = cls.__new__(cls)  # not the constructor: its fresh arrays would go unused
         st.theta, st.t = theta, t
-        st.frozen = _shaped("frozen", frozen, (k,), bool)
+        frozen = _shaped("frozen", frozen, (k,), bool)
         st._pinned = _shaped("log_odds", log_odds, (k,))
-        st._set_live(np.flatnonzero(~st.frozen))
+        st._set_live(np.flatnonzero(~frozen))
         st._l = st._pinned[st._live]
         st._frozen_w = np.zeros(k)
-        st._frozen_w[st.frozen] = _special.expit(st._pinned[st.frozen])
+        st._frozen_w[frozen] = _special.expit(st._pinned[frozen])
         return st
 
     @property
@@ -199,31 +209,14 @@ class PosteriorState(_Backend):
     def to_arrays(self) -> dict:
         return {"log_odds": self.log_odds}
 
-    def advance(self, log_lr_values, active) -> None:
-        if active is not self._live and not np.array_equal(active, self._live):
-            raise ValueError("cannot advance a frozen or unknown stream: advance takes "
-                             "exactly the live streams, in increasing order")
-        log_lr_values = np.asarray(log_lr_values, dtype=float)
-        if log_lr_values.shape != self._l.shape:
-            raise ValueError("log_lr_values must align with the active index set")
+    def _advance(self, log_lr: np.ndarray) -> None:
         # log_lr + logaddexp(log theta, l) - log(1-theta), in place
         l = np.logaddexp(math.log(self.theta), self._l, out=self._l)
-        l += log_lr_values
+        l += log_lr
         l -= math.log1p(-self.theta)
-        self.t += 1
 
-    def freeze(self, idx, w_idx=None) -> None:
-        idx = np.asarray(idx, dtype=int)
-        pos = self._live.searchsorted(idx)
-        if idx.size and (not self._live.size or (self._live.take(pos, mode="clip") != idx).any()):
-            raise ValueError("cannot freeze a frozen or unknown stream")
-        l = self._l[pos]
-        self._pinned[idx] = l
-        self._frozen_w[idx] = _special.expit(l) if w_idx is None else w_idx
-        self.frozen[idx] = True
-        keep = np.ones(self._live.size, dtype=bool)
-        keep[pos] = False
-        self._set_live(self._live[keep])
+    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
+        self._pinned[gone] = self._l[~keep]
         self._l = self._l[keep]
 
     @property
@@ -284,22 +277,18 @@ class DependentPosteriorState(PosteriorState):
     def to_arrays(self) -> dict:
         return {"log_rho": self.log_rho, "frozen_w": float(self._frozen_w[0])}
 
-    def advance(self, log_lr_values, active) -> None:
-        if not self.frozen[0] and (len(active) != self.k or len(log_lr_values) != self.k):
-            raise ValueError("dependent mode deactivates jointly: observations must "
-                             "cover every stream while any is active")
-        if len(active):
+    def _advance(self, log_lr: np.ndarray) -> None:
+        if log_lr.size:  # every stream is live
             with np.errstate(over="ignore", invalid="ignore"):
-                pooled = float(np.sum(log_lr_values))
+                pooled = float(np.sum(log_lr))
             if not math.isfinite(pooled):
                 raise PooledLogLRError(f"the pooled log likelihood ratio is {pooled!r}")
-            log_lr_values, active = [pooled], [0]
-        super().advance(log_lr_values, active)
+            super()._advance(np.array([pooled]))
 
-    def freeze(self, idx, w_idx=None) -> None:
-        if len(idx) != self.k:
+    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> None:
+        if keep.any() and not keep.all():
             raise ValueError("dependent streams are deactivated jointly")
-        super().freeze([0])
+        super().freeze(keep[:1], w_live[:1])  # the pooled entry
 
     @property
     def w_live(self) -> np.ndarray:
@@ -333,7 +322,6 @@ class TabularPosteriorState(_Backend):
             self.support[i, :len(sup)] = sup
             with np.errstate(divide="ignore"):
                 self.log_post[i, :len(mas)] = np.log(mas)
-        self.frozen = np.zeros(k, dtype=bool)
         self._set_live(np.arange(k))
         self._frozen_w = np.zeros(k)
 
@@ -342,8 +330,7 @@ class TabularPosteriorState(_Backend):
                     frozen_w) -> "TabularPosteriorState":
         st = cls(supports, masses)
         st.t = t
-        st.frozen = _shaped("frozen", frozen, st.frozen.shape, bool)
-        st._set_live(np.flatnonzero(~st.frozen))
+        st._set_live(np.flatnonzero(~_shaped("frozen", frozen, st._frozen_w.shape, bool)))
         st.log_post = _shaped("log_post", log_post, st.log_post.shape)
         st._frozen_w = _shaped("frozen_w", frozen_w, st._frozen_w.shape)
         return st
@@ -351,17 +338,11 @@ class TabularPosteriorState(_Backend):
     def to_arrays(self) -> dict:
         return {"log_post": self.log_post, "frozen_w": self._frozen_w}
 
-    def advance(self, log_lr_values, active) -> None:
-        log_lr_values, active = _advance_args(log_lr_values, active, self.frozen)
-        self.t += 1
-        rows = self.log_post[active]
-        rows = rows + np.where(self.support[active] < self.t, log_lr_values[:, None], 0.0)
-        self.log_post[active] = rows - _logsumexp_rows(rows)[:, None]
-
-    def freeze(self, idx, w_idx=None) -> None:
-        self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
-        self.frozen[idx] = True
-        self._set_live(np.flatnonzero(~self.frozen))
+    def _advance(self, log_lr: np.ndarray) -> None:
+        live = self._live
+        rows = self.log_post[live]
+        rows = rows + np.where(self.support[live] < self.t + 1, log_lr[:, None], 0.0)
+        self.log_post[live] = rows - _logsumexp_rows(rows)[:, None]
 
     @property
     def w_live(self) -> np.ndarray:
@@ -392,7 +373,6 @@ class PartialDepPosterior(_Backend):
     def __init__(self, theta: float, eta: float, k: int):
         self.theta = theta
         self.eta = eta
-        self.k = k
         self.t = 0
         self._ids = np.arange(k)              # stream id per buffer row, increasing
         self._hist = np.zeros((k, 8))         # columns 0..t: cumulative log LR
@@ -443,34 +423,19 @@ class PartialDepPosterior(_Backend):
         if u and len(rows) and self.eta > 0.0:
             self._acc[:u] += _log_lam(self.eta, rows[:, u:u + 1] - rows[:, :u]).sum(axis=0)
 
-    def advance(self, log_lr_values, active) -> None:
-        log_lr_values, active = _advance_args(log_lr_values, active,
-                                              self._stopped_at >= 0)
+    def _advance(self, log_lr: np.ndarray) -> None:
         t = self.t
         gone = self._stopped_at[self._ids] >= 0
         if gone.any():
             self._fold(self._hist[gone, :t + 1], t)
-            keep = ~gone
-            self._set_rows(self._ids[keep], self._hist[keep, :t + 1], len(self._acc))
+            self._set_rows(self._live, self._hist[~gone, :t + 1], len(self._acc))
         if t + 2 > self._hist.shape[1]:
             self._set_rows(self._ids, self._hist[:, :t + 1], 2 * (t + 2))
-        col = self._hist[:, t + 1]
-        col[:] = self._hist[:, t]
-        # past the fold the rows are the live streams, in increasing id
-        col[self._ids.searchsorted(active)] += log_lr_values
-        self.t = t + 1
+        # past the fold the rows are the live streams, in ``live`` order
+        np.add(self._hist[:, t], log_lr, out=self._hist[:, t + 1])
 
-    def freeze(self, idx, w_idx=None) -> None:
-        """Pin streams ``idx``; ``w_idx`` passes their current posteriors
-        when the caller already holds them."""
-        idx = np.asarray(idx, dtype=int)
-        if not idx.size:
-            return
-        if idx.min() < 0 or idx.max() >= self.k or np.any(self._stopped_at[idx] >= 0):
-            raise ValueError("cannot freeze a frozen or unknown stream")
-        self._frozen_w[idx] = self.w[idx] if w_idx is None else w_idx
-        self._stopped_at[idx] = self.t
-        self._set_live(np.flatnonzero(self._stopped_at < 0))
+    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
+        self._stopped_at[gone] = self.t
 
     def _scratch(self, t: int) -> tuple:
         """Two float and two bool (rows, t) arrays for ``w``, views of

@@ -530,7 +530,7 @@ def _posterior_suite(trials: int, rng) -> tuple[bool, str]:
         llr = rng.normal(0.0, 1.5, size=t)
         state = PosteriorState(theta, 1)
         for value in llr:
-            state.advance([value], [0])
+            state.advance([value])
         worst = max(worst, abs(state.w[0] - brute_force_posterior(theta, llr)))
     # the streaming partially dependent backend, with random freezes, against
     # the batch formula on the observed log LRs (zero after a stream's stop)
@@ -542,16 +542,16 @@ def _posterior_suite(trials: int, rng) -> tuple[bool, str]:
         post = PartialDepPosterior(theta, eta, k)
         observed = np.zeros((k, horizon))
         pinned = np.zeros(k)
-        live = np.arange(k)
         for s in range(horizon):
+            live = post.live
             observed[live, s] = rng.normal(0.0, 1.5, size=live.size)
-            post.advance(observed[live, s], live)
+            post.advance(observed[live, s])
             want = posterior_partial_dep(GeometricPrior(theta), eta, observed[:, :s + 1])
             pinned[live] = want[live]
-            worst_partial = max(worst_partial, float(np.abs(post.w - pinned).max()))
-            drop = live[rng.random(live.size) < 0.2]
-            post.freeze(drop)
-            live = np.setdiff1d(live, drop)
+            w_live = post.w_live
+            worst_partial = max(worst_partial,
+                                float(np.abs(post.full_w(w_live) - pinned).max()))
+            post.freeze(rng.random(live.size) >= 0.2, w_live)
     return (worst <= 1e-10 and worst_partial <= 1e-10,
             f"max_abs_diff={worst:.3e} partial_max_abs_diff={worst_partial:.3e}")
 

@@ -60,7 +60,7 @@ def test_01_posterior_oracle_equivalence():
         llr = obs.log_lr(x)
         state = PosteriorState(theta, 1)
         for value in np.atleast_1d(llr):
-            state.advance([value], [0])
+            state.advance([value])
         worst = max(worst, abs(state.w[0] - brute_force_posterior(theta, llr)))
     elapsed = time.perf_counter() - start
     _gate("criterion 1 (posterior oracle equivalence)",

@@ -1551,6 +1551,15 @@ _CLI_REFUSALS = {
          "--table", "table.csv"],
         {"table.csv": _TABLE_HEAD.replace("theta=0.05", "theta=abc") + "1,1.0,1.0,0.05\n"}, 2,
         "data error: table.csv: could not convert string to float: 'abc'"),
+    # refused from the flags alone, before the (missing) input is opened
+    "detect-dependent-mode-iid-model": (
+        ["detect", "--input", "missing.ndjson", "--mode", "dependent", "--theta", "0.1",
+         "--mu", "1", "--alpha", "0.1"], {}, 1,
+        "usage error: dependent mode requires the fully dependent model (eta=1)"),
+    "detect-table-other-alpha": (
+        ["detect", "--input", "missing.ndjson", *_IID, "--alpha", "0.1", "--mode", "threshold",
+         "--table", "table.csv"], {"table.csv": _TABLE_HEAD + "1,1.0,1.0,0.05\n"}, 1,
+        "usage error: threshold table was calibrated at alpha=0.05, run uses 0.1"),
 }
 
 

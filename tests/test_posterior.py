@@ -17,14 +17,14 @@ from test_detector import _pack, _payload, _resigned, _unpack
 def _run_recursion(theta, llr):
     state = PosteriorState(theta, 1)
     for value in llr:
-        state.advance([value], [0])
+        state.advance([value])
     return state.w[0]
 
 
 def test_single_update_known_value():
     # theta=0.5, W=0, likelihood ratio 1: posterior lands at 1/2
     state = PosteriorState(0.5, 1)
-    state.advance([0.0], [0])
+    state.advance([0.0])
     assert state.t == 1
     assert state.w[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -32,7 +32,7 @@ def test_single_update_known_value():
 def test_w_one_is_absorbing():
     state = PosteriorState.from_arrays(0.3, 1, 3, [False], [math.inf])
     for llr in (-50.0, 0.0, 17.0):
-        state.advance([llr], [0])
+        state.advance([llr])
         assert state.w[0] == 1.0
 
 
@@ -55,8 +55,8 @@ def test_update_monotone_in_likelihood_ratio():
         lo, hi = (PosteriorState.from_arrays(theta, 1, 0, [False],
                                              [math.log(w0) - math.log1p(-w0)])
                   for _ in range(2))
-        lo.advance([llr], [0])
-        hi.advance([llr + 1e-6], [0])
+        lo.advance([llr])
+        hi.advance([llr + 1e-6])
         assert hi.w[0] >= lo.w[0]
 
 
@@ -64,47 +64,44 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(2)
     llr = rng.normal(size=6)
     state, state_p = PosteriorState(0.1, 6), PosteriorState(0.1, 6)
-    state.advance(llr, np.arange(6))
+    state.advance(llr)
     perm = rng.permutation(6)
-    state_p.advance(llr[perm], np.arange(6))
+    state_p.advance(llr[perm])
     assert np.allclose(state.w[perm], state_p.w, atol=0, rtol=0)
 
 
 def test_frozen_streams_never_change():
     rng = np.random.default_rng(3)
     state = PosteriorState(0.2, 3)
-    state.advance(rng.normal(size=3), np.arange(3))
+    state.advance(rng.normal(size=3))
     pinned = state.w[1]
-    state.freeze([1])
+    state.freeze(np.array([True, False, True]), state.w_live)
     for _ in range(5):
-        state.advance(rng.normal(size=2), [0, 2])
+        state.advance(rng.normal(size=2))
     assert state.w[1] == pinned
-    with pytest.raises(ValueError):
-        state.advance([0.0], [1])
-    with pytest.raises(ValueError):
-        state.advance([0.0], [3])
     assert state.t == 6
 
 
 @pytest.mark.parametrize("live", [0.95, 0.6, 0.4, 0.05])
 def test_iid_w_after_freeze_is_expit_of_the_log_odds(live):
     # frozen streams report their pinned value, and w evaluates expit on the
-    # live ones only: every bit is expit(log_odds), whether freeze was handed
-    # the values or read them, however many streams are frozen
+    # live ones only: every bit is expit(log_odds), however many streams are
+    # frozen
     k = 400
     rng = np.random.default_rng(8)
     state = PosteriorState(0.05, k)
     active = np.arange(k)
     for t in range(1, 6):
-        state.advance(rng.normal(1.0, 3.0, size=len(active)), active)
+        state.advance(rng.normal(1.0, 3.0, size=len(active)))
         assert state.w.tobytes() == expit(state.log_odds).tobytes()
         dropped = np.sort(rng.choice(active, size=(len(active) - int(live * k)) // (6 - t),
                                      replace=False))
-        state.freeze(dropped, state.w[dropped] if t % 2 else None)
+        state.freeze(~np.isin(active, dropped), state.w_live)
         active = np.setdiff1d(active, dropped)
         assert state.w.tobytes() == expit(state.log_odds).tobytes()
-    assert len(active) == int(live * k)
-    back = PosteriorState.from_arrays(0.05, k, state.t, state.frozen, **state.to_arrays())
+    assert np.array_equal(state.live, active) and len(active) == int(live * k)
+    frozen = ~np.isin(np.arange(k), active)
+    back = PosteriorState.from_arrays(0.05, k, state.t, frozen, **state.to_arrays())
     assert back.w.tobytes() == expit(state.log_odds).tobytes()
 
 
@@ -161,7 +158,7 @@ def test_frozen_stream_keeps_its_drop_time_w_bits(backend):
 
 def test_update_rejects_misaligned_inputs():
     with pytest.raises(ValueError):
-        PosteriorState(0.1, 3).advance([0.0, 0.0], [0])
+        PosteriorState(0.1, 3).advance([0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,30 +178,26 @@ def _dependent_oracle(theta, llr):
 
 def test_dependent_single_step():
     state = DependentPosteriorState(0.5, 2)
-    state.advance([0.3, -0.3], [0, 1])
+    state.advance([0.3, -0.3])
     assert state.log_rho == pytest.approx(0.0, abs=1e-15)  # rho = 1
     assert state.w.tolist() == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_dependent_saturates():
     state = DependentPosteriorState(0.5, 1)
-    state.advance([1e6], [0])
+    state.advance([1e6])
     assert state.w[0] == 1.0
 
 
 def test_dependent_deactivates_jointly():
     state = DependentPosteriorState(0.2, 3)
-    with pytest.raises(ValueError, match="cover every stream"):
-        state.advance([0.1, 0.2], [0, 1])
-    state.advance([0.1, 0.2, 0.3], [0, 1, 2])
+    state.advance([0.1, 0.2, 0.3])
     with pytest.raises(ValueError, match="jointly"):
-        state.freeze([1])
+        state.freeze(np.array([True, False, True]), state.w_live)
     pinned = state.w
-    state.freeze([0, 1, 2])
-    state.advance([], [])
+    state.freeze(np.zeros(3, bool), state.w_live)
+    state.advance([])
     assert state.t == 2 and state.w.tobytes() == pinned.tobytes()
-    with pytest.raises(ValueError):
-        state.advance([0.1, 0.2, 0.3], [0, 1, 2])
 
 
 def test_dependent_matches_enumeration():
@@ -214,7 +207,7 @@ def test_dependent_matches_enumeration():
         llr = rng.normal(0, 1, size=(3, t))
         state = DependentPosteriorState(0.2, 3)
         for s in range(t):
-            state.advance(llr[:, s], [0, 1, 2])
+            state.advance(llr[:, s])
         assert state.w[0] == pytest.approx(_dependent_oracle(0.2, llr), abs=1e-10)
 
 
@@ -266,7 +259,7 @@ def test_partial_dep_eta_edges():
     w1 = posterior_partial_dep(prior, 1.0, llr)
     state = DependentPosteriorState(0.2, 4)
     for s in range(5):
-        state.advance(llr[:, s], np.arange(4))
+        state.advance(llr[:, s])
     assert np.abs(w1 - state.w).max() <= 1e-12
     assert np.ptp(w1) == 0.0  # every stream identical when eta = 1
 
@@ -276,7 +269,7 @@ def test_partial_dep_streaming_backend_tracks_exact_posterior():
     llr = rng.normal(size=(3, 6))
     live = PartialDepPosterior(0.3, 0.5, 3)
     for s in range(6):
-        live.advance(llr[:, s], [0, 1, 2])
+        live.advance(llr[:, s])
         want = posterior_partial_dep(GeometricPrior(0.3), 0.5, llr[:, :s + 1])
         assert np.abs(live.w - want).max() <= 1e-12
 
@@ -286,12 +279,12 @@ def test_partial_dep_streaming_backend_with_deactivation():
     rng = np.random.default_rng(8)
     llr = rng.normal(size=(3, 6))
     live = PartialDepPosterior(0.3, 0.5, 3)
-    live.advance(llr[:, 0], [0, 1, 2])
-    live.advance(llr[:, 1], [0, 1, 2])
+    live.advance(llr[:, 0])
+    live.advance(llr[:, 1])
     pinned = live.w[1]
-    live.freeze([1])
+    live.freeze(np.array([True, False, True]), live.w_live)
     for s in range(2, 6):
-        live.advance(llr[[0, 2], s], [0, 2])
+        live.advance(llr[[0, 2], s])
     observed = llr.copy()
     observed[1, 2:] = 0.0  # no data after the stop: zero log-likelihood-ratio
     want = _partial_oracle(0.3, 0.5, observed)
@@ -368,7 +361,7 @@ def _drive_with_freezes(eta, k=200, steps=60, seed=14, restore_at=None):
     live = np.arange(k)
     for s in range(1, steps + 1):
         llr = rng.normal(0.4, 1.2, size=live.size)
-        post.advance(llr, live)
+        post.advance(llr)
         if s == restore_at:
             post = PartialDepPosterior.from_arrays(0.05, eta, k, s, stopped_at >= 0,
                                                    **post.to_arrays())
@@ -377,9 +370,10 @@ def _drive_with_freezes(eta, k=200, steps=60, seed=14, restore_at=None):
         cum = np.column_stack([cum, col])
         yield post, cum, stopped_at, frozen_w
         if s in (3, 10, 11, 25, 40, 59):
-            drop = live[rng.random(live.size) < 0.25]
+            keep = rng.random(live.size) >= 0.25
+            drop = live[~keep]
             frozen_w[drop] = post.w[drop]
-            post.freeze(drop)
+            post.freeze(keep, post.w_live)
             stopped_at[drop] = s
             live = np.setdiff1d(live, drop)
 
@@ -453,65 +447,56 @@ def test_partial_dep_freeze_keeps_w_until_the_next_advance():
     rng = np.random.default_rng(15)
     post = PartialDepPosterior(0.1, 0.5, 8)
     for _ in range(4):
-        post.advance(rng.normal(size=8), np.arange(8))
+        post.advance(rng.normal(size=8))
     before = post.w
-    post.freeze([1, 5])
+    post.freeze(~np.isin(np.arange(8), [1, 5]), post.w_live)
     assert post.w.tobytes() == before.tobytes()
     assert post.to_arrays()["history"].shape == (8, 5)
-    post.advance(rng.normal(size=6), [0, 2, 3, 4, 6, 7])
+    post.advance(rng.normal(size=6))
     assert post.to_arrays()["history"].shape == (6, 6)
 
 
-@pytest.mark.parametrize("backend", ["iid", "tabular", "partial"])
-def test_advance_rejects_frozen_or_unknown_streams(backend):
-    post = {"iid": lambda: PosteriorState(0.1, 4),
-            "tabular": lambda: TabularPosteriorState(((0, 2),) * 4, ((0.3, 0.7),) * 4),
-            "partial": lambda: PartialDepPosterior(0.1, 0.5, 4)}[backend]()
-    post.advance([0.1, 0.2, 0.3, 0.4], [0, 1, 2, 3])
-    post.freeze([2])
-    for bad in ([0, 2], [0, 4], [-1, 0], [0, 0], [1, 0]):
-        with pytest.raises(ValueError, match="frozen or unknown"):
-            post.advance([0.1, 0.1], bad)
-    if backend == "partial":
-        with pytest.raises(ValueError, match="frozen or unknown"):
-            post.freeze([2])
-    assert post.t == 1
-    post.advance([0.1, 0.1, 0.1], [0, 1, 3])
-    assert post.t == 2
-
-
-@pytest.mark.parametrize("backend", ["iid", "tabular", "partial"])
+@pytest.mark.parametrize("backend", ["iid", "dependent", "tabular", "partial"])
 def test_advance_refuses_log_lrs_that_do_not_align_with_the_streams(backend):
     post = {"iid": lambda: PosteriorState(0.1, 3),
+            "dependent": lambda: DependentPosteriorState(0.1, 3),
             "tabular": lambda: TabularPosteriorState(((0, 2),) * 3, ((0.3, 0.7),) * 3),
             "partial": lambda: PartialDepPosterior(0.1, 0.5, 3)}[backend]()
     for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
         with pytest.raises(ValueError, match="align"):
-            post.advance(bad, [0, 1, 2])
+            post.advance(bad)
     assert post.t == 0
 
 
-def test_iid_advance_takes_exactly_its_live_set():
-    # the live streams are 0, 2 and 4: a subset of them, a frozen id, an
-    # unknown id, a repeat or the wrong order are refused before anything
-    # moves, and so is freezing a frozen or unknown stream
-    state = PosteriorState(0.1, 5)
-    state.advance(np.arange(5) / 10, np.arange(5))
-    state.freeze([1, 3])
-    before = state.log_odds
-    for bad in ([0, 2], [2, 4], [0, 1, 2, 4], [0, 2, 4, 5], [0, 2, 2, 4], [0, 4, 2]):
-        with pytest.raises(ValueError, match="frozen or unknown"):
-            state.advance(np.zeros(len(bad)), bad)
-    for bad in ([1], [5], [-1], [0, 3]):
-        with pytest.raises(ValueError, match="frozen or unknown"):
-            state.freeze(bad)
-    with pytest.raises(ValueError, match="align"):
-        state.advance([0.1, 0.2], state.live)
-    assert state.t == 1 and state.log_odds.tobytes() == before.tobytes()
-    assert state.live.tolist() == [0, 2, 4]
-    state.advance([0.1, 0.2, 0.3], [0, 2, 4])   # a list holding the live set
-    state.advance([0.1, 0.2, 0.3], state.live)  # the live array itself
-    assert state.t == 3 and state.log_odds[[1, 3]].tobytes() == before[[1, 3]].tobytes()
+@pytest.mark.parametrize("backend", ["iid", "dependent", "tabular", "partial"])
+def test_freeze_keeps_the_masked_live_streams_and_pins_the_others(backend):
+    # after freeze(keep, w_live), live is the old live[keep], and every
+    # stream dropped so far reports the w_live value it was dropped at, bit
+    # for bit; the dependent backend refuses to drop some streams only
+    k = 6
+    post = {"iid": lambda: PosteriorState(0.1, k),
+            "dependent": lambda: DependentPosteriorState(0.1, k),
+            "tabular": lambda: TabularPosteriorState(((0, 2),) * k, ((0.3, 0.7),) * k),
+            "partial": lambda: PartialDepPosterior(0.1, 0.5, k)}[backend]()
+    rng = np.random.default_rng(21)
+    masks = [[True, False, True, True, False, True], [False, True, True, False], [False, True]]
+    if backend == "dependent":
+        post.advance(rng.normal(size=k))
+        with pytest.raises(ValueError, match="jointly"):
+            post.freeze(np.array(masks[0]), post.w_live)
+        assert post.live.size == k
+        masks = [[False] * k]
+    want = np.full(k, np.nan)
+    for keep in map(np.array, masks):
+        post.advance(rng.normal(size=post.live.size))
+        live, w_live = post.live, post.w_live
+        post.freeze(keep, w_live)
+        want[live[~keep]] = w_live[~keep]
+        assert np.array_equal(post.live, live[keep])
+        pinned = ~np.isnan(want)
+        assert post.w[pinned].tobytes() == want[pinned].tobytes()
+    post.advance(rng.normal(size=post.live.size))
+    assert post.w[pinned].tobytes() == want[pinned].tobytes()
 
 
 def _partial_run(k=30, steps=24, seed=17):
@@ -654,7 +639,7 @@ def test_tabular_posterior_matches_direct_bayes():
         state = TabularPosteriorState(supports, masses)
         llr1 = np.log(np.where(xs == 1, 0.51 / 0.5, 0.49 / 0.5))
         for s in range(4):
-            state.advance([llr1[s], llr1[s]], [0, 1])
+            state.advance([llr1[s], llr1[s]])
             for k in range(2):
                 want = _table_oracle(supports[k], masses[k], 0.5, 0.51,
                                      xs[:s + 1])
@@ -677,11 +662,11 @@ def test_tabular_posteriors_stay_in_unit_interval():
 
 def test_tabular_posterior_freeze():
     state = TabularPosteriorState(((0, 2),), ((0.3, 0.7),))
-    state.advance([0.4], [0])
+    state.advance([0.4])
     before = state.log_post.copy()
-    state.freeze([0])
+    state.freeze(np.array([False]), state.w_live)
     with pytest.raises(ValueError):
-        state.advance([0.4], [0])
-    state.advance([], [])
+        state.advance([0.4])
+    state.advance([])
     assert state.t == 2
     assert state.log_post.tobytes() == before.tobytes()
