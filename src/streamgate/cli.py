@@ -404,19 +404,9 @@ def _cmd_detect(args) -> int:
     if alpha is None:
         raise UsageError("detect needs alpha")
     table = _read_table(table_path, "mode") if mode == "threshold" else None
+    # the flags are checked, against the checkpoint on a resume, before the
+    # input is opened
     resume = ckpt and os.path.exists(ckpt)
-    if not resume:  # a resume checks its flags against the checkpoint
-        # before the input is opened; k is a tabular model's own count, any other's 1
-        _backend_spec(mode, model, getattr(model, "n_streams", 1))
-        if table is not None:
-            table.check_compatible(model, alpha)
-
-    steps = _steps(_chunks(source))
-    first = next(steps, None)
-    if first is None and not resume:
-        raise DataError("no observations")
-
-    discarded = 0
     if resume:
         # newline="" keeps a stray carriage return, and surrogateescape a
         # byte that is not UTF-8, in the text that is hashed
@@ -428,7 +418,18 @@ def _cmd_detect(args) -> int:
             if given != saved:
                 raise UsageError(f"checkpoint was written with {key}={saved!r}, "
                                  f"refusing to resume with {key}={given!r}")
-    else:
+    else:  # k is a tabular model's own count, any other's 1
+        _backend_spec(mode, model, getattr(model, "n_streams", 1))
+        if table is not None:
+            table.check_compatible(model, alpha)
+
+    steps = _steps(_chunks(source))
+    first = next(steps, None)
+    if first is None and not resume:
+        raise DataError("no observations")
+
+    discarded = 0
+    if not resume:
         first_t, first_ids, _, first_rows = first
         if first_t != 1:
             raise DataError(f"row {first_rows[0]}: input must start at t=1, got t={first_t}")

@@ -29,14 +29,16 @@ through the backend protocol without knowing the model.
 A detector may hold several independent ensembles of k streams, each a
 contiguous block of stream indices with its own alpha budget, cutoff and
 LFNR history (``simulate`` runs a batch of replications this way).  The
-rule then runs row by row, one row per ensemble: one sort of the rows
-padded with +inf, then one prefix search for all rows at once (a
-pairwise total of whole blocks, a running sum over the columns after
-them, one rounding window), then the exact fallback for the few
-undecided rows only.  Every ensemble's bits equal those of a detector
-of its own: each row's sums are its own, and each ensemble's LFNR is
-summed over its own slice.  Only a backend that treats streams on their
-own can carry several ensembles (:func:`lockstep`: the i.i.d. one).
+rule then runs row by row, one row per ensemble, on the rows padded with
++inf: one partition that puts each row's smallest posteriors in the
+whole blocks that every row fills, one sort of the columns past them,
+then one prefix search for all rows at once (a pairwise total of those
+blocks, a running sum over the columns after them, one rounding window),
+then the exact fallback for the few undecided rows only.  Every
+ensemble's bits equal those of a detector of its own: each row's sums
+are its own, and each ensemble's LFNR is summed over its own slice.
+Only a backend that treats streams on their own can carry several
+ensembles (:func:`lockstep`: the i.i.d. one).
 
 A one-ensemble detector can be checkpointed to a text blob (format 4,
 laid out in README) and restored bit-exactly, so a resumed run reproduces
@@ -90,37 +92,40 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
-def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, last: np.ndarray,
+def _largest_feasible_prefix(rows: np.ndarray, split: int, last: np.ndarray,
                              alpha: float) -> list[int]:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
-    retains).  Row i holds 0, its ``sizes[i]`` sorted posteriors, then +inf
-    to the end, so column j closes the prefix of length j; ``last[i]`` is
-    the flat index of the row's largest posterior.
+    retains).  Row i holds 0, its posteriors, then +inf to the end, so
+    column j closes the prefix of length j; ``last[i]`` is the flat index
+    of the row's largest posterior.  Columns 1..split hold the row's
+    ``split`` smallest posteriors in any order, the ``split``-th last, and
+    the columns after them are sorted; ``split`` is a whole number of
+    ``_BLOCK``-column blocks that every row fills.
 
-    Prefix sums come by blocks: the pairwise total of the ``_BLOCK``-column
-    blocks that are finite in every row, then a running sum over the
-    columns after them (the whole row when a row is shorter than a block).
-    As in a cumulative sum over the whole row, no entry goes through more
-    roundings than the row is wide, so that sum's rounding window bounds
-    these sums too, and settles every n outside it (prefix sums and budgets
+    Prefix sums come by blocks: the pairwise total of those blocks, then a
+    running sum over the columns after them (the whole row when ``split``
+    is 0).  As in a cumulative sum over the sorted row, no entry goes
+    through more roundings than the row is wide, so that sum's rounding
+    window bounds these sums too, in whatever order the blocks hold their
+    posteriors, and settles every n outside it (prefix sums and budgets
     only grow with n; the empty prefix always fits and the +inf end always
-    fails).  A row with no certain fit in the running sum takes the
-    cumulative sum over its whole row.  Only the rows left with undecided
-    prefixes go on to :func:`_exact_prefix`.
+    fails).  A row with no certain fit in the running sum sorts its first
+    ``split`` columns and takes the cumulative sum over its whole row.  Only
+    the rows left with undecided prefixes go on to :func:`_exact_prefix`,
+    which sums the same multiset exactly, so every N* is exact and lies at
+    or past ``split`` unless its row was sorted whole.
     """
     n_rows, width = rows.shape[0], rows.shape[1] - 2
-    nb = min(sizes.tolist()) // _BLOCK
-    split = nb * _BLOCK
     tail = rows[:, split:]
-    if nb:
-        blocks = rows[:, 1:split + 1].reshape(n_rows, nb, _BLOCK)
+    if split:
+        blocks = rows[:, 1:split + 1].reshape(n_rows, -1, _BLOCK)
         tail = tail.copy()
         tail[:, 0] = np.add.reduce(blocks, axis=2).sum(axis=1)  # the prefix sum at split
         last = last - split * np.arange(1, n_rows + 1)
     tail = np.cumsum(tail, axis=1)  # row by row, bit for bit: 0 + w is w
     window = (width + 2.0) * _EPS * max(max(tail.take(last).tolist()), alpha * width)
     tail -= alpha * np.arange(split, width + 2.0)
-    if not nb:
+    if not split:
         tail[:, 0] = -math.inf  # the empty prefix fits
     # the last certain fit of each row (width + 1, the +inf end, where there
     # is none), and its first certain failure
@@ -130,7 +135,8 @@ def _largest_feasible_prefix(rows: np.ndarray, sizes: np.ndarray, last: np.ndarr
         fail += split
         if fail - 1 <= fit <= width:  # decided
             continue
-        if fit == width + 1:  # no certain fit from split on: sum the whole row
+        if fit == width + 1:  # no certain fit from split on: sort and sum the whole row
+            rows[i, 1:split + 1].sort()
             excess = np.cumsum(rows[i]) - alpha * np.arange(width + 2.0)
             excess[0] = -math.inf  # the empty prefix fits
             fit = width + 1 - int((excess < -window)[::-1].argmax())
@@ -147,7 +153,12 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     of ``w`` (none or more).  Each row keeps its posteriors at most lambda,
     its N*-th smallest (N* the longest feasible sorted prefix), less the
     ties at lambda beyond N*, the last by position.  Returns the keep mask
-    and each row's N*."""
+    and each row's N*.
+
+    The rows are sorted only from ``split`` on, the whole ``_BLOCK``-column
+    blocks that every row fills: a partition puts each row's ``split``
+    smallest posteriors before it, which the prefix search totals in any
+    order, and lambda and the entry after it are read at or past it."""
     width = w.size if len(sizes) == 1 else max(sizes.tolist())
     rows = np.empty((len(sizes), width + 2))
     rows[:, 0], rows[:, -1] = 0.0, math.inf
@@ -157,16 +168,22 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     else:
         body.fill(math.inf)
         body[np.arange(width) < sizes[:, None]] = w
-    body.sort(axis=1)  # NaN sorts after the padding
+    split = min(sizes.tolist()) // _BLOCK * _BLOCK
+    if split:
+        body.partition(split - 1, axis=1)  # NaN partitions after the padding, as it sorts
+    body[:, split:].sort(axis=1)
     starts = np.arange(0, rows.size, width + 2)  # the flat index of each row
     last = starts + sizes  # of each row's largest posterior: NaN or +inf where it has a NaN
-    if not all(0.0 <= low and high <= 1.0  # NaN fails too
-               for low, high in zip(rows[:, 1].tolist(), rows.take(last).tolist())):
+    # each row's smallest posterior (the +inf end of an empty row)
+    low = body[:, :split].min(axis=1) if split else rows[:, 1]
+    if not all(0.0 <= lowest and highest <= 1.0  # NaN fails too
+               for lowest, highest in zip(low.tolist(), rows.take(last).tolist())):
         raise ValueError("posterior probabilities must lie in [0, 1]")
-    n = np.array(_largest_feasible_prefix(rows, sizes, last, alpha))
+    n = np.array(_largest_feasible_prefix(rows, split, last, alpha))
     # lambda, or 0 where N* = 0 (every posterior of the row exceeds alpha
     # then), and the next sorted posterior: equal where a tie group
-    # straddles N*
+    # straddles N*, which keeps its first N* less the row's posteriors below
+    # lambda
     at = starts + n
     lam, after = rows.take(at), rows.take(at + 1)
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
@@ -175,7 +192,7 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
             start = int(sizes[:i].sum())
             row = slice(start, start + sizes[i])
             tied = np.flatnonzero(w[row] == cut)
-            keep[row][tied[n[i] - np.searchsorted(body[i], cut):]] = False
+            keep[row][tied[n[i] - np.count_nonzero(w[row] < cut):]] = False
     return keep, n
 
 
@@ -433,13 +450,11 @@ class _DetectorBase:
         sizes = self.active_counts
         w_active = self.w_active
         keep = self._select(w_active, sizes)
-        drop = np.flatnonzero(~keep)
-        if not drop.size:
-            dropped, kept_w = self.active[:0], w_active
-        else:
-            dropped, kept_w = self.active[drop], w_active[keep]
+        dropped = self._state.freeze(keep, w_active)
+        kept_w = w_active
+        if dropped.size:
             self.t_stop[dropped] = self.t
-            self._state.freeze(keep, w_active)
+            kept_w = w_active[keep]
             # the backend's live ids, still in index order; the kept
             # posteriors stay this step's
             self.active, self._w_live = self._state.live, kept_w

@@ -35,7 +35,8 @@ holds the ids of the streams not yet deactivated (increasing; a new array
 after each freeze), and everything else crosses in ``live`` order.
 ``advance(log_lr)`` takes one log likelihood ratio per live stream and
 updates in place; ``freeze(keep, w_live)`` keeps the live streams where the
-mask ``keep`` is true and pins each other one at its ``w_live`` value;
+mask ``keep`` is true, pins each other one at its ``w_live`` value and
+returns their ids, finding them once;
 ``w_live`` evaluates the live posteriors, and ``full_w(w_live)`` adds the
 pinned values to give every stream's, which ``w`` (a fresh array) is;
 ``to_arrays()``/``from_arrays(..., t, frozen, **arrays)`` give and take the
@@ -139,18 +140,23 @@ class _Backend:
         self._advance(log_lr)
         self.t += 1
 
-    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> None:
+    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> np.ndarray:
         """Keep the live streams where the mask ``keep`` is true; pin each
-        other one at its ``w_live`` value, this step's posterior."""
-        drop = ~keep
-        gone = self._live[drop]
-        self._frozen_w[gone] = w_live[drop]
-        self._pin(gone, keep)
+        other one at its ``w_live`` value, this step's posterior.  Returns
+        the frozen ids, increasing (none when ``keep`` holds every stream,
+        and then nothing changes)."""
+        drop = np.flatnonzero(~keep)
+        if not drop.size:
+            return self._live[:0]
+        gone = self._live.take(drop)
+        self._frozen_w[gone] = w_live.take(drop)
+        self._pin(gone, drop, keep)
         self._set_live(self._live[keep])
+        return gone
 
-    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
-        """A backend's own part of freezing streams ``gone``, while ``live``
-        still holds them."""
+    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
+        """A backend's own part of freezing streams ``gone``, at live
+        positions ``drop``, while ``live`` still holds them."""
 
     @property
     def w(self) -> np.ndarray:
@@ -215,8 +221,8 @@ class PosteriorState(_Backend):
         l += log_lr
         l -= math.log1p(-self.theta)
 
-    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
-        self._pinned[gone] = self._l[~keep]
+    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
+        self._pinned[gone] = self._l.take(drop)
         self._l = self._l[keep]
 
     @property
@@ -285,10 +291,12 @@ class DependentPosteriorState(PosteriorState):
                 raise PooledLogLRError(f"the pooled log likelihood ratio is {pooled!r}")
             super()._advance(np.array([pooled]))
 
-    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> None:
+    def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> np.ndarray:
         if keep.any() and not keep.all():
             raise ValueError("dependent streams are deactivated jointly")
-        super().freeze(keep[:1], w_live[:1])  # the pooled entry
+        live = self.live
+        # the pooled entry; every stream freezes with it
+        return live if super().freeze(keep[:1], w_live[:1]).size else live[:0]
 
     @property
     def w_live(self) -> np.ndarray:
@@ -434,7 +442,7 @@ class PartialDepPosterior(_Backend):
         # past the fold the rows are the live streams, in ``live`` order
         np.add(self._hist[:, t], log_lr, out=self._hist[:, t + 1])
 
-    def _pin(self, gone: np.ndarray, keep: np.ndarray) -> None:
+    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
         self._stopped_at[gone] = self.t
 
     def _scratch(self, t: int) -> tuple:

@@ -846,6 +846,26 @@ def test_detect_resume_refuses_a_different_setting(tmp_path, capsys, flags, save
     assert ck.read_bytes() == blob
 
 
+@pytest.mark.parametrize("source, flags, given", [
+    ("missing", ["--alpha", "0.5"], "alpha=0.5"),
+    ("missing", ["--alpha", "0.05", "--mode", "dependent"], "mode='dependent'"),
+    ("stdin-malformed", ["--alpha", "0.5"], "alpha=0.5"),
+], ids=["missing-input-alpha", "missing-input-mode", "stdin-malformed-first-row-alpha"])
+def test_detect_resume_checks_its_flags_before_it_reads_input(tmp_path, capsys, monkeypatch,
+                                                              source, flags, given):
+    # the checkpoint names the fault, not the input that would be read after it
+    ck, _ = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
+    blob = ck.read_bytes()
+    monkeypatch.setattr(sys, "stdin", _LineStream('{"t": 8, "stream": 1, "x":\n'))
+    code, _, err = _run(capsys, "detect",
+                        "--input", str(tmp_path / "absent.ndjson") if source == "missing" else "-",
+                        "--out", str(tmp_path / "o.csv"), "--checkpoint", str(ck),
+                        *_IID, *flags)
+    assert code == 1 and err.startswith("usage error: checkpoint was written with ")
+    assert given in err
+    assert ck.read_bytes() == blob and not (tmp_path / "o.csv").exists()
+
+
 def test_detect_checkpoint_write_is_atomic(tmp_path, capsys, monkeypatch):
     ck, part2 = _checkpointed_half(tmp_path, capsys, *_IID, "--alpha", "0.05")
     blob = ck.read_bytes()

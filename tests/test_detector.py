@@ -161,6 +161,60 @@ def _lexsort_rule(w, indices, size):
     return np.sort(indices[order[:size]])
 
 
+def _tied_row(rng, n_low, n_half, size):
+    """A shuffled row of ``n_low`` posteriors among 0, 1/64, 2/64 and 3/64,
+    ``n_half`` of 1/2, then 1.0 up to ``size``: every prefix sum is exact."""
+    low = rng.integers(0, 4, n_low) / 64
+    high = np.repeat([0.5, 1.0], [n_half, size - n_low - n_half])
+    return rng.permutation(np.concatenate([low, high]))
+
+
+@pytest.mark.parametrize("narrowest", [1023, 1024, 1025])
+def test_rows_of_whole_blocks_match_the_oracles(narrowest):
+    # rows of 1024 or more posteriors, lone or in a batch whose narrowest row
+    # is a block wide or more, are sorted only past the 1024th smallest;
+    # each row's N* is the exact oracle's and its kept set the lexsort rule's
+    rng, alpha = np.random.default_rng(narrowest), 0.125
+    rows = [
+        _tied_row(rng, 1200, 800, 2000),  # the halves span N*, the lows the 1024th smallest
+        _tied_row(rng, 900, 400, 1400),   # the halves span both N* and the 1024th smallest
+        rng.uniform(0.2, 1.0, narrowest + 37),  # N* = 0: every posterior exceeds alpha
+        # five exact zeros and nothing else within budget: N* = 5, lambda = 0
+        rng.permutation(np.concatenate([np.zeros(5), rng.uniform(0.8, 1.0, narrowest + 3)])),
+        _wide_row(rng, narrowest, alpha),
+    ]
+    want = [_exact_largest_prefix(np.sort(row), alpha) for row in rows]
+    below, upto = zip(*[(np.count_nonzero(row < 0.5), np.count_nonzero(row <= 0.5))
+                        for row in rows[:2]])
+    assert below[0] > 1024 and below[1] < 1024
+    assert below[0] < want[0] < upto[0] and below[1] < 1024 < want[1] < upto[1]
+    assert want[2:4] == [0, 5]
+    sizes = np.array([row.size for row in rows])
+    assert sizes.min() == narrowest
+    for batch in [[i] for i in range(len(rows))] + [list(range(len(rows)))]:
+        keep, n = detector._adaptive_keep(np.concatenate([rows[i] for i in batch]),
+                                          sizes[batch], alpha)
+        assert n.tolist() == [want[i] for i in batch]
+        ends = np.cumsum(sizes[batch])
+        for i, end, size in zip(batch, ends, sizes[batch]):
+            assert np.array_equal(np.flatnonzero(keep[end - size:end]),
+                                  _lexsort_rule(rows[i], np.arange(size), want[i]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -0.1])
+@pytest.mark.parametrize("count", [1, 1090], ids=["one", "most"])
+def test_rows_of_whole_blocks_refuse_a_posterior_outside_the_unit_interval(bad, count):
+    # one bad entry sorts below the 1024th smallest (-0.1) or past it (1.5,
+    # NaN); 1090 of 1100 fill both sides of it; lone, or in a batch
+    rng = np.random.default_rng(31)
+    row = rng.uniform(0.0, 0.1, 1100)
+    row[rng.permutation(1100)[:count]] = bad
+    for w, sizes in ((row, [1100]), (np.concatenate([rng.uniform(0.0, 0.1, 2000), row]),
+                                     [2000, 1100])):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            detector._adaptive_keep(w, np.array(sizes), 0.05)
+
+
 def _rule_by_id(w, ids, alpha):
     """The kept ids when ties break by id: the rule on w in id order."""
     perm = np.argsort(ids)

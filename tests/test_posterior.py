@@ -470,27 +470,29 @@ def test_advance_refuses_log_lrs_that_do_not_align_with_the_streams(backend):
 
 @pytest.mark.parametrize("backend", ["iid", "dependent", "tabular", "partial"])
 def test_freeze_keeps_the_masked_live_streams_and_pins_the_others(backend):
-    # after freeze(keep, w_live), live is the old live[keep], and every
-    # stream dropped so far reports the w_live value it was dropped at, bit
-    # for bit; the dependent backend refuses to drop some streams only
+    # after freeze(keep, w_live), live is the old live[keep], the ids
+    # returned are the old live[~keep] (none for a mask of all True), and
+    # every stream dropped so far reports the w_live value it was dropped
+    # at, bit for bit; the dependent backend refuses to drop some streams only
     k = 6
     post = {"iid": lambda: PosteriorState(0.1, k),
             "dependent": lambda: DependentPosteriorState(0.1, k),
             "tabular": lambda: TabularPosteriorState(((0, 2),) * k, ((0.3, 0.7),) * k),
             "partial": lambda: PartialDepPosterior(0.1, 0.5, k)}[backend]()
     rng = np.random.default_rng(21)
-    masks = [[True, False, True, True, False, True], [False, True, True, False], [False, True]]
+    masks = [[True] * k, [True, False, True, True, False, True], [False, True, True, False],
+             [False, True]]
     if backend == "dependent":
         post.advance(rng.normal(size=k))
         with pytest.raises(ValueError, match="jointly"):
-            post.freeze(np.array(masks[0]), post.w_live)
+            post.freeze(np.array(masks[1]), post.w_live)
         assert post.live.size == k
-        masks = [[False] * k]
+        masks = [[True] * k, [False] * k]
     want = np.full(k, np.nan)
     for keep in map(np.array, masks):
         post.advance(rng.normal(size=post.live.size))
         live, w_live = post.live, post.w_live
-        post.freeze(keep, w_live)
+        assert np.array_equal(post.freeze(keep, w_live), live[~keep])
         want[live[~keep]] = w_live[~keep]
         assert np.array_equal(post.live, live[keep])
         pinned = ~np.isnan(want)

@@ -12,12 +12,17 @@ machine's speed falls on both sides.  ``S`` defaults to the benchmark's own
 before the first run (``bench_record.clear_bytecode``).
 
 Per workload and end-to-end metric of ``BENCHMARK.json`` it prints each
-pair's change/parent ratio, in how many pairs the change is better, both
-medians, the parent's interquartile range and whether the medians differ by
-more than it; then whether each pair's result digests are equal and the
-failed and attempted operation counts of each side.  ``--out`` also writes
-every run's result line as JSON.  Exit code: 0 when every run printed a
-result, 1 otherwise.
+pair's change/parent ratio, in how many pairs the change is better (a tie
+counts for neither side), both medians and the parent's interquartile
+range; then the verdict of the pairs rule: a gain only over 10 pairs or
+more, when the change is better in at least 9/10 of them and its median is
+better than the parent's by more than that range (fewer pairs are noted,
+and claim nothing).  Two identical checkouts can read a few percent apart
+by the side alone, so neither one pair nor a median alone decides.  Then
+it prints whether each pair's result digests are equal and the failed and
+attempted operation counts of each side.  ``--out`` also writes every
+run's result line as JSON.  Exit code: 0 when every run printed a result,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -50,10 +55,16 @@ def report(workload: str, pairs: list[dict], metrics: list[dict]) -> None:
         wins = sum((r > 1.0) if higher else (r < 1.0) for r in ratios)
         parent, change = summarize(values["parent"]), summarize(values["change"])
         iqr = parent["q3"] - parent["q1"]
+        gap = (change["median"] - parent["median"]) * (1 if higher else -1)
+        most = 10 * wins >= 9 * len(ratios)
+        verdict = "a gain" if most and gap > iqr and len(ratios) >= 10 else "no gain"
         print(f"  {name}: ratios {' '.join(f'{r:.3f}' for r in ratios)}; "
               f"change better in {wins}/{len(ratios)}; median parent {parent['median']:.6g} "
-              f"change {change['median']:.6g}; parent IQR {iqr:.4g}; "
-              f"medians differ by more than it: {abs(change['median'] - parent['median']) > iqr}")
+              f"change {change['median']:.6g}; parent IQR {iqr:.4g}")
+        print(f"    pairs rule: better in at least 9/10 of the pairs: {most}; median "
+              f"better by more than the parent's IQR: {gap > iqr}; {verdict}"
+              + ("" if len(ratios) >= 10 else f" (only {len(ratios)} pairs ran; "
+                 "the rule needs 10)"))
     same = [pair["parent"][1]["digest"] == pair["change"][1]["digest"] for pair in pairs]
     failed = {side: (sum(pair[side][0]["failed"] for pair in pairs),
                      sum(pair[side][0]["attempted"] for pair in pairs))
