@@ -34,7 +34,9 @@ rule then runs row by row, one row per ensemble, on the rows padded with
 whole blocks that every row fills, one sort of the columns past them,
 then one prefix search for all rows at once (a pairwise total of those
 blocks, a running sum over the columns after them, one rounding window),
-then the exact fallback for the few undecided rows only.  Every
+then, for a row that drops more than the columns past those blocks, more
+partitions nearer its N*, and the exact fallback for the few undecided
+rows only.  Every
 ensemble's bits equal those of a detector of its own: each row's sums
 are its own, and each ensemble's LFNR is summed over its own slice.
 Only a backend that treats streams on their own can carry several
@@ -67,6 +69,7 @@ from .posterior import (DependentPosteriorState, PartialDepPosterior,
 CHECKPOINT_VERSION = 4
 _EPS = float(np.finfo(float).eps)
 _BLOCK = 1024  # columns per block sum of the prefix search
+_ROUNDS = 3  # partitions of a row short of its split before it sorts them whole
 
 
 class CheckpointError(ValueError):
@@ -92,6 +95,40 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
     return lo
 
 
+def _prefix_sums(rows: np.ndarray, split: int) -> np.ndarray:
+    """Each row's prefix sums of lengths ``split`` to its end, column j the
+    sum of its first split + j columns: the pairwise total of the
+    ``_BLOCK``-column blocks before ``split`` (a whole number of them), then
+    a running sum over the columns after them."""
+    sums = rows[:, split:]
+    if split:
+        sums = sums.copy()
+        sums[:, 0] = _block_totals(rows, split)
+    return np.cumsum(sums, axis=1)  # row by row, bit for bit: 0 + w is w
+
+
+def _block_totals(rows: np.ndarray, split: int) -> np.ndarray:
+    """Each row's total of columns 1..split, a whole number of
+    ``_BLOCK``-column blocks: the pairwise total of its blocks' sums."""
+    return np.add.reduce(rows[:, 1:split + 1].reshape(len(rows), -1, _BLOCK), axis=2).sum(axis=1)
+
+
+def _settle(sums: np.ndarray, split: int, alpha: float, window: float
+            ) -> tuple[list[int], list[int]]:
+    """From :func:`_prefix_sums`, each row's last prefix length at or past
+    ``split`` that certainly fits (its end, width + 1, where none does) and
+    its first that certainly fails: those whose sum is more than ``window``
+    within or over their budget.  Leaves each column's excess over its
+    budget in ``sums``."""
+    width = split + sums.shape[1] - 2
+    sums -= alpha * np.arange(split, width + 2.0)
+    if not split:
+        sums[:, 0] = -math.inf  # the empty prefix fits
+    fit = width + 1 - (sums < -window)[:, ::-1].argmax(axis=1)
+    fail = split + (sums > window).argmax(axis=1)
+    return fit.tolist(), fail.tolist()
+
+
 def _largest_feasible_prefix(rows: np.ndarray, split: int, last: np.ndarray,
                              alpha: float) -> list[int]:
     """Per row, the largest n with math.fsum(row[:n]) <= alpha * n (equality
@@ -102,45 +139,51 @@ def _largest_feasible_prefix(rows: np.ndarray, split: int, last: np.ndarray,
     the columns after them are sorted; ``split`` is a whole number of
     ``_BLOCK``-column blocks that every row fills.
 
-    Prefix sums come by blocks: the pairwise total of those blocks, then a
-    running sum over the columns after them (the whole row when ``split``
-    is 0).  As in a cumulative sum over the sorted row, no entry goes
-    through more roundings than the row is wide, so that sum's rounding
-    window bounds these sums too, in whatever order the blocks hold their
-    posteriors, and settles every n outside it (prefix sums and budgets
-    only grow with n; the empty prefix always fits and the +inf end always
-    fails).  A row with no certain fit in the running sum sorts its first
-    ``split`` columns and takes the cumulative sum over its whole row.  Only
-    the rows left with undecided prefixes go on to :func:`_exact_prefix`,
-    which sums the same multiset exactly, so every N* is exact and lies at
-    or past ``split`` unless its row was sorted whole.
+    The prefix sums come by blocks (:func:`_prefix_sums`).  As in a
+    cumulative sum over the sorted row, no entry goes through more
+    roundings than the row is wide, so that sum's rounding window bounds
+    these sums too, in whatever order the blocks hold their posteriors, and
+    settles every n outside it (prefix sums and budgets only grow with n;
+    the empty prefix always fits and the +inf end always fails).
+
+    A row with no certain fit from ``split`` on keeps fewer than ``split``
+    posteriors: it drops more than its size less ``split``, so the
+    partition alone does not settle it.  Each of its first ``start``
+    posteriors is at most the start-th, so its N* lies excess / (that one -
+    alpha) or more short of ``start``: the row partitions those columns
+    again at the whole block twice that far down, up to ``_ROUNDS`` times,
+    until the prefix there certainly fits, then sorts from that block on
+    (from 0 when none fit) and is settled from there.  Only the rows left
+    with undecided prefixes go on to :func:`_exact_prefix`, which sums the
+    same multiset exactly, so every N* is exact and lies in columns that
+    are sorted from it on.
     """
     n_rows, width = rows.shape[0], rows.shape[1] - 2
-    tail = rows[:, split:]
-    if split:
-        blocks = rows[:, 1:split + 1].reshape(n_rows, -1, _BLOCK)
-        tail = tail.copy()
-        tail[:, 0] = np.add.reduce(blocks, axis=2).sum(axis=1)  # the prefix sum at split
+    sums = _prefix_sums(rows, split)
+    if split:  # the flat index of each row's total among the sums
         last = last - split * np.arange(1, n_rows + 1)
-    tail = np.cumsum(tail, axis=1)  # row by row, bit for bit: 0 + w is w
-    window = (width + 2.0) * _EPS * max(max(tail.take(last).tolist()), alpha * width)
-    tail -= alpha * np.arange(split, width + 2.0)
-    if not split:
-        tail[:, 0] = -math.inf  # the empty prefix fits
-    # the last certain fit of each row (width + 1, the +inf end, where there
-    # is none), and its first certain failure
-    lo = (width + 1 - (tail < -window)[:, ::-1].argmax(axis=1)).tolist()
-    hi = (tail > window).argmax(axis=1).tolist()
+    window = (width + 2.0) * _EPS * max(max(sums.take(last).tolist()), alpha * width)
+    lo, hi = _settle(sums, split, alpha, window)
     for i, (fit, fail) in enumerate(zip(lo, hi)):
-        fail += split
-        if fail - 1 <= fit <= width:  # decided
-            continue
-        if fit == width + 1:  # no certain fit from split on: sort and sum the whole row
-            rows[i, 1:split + 1].sort()
-            excess = np.cumsum(rows[i]) - alpha * np.arange(width + 2.0)
-            excess[0] = -math.inf  # the empty prefix fits
-            fit = width + 1 - int((excess < -window)[::-1].argmax())
-            fail = int((excess > window).argmax())
+        if fit > width:  # no certain fit from split on: N* is short of it
+            row, start, excess = rows[i:i + 1], split, sums[i, 0]
+            for _ in range(_ROUNDS):
+                # twice the least shortfall: a miss costs a round, a block
+                # too far only its sort
+                top = row[0, start]
+                short = excess / (top - alpha) if top > alpha else 0.0
+                end = start
+                start = min(int(max(0.0, end - 2 * short)) // _BLOCK, end // _BLOCK - 1) * _BLOCK
+                if not start:
+                    break
+                row[0, 1:end + 1].partition(start - 1)
+                excess = _block_totals(row, start)[0] - alpha * start
+                if excess < -window:  # the prefix of length start certainly fits
+                    break
+            else:
+                start = 0
+            row[0, start + 1:split + 1].sort()
+            (fit,), (fail,) = _settle(_prefix_sums(row, start), start, alpha, window)
         if fail - 1 > fit:
             fit = _exact_prefix(rows[i, 1:], fit, fail - 1, alpha)
         lo[i] = fit
@@ -158,7 +201,10 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     The rows are sorted only from ``split`` on, the whole ``_BLOCK``-column
     blocks that every row fills: a partition puts each row's ``split``
     smallest posteriors before it, which the prefix search totals in any
-    order, and lambda and the entry after it are read at or past it."""
+    order.  A row that keeps fewer than ``split`` (drops more than its size
+    less ``split``) is partitioned again at a block under its N*, or, when
+    that misses, sorted whole; lambda and the entry after it are read
+    where the row is sorted."""
     width = w.size if len(sizes) == 1 else max(sizes.tolist())
     rows = np.empty((len(sizes), width + 2))
     rows[:, 0], rows[:, -1] = 0.0, math.inf
@@ -174,7 +220,8 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     body[:, split:].sort(axis=1)
     starts = np.arange(0, rows.size, width + 2)  # the flat index of each row
     last = starts + sizes  # of each row's largest posterior: NaN or +inf where it has a NaN
-    # each row's smallest posterior (the +inf end of an empty row)
+    # each row's smallest posterior (the +inf end of an empty row): a
+    # partition leaves it anywhere in the first split columns
     low = body[:, :split].min(axis=1) if split else rows[:, 1]
     if not all(0.0 <= lowest and highest <= 1.0  # NaN fails too
                for lowest, highest in zip(low.tolist(), rows.take(last).tolist())):

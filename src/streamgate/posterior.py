@@ -150,13 +150,13 @@ class _Backend:
             return self._live[:0]
         gone = self._live.take(drop)
         self._frozen_w[gone] = w_live.take(drop)
-        self._pin(gone, drop, keep)
+        self._pin(drop, keep)
         self._set_live(self._live[keep])
         return gone
 
-    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
-        """A backend's own part of freezing streams ``gone``, at live
-        positions ``drop``, while ``live`` still holds them."""
+    def _pin(self, drop: np.ndarray, keep: np.ndarray) -> None:
+        """A backend's own part of freezing the streams at live positions
+        ``drop`` (``keep`` masks the others), while ``live`` still holds them."""
 
     @property
     def w(self) -> np.ndarray:
@@ -221,8 +221,8 @@ class PosteriorState(_Backend):
         l += log_lr
         l -= math.log1p(-self.theta)
 
-    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
-        self._pinned[gone] = self._l.take(drop)
+    def _pin(self, drop: np.ndarray, keep: np.ndarray) -> None:
+        self._pinned[self._live.take(drop)] = self._l.take(drop)
         self._l = self._l[keep]
 
     @property
@@ -442,8 +442,8 @@ class PartialDepPosterior(_Backend):
         # past the fold the rows are the live streams, in ``live`` order
         np.add(self._hist[:, t], log_lr, out=self._hist[:, t + 1])
 
-    def _pin(self, gone: np.ndarray, drop: np.ndarray, keep: np.ndarray) -> None:
-        self._stopped_at[gone] = self.t
+    def _pin(self, drop: np.ndarray, keep: np.ndarray) -> None:
+        self._stopped_at[self._live.take(drop)] = self.t
 
     def _scratch(self, t: int) -> tuple:
         """Two float and two bool (rows, t) arrays for ``w``, views of

@@ -139,7 +139,7 @@ def test_block_prefix_search_matches_an_exact_oracle(monkeypatch):
     exact = detector._exact_prefix
     monkeypatch.setattr(detector, "_exact_prefix", lambda *a: exact_calls.append(a) or exact(*a))
     rng, alpha = np.random.default_rng(29), 0.05
-    whole_row = 0
+    short = 0
     for trial in range(24):
         n_rows = 1 if trial % 2 else int(rng.integers(2, 4))
         sizes = rng.integers(4096, 30001 if n_rows == 1 else 12001, size=n_rows)
@@ -148,9 +148,9 @@ def test_block_prefix_search_matches_an_exact_oracle(monkeypatch):
         for i, row in enumerate(rows):
             want = _exact_largest_prefix(np.sort(row), alpha)
             assert n[i] == want, f"trial {trial}, row {i}"
-            whole_row += want < sizes.min() // 1024 * 1024
+            short += want < sizes.min() // 1024 * 1024
         assert np.count_nonzero(keep) == n.sum()
-    assert whole_row >= 5          # N* before the running sum starts (a whole-row sum) that often
+    assert short >= 5              # N* short of the split (partitioned again) that often
     assert len(exact_calls) >= 5   # and rows go to the exact fallback that often
 
 
@@ -194,6 +194,60 @@ def test_rows_of_whole_blocks_match_the_oracles(narrowest):
     for batch in [[i] for i in range(len(rows))] + [list(range(len(rows)))]:
         keep, n = detector._adaptive_keep(np.concatenate([rows[i] for i in batch]),
                                           sizes[batch], alpha)
+        assert n.tolist() == [want[i] for i in batch]
+        ends = np.cumsum(sizes[batch])
+        for i, end, size in zip(batch, ends, sizes[batch]):
+            assert np.array_equal(np.flatnonzero(keep[end - size:end]),
+                                  _lexsort_rule(rows[i], np.arange(size), want[i]))
+
+
+def _short_rows(rng, alpha):
+    """Rows that drop more than their columns past the last whole block,
+    so N* lies short of it, each with the blocks a lone selection of it
+    partitions at: the split, then each guess under it, the last the one
+    it settles from (0: it sorts whole)."""
+    low = lambda n: rng.uniform(0.0, 2 * alpha * 0.99, n)  # noqa: E731
+    return [
+        # a tie group of 1/4 straddles N*, within a block short of 4096
+        (rng.permutation(np.concatenate([rng.integers(0, 6, 3500) / 64, np.full(1500, 0.25)])),
+         [4096, 3072]),
+        # excesses over two decades: the first guess, 7168, misses N*
+        (rng.permutation(np.concatenate([low(4000), alpha + 0.95 * 10.0 ** -rng.uniform(0, 2, 8000)])),
+         [11264, 7168, 4096]),
+        # some 1.0s fall below the split: the first guess is one block down
+        (rng.permutation(np.concatenate([low(3000), alpha * 1.2 + rng.uniform(0, 0.01, 8000),
+                                         np.ones(1000)])),
+         [11264, 10240, 2048]),
+        # more than half drops: the first guess is 0
+        (rng.permutation(np.concatenate([low(1000), rng.uniform(0.8, 1.0, 1100)])), [2048, 0]),
+    ]
+
+
+@pytest.mark.parametrize("rounds", [3, 1])
+def test_rows_short_of_the_split_match_the_oracles(monkeypatch, rounds):
+    # a lone row totals its first split columns, then those under each guess
+    # up to the _ROUNDS-th, then those under the guess it settles from again
+    # (none when it sorts whole); alone or in a batch, its N* is the exact
+    # oracle's and its kept set the lexsort rule's
+    monkeypatch.setattr(detector, "_ROUNDS", rounds)
+    totalled = []
+    block_totals = detector._block_totals
+    monkeypatch.setattr(detector, "_block_totals",
+                        lambda rows, split: totalled.append(split) or block_totals(rows, split))
+    rng, alpha = np.random.default_rng(5), 0.05
+    rows, blocks = zip(*_short_rows(rng, alpha))
+    want = [_exact_largest_prefix(np.sort(row), alpha) for row in rows]
+    assert want == [3689, 5050, 4897, 1001]
+    sizes = np.array([row.size for row in rows])
+    for batch in [[i] for i in range(len(rows))] + [list(range(len(rows)))]:
+        totalled.clear()
+        keep, n = detector._adaptive_keep(np.concatenate([rows[i] for i in batch]),
+                                          sizes[batch], alpha)
+        if len(batch) == 1:
+            split, *guesses = blocks[batch[0]]
+            settled = guesses[-1] if len(guesses) <= rounds else 0
+            guesses = [guess for guess in guesses[:rounds] if guess]
+            assert totalled == [split] + guesses + [settled] * bool(settled)
         assert n.tolist() == [want[i] for i in batch]
         ends = np.cumsum(sizes[batch])
         for i, end, size in zip(batch, ends, sizes[batch]):
