@@ -39,7 +39,7 @@ from .model import EnsembleModel
 # at K=500 recorded in CHANGES.md)
 BATCH_STREAMS = 16_000
 
-# the metrics of a replication's rows, in the order ``_rows`` stacks them
+# the metrics of a replication's rows, in the order of their columns
 _ROW_METRICS = ("fnp", "lfnr", "fdp", "lfdr", "active", "util", "rl", "cd")
 
 
@@ -98,11 +98,12 @@ def _share(count: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _rows(horizon: int, tau: np.ndarray, t_stop: np.ndarray, lfnr: np.ndarray,
-          lfdr: np.ndarray) -> np.ndarray:
+          lfdr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The rows of a batch of replications (replications x time x
     ``_ROW_METRICS``) from their (replications x k) change times and stop
     times, the realized LFNR of each selection made (one column per
-    selection, the start included) and the per-step LFDR.
+    selection, the start included) and the per-step LFDR, written into
+    ``out`` when it is given.
 
     Every count is a bincount over all replications at once, replication e
     offset by ``e * (horizon + 1)``: integers, so every sum is exact and
@@ -118,37 +119,45 @@ def _rows(horizon: int, tau: np.ndarray, t_stop: np.ndarray, lfnr: np.ndarray,
         return np.bincount((at if where is None else at[where]).astype(int).ravel(),
                            minlength=reps * width).reshape(reps, width)
 
+    # each metric goes into its column as it is made, so the batch holds its
+    # rows once
+    rows = np.empty((reps, horizon, len(_ROW_METRICS))) if out is None else out
+    col = dict(zip(_ROW_METRICS, np.moveaxis(rows, -1, 0)))
     stopped = t_stop >= 0
     stops = counts(t_stop, stopped)
     # row i holds the selection made at time i (none at 0) and the active
     # set it leaves for time i+1; a batch stops early only once every
     # stream has stopped, so past its last selection nothing is active
     active = k - np.cumsum(stops, axis=1)[:, :horizon]
-    lfnr = np.pad(lfnr, ((0, 0), (0, horizon - lfnr.shape[1])))
+    col["active"][...] = active
+    col["util"][...] = np.cumsum(active, axis=1)
+    col["cd"][...] = k - active
+    col["lfnr"][...] = 0.0
+    col["lfnr"][:, :lfnr.shape[1]] = lfnr
+    col["lfdr"][...] = lfdr
     # stream k is retained and already changed at the selections i with
     # tau_k < i < end_k, i.e. from i = floor(tau_k) + 1
     end = np.where(stopped, t_stop, horizon)
     first = np.floor(tau) + 1
     counted = first < end
     changed_kept = np.cumsum(counts(first, counted) - counts(end, counted), axis=1)[:, :horizon]
-    false_drops = counts(t_stop, stopped & (tau >= t_stop))[:, :horizon]
+    col["fnp"][...] = _share(changed_kept, active)
+    col["fdp"][...] = _share(counts(t_stop, stopped & (tau >= t_stop))[:, :horizon],
+                             stops[:, :horizon])
     # run lengths: sum_k min(m_k, s) = sum_{j <= s} #{m_k >= j}, with m_k =
     # min(tau_k, t_stop_k) the stream's pre-change observations
     m = np.minimum(np.minimum(tau, np.where(stopped, t_stop, math.inf)), horizon)
-    at_least = k - np.cumsum(counts(m), axis=1)[:, :horizon]
-    metrics = {"fnp": _share(changed_kept, active), "lfnr": lfnr,
-               "fdp": _share(false_drops, stops[:, :horizon]), "lfdr": lfdr,
-               "active": active, "util": np.cumsum(active, axis=1),
-               "rl": np.cumsum(at_least, axis=1), "cd": k - active}
-    return np.stack([metrics[name] for name in _ROW_METRICS], axis=-1, dtype=float)
+    col["rl"][...] = np.cumsum(k - np.cumsum(counts(m), axis=1)[:, :horizon], axis=1)
+    return rows
 
 
-def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
+def _replicate(config: SimConfig, seed_seqs: list, out: np.ndarray | None = None) -> np.ndarray:
     """The rows of a batch of replications, one ensemble each of one detector
-    run in lockstep: (replications x time x metrics).  Each step, every live
-    replication draws its raw noise into one batch buffer, one transform
-    over the batch's active streams gives their observations, and the rows
-    are built once, at the end."""
+    run in lockstep: (replications x time x metrics), written into ``out``
+    when it is given.  Each step, every live replication draws its raw
+    noise into one batch buffer, one transform over the batch's active
+    streams gives their observations, and the rows are built once, at the
+    end."""
     model, k, horizon = config.model, config.k, config.horizon
     rngs = [np.random.default_rng(ss) for ss in seed_seqs]
     tau = np.concatenate([model.sample_change_points(k, rng) for rng in rngs])
@@ -179,32 +188,62 @@ def _replicate(config: SimConfig, seed_seqs: list) -> np.ndarray:
         if not det.n_active:
             break
     lfnr = det.realized_lfnr.T  # replications x selections
-    return _rows(horizon, tau.reshape(-1, k), det.t_stop.reshape(-1, k), lfnr, lfdr)
+    return _rows(horizon, tau.reshape(-1, k), det.t_stop.reshape(-1, k), lfnr, lfdr, out)
+
+
+def _squared_deviations(stack: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The sum over replications of (row - mean)**2, with the bits of the sum
+    inside ``stack.var(axis=0)``: numpy adds the rows of a C-contiguous
+    array's axis-0 reduction one by one in order, so each chunk's reduction
+    starts from the running total (row 0 of the buffer) and the total is the
+    same.  Only a chunk of 64 rows of deviations is held at a time."""
+    chunk = 64
+    buf = np.zeros((min(chunk, len(stack)) + 1, *mean.shape))
+    for start in range(0, len(stack), chunk):
+        rows = stack[start:start + chunk]
+        dev = buf[1:len(rows) + 1]
+        np.square(np.subtract(rows, mean, out=dev), out=dev)
+        buf[0] = np.add.reduce(buf[:len(rows) + 1], axis=0)
+    return buf[0]
 
 
 def run_experiment(config: SimConfig) -> MetricsFrame:
-    """Run all replications and aggregate per-time means and standard errors."""
-    reps = config.replications
-    children = np.random.SeedSequence(config.seed).spawn(reps)
+    """Run all replications and aggregate per-time means and standard errors.
+
+    Memory: one (replications x horizon x 8) float64 array of rows, which
+    each batch fills in replication order as it ends, plus the working set
+    of one batch: its detector over at most ``BATCH_STREAMS`` streams, its
+    generators and seed sequences, and (from a worker of ``threads`` > 1)
+    its returned rows.  At R=1e5, H=200 the rows take 1.28 GB; holding a
+    list of the batches' rows, their concatenation and ``std``'s temporary
+    took about 3.8 GB before.  The standard errors keep the bits of
+    ``std(axis=0, ddof=1) / sqrt(R)`` (``_squared_deviations``)."""
+    reps, horizon = config.replications, config.horizon
     size = 1
     if lockstep(config.procedure, config.model, config.k):
         # at least one batch per worker, none over the cap
         size = max(1, min(BATCH_STREAMS // config.k, -(-reps // config.threads)))
-    batches = [children[i:i + size] for i in range(0, reps, size)]
+    # each batch spawns its children as it starts; spawning is sequential, so
+    # they are those of one spawn(reps)
+    root = np.random.SeedSequence(config.seed)
+    starts = range(0, reps, size)
+    batches = (root.spawn(min(size, reps - start)) for start in starts)
+    stack = np.empty((reps, horizon, len(_ROW_METRICS)))
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         import scipy.special  # forked workers inherit it instead of each importing it
-        chunk = max(1, len(batches) // (config.threads * 8))
+        chunk = max(1, len(starts) // (config.threads * 8))
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(_replicate, [config] * len(batches), batches,
-                                    chunksize=chunk))
+            for start, rows in zip(starts, pool.map(_replicate, [config] * len(starts),
+                                                    batches, chunksize=chunk)):
+                stack[start:start + len(rows)] = rows
     else:
-        results = [_replicate(config, batch) for batch in batches]
-    stack = np.concatenate(results)  # (reps, horizon, metrics)
+        for start, batch in zip(starts, batches):
+            _replicate(config, batch, stack[start:start + len(batch)])
     mean = stack.mean(axis=0)
     if reps > 1:
-        se = stack.std(axis=0, ddof=1) / math.sqrt(reps)
+        se = np.sqrt(_squared_deviations(stack, mean) / (reps - 1)) / math.sqrt(reps)
     else:
         se = np.full_like(mean, math.nan)
     columns = {}

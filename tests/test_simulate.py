@@ -1,8 +1,11 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from streamgate import simulate
 from streamgate.calibrate import calibrate_thresholds
 from streamgate.detector import AdaptiveDetector
 from streamgate.model import (BernoulliPair, GaussianShift, GeometricPrior,
@@ -148,6 +151,120 @@ def test_doubling_replications_shrinks_se():
     mask = (small.se_lfnr > 1e-6) & (big.se_lfnr > 1e-6)
     ratio = (small.se_lfnr[mask] / big.se_lfnr[mask]).mean()
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
+
+
+# ---------------------------------------------------------------------------
+# aggregation: the rows held once, the bits of numpy's mean and std
+# ---------------------------------------------------------------------------
+
+def test_numpy_axis0_sum_and_std_are_in_order_row_accumulation():
+    # run_experiment's standard errors rest on this: numpy reduces axis 0 of a
+    # C-contiguous float64 array by adding its rows one by one, in order, so
+    # a chunked running sum of squared deviations keeps std(ddof=1)'s bits
+    rng = np.random.default_rng(8)
+    for reps in (2, 3, 63, 64, 65, 129, 1000, 3000):
+        for horizon, metrics in ((1, 8), (2, 8), (60, 8), (7, 3)):
+            a = rng.random((reps, horizon, metrics)) * rng.choice([1e-3, 1.0, 1e3],
+                                                                  size=(reps, 1, metrics))
+            total = np.zeros((horizon, metrics))
+            for row in a:
+                total += row
+            assert np.array_equal(a.sum(axis=0), total), (reps, horizon, metrics)
+            mean = a.mean(axis=0)
+            squares = np.zeros_like(mean)
+            for row in a:
+                squares += (row - mean) ** 2
+            assert np.array_equal(a.std(axis=0, ddof=1), np.sqrt(squares / (reps - 1))), \
+                (reps, horizon, metrics)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 63, 64, 65, 128, 129, 300])
+def test_squared_deviations_are_numpys_across_chunks(reps):
+    # 64 rows a chunk: none, one or two boundaries crossed
+    rng = np.random.default_rng(reps)
+    stack = rng.random((reps, 5, 8))
+    mean = stack.mean(axis=0)
+    expected = ((stack - mean) ** 2).sum(axis=0)
+    assert np.array_equal(simulate._squared_deviations(stack, mean), expected)
+
+
+def _recorded_batches(monkeypatch, config):
+    """The seed sequences of each batch ``run_experiment(config)`` hands to
+    ``_replicate``, which here writes zero rows."""
+    batches = []
+
+    def record(config, seed_seqs, out):
+        batches.append(seed_seqs)
+        out[...] = 0.0
+
+    monkeypatch.setattr(simulate, "_replicate", record)
+    run_experiment(config)
+    return batches
+
+
+@pytest.mark.parametrize("per_batch", [1, 3, 7, 10])
+def test_batch_children_are_those_of_one_spawn(per_batch, monkeypatch):
+    # each batch spawns its own children as it starts: together they are the
+    # children of one spawn(reps), the last batch partial when 10 % per_batch
+    reps, k, seed = 10, 4, 29
+    monkeypatch.setattr(simulate, "BATCH_STREAMS", per_batch * k)
+    batches = _recorded_batches(monkeypatch, _small_config(k=k, replications=reps, seed=seed,
+                                                           horizon=3))
+    assert [len(b) for b in batches] == [min(per_batch, reps - i)
+                                         for i in range(0, reps, per_batch)]
+    children = [child for batch in batches for child in batch]
+    expected = np.random.SeedSequence(seed).spawn(reps)
+    assert [c.spawn_key for c in children] == [c.spawn_key for c in expected]
+    for got, want in zip(children, expected):
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+
+
+_AGGREGATED = {"iid": IIDModel(GeometricPrior(0.2), GaussianShift(1.0)),
+               "partial": PartialDepModel(GeometricPrior(0.2), 0.5, GaussianShift(1.5))}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("model", sorted(_AGGREGATED))
+def test_means_and_se_are_the_bits_of_numpy_over_all_rows(model, threads, monkeypatch):
+    # the i.i.d. runs come in batches of 7 replications, several and a partial
+    # last one; the partially dependent model runs a batch of one each
+    model, k, seed = _AGGREGATED[model], 3, 13
+    monkeypatch.setattr(simulate, "BATCH_STREAMS", 7 * k)
+    for reps in (1, 2, 63, 64, 65, 300):
+        for horizon in (1, 2, 60):
+            config = SimConfig(model=model, k=k, alpha=0.05, horizon=horizon,
+                               replications=reps, seed=seed, threads=threads)
+            frame = run_experiment(config)
+            children = np.random.SeedSequence(seed).spawn(reps)
+            rows = np.concatenate([simulate._replicate(config, [child])
+                                   for child in children])
+            mean = rows.mean(axis=0)
+            for i, metric in enumerate(simulate._ROW_METRICS):
+                assert getattr(frame, f"mean_{metric}").tobytes() == mean[:, i].tobytes()
+            se = (frame.se_fnp, frame.se_lfnr)
+            if reps == 1:
+                assert np.all(np.isnan(se))
+                continue
+            std = rows.std(axis=0, ddof=1) / math.sqrt(reps)
+            assert se[0].tobytes() == std[:, 0].tobytes()
+            assert se[1].tobytes() == std[:, 1].tobytes()
+
+
+def test_run_experiment_holds_its_rows_about_once():
+    # the rows of all replications take reps x horizon x 8 float64; besides
+    # them only one batch's working set (800 replications here) is held.
+    # Holding a list of batches, their concatenation and std's temporary
+    # peaked at 3.1 times the rows
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    config = SimConfig(model=model, k=20, alpha=0.05, horizon=50, replications=3000, seed=3)
+    run_experiment(SimConfig(model=model, k=20, alpha=0.05, horizon=5, replications=2))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 3000 * 50 * len(simulate._ROW_METRICS) * 8
 
 
 def test_partial_dep_posteriors_stay_in_unit_interval():
