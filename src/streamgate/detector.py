@@ -32,13 +32,13 @@ LFNR history (``simulate`` runs a batch of replications this way).  The
 rule then runs row by row, one row per ensemble, on the rows padded with
 +inf: one partition that puts each row's smallest posteriors in the
 whole blocks that every row fills, one sort of the columns past them,
-then one prefix search for all rows at once (a pairwise total of those
-blocks, a running sum over the columns after them, one rounding window),
-then, for a row that drops more than the columns past those blocks, more
-partitions nearer its N*, and the exact fallback for the few undecided
-rows only.  Every
-ensemble's bits equal those of a detector of its own: each row's sums
-are its own, and each ensemble's LFNR is summed over its own slice.
+then one prefix search for all rows at once (one total of those
+columns, a running sum over the columns after them, one rounding window),
+then, for a row that drops more than the columns past those blocks, one
+more partition nearer its N* or a sort of the whole row, and the exact
+fallback for the few undecided rows only.  Every ensemble's bits equal
+those of a detector of its own: each row's sums are its own, and each
+ensemble's LFNR is summed over its own slice.
 Only a backend that treats streams on their own can carry several
 ensembles (:func:`lockstep`: the i.i.d. one).
 
@@ -68,8 +68,7 @@ from .posterior import (DependentPosteriorState, PartialDepPosterior,
 
 CHECKPOINT_VERSION = 4
 _EPS = float(np.finfo(float).eps)
-_BLOCK = 1024  # columns per block sum of the prefix search
-_ROUNDS = 3  # partitions of a row short of its split before it sorts them whole
+_BLOCK = 1024  # columns per block: a split of the rows is a whole number of them
 
 
 class CheckpointError(ValueError):
@@ -97,20 +96,13 @@ def _exact_prefix(row: np.ndarray, lo: int, hi: int, alpha: float) -> int:
 
 def _prefix_sums(rows: np.ndarray, split: int) -> np.ndarray:
     """Each row's prefix sums of lengths ``split`` to its end, column j the
-    sum of its first split + j columns: the pairwise total of the
-    ``_BLOCK``-column blocks before ``split`` (a whole number of them), then
-    a running sum over the columns after them."""
+    sum of its first split + j columns: one total of the columns before
+    ``split``, then a running sum over the columns after them."""
     sums = rows[:, split:]
     if split:
         sums = sums.copy()
-        sums[:, 0] = _block_totals(rows, split)
+        sums[:, 0] = rows[:, 1:split + 1].sum(axis=1)
     return np.cumsum(sums, axis=1)  # row by row, bit for bit: 0 + w is w
-
-
-def _block_totals(rows: np.ndarray, split: int) -> np.ndarray:
-    """Each row's total of columns 1..split, a whole number of
-    ``_BLOCK``-column blocks: the pairwise total of its blocks' sums."""
-    return np.add.reduce(rows[:, 1:split + 1].reshape(len(rows), -1, _BLOCK), axis=2).sum(axis=1)
 
 
 def _settle(sums: np.ndarray, split: int, alpha: float, window: float
@@ -139,24 +131,25 @@ def _largest_feasible_prefix(rows: np.ndarray, split: int, last: np.ndarray,
     the columns after them are sorted; ``split`` is a whole number of
     ``_BLOCK``-column blocks that every row fills.
 
-    The prefix sums come by blocks (:func:`_prefix_sums`).  As in a
-    cumulative sum over the sorted row, no entry goes through more
-    roundings than the row is wide, so that sum's rounding window bounds
-    these sums too, in whatever order the blocks hold their posteriors, and
-    settles every n outside it (prefix sums and budgets only grow with n;
-    the empty prefix always fits and the +inf end always fails).
+    The prefix sums come from one total of the unsorted columns
+    (:func:`_prefix_sums`).  As in a cumulative sum over the sorted row, no
+    entry goes through more roundings than the row is wide, so that sum's
+    rounding window bounds these sums too, in whatever order they are
+    added, and settles every n outside it (prefix sums and budgets only
+    grow with n; the empty prefix always fits and the +inf end always
+    fails).
 
     A row with no certain fit from ``split`` on keeps fewer than ``split``
     posteriors: it drops more than its size less ``split``, so the
-    partition alone does not settle it.  Each of its first ``start``
-    posteriors is at most the start-th, so its N* lies excess / (that one -
-    alpha) or more short of ``start``: the row partitions those columns
-    again at the whole block twice that far down, up to ``_ROUNDS`` times,
-    until the prefix there certainly fits, then sorts from that block on
-    (from 0 when none fit) and is settled from there.  Only the rows left
-    with undecided prefixes go on to :func:`_exact_prefix`, which sums the
-    same multiset exactly, so every N* is exact and lies in columns that
-    are sorted from it on.
+    partition alone does not settle it.  Each of its first ``split``
+    posteriors is at most the split-th, so its N* lies excess / (that one -
+    alpha) or more short of ``split``: the row partitions those columns
+    once more, at the whole block twice that far down, and sorts from that
+    block on when the prefix there certainly fits, or else sorts them
+    whole; it is settled from there.  Only the rows left with undecided
+    prefixes go on to :func:`_exact_prefix`, which sums the same multiset
+    exactly, so every N* is exact and lies in columns that are sorted from
+    it on.
     """
     n_rows, width = rows.shape[0], rows.shape[1] - 2
     sums = _prefix_sums(rows, split)
@@ -166,22 +159,14 @@ def _largest_feasible_prefix(rows: np.ndarray, split: int, last: np.ndarray,
     lo, hi = _settle(sums, split, alpha, window)
     for i, (fit, fail) in enumerate(zip(lo, hi)):
         if fit > width:  # no certain fit from split on: N* is short of it
-            row, start, excess = rows[i:i + 1], split, sums[i, 0]
-            for _ in range(_ROUNDS):
-                # twice the least shortfall: a miss costs a round, a block
-                # too far only its sort
-                top = row[0, start]
-                short = excess / (top - alpha) if top > alpha else 0.0
-                end = start
-                start = min(int(max(0.0, end - 2 * short)) // _BLOCK, end // _BLOCK - 1) * _BLOCK
-                if not start:
-                    break
-                row[0, 1:end + 1].partition(start - 1)
-                excess = _block_totals(row, start)[0] - alpha * start
-                if excess < -window:  # the prefix of length start certainly fits
-                    break
-            else:
-                start = 0
+            row, top = rows[i:i + 1], rows[i, split]
+            # twice the least shortfall: a block too far costs only its sort
+            short = sums[i, 0] / (top - alpha) if top > alpha else 0.0
+            start = min(int(max(0.0, split - 2 * short)) // _BLOCK, split // _BLOCK - 1) * _BLOCK
+            if start:
+                row[0, 1:split + 1].partition(start - 1)
+                if row[0, 1:start + 1].sum() - alpha * start >= -window:
+                    start = 0  # the prefix of length start may not fit
             row[0, start + 1:split + 1].sort()
             (fit,), (fail,) = _settle(_prefix_sums(row, start), start, alpha, window)
         if fail - 1 > fit:
@@ -202,8 +187,8 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     blocks that every row fills: a partition puts each row's ``split``
     smallest posteriors before it, which the prefix search totals in any
     order.  A row that keeps fewer than ``split`` (drops more than its size
-    less ``split``) is partitioned again at a block under its N*, or, when
-    that misses, sorted whole; lambda and the entry after it are read
+    less ``split``) is partitioned once more at a block under its N*, or,
+    when that misses, sorted whole; lambda and the entry after it are read
     where the row is sorted."""
     width = w.size if len(sizes) == 1 else max(sizes.tolist())
     rows = np.empty((len(sizes), width + 2))
@@ -234,10 +219,10 @@ def _adaptive_keep(w: np.ndarray, sizes: np.ndarray, alpha: float
     at = starts + n
     lam, after = rows.take(at), rows.take(at + 1)
     keep = w <= (lam if len(lam) == 1 else np.repeat(lam, sizes))
+    ends = np.cumsum(sizes).tolist()
     for i, (cut, following) in enumerate(zip(lam.tolist(), after.tolist())):
         if cut == following:
-            start = int(sizes[:i].sum())
-            row = slice(start, start + sizes[i])
+            row = slice(ends[i] - sizes[i], ends[i])
             tied = np.flatnonzero(w[row] == cut)
             keep[row][tied[n[i] - np.count_nonzero(w[row] < cut):]] = False
     return keep, n

@@ -114,6 +114,14 @@ def _logsumexp_rows(a: np.ndarray, work=None) -> np.ndarray:
     return (np.log1p(s) + np.log(n_top) + a_max)[:, 0]
 
 
+def _shiryaev(theta: float, l: np.ndarray, log_lr) -> None:
+    """One step of the log-odds recursion, in place:
+    l = log_lr + logaddexp(log theta, l) - log(1-theta)."""
+    np.logaddexp(math.log(theta), l, out=l)
+    l += log_lr
+    l -= math.log1p(-theta)
+
+
 class _Backend:
     """What the backends share: the time step and the freeze bookkeeping,
     around the hooks ``_advance`` and ``_pin``; ``w`` is ``full_w(w_live)``,
@@ -216,10 +224,7 @@ class PosteriorState(_Backend):
         return {"log_odds": self.log_odds}
 
     def _advance(self, log_lr: np.ndarray) -> None:
-        # log_lr + logaddexp(log theta, l) - log(1-theta), in place
-        l = np.logaddexp(math.log(self.theta), self._l, out=self._l)
-        l += log_lr
-        l -= math.log1p(-self.theta)
+        _shiryaev(self.theta, self._l, log_lr)
 
     def _pin(self, drop: np.ndarray, keep: np.ndarray) -> None:
         self._pinned[self._live.take(drop)] = self._l.take(drop)
@@ -235,7 +240,7 @@ class PooledLogLRError(ValueError):
     overflows one way, or both ways into NaN."""
 
 
-class DependentPosteriorState(PosteriorState):
+class DependentPosteriorState(_Backend):
     """Aggregated posterior when every stream shares one change time.
 
     The i.i.d. recursion on one pooled stream whose log likelihood ratio is
@@ -250,11 +255,13 @@ class DependentPosteriorState(PosteriorState):
     """
 
     label = "jointly dependent"
-    lockstep = False
 
     def __init__(self, theta: float, k: int):
-        super().__init__(theta, 1)
-        self.k = k
+        self.theta = theta
+        self.t = 0
+        self._set_live(np.arange(k))
+        self._l = np.full(1, NEG_INF)  # log_rho
+        self._frozen_w = np.zeros(k)
 
     @classmethod
     def from_arrays(cls, theta: float, k: int, t: int, frozen, log_rho,
@@ -262,23 +269,18 @@ class DependentPosteriorState(PosteriorState):
         frozen = _shaped("frozen", frozen, (k,), bool)
         if frozen.any() != frozen.all():
             raise ValueError("dependent streams are deactivated jointly")
-        st = super().from_arrays(theta, 1, t, [frozen.all()],
-                                 [float(_shaped("log_rho", log_rho, ()))])
-        st.k = k
+        st = cls(theta, k)
+        st.t, st._l[0] = t, _shaped("log_rho", log_rho, ())
+        if frozen.all():
+            st.freeze(~frozen, st.w_live)
         if not np.array_equal(_shaped("frozen_w", frozen_w, ()), st.to_arrays()["frozen_w"],
                               equal_nan=True):
             raise ValueError("frozen_w must be expit(log_rho) once frozen, 0.0 before")
         return st
 
     @property
-    def live(self) -> np.ndarray:
-        ids = np.arange(self.k if self._live.size else 0)
-        ids.flags.writeable = False
-        return ids
-
-    @property
     def log_rho(self) -> float:
-        return float(self.log_odds[0])
+        return float(self._l[0])
 
     def to_arrays(self) -> dict:
         return {"log_rho": self.log_rho, "frozen_w": float(self._frozen_w[0])}
@@ -289,21 +291,16 @@ class DependentPosteriorState(PosteriorState):
                 pooled = float(np.sum(log_lr))
             if not math.isfinite(pooled):
                 raise PooledLogLRError(f"the pooled log likelihood ratio is {pooled!r}")
-            super()._advance(np.array([pooled]))
+            _shiryaev(self.theta, self._l, pooled)
 
     def freeze(self, keep: np.ndarray, w_live: np.ndarray) -> np.ndarray:
         if keep.any() and not keep.all():
             raise ValueError("dependent streams are deactivated jointly")
-        live = self.live
-        # the pooled entry; every stream freezes with it
-        return live if super().freeze(keep[:1], w_live[:1]).size else live[:0]
+        return super().freeze(keep, w_live)
 
     @property
     def w_live(self) -> np.ndarray:
-        return np.full(self.live.size, float(_special.expit(self.log_odds[0])))
-
-    def full_w(self, w_live: np.ndarray) -> np.ndarray:
-        return w_live if w_live.size else np.full(self.k, self._frozen_w[0])
+        return np.full(self._live.size, float(_special.expit(self._l[0])))
 
 
 class TabularPosteriorState(_Backend):

@@ -33,10 +33,10 @@ import numpy as np
 from .detector import DETECTOR_KINDS, ThresholdTable, lockstep, make_detector, write_atomic
 from .model import EnsembleModel
 
-# streams one lockstep batch may hold: enough replications per detector
-# step to spread its fixed cost, few enough that peak memory stays near
-# that of one replication (picked from the scan of pass time and peak RSS
-# at K=500 recorded in CHANGES.md)
+# streams one lockstep batch may hold, and time steps its rows may hold:
+# enough replications per detector step to spread its fixed cost, few
+# enough that peak memory stays near that of one replication (picked from
+# the scan of pass time and peak RSS at K=500 recorded in CHANGES.md)
 BATCH_STREAMS = 16_000
 
 # the metrics of a replication's rows, in the order of their columns
@@ -211,18 +211,22 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
     """Run all replications and aggregate per-time means and standard errors.
 
     Memory: one (replications x horizon x 8) float64 array of rows, which
-    each batch fills in replication order as it ends, plus the working set
-    of one batch: its detector over at most ``BATCH_STREAMS`` streams, its
-    generators and seed sequences, and (from a worker of ``threads`` > 1)
-    its returned rows.  At R=1e5, H=200 the rows take 1.28 GB; holding a
-    list of the batches' rows, their concatenation and ``std``'s temporary
-    took about 3.8 GB before.  The standard errors keep the bits of
+    each batch fills in replication order as it ends.  At ``threads`` = 1,
+    also one batch's working set: its detector over at most
+    ``BATCH_STREAMS`` streams, rows of as many time steps, its generators
+    and seed sequences.  At ``threads`` > 1 every batch is handed to the
+    pool up front, so all their seed sequences are spawned at once, and
+    finished rows wait in their futures until read in order.  At R=1e5,
+    H=200 the rows take 1.28 GB; holding a list of the batches' rows, their
+    concatenation and ``std``'s temporary took about 3.8 GB before.  The
+    standard errors keep the bits of
     ``std(axis=0, ddof=1) / sqrt(R)`` (``_squared_deviations``)."""
     reps, horizon = config.replications, config.horizon
     size = 1
     if lockstep(config.procedure, config.model, config.k):
-        # at least one batch per worker, none over the cap
-        size = max(1, min(BATCH_STREAMS // config.k, -(-reps // config.threads)))
+        # at least one batch per worker, none over the cap: neither its
+        # streams nor its rows' time steps pass BATCH_STREAMS
+        size = max(1, min(BATCH_STREAMS // max(config.k, horizon), -(-reps // config.threads)))
     # each batch spawns its children as it starts; spawning is sequential, so
     # they are those of one spawn(reps)
     root = np.random.SeedSequence(config.seed)
@@ -234,7 +238,8 @@ def run_experiment(config: SimConfig) -> MetricsFrame:
 
         import scipy.special  # forked workers inherit it instead of each importing it
         chunk = max(1, len(starts) // (config.threads * 8))
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        # under fork a pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.threads, len(starts))) as pool:
             for start, rows in zip(starts, pool.map(_replicate, [config] * len(starts),
                                                     batches, chunksize=chunk)):
                 stack[start:start + len(rows)] = rows

@@ -566,20 +566,27 @@ def _selection_suite(trials: int, rng) -> tuple[bool, str]:
             return False, f"size mismatch for w={w!r} alpha={alpha!r}"
         if len(kept) != feasible_prefix_size(np.sort(w), alpha):
             return False, f"prefix mismatch for w={w!r} alpha={alpha!r}"
-    # large tie-heavy instance: few posterior levels, shuffled stream ids, so
-    # the cutoff falls inside a block of ties broken by the smaller id once
-    # the posteriors are put in id order
-    n = 2000
-    w = rng.integers(0, 16, size=n) / 32.0
-    ids = rng.permutation(4 * n)[:n]
-    alpha = float(np.sort(w)[:7 * n // 10].mean())
-    perm = np.argsort(ids)
-    kept = ids[perm][one_step_rule(w[perm], alpha)]
-    size = feasible_prefix_size(np.sort(w), alpha)
-    order = np.lexsort((ids, w))
-    if not np.array_equal(kept, np.sort(ids[order[:size]])):
-        return False, f"tie-heavy instance (n={n}, alpha={alpha!r}) breaks the tie rule"
-    return True, f"{trials} random instances + one {n}-stream tie-heavy instance"
+    # large instances with shuffled stream ids, checked against the tie
+    # rule: a tie-heavy one, whose cutoff falls inside a block of ties broken
+    # by id, and two that keep fewer than their 2048 smallest, one settled
+    # from the block under that split that the search guesses, one whose
+    # guess misses and which is sorted whole
+    ties = rng.integers(0, 16, size=2000) / 32.0
+    cases = [(ties, float(np.sort(ties)[:1400].mean())),
+             (np.concatenate([rng.uniform(0.025, 0.05, 1300), rng.uniform(0.095, 0.105, 800)]),
+              0.05),
+             (np.concatenate([rng.uniform(0.0, 0.099, 700),
+                              0.05 + 0.95 * 10.0 ** -rng.uniform(0, 2, 1400)]), 0.05)]
+    for w, alpha in cases:
+        ids = rng.permutation(4 * w.size)[:w.size]
+        perm = np.argsort(ids)
+        kept = ids[perm][one_step_rule(w[perm], alpha)]
+        size = feasible_prefix_size(np.sort(w), alpha)
+        order = np.lexsort((ids, w))
+        if not np.array_equal(kept, np.sort(ids[order[:size]])):
+            return False, f"{w.size}-stream instance (alpha={alpha!r}) breaks the tie rule"
+    return True, (f"{trials} random instances + one 2000-stream tie-heavy instance "
+                  "+ two rows short of their split")
 
 
 def _ordering_suite(trials: int, rng) -> tuple[bool, str]:

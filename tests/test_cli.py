@@ -1404,7 +1404,8 @@ def test_verify_all_prints_one_pass_line_per_suite(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines() == [
         "PASS posterior max_abs_diff=1.332e-15 partial_max_abs_diff=1.443e-15",
-        "PASS selection 200 random instances + one 2000-stream tie-heavy instance",
+        "PASS selection 200 random instances + one 2000-stream tie-heavy instance "
+        "+ two rows short of their split",
         "PASS ordering 200 monotonicity + axiom trials",
         "PASS counterexample U2=7 U4=10 coexist=false",
         "PASS optimality proposed matches supremum on the grid (sets=1, n=(3,), h=4); "

@@ -204,50 +204,44 @@ def test_rows_of_whole_blocks_match_the_oracles(narrowest):
 def _short_rows(rng, alpha):
     """Rows that drop more than their columns past the last whole block,
     so N* lies short of it, each with the blocks a lone selection of it
-    partitions at: the split, then each guess under it, the last the one
-    it settles from (0: it sorts whole)."""
+    sums from: the split, then the block it settles from (0: it sorts
+    whole)."""
     low = lambda n: rng.uniform(0.0, 2 * alpha * 0.99, n)  # noqa: E731
     return [
         # a tie group of 1/4 straddles N*, within a block short of 4096
         (rng.permutation(np.concatenate([rng.integers(0, 6, 3500) / 64, np.full(1500, 0.25)])),
          [4096, 3072]),
-        # excesses over two decades: the first guess, 7168, misses N*
+        # excesses over two decades: the guess, 7168, misses N*
         (rng.permutation(np.concatenate([low(4000), alpha + 0.95 * 10.0 ** -rng.uniform(0, 2, 8000)])),
-         [11264, 7168, 4096]),
-        # some 1.0s fall below the split: the first guess is one block down
+         [11264, 0]),
+        # some 1.0s fall below the split: the guess, one block down, misses N*
         (rng.permutation(np.concatenate([low(3000), alpha * 1.2 + rng.uniform(0, 0.01, 8000),
                                          np.ones(1000)])),
-         [11264, 10240, 2048]),
-        # more than half drops: the first guess is 0
+         [11264, 0]),
+        # more than half drops: the guess is 0
         (rng.permutation(np.concatenate([low(1000), rng.uniform(0.8, 1.0, 1100)])), [2048, 0]),
     ]
 
 
-@pytest.mark.parametrize("rounds", [3, 1])
-def test_rows_short_of_the_split_match_the_oracles(monkeypatch, rounds):
-    # a lone row totals its first split columns, then those under each guess
-    # up to the _ROUNDS-th, then those under the guess it settles from again
-    # (none when it sorts whole); alone or in a batch, its N* is the exact
-    # oracle's and its kept set the lexsort rule's
-    monkeypatch.setattr(detector, "_ROUNDS", rounds)
-    totalled = []
-    block_totals = detector._block_totals
-    monkeypatch.setattr(detector, "_block_totals",
-                        lambda rows, split: totalled.append(split) or block_totals(rows, split))
+def test_rows_short_of_the_split_match_the_oracles(monkeypatch):
+    # a lone row sums from its split, then from the block it settles from;
+    # alone or in a batch, its N* is the exact oracle's and its kept set the
+    # lexsort rule's
+    summed = []
+    prefix_sums = detector._prefix_sums
+    monkeypatch.setattr(detector, "_prefix_sums",
+                        lambda rows, split: summed.append(split) or prefix_sums(rows, split))
     rng, alpha = np.random.default_rng(5), 0.05
     rows, blocks = zip(*_short_rows(rng, alpha))
     want = [_exact_largest_prefix(np.sort(row), alpha) for row in rows]
     assert want == [3689, 5050, 4897, 1001]
     sizes = np.array([row.size for row in rows])
     for batch in [[i] for i in range(len(rows))] + [list(range(len(rows)))]:
-        totalled.clear()
+        summed.clear()
         keep, n = detector._adaptive_keep(np.concatenate([rows[i] for i in batch]),
                                           sizes[batch], alpha)
         if len(batch) == 1:
-            split, *guesses = blocks[batch[0]]
-            settled = guesses[-1] if len(guesses) <= rounds else 0
-            guesses = [guess for guess in guesses[:rounds] if guess]
-            assert totalled == [split] + guesses + [settled] * bool(settled)
+            assert summed == blocks[batch[0]]
         assert n.tolist() == [want[i] for i in batch]
         ends = np.cumsum(sizes[batch])
         for i, end, size in zip(batch, ends, sizes[batch]):

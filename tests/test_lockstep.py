@@ -156,7 +156,7 @@ def test_metrics_csv_bytes_do_not_depend_on_the_batch(procedure, model, tmp_path
                        procedure=procedure, seed=23, table=table)
     texts = []
     for per_batch in (1, 7, reps):
-        monkeypatch.setattr(simulate, "BATCH_STREAMS", per_batch * k)
+        monkeypatch.setattr(simulate, "BATCH_STREAMS", per_batch * max(k, horizon))
         path = tmp_path / f"{per_batch}.csv"
         write_metrics_csv(run_experiment(config), path)
         texts.append(path.read_bytes())

@@ -456,29 +456,34 @@ def test_partial_dep_freeze_keeps_w_until_the_next_advance():
     assert post.to_arrays()["history"].shape == (6, 6)
 
 
-@pytest.mark.parametrize("backend", ["iid", "dependent", "tabular", "partial"])
+def _backend(name, k):
+    """A fresh backend of each kind over ``k`` streams."""
+    return {"iid": lambda: PosteriorState(0.1, k),
+            "dependent": lambda: DependentPosteriorState(0.1, k),
+            "tabular": lambda: TabularPosteriorState(((0, 2),) * k, ((0.3, 0.7),) * k),
+            "partial": lambda: PartialDepPosterior(0.1, 0.5, k)}[name]()
+
+
+BACKENDS = ["iid", "dependent", "tabular", "partial"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_advance_refuses_log_lrs_that_do_not_align_with_the_streams(backend):
-    post = {"iid": lambda: PosteriorState(0.1, 3),
-            "dependent": lambda: DependentPosteriorState(0.1, 3),
-            "tabular": lambda: TabularPosteriorState(((0, 2),) * 3, ((0.3, 0.7),) * 3),
-            "partial": lambda: PartialDepPosterior(0.1, 0.5, 3)}[backend]()
+    post = _backend(backend, 3)
     for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
         with pytest.raises(ValueError, match="align"):
             post.advance(bad)
     assert post.t == 0
 
 
-@pytest.mark.parametrize("backend", ["iid", "dependent", "tabular", "partial"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_freeze_keeps_the_masked_live_streams_and_pins_the_others(backend):
     # after freeze(keep, w_live), live is the old live[keep], the ids
     # returned are the old live[~keep] (none for a mask of all True), and
     # every stream dropped so far reports the w_live value it was dropped
     # at, bit for bit; the dependent backend refuses to drop some streams only
     k = 6
-    post = {"iid": lambda: PosteriorState(0.1, k),
-            "dependent": lambda: DependentPosteriorState(0.1, k),
-            "tabular": lambda: TabularPosteriorState(((0, 2),) * k, ((0.3, 0.7),) * k),
-            "partial": lambda: PartialDepPosterior(0.1, 0.5, k)}[backend]()
+    post = _backend(backend, k)
     rng = np.random.default_rng(21)
     masks = [[True] * k, [True, False, True, True, False, True], [False, True, True, False],
              [False, True]]
@@ -499,6 +504,19 @@ def test_freeze_keeps_the_masked_live_streams_and_pins_the_others(backend):
         assert post.w[pinned].tobytes() == want[pinned].tobytes()
     post.advance(rng.normal(size=post.live.size))
     assert post.w[pinned].tobytes() == want[pinned].tobytes()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_live_is_one_read_only_array_between_freezes(backend):
+    # a detector's ``active`` is the backend's ``live`` itself, so every read
+    # between two freezes gives that one array, and no caller can write it
+    post = _backend(backend, 4)
+    for keep in ([True] * 4, [False] * 4):
+        post.advance(np.zeros(post.live.size))
+        live = post.live
+        assert post.live is live and not live.flags.writeable
+        post.freeze(np.array(keep), post.w_live)
+    assert post.live is post.live and post.live.size == 0
 
 
 def _partial_run(k=30, steps=24, seed=17):

@@ -229,9 +229,9 @@ def test_means_and_se_are_the_bits_of_numpy_over_all_rows(model, threads, monkey
     # the i.i.d. runs come in batches of 7 replications, several and a partial
     # last one; the partially dependent model runs a batch of one each
     model, k, seed = _AGGREGATED[model], 3, 13
-    monkeypatch.setattr(simulate, "BATCH_STREAMS", 7 * k)
     for reps in (1, 2, 63, 64, 65, 300):
         for horizon in (1, 2, 60):
+            monkeypatch.setattr(simulate, "BATCH_STREAMS", 7 * max(k, horizon))
             config = SimConfig(model=model, k=k, alpha=0.05, horizon=horizon,
                                replications=reps, seed=seed, threads=threads)
             frame = run_experiment(config)
@@ -252,7 +252,7 @@ def test_means_and_se_are_the_bits_of_numpy_over_all_rows(model, threads, monkey
 
 def test_run_experiment_holds_its_rows_about_once():
     # the rows of all replications take reps x horizon x 8 float64; besides
-    # them only one batch's working set (800 replications here) is held.
+    # them only one batch's working set (320 replications here) is held.
     # Holding a list of batches, their concatenation and std's temporary
     # peaked at 3.1 times the rows
     model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
@@ -265,6 +265,49 @@ def test_run_experiment_holds_its_rows_about_once():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 3000 * 50 * len(simulate._ROW_METRICS) * 8
+
+
+def test_a_batch_of_few_streams_holds_its_rows_once():
+    # at K=2 a batch is capped by its rows' time steps, which outnumber its
+    # streams, so the run holds little beyond its rows
+    model = IIDModel(GeometricPrior(0.05), GaussianShift(1.0))
+    config = SimConfig(model=model, k=2, alpha=0.05, horizon=50, replications=8000, seed=3)
+    run_experiment(SimConfig(model=model, k=2, alpha=0.05, horizon=5, replications=2))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8000 * 50 * len(simulate._ROW_METRICS) * 8
+
+
+def test_threads_open_no_more_workers_than_batches(monkeypatch):
+    # a forked pool starts every one of its max_workers at the first submit,
+    # so two batches get two workers, not eight; the stand-in pool records
+    # its max_workers and maps in this process
+    import concurrent.futures
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    frame = run_experiment(_small_config(replications=2, threads=8))
+    assert opened == [2]
+    want = run_experiment(_small_config(replications=2))
+    for name in simulate.CSV_COLUMNS.split(","):
+        assert getattr(frame, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_partial_dep_posteriors_stay_in_unit_interval():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from streamgate import detector
 from streamgate.detector import one_step_rule
 from streamgate.verify import (OPTIMALITY_SETS, OPTIMALITY_SIZES, _GeomStream,
-                               _conflicting_streams, _exact_value,
+                               _conflicting_streams, _exact_value, _selection_suite,
                                _feasible, _util, brute_force_max_subset,
                                brute_force_posterior,
                                conflicting_priors_enumeration,
@@ -203,6 +204,18 @@ def _exact_prefix_scan(w: list[Fraction], alpha: Fraction) -> list[int]:
     best = max((n for n in range(1, len(w) + 1)
                 if sum((w[k] for k in ranked[:n]), Fraction(0)) <= alpha * n), default=0)
     return sorted(ranked[:best])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_selection_suite_runs_rows_short_of_their_split(seed, monkeypatch):
+    # its last two rows sum from their 2048-column split, then one from the
+    # block its guess gives and one from 0, sorted whole
+    summed = []
+    prefix_sums = detector._prefix_sums
+    monkeypatch.setattr(detector, "_prefix_sums",
+                        lambda rows, split: summed.append(split) or prefix_sums(rows, split))
+    assert _selection_suite(20, np.random.default_rng(seed))[0]
+    assert summed[-4:] == [2048, 1024, 2048, 0]
 
 
 def test_exact_selection_agrees_with_production_rule():
